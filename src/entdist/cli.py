@@ -6,6 +6,10 @@ file; flags override config fields.  Every output file embeds the resolved
 config, seed, generator name, and artifact version, so identical runs are
 byte-identical.
 
+Each command turns the checked config into a ``Run``; ``_write`` alone
+creates the output directory, writes files and prints results, once every
+check has passed, so a failing run writes nothing.
+
 Exit status: 0 success (including reported non-convergence), 1 validation
 error, 2 I/O error.
 """
@@ -19,6 +23,10 @@ import json
 import math
 import re
 import sys
+import warnings
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -32,9 +40,6 @@ from .vectors import as_vector, load_vectors_csv, load_vectors_json
 
 REPRO_TARGETS = ("fig2", "table1", "table2", "fig3", "figS1")
 
-TABLE_DEFAULT_SHOTS = 500
-FIG2_DEFAULT_SHOTS = 10_000
-
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -43,7 +48,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            # out-of-range norms overflow in numpy before the estimator rejects them
+            warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
+            _run(args)
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -76,19 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[common], help="distance between two vectors")
     p.add_argument("--u", metavar="NUMS", help="new vector, e.g. '1,0'")
     p.add_argument("--v", metavar="NUMS", help="reference vector")
-    p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("classify", parents=[common], help="two-cluster assignment")
     p.add_argument("--vector", action="append", metavar="NUMS", help="test vector (repeatable)")
     p.add_argument("--vectors", metavar="PATH", help="CSV/JSON file of test vectors")
     p.add_argument("--ref-a", metavar="NUMS", help="cluster A reference vector")
     p.add_argument("--ref-b", metavar="NUMS", help="cluster B reference vector")
-    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("nn", parents=[common], help="nearest-neighbor classification")
     p.add_argument("--vector", action="append", metavar="NUMS", help="test vector (repeatable)")
     p.add_argument("--vectors", metavar="PATH", help="CSV/JSON file of test vectors")
-    p.set_defaults(handler=_cmd_nn)
 
     p = sub.add_parser("cluster", parents=[common], help="unsupervised clustering")
     p.add_argument("--vector", action="append", metavar="NUMS", help="input vector (repeatable)")
@@ -97,17 +103,71 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", type=int, default=None, metavar="SEED",
                    help="seed for the random initial labeling")
     p.add_argument("--max-iterations", type=int, default=None)
-    p.set_defaults(handler=_cmd_cluster)
 
     p = sub.add_parser("repro", parents=[common], help="reproduce a published table or figure")
     p.add_argument("target", choices=REPRO_TARGETS)
     p.add_argument("--count", type=int, default=None, help="fig2: number of test vectors")
-    p.set_defaults(handler=_cmd_repro)
 
     return parser
 
 
 # ---------------------------------------------------------------- config
+
+
+@dataclass(frozen=True)
+class _Object:
+    """A JSON object with no keys but these; the ``required`` ones must be present."""
+
+    fields: dict
+    required: tuple = ()
+
+
+# The JSON types each config key accepts.  A spec is a scalar type (float takes
+# any number, int only integers; a boolean is never a number), _NULL for null,
+# [spec] for an array, an _Object, or a tuple of alternatives of distinct types.
+_NULL = type(None)
+_VECTOR = [float]
+_ENTRY = _Object({"vector": _VECTOR, "label": (str, int)}, required=("vector", "label"))
+_NOISE_MODEL = _Object({"state_fidelity": (float, _NULL), "dark_count_fraction": float,
+                        "background_split": float})
+_NOISE = (str, _NULL, _NOISE_MODEL)  # a preset, 'none', a file, or the model itself
+CONFIG_SCHEMA = _Object({
+    "task": str,
+    "u": _VECTOR,
+    "v": _VECTOR,
+    "vectors": (str, [(float, _VECTOR)]),  # a file, one vector, or a list of vectors
+    "references": [_ENTRY],
+    "training": ([_ENTRY], _Object({"initial": [_ENTRY], "added": (_ENTRY, [_ENTRY], _NULL)})),
+    "k": int,
+    "init": (int, [(int, str)]),
+    "max_iterations": int,
+    "estimator": _Object({"mode": str, "shots": int, "seed": int, "noise": _NOISE}),
+    "noise": _NOISE,
+    "output": str,
+    "emit_plot": bool,
+    "count": int,
+})
+
+
+def _check(value, spec, where: str) -> None:
+    """Raise ValueError unless value has one of the JSON types spec allows."""
+    for alt in spec if isinstance(spec, tuple) else (spec,):
+        if isinstance(alt, list) and isinstance(value, list):
+            for i, item in enumerate(value):
+                _check(item, alt[0], f"{where}[{i}]")
+            return
+        if isinstance(alt, _Object) and isinstance(value, dict):
+            for key, item in value.items():
+                if key not in alt.fields:
+                    raise ValueError(f"{where}: unknown key {key!r}")
+                _check(item, alt.fields[key], f"{where}.{key}")
+            for key in alt.required:
+                if key not in value:
+                    raise ValueError(f"{where}: missing key {key!r}")
+            return
+        if type(value) is alt or alt is float and type(value) is int:
+            return
+    raise ValueError(f"{where} has the wrong type: {value!r}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -125,15 +185,8 @@ def _load_config(path: str | None) -> dict:
         data = tomllib.loads(p.read_text(encoding="utf-8"))
     else:
         data = json.loads(p.read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON/TOML object")
+    _check(data, CONFIG_SCHEMA, "config")
     return data
-
-
-def _check_task(config: dict, invoked: str) -> None:
-    task = config.get("task")
-    if task is not None and task != invoked:
-        raise ValueError(f"config task {task!r} does not match invoked command {invoked!r}")
 
 
 def _parse_vector_arg(text: str) -> list[float]:
@@ -143,108 +196,96 @@ def _parse_vector_arg(text: str) -> list[float]:
     return [float(t) for t in tokens]
 
 
-def _vectors_from(args, config: dict, key: str = "vectors"):
-    """Test vectors from --vector flags, a --vectors file, or the config."""
+def _apply_flags(args, config: dict) -> None:
+    """Lay the non-estimator flags over the config, so commands read the config alone."""
+    keys = {"out": "output", "plot": "emit_plot", "count": "count", "k": "k", "init": "init",
+            "max_iterations": "max_iterations", "vectors": "vectors"}  # flag -> config key
+    ref_a, ref_b = getattr(args, "ref_a", None), getattr(args, "ref_b", None)
+    if ref_a or ref_b:
+        if not (ref_a and ref_b):
+            raise ValueError("pass both --ref-a and --ref-b")
+        config["references"] = [{"vector": _parse_vector_arg(ref_a), "label": "A"},
+                                {"vector": _parse_vector_arg(ref_b), "label": "B"}]
+    for dest, key in keys.items():
+        if getattr(args, dest, None) is not None:
+            config[key] = getattr(args, dest)
     if getattr(args, "vector", None):
-        return [as_vector(_parse_vector_arg(s)) for s in args.vector]
-    path = getattr(args, "vectors", None) or None
-    source = path if path is not None else config.get(key)
-    if source is None:
-        raise ValueError(f"no {key}: pass --vector/--vectors or set {key!r} in the config")
-    return _load_vector_list(source)
+        config["vectors"] = [_parse_vector_arg(s) for s in args.vector]
+    for key in ("u", "v"):
+        if getattr(args, key, None):
+            config[key] = _parse_vector_arg(getattr(args, key))
 
 
-def _load_vector_list(source):
-    if isinstance(source, str):
-        path = Path(source)
-        if path.suffix.lower() == ".json":
-            return load_vectors_json(path)
-        return load_vectors_csv(path)
-    if isinstance(source, list):
-        if source and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in source):
-            source = [source]
-        return [as_vector(row) for row in source]
-    raise ValueError(f"cannot read vectors from {source!r}")
+def _estimator(args, config: dict, mode: str, shots: int, noise: str | None) -> EstimatorConfig:
+    """Flags over the config's estimator section over the task's defaults."""
+    if args.exact and args.shots is not None:
+        raise ValueError("choose one of --exact and --shots")
+    est = config.get("estimator", {})
+    mode, shots = est.get("mode", mode), est.get("shots", shots)
+    if args.exact:
+        mode = "exact"
+    elif args.shots is not None:
+        mode, shots = "sampled", args.shots
+    seed = args.seed if args.seed is not None else est.get("seed", 0)
+    noise = args.noise if args.noise is not None else config.get("noise", est.get("noise", noise))
+    return EstimatorConfig(mode=mode, shots=shots, seed=seed, noise=_noise_from(noise))
 
 
 def _noise_from(source) -> NoiseModel | None:
     if source is None or source == "none" or source == "off":
         return None
-    if isinstance(source, NoiseModel):
-        return source
     if isinstance(source, str):
         if source in NOISE_PRESETS:
             return noise_preset(source)
         path = Path(source)
         if path.exists():
-            return _noise_from(json.loads(path.read_text(encoding="utf-8")))
+            data = json.loads(path.read_text(encoding="utf-8"))
+            _check(data, (_NULL, _NOISE_MODEL), f"noise file {source}")
+            return _noise_from(data)
         raise ValueError(f"unknown noise preset or missing file: {source!r}")
-    if isinstance(source, dict):
-        allowed = {"state_fidelity", "dark_count_fraction", "background_split"}
-        unknown = set(source) - allowed
-        if unknown:
-            raise ValueError(f"unknown noise fields: {sorted(unknown)}")
-        return NoiseModel(**source)
-    raise ValueError(f"cannot build a noise model from {source!r}")
+    return NoiseModel(**source)
 
 
-def _estimator_from(args, config: dict, default_mode="exact", default_shots=10_000,
-                    default_noise=None) -> EstimatorConfig:
-    est = dict(config.get("estimator", {}))
-    mode = est.get("mode", default_mode)
-    shots = est.get("shots", default_shots)
-    seed = est.get("seed", 0)
-    noise_source = config.get("noise", est.get("noise", default_noise))
-
-    if args.exact and args.shots is not None:
-        raise ValueError("choose one of --exact and --shots")
-    if args.exact:
-        mode = "exact"
-    elif args.shots is not None:
-        mode, shots = "sampled", args.shots
-    if args.seed is not None:
-        seed = args.seed
-    if args.noise is not None:
-        noise_source = args.noise
-    return EstimatorConfig(mode=mode, shots=int(shots), seed=int(seed),
-                           noise=_noise_from(noise_source))
+def _vectors(config: dict):
+    source = config.get("vectors")
+    if source is None:
+        raise ValueError("no vectors: pass --vector/--vectors or set 'vectors' in the config")
+    if isinstance(source, str):
+        path = Path(source)
+        if path.suffix.lower() == ".json":
+            return load_vectors_json(path)
+        return load_vectors_csv(path)
+    if source and all(isinstance(x, (int, float)) for x in source):
+        source = [source]
+    return [as_vector(row) for row in source]
 
 
-def _out_dir(args, config: dict, required: bool = True) -> Path | None:
-    out = args.out or config.get("output")
-    if out is None:
-        if required:
-            raise ValueError("this command writes files: pass --out DIR (or 'output' in the config)")
-        return None
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _plot_enabled(args, config: dict, default: bool) -> bool:
-    if args.plot is not None:
-        return bool(args.plot)
-    return bool(config.get("emit_plot", default))
+def _labeled(entry: dict) -> LabeledReference:
+    return LabeledReference(as_vector(entry["vector"]), str(entry["label"]))
 
 
 # ---------------------------------------------------------------- output
 
 
-def _metadata(task: str, cfg: EstimatorConfig, extra: dict | None = None) -> dict:
-    config = {
-        "task": task,
-        "estimator": {"mode": cfg.mode, "shots": cfg.shots, "seed": cfg.seed},
-        "noise": cfg.noise.as_dict() if cfg.noise is not None else None,
-    }
-    if extra:
-        config.update(extra)
-    return {
-        "artifact": "entdist",
-        "version": __version__,
-        "generator": GENERATOR_NAME,
-        "seed": cfg.seed,
-        "config": config,
-    }
+@dataclass(frozen=True)
+class Run:
+    """What one command computed; ``_write`` turns it into files and stdout."""
+
+    extra: dict  # embedded config entries besides task, estimator and noise
+    summary: dict  # summary.json without its metadata
+    fields: list | None = None  # results.csv columns; None: no CSV, summary to stdout
+    rows: list = field(default_factory=list)
+    plots: dict = field(default_factory=dict)  # file name -> render(metadata) -> SVG
+    plot_vectors: list = field(default_factory=list)  # must be 2-D to plot
+    line: str | None = None  # printed once the files are written
+
+
+def _metadata(task: str, cfg: EstimatorConfig, extra: dict) -> dict:
+    estimator = {"mode": cfg.mode, "shots": cfg.shots, "seed": cfg.seed}
+    noise = cfg.noise.as_dict() if cfg.noise is not None else None
+    config = {"task": task, "estimator": estimator, "noise": noise, **extra}
+    return {"artifact": "entdist", "version": __version__, "generator": GENERATOR_NAME,
+            "seed": cfg.seed, "config": config}
 
 
 def _cell(value) -> str:
@@ -257,7 +298,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, metadata: dict, fieldnames: list[str], rows: list[dict]) -> None:
+def _csv_text(fieldnames: list[str], rows: list[dict], metadata: dict) -> str:
     buf = io.StringIO()
     buf.write(f"# artifact: entdist {__version__}\n")
     buf.write(f"# generator: {metadata['generator']}\n")
@@ -267,35 +308,51 @@ def _write_csv(path: Path, metadata: dict, fieldnames: list[str], rows: list[dic
     writer.writerow(fieldnames)
     for row in rows:
         writer.writerow([_cell(row[f]) for f in fieldnames])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    return buf.getvalue()
 
 
-def _write_json(path: Path, metadata: dict, payload: dict) -> None:
-    doc = {"metadata": metadata, **payload}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _json_text(payload: dict, metadata: dict) -> str:
+    return json.dumps({"metadata": metadata, **payload}, indent=2, sort_keys=True) + "\n"
+
+
+def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default: bool) -> None:
+    """Check the run's plots, then write its files and print its result."""
+    meta = _metadata(task, cfg, run.extra)
+    out = config.get("output")
+    if run.fields is None:  # estimate: the summary is the result; files only on request
+        print(_json_text(run.summary, meta), end="")
+    plots = run.plots if config.get("emit_plot", plot_default) else {}
+    if plots and any(v.dimension != 2 for v in run.plot_vectors):
+        raise ValueError(f"{task} plots need 2-D vectors")
+    if out is None:
+        return
+    files = {"results.csv": partial(_csv_text, run.fields, run.rows)} if run.fields else {}
+    files["summary.json"] = partial(_json_text, run.summary)
+    files.update(plots)
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    for name, render in files.items():
+        (path / name).write_text(render(meta), encoding="utf-8")
+    if run.line is not None:
+        print(run.line)
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_estimate(args) -> int:
-    config = _load_config(args.config)
-    _check_task(config, "estimate")
-    cfg = _estimator_from(args, config)
-    u = _parse_vector_arg(args.u) if args.u else config.get("u")
-    v = _parse_vector_arg(args.v) if args.v else config.get("v")
+def _estimate(args, config: dict, cfg: EstimatorConfig) -> Run:
+    u, v = config.get("u"), config.get("v")
     if u is None or v is None:
         raise ValueError("estimate needs both vectors: --u/--v or config keys 'u'/'v'")
-    payload = estimate_run(u, v, cfg)
-    doc = {"metadata": _metadata("estimate", cfg), **payload}
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    out = _out_dir(args, config, required=False)
-    if out is not None:
-        _write_json(out / "summary.json", doc["metadata"], payload)
-    return 0
+    return Run({}, estimate_run(u, v, cfg))
 
 
-def _classification_rows(vectors, ref_a, ref_b, cfg):
+def _classify(args, config: dict, cfg: EstimatorConfig) -> Run:
+    refs = config.get("references")
+    if refs is None or len(refs) != 2:
+        raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
+    ref_a, ref_b = (_labeled(r) for r in refs)
+    vectors = _vectors(config)
     rows = []
     for i, u in enumerate(vectors):
         res = classify_two_cluster(u, ref_a, ref_b, cfg.derive(i))
@@ -309,139 +366,80 @@ def _classification_rows(vectors, ref_a, ref_b, cfg):
             "assigned": res.assigned_label,
             "boundary_flag": res.boundary_flag,
         })
-    return rows
-
-
-def _cmd_classify(args) -> int:
-    config = _load_config(args.config)
-    _check_task(config, "classify")
-    cfg = _estimator_from(args, config)
-    ref_a, ref_b = _two_references(args, config)
-    vectors = _vectors_from(args, config)
-    rows = _classification_rows(vectors, ref_a, ref_b, cfg)
-
-    out = _out_dir(args, config)
-    meta = _metadata("classify", cfg, {
+    extra = {
         "references": {ref_a.label: ref_a.vector.components.tolist(),
                        ref_b.label: ref_b.vector.components.tolist()},
         "n_vectors": len(vectors),
-    })
+    }
     fields = ["index", "vector", f"distance_{ref_a.label}", f"distance_{ref_b.label}",
               "margin", "assigned", "boundary_flag"]
-    _write_csv(out / "results.csv", meta, fields, rows)
-    counts = {}
-    for row in rows:
-        counts[row["assigned"]] = counts.get(row["assigned"], 0) + 1
-    _write_json(out / "summary.json", meta, {"rows": rows, "assigned_counts": counts})
-    if _plot_enabled(args, config, default=False):
-        _require_2d(vectors, "classification plot")
-        text = _classification_svg(rows, ref_a, ref_b, meta)
-        (out / "plot.svg").write_text(text, encoding="utf-8")
-    return 0
+    counts = Counter(row["assigned"] for row in rows)
+    plots = {"plot.svg": partial(_classification_svg, rows, ref_a, ref_b)}
+    return Run(extra, {"rows": rows, "assigned_counts": counts}, fields, rows, plots, vectors)
 
 
-def _two_references(args, config: dict) -> tuple[LabeledReference, LabeledReference]:
-    refs = config.get("references")
-    if getattr(args, "ref_a", None) or getattr(args, "ref_b", None):
-        if not (args.ref_a and args.ref_b):
-            raise ValueError("pass both --ref-a and --ref-b")
-        return (
-            LabeledReference(as_vector(_parse_vector_arg(args.ref_a)), "A"),
-            LabeledReference(as_vector(_parse_vector_arg(args.ref_b)), "B"),
-        )
-    if isinstance(refs, list) and len(refs) == 2:
-        made = [LabeledReference(as_vector(r["vector"]), str(r["label"])) for r in refs]
-        return made[0], made[1]
-    raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
-
-
-def _training_from(config: dict) -> tuple[list[LabeledReference], LabeledReference | None]:
+def _nn(args, config: dict, cfg: EstimatorConfig) -> Run:
     spec = config.get("training")
     if spec is None:
         raise ValueError("nn needs a 'training' section in the config")
     if isinstance(spec, list):
-        initial, added = spec, None
-    elif isinstance(spec, dict):
-        initial = spec.get("initial", [])
-        added = spec.get("added")
-    else:
-        raise ValueError("'training' must be a list or an object with 'initial'/'added'")
+        spec = {"initial": spec}
+    initial, added = spec.get("initial", []), spec.get("added")
     if not initial:
         raise ValueError("training set must be non-empty")
-    refs = [LabeledReference(as_vector(t["vector"]), str(t["label"])) for t in initial]
-    extra = None
-    if added is not None:
-        if isinstance(added, list):
-            if len(added) != 1:
-                raise ValueError("'added' must hold exactly one training vector")
-            added = added[0]
-        extra = LabeledReference(as_vector(added["vector"]), str(added["label"]))
-    return refs, extra
-
-
-def _cmd_nn(args) -> int:
-    config = _load_config(args.config)
-    _check_task(config, "nn")
-    cfg = _estimator_from(args, config)
-    training, added = _training_from(config)
-    vectors = _vectors_from(args, config)
-    out = _out_dir(args, config)
-    meta = _metadata("nn", cfg, {
+    if isinstance(added, list):
+        if len(added) != 1:
+            raise ValueError("'added' must hold exactly one training vector")
+        added = added[0]
+    training = [_labeled(t) for t in initial]
+    added = _labeled(added) if added is not None else None
+    vectors = _vectors(config)
+    extra = {
         "training": [{"label": t.label, "vector": t.vector.components.tolist()} for t in training],
         "added": ({"label": added.label, "vector": added.vector.components.tolist()}
                   if added else None),
         "n_vectors": len(vectors),
-    })
-    if added is None:
-        rows = []
-        for i, u in enumerate(vectors):
-            res = nearest_neighbor_classify(u, training, cfg.derive(i))
-            rows.append({
-                "index": i,
-                "vector": u.components.tolist(),
-                "assigned": res.assigned_label,
-                "margin": res.margin,
-                "boundary_flag": res.boundary_flag,
-            })
-        _write_csv(out / "results.csv", meta,
-                   ["index", "vector", "assigned", "margin", "boundary_flag"], rows)
-        _write_json(out / "summary.json", meta, {"rows": rows})
-        if _plot_enabled(args, config, default=False):
-            _require_2d(vectors, "nearest-neighbor plot")
-            text = _nn_phase_svg(vectors, [r["assigned"] for r in rows], training, (), meta,
-                                 title="nearest neighbor")
-            (out / "plot.svg").write_text(text, encoding="utf-8")
-        return 0
-
-    result = nn_run(vectors, training, added, cfg)
-    _write_csv(out / "results.csv", meta,
-               ["index", "vector", "label_before", "label_after", "changed"], result["rows"])
-    _write_json(out / "summary.json", meta, result)
-    if _plot_enabled(args, config, default=False):
-        _require_2d(vectors, "nearest-neighbor plot")
-        _write_nn_phase_plots(out, vectors, result, training, added, meta)
-    return 0
+    }
+    if added is not None:
+        result = nn_run(vectors, training, added, cfg)
+        return Run(extra, result, ["index", "vector", "label_before", "label_after", "changed"],
+                   result["rows"], _nn_phase_plots(vectors, result, training, added), vectors)
+    rows = []
+    for i, u in enumerate(vectors):
+        res = nearest_neighbor_classify(u, training, cfg.derive(i))
+        rows.append({
+            "index": i,
+            "vector": u.components.tolist(),
+            "assigned": res.assigned_label,
+            "margin": res.margin,
+            "boundary_flag": res.boundary_flag,
+        })
+    plot = partial(_nn_phase_svg, vectors, [r["assigned"] for r in rows], training, (),
+                   title="nearest neighbor")
+    return Run(extra, {"rows": rows}, ["index", "vector", "assigned", "margin", "boundary_flag"],
+               rows, {"plot.svg": plot}, vectors)
 
 
-def _cmd_cluster(args) -> int:
-    config = _load_config(args.config)
-    _check_task(config, "cluster")
-    cfg = _estimator_from(args, config)
-    vectors = _vectors_from(args, config)
-    k = args.k if args.k is not None else int(config.get("k", 2))
-    init = args.init if args.init is not None else config.get("init", cfg.seed)
-    max_iter = (args.max_iterations if args.max_iterations is not None
-                else int(config.get("max_iterations", 100)))
-    out = _out_dir(args, config)
-    meta = _metadata("cluster", cfg, {"k": k, "init": init, "max_iterations": max_iter,
-                                      "n_vectors": len(vectors)})
-    _run_cluster_and_write(out, vectors, k, init, cfg, max_iter, meta,
-                           plot=_plot_enabled(args, config, default=False), names=())
-    return 0
+def _cluster(args, config: dict, cfg: EstimatorConfig) -> Run:
+    vectors = _vectors(config)
+    k, init = config.get("k", 2), config.get("init", cfg.seed)
+    max_iter = config.get("max_iterations", 100)
+    return _clustering(vectors, k, init, cfg, max_iter,
+                       {"k": k, "init": init, "max_iterations": max_iter,
+                        "n_vectors": len(vectors)})
 
 
-def _run_cluster_and_write(out, vectors, k, init, cfg, max_iter, meta, plot, names) -> None:
-    state = cluster_run(vectors, k, init, cfg, max_iter)
+def _fig3(args, config: dict, cfg: EstimatorConfig) -> Run:
+    demo = FIG3_DEMO
+    init = list(demo.initial_labels)
+    return _clustering(demo.vectors(), demo.k, init, cfg, config.get("max_iterations", 100),
+                       {"dataset": "builtin-fig3-demo", "k": demo.k, "init": init}, demo.names)
+
+
+def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
+    state = cluster_run(vectors, k, init, cfg, max_iterations)
+    if not state.converged:
+        print(f"note: not converged after {state.iteration} rounds", file=sys.stderr)
     rows = [{
         "index": i,
         "name": names[i] if i < len(names) else str(i),
@@ -449,123 +447,86 @@ def _run_cluster_and_write(out, vectors, k, init, cfg, max_iter, meta, plot, nam
         "initial_label": state.history[0][i],
         "final_label": state.labels[i],
     } for i, v in enumerate(vectors)]
-    _write_csv(out / "results.csv", meta,
-               ["index", "name", "vector", "initial_label", "final_label"], rows)
-    _write_json(out / "summary.json", meta, {
+    summary = {
         "converged": state.converged,
         "iterations": state.iteration,
         "history": [list(h) for h in state.history],
         "rows": rows,
-    })
-    if not state.converged:
-        print(f"note: not converged after {state.iteration} rounds", file=sys.stderr)
-    if plot:
-        _require_2d(vectors, "clustering plot")
-        points = [tuple(v.components.tolist()) for v in vectors]
-        xlim, ylim = _square_limits(points)
-        for r, labels in enumerate(state.history):
-            text = cartesian_scatter_svg(
-                points, list(labels), xlim, ylim, names=names,
-                title=f"round {r}", metadata=meta,
-            )
-            (out / f"round_{r}.svg").write_text(text, encoding="utf-8")
+    }
+    plots = {f"round_{r}.svg": partial(_round_svg, vectors, labels, names, r)
+             for r, labels in enumerate(state.history)}
+    return Run(extra, summary, ["index", "name", "vector", "initial_label", "final_label"],
+               rows, plots, vectors)
 
 
-def _cmd_repro(args) -> int:
-    config = _load_config(args.config)
-    _check_task(config, args.target)
-    handler = {
-        "table1": _repro_table,
-        "table2": _repro_table,
-        "fig2": _repro_fig2,
-        "fig3": _repro_fig3,
-        "figS1": _repro_figs1,
-    }[args.target]
-    return handler(args, config)
-
-
-def _repro_table(args, config: dict) -> int:
+def _table(args, config: dict, cfg: EstimatorConfig) -> Run:
     name = args.target
-    cfg = _estimator_from(args, config, default_mode="sampled",
-                          default_shots=TABLE_DEFAULT_SHOTS, default_noise=PAPER_PRESET)
     sampled_cfg = cfg if cfg.mode == "sampled" else None
     result = table_run(name, sampled_cfg)
-    out = _out_dir(args, config)
-    meta = _metadata(name, cfg, {"dataset": name,
-                                 "sampled_column": sampled_cfg is not None})
-    fields = ["index", "vector", "theory_diff", "computed_diff", "group",
-              "matches_paper_theory"]
+    fields = ["index", "vector", "theory_diff", "computed_diff", "group", "matches_paper_theory"]
     if sampled_cfg is not None:
         fields += ["sampled_diff", "sampled_group"]
     rows = [{**r, "theory_diff": f"{r['theory_diff']:.2f}"} for r in result["rows"]]
-    _write_csv(out / "results.csv", meta, fields, rows)
-    _write_json(out / "summary.json", meta, result)
-    status = "all rows match" if result["all_match_paper_theory"] else \
-        f"rows off the printed two decimals: {result['mismatched_rows']}"
-    print(f"{name}: {len(result['rows'])} rows; {status}")
-    return 0
+    status = ("all rows match" if result["all_match_paper_theory"]
+              else f"rows off the printed two decimals: {result['mismatched_rows']}")
+    return Run({"dataset": name, "sampled_column": sampled_cfg is not None}, result, fields, rows,
+               line=f"{name}: {len(result['rows'])} rows; {status}")
 
 
-def _repro_fig2(args, config: dict) -> int:
-    cfg = _estimator_from(args, config, default_mode="sampled",
-                          default_shots=FIG2_DEFAULT_SHOTS, default_noise=PAPER_PRESET)
-    count = args.count if args.count is not None else int(config.get("count", FIG2_DEFAULT_COUNT))
-    vectors = None
-    if config.get("vectors") is not None:
-        vectors = _load_vector_list(config["vectors"])
-    result = fig2_run(cfg, count=count, vectors=vectors)
-    out = _out_dir(args, config)
-    meta = _metadata("fig2", cfg, {"count": len(result["rows"])})
+def _fig2(args, config: dict, cfg: EstimatorConfig) -> Run:
+    vectors = _vectors(config) if "vectors" in config else None
+    result = fig2_run(cfg, count=config.get("count", FIG2_DEFAULT_COUNT), vectors=vectors)
     fields = ["index", "x", "y", "norm", "angle", "exact_diff", "exact_label",
               "sampled_diff", "sampled_label", "misclassified"]
-    _write_csv(out / "results.csv", meta, fields, result["rows"])
-    _write_json(out / "summary.json", meta, result)
-    if _plot_enabled(args, config, default=True):
-        (out / "plot.svg").write_text(_fig2_svg(result, meta), encoding="utf-8")
-    print(f"fig2: {len(result['rows'])} vectors, {result['misclassified_count']} misclassified "
-          f"under noise (mean |error| {result['mean_abs_error']:.3f})")
-    return 0
+    line = (f"fig2: {len(result['rows'])} vectors, {result['misclassified_count']} misclassified "
+            f"under noise (mean |error| {result['mean_abs_error']:.3f})")
+    return Run({"count": len(result["rows"])}, result, fields, result["rows"],
+               {"plot.svg": partial(_fig2_svg, result)}, line=line)
 
 
-def _repro_fig3(args, config: dict) -> int:
-    cfg = _estimator_from(args, config)
-    out = _out_dir(args, config)
-    demo = FIG3_DEMO
-    meta = _metadata("fig3", cfg, {"dataset": "builtin-fig3-demo", "k": demo.k,
-                                   "init": list(demo.initial_labels)})
-    _run_cluster_and_write(out, demo.vectors(), demo.k, list(demo.initial_labels), cfg,
-                           int(config.get("max_iterations", 100)), meta,
-                           plot=_plot_enabled(args, config, default=True), names=demo.names)
-    return 0
-
-
-def _repro_figs1(args, config: dict) -> int:
-    cfg = _estimator_from(args, config)
-    out = _out_dir(args, config)
+def _figs1(args, config: dict, cfg: EstimatorConfig) -> Run:
     demo = FIGS1_DEMO
-    training = list(demo.initial_training)
-    meta = _metadata("figS1", cfg, {"dataset": "builtin-figS1-demo"})
-    result = nn_run(demo.vectors(), training, demo.added_training, cfg)
+    vectors, training = demo.vectors(), list(demo.initial_training)
+    result = nn_run(vectors, training, demo.added_training, cfg)
     for row, name in zip(result["rows"], demo.names):
         row["name"] = name
-    _write_csv(out / "results.csv", meta,
-               ["index", "name", "vector", "label_before", "label_after", "changed"],
-               result["rows"])
-    _write_json(out / "summary.json", meta, result)
-    if _plot_enabled(args, config, default=True):
-        _write_nn_phase_plots(out, demo.vectors(), result, training, demo.added_training,
-                              meta, names=demo.names)
     changed = [result["rows"][i].get("name", i) for i in result["changed_indices"]]
-    print(f"figS1: labels changed after the new training vector: {changed or 'none'}")
-    return 0
+    return Run({"dataset": "builtin-figS1-demo"}, result,
+               ["index", "name", "vector", "label_before", "label_after", "changed"],
+               result["rows"],
+               _nn_phase_plots(vectors, result, training, demo.added_training, demo.names),
+               vectors, f"figS1: labels changed after the new training vector: {changed or 'none'}")
+
+
+# task -> (command, then the estimator mode, shots, noise and plot switch it
+# runs with where neither a flag nor the config sets them)
+TASKS = {
+    "estimate": (_estimate, "exact", 10_000, None, False),
+    "classify": (_classify, "exact", 10_000, None, False),
+    "nn": (_nn, "exact", 10_000, None, False),
+    "cluster": (_cluster, "exact", 10_000, None, False),
+    "table1": (_table, "sampled", 500, PAPER_PRESET, False),
+    "table2": (_table, "sampled", 500, PAPER_PRESET, False),
+    "fig2": (_fig2, "sampled", 10_000, PAPER_PRESET, True),
+    "fig3": (_fig3, "exact", 10_000, None, True),
+    "figS1": (_figs1, "exact", 10_000, None, True),
+}
+
+
+def _run(args) -> None:
+    name = getattr(args, "target", args.command)
+    command, mode, shots, noise, plot = TASKS[name]
+    config = _load_config(args.config)
+    if config.get("task", name) != name:
+        raise ValueError(f"config task {config['task']!r} does not match invoked command {name!r}")
+    cfg = _estimator(args, config, mode, shots, noise)
+    _apply_flags(args, config)
+    if name != "estimate" and config.get("output") is None:  # fail before the work, not after
+        raise ValueError("this command writes files: pass --out DIR (or 'output' in the config)")
+    _write(command(args, config, cfg), name, cfg, config, plot)
 
 
 # ---------------------------------------------------------------- plots
-
-
-def _require_2d(vectors, what: str) -> None:
-    if any(v.dimension != 2 for v in vectors):
-        raise ValueError(f"{what} requires 2-D vectors")
 
 
 def _square_limits(points, pad: float = 0.25):
@@ -633,6 +594,13 @@ def _classification_svg(rows, ref_a, ref_b, metadata: dict) -> str:
     )
 
 
+def _round_svg(vectors, labels, names, r: int, metadata: dict) -> str:
+    points = [tuple(v.components.tolist()) for v in vectors]
+    xlim, ylim = _square_limits(points)
+    return cartesian_scatter_svg(points, list(labels), xlim, ylim, names=names,
+                                 title=f"round {r}", metadata=metadata)
+
+
 def _nn_boundary(training, xlim, ylim):
     """Piecewise boundary between the two label groups of the training set."""
     labels = sorted({t.label for t in training})
@@ -660,17 +628,16 @@ def _nn_phase_svg(vectors, labels, training, names, metadata, title: str) -> str
     )
 
 
-def _write_nn_phase_plots(out, vectors, result, training, added, metadata, names=()) -> None:
-    _require_2d(vectors, "nearest-neighbor plot")
+def _nn_phase_plots(vectors, result, training, added, names=()) -> dict:
+    """Renderers for the nearest-neighbor labels before and after the added vector."""
     before = [r["label_before"] for r in result["rows"]]
     after = [r["label_after"] for r in result["rows"]]
-    (out / "phase_1.svg").write_text(
-        _nn_phase_svg(vectors, before, training, names, metadata, "initial training set"),
-        encoding="utf-8")
-    (out / "phase_2.svg").write_text(
-        _nn_phase_svg(vectors, after, list(training) + [added], names, metadata,
-                      "after the new training vector"),
-        encoding="utf-8")
+    return {
+        "phase_1.svg": partial(_nn_phase_svg, vectors, before, training, names,
+                               title="initial training set"),
+        "phase_2.svg": partial(_nn_phase_svg, vectors, after, list(training) + [added], names,
+                               title="after the new training vector"),
+    }
 
 
 if __name__ == "__main__":

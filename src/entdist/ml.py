@@ -248,9 +248,12 @@ def unsupervised_cluster(
             raise ValueError("init must be an integer seed or a sequence of labels") from None
         if len(labels) != n:
             raise ValueError(f"init has {len(labels)} labels for {n} vectors")
-        if len(set(labels)) != k:
-            raise ValueError(f"init must cover exactly k={k} distinct labels")
-    groups = sorted(set(labels))
+    try:
+        groups = sorted(set(labels))
+    except TypeError:
+        raise ValueError("init labels must be all numbers or all strings") from None
+    if len(groups) != k:
+        raise ValueError(f"init must cover exactly k={k} distinct labels")
 
     exact_dist = _pairwise_distances(vectors, cfg) if cfg.mode == "exact" else None
     history = [tuple(labels)]

@@ -45,6 +45,11 @@ GENERATOR_NAME = "numpy-pcg64"
 
 _MAX_SEED = 2**64
 
+# p = |u-v|^2 / (2 (|u|^2 + |v|^2)) needs |u|^2 and |v|^2 at least the smallest
+# normal float64 and 2 (|u|^2 + |v|^2) at most the largest
+_MIN_SQUARE = float(np.finfo(float).tiny)
+_MAX_SQUARE_SUM = float(np.finfo(float).max) / 2
+
 
 @dataclass(frozen=True, eq=False)
 class DistanceQuery:
@@ -141,8 +146,14 @@ def ancilla_projection_state(query: DistanceQuery) -> SingleQubitState:
 
 def exact_p(query: DistanceQuery) -> float:
     """Ideal success probability |u - v|^2 / (2 (|u|^2 + |v|^2))."""
+    nu2, nv2 = query.u.norm ** 2, query.v.norm ** 2
+    z = nu2 + nv2
+    if not (nu2 >= _MIN_SQUARE and nv2 >= _MIN_SQUARE and z <= _MAX_SQUARE_SUM):
+        raise ValueError(
+            f"squared norms {nu2:.3g} and {nv2:.3g} leave float64's range: each must be at "
+            f"least {_MIN_SQUARE:.3g} and their sum at most {_MAX_SQUARE_SUM:.3g}"
+        )
     diff = query.u.components - query.v.components
-    z = query.u.norm ** 2 + query.v.norm ** 2
     # numerator as a sum of squares keeps p >= 0 even when u == v exactly
     p = float(np.dot(diff, diff)) / (2.0 * z)
     return min(max(p, 0.0), 1.0)

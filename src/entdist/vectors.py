@@ -209,9 +209,15 @@ def load_vectors_json(path) -> list[RealVector]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a non-empty JSON array")
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
+    if all(_is_number(x) for x in data):
         data = [data]
+    if not all(isinstance(row, list) and all(_is_number(x) for x in row) for row in data):
+        raise ValueError(f"{path}: vector components must be numbers")
     return [as_vector(row) for row in data]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def load_vectors_csv(path) -> list[RealVector]:

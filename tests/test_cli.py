@@ -268,7 +268,103 @@ class TestClusterAndNN:
         assert code == 1 and "2-D" in err
 
 
+# config (written to c.json) and arguments of one run per command; each run
+# samples where the command can, so the test covers the sampled streams
+DETERMINISM_RUNS = {
+    "estimate": (None, ["estimate", "--u", "1,2", "--v", "2,1", "--shots", "100"]),
+    "classify": (None, ["classify", "--vector", "2,0", "--vector", "1.2,1.2", "--ref-a", "1.5,0.55",
+                        "--ref-b", "0.86,2.35", "--shots", "200", "--plot"]),
+    "nn": ({"vectors": [[0.6, 0.6], [2.4, 2.4]],
+            "training": [{"label": "blue", "vector": [0.5, 0.5]},
+                         {"label": "red", "vector": [2.5, 2.5]}]},
+           ["nn", "--config", "c.json", "--shots", "200", "--plot"]),
+    "nn-two-phase": ({"vectors": [[0.6, 0.6], [2.4, 2.4]],
+                      "training": {"initial": [{"label": "blue", "vector": [0.5, 0.5]},
+                                               {"label": "red", "vector": [2.5, 2.5]}],
+                                   "added": {"label": "blue", "vector": [2.35, 2.35]}}},
+                     ["nn", "--config", "c.json", "--shots", "200", "--plot"]),
+    "cluster": ({"vectors": [[1.0, 1.0], [1.1, 1.0], [1.2, 1.0], [5.0, 5.0], [5.1, 5.0]],
+                 "k": 2, "init": 3, "estimator": {"mode": "sampled", "shots": 200}},
+                ["cluster", "--config", "c.json", "--plot"]),
+    "table1": (None, ["repro", "table1"]),
+    "table2": (None, ["repro", "table2"]),
+    "fig3": (None, ["repro", "fig3", "--shots", "300"]),
+    "figS1": (None, ["repro", "figS1", "--shots", "300"]),
+}
+
+# inputs that once ran silently, crashed with a traceback or gave a misleading
+# error, and what their one error line must name
+BAD_INPUTS = {
+    "unknown-key": ({"u": [1, 0], "v": [0, 1], "shot": 5}, ["estimate"], "unknown key 'shot'"),
+    "float-shots": ({"u": [1, 0], "v": [0, 1], "estimator": {"shots": 2.5}}, ["estimate"],
+                    "config.estimator.shots"),
+    "string-estimator": ({"u": [1, 0], "v": [0, 1], "estimator": "x"}, ["estimate"],
+                         "config.estimator"),
+    "float-k": ({"vectors": [[1, 0], [0, 1], [1, 1]], "k": 2.7}, ["cluster"], "config.k"),
+    "bool-config-vector": ({"u": [True, False], "v": [0, 1]}, ["estimate"], "config.u[0]"),
+    "bool-vector-file": ({"vectors": "bools.json", "references": [
+        {"label": "A", "vector": [1, 0]}, {"label": "B", "vector": [0, 1]}]}, ["classify"],
+        "bools.json"),
+    "reference-without-vector": ({"vectors": [[1, 0]], "references": [
+        {"label": "A"}, {"label": "B", "vector": [0, 1]}]}, ["classify"], "'vector'"),
+    "reference-without-label": ({"vectors": [[1, 0]], "references": [
+        {"label": "A", "vector": [1, 0]}, {"vector": [0, 1]}]}, ["classify"], "'label'"),
+    "initial-without-label": ({"vectors": [[1, 0]], "training": {"initial": [
+        {"vector": [1, 0]}]}}, ["nn"], "'label'"),
+    "added-without-vector": ({"vectors": [[1, 0]], "training": {
+        "initial": [{"label": "x", "vector": [1, 0]}], "added": {"label": "y"}}}, ["nn"],
+        "'vector'"),
+    "mixed-init-labels": ({"vectors": [[1, 0], [0, 1], [1, 1]], "k": 2, "init": [0, "a", 0]},
+                          ["cluster"], "init labels"),
+    "tiny-norm": ({"u": [1e-200, 0], "v": [1, 0]}, ["estimate"], "float64's range"),
+    "tiny-norms": ({"u": [1e-200, 0], "v": [0, 1e-200]}, ["estimate"], "float64's range"),
+    "huge-norm": ({"u": [1e200, 0], "v": [1, 0]}, ["estimate"], "float64's range"),
+    "noise-file-naming-a-file": ({"u": [1, 0], "v": [0, 1], "noise": "self.json"}, ["estimate"],
+                                 "noise file self.json"),
+}
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("config, argv, names", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_is_one_error_line(self, capsys, tmp_path, monkeypatch, config, argv, names):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bools.json").write_text("[[true, false], [0, 1]]")
+        (tmp_path / "self.json").write_text('"self.json"')
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code, out, err = run(capsys, *argv, "--config", "c.json", "--out", "out")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err and names in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--vector", "2,0,0,0", "--ref-a", "1,0,0,0", "--ref-b", "0,0,1,1", "--plot"],
+        ["cluster", "--vector", "1,0", "--vector", "0,1", "--k", "5"],
+        ["cluster", "--vector", "1,0,0,0", "--vector", "0,1,0,0", "--plot"],
+    ], ids=["classify-plot-4d", "cluster-k-too-large", "cluster-plot-4d"])
+    def test_failing_run_leaves_no_output(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 1 and err.startswith("error:")
+        assert not out_dir.exists()
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("config, argv", DETERMINISM_RUNS.values(),
+                             ids=DETERMINISM_RUNS.keys())
+    def test_every_command_byte_identical(self, capsys, tmp_path, monkeypatch, config, argv):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+        outputs = []
+        for out_dir in ("a", "b"):
+            code, out, err = run(capsys, *argv, "--out", out_dir)
+            assert code == 0, err
+            files = {p.name: p.read_bytes() for p in sorted((tmp_path / out_dir).iterdir())}
+            outputs.append((out, files))
+        assert "summary.json" in outputs[0][1]
+        assert outputs[0] == outputs[1]
+
     def test_fig2_byte_identical(self, capsys, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         run(capsys, "repro", "fig2", "--out", str(first), "--seed", "3", "--count", "25")

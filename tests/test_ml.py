@@ -218,6 +218,8 @@ class TestUnsupervisedCluster:
             unsupervised_cluster(points, 2, [0] * 8, EXACT)  # only one group used
         with pytest.raises(ValueError):
             unsupervised_cluster(points, 2, [0, 1], EXACT)  # wrong length
+        with pytest.raises(ValueError, match="all numbers or all strings"):
+            unsupervised_cluster(points, 2, [0, "a"] * 4, EXACT)  # labels that do not sort
         with pytest.raises(DimensionError):
             unsupervised_cluster([[1, 0], [0, 1, 0, 0]], 2, [0, 1], EXACT)
 

@@ -122,6 +122,19 @@ class TestExactP:
                 )
                 assert exact_p(q) == pytest.approx(p_state, abs=1e-12)
 
+    @pytest.mark.parametrize("u, v", [
+        ([1e-200, 0], [0, 1e-200]),  # both squared norms underflow
+        ([1e-200, 0], [1, 0]),
+        ([1e200, 0], [1, 0]),  # the squared norm overflows
+        ([1e154, 0], [0, 1e153]),  # |u|^2 + |v|^2 fits, twice it overflows
+    ])
+    def test_rejects_squares_outside_float64_range(self, u, v):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="float64's range"):
+            exact_p(query(u, v))
+
+    def test_extreme_scales_inside_the_range(self):
+        assert exact_p(query([1e-150, 0], [0, 1e150])) == 0.5
+
     def test_at_most_half_for_nonnegative_vectors(self):
         rng = np.random.default_rng(15)
         for _ in range(200):

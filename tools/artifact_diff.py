@@ -1,0 +1,245 @@
+#!/usr/bin/env python3
+"""List every difference in what the entdist CLI emits from two source trees.
+
+Runs a fixed matrix of CLI invocations (every command and repro target,
+exact and sampled, plots on and off, and failing inputs) once against each
+tree.  Each run gets a fresh directory holding the same input files and
+uses relative paths, so the trees see identical arguments.  Every output
+file, stdout, stderr and exit status is compared byte for byte.
+
+Usage, e.g. against the parent commit:
+
+    mkdir -p /tmp/parent && git archive HEAD~1 src | tar -x -C /tmp/parent
+    python3 tools/artifact_diff.py /tmp/parent/src src
+    python3 tools/artifact_diff.py /tmp/parent/src src --mode exact
+
+``--mode`` keeps only the cases of one kind: ``exact`` (no sampling),
+``sampled`` or ``error`` (runs that must fail).  Exit status: 0 when
+nothing differs, 1 otherwise.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUNNER = "import sys; from entdist.cli import main; sys.exit(main(sys.argv[1:]))"
+
+REFS = [{"label": "A", "vector": [1.5, 0.55]}, {"label": "B", "vector": [0.86, 2.35]}]
+CLUSTER_VECTORS = [[1.0, 1.0], [1.1, 1.0], [1.2, 1.0], [5.0, 5.0], [5.1, 5.0]]
+TRAINING = [{"label": "blue", "vector": [0.5, 0.5]}, {"label": "red", "vector": [2.5, 2.5]}]
+ADDED = {"label": "blue", "vector": [2.35, 2.35]}
+
+
+# file name -> contents, written into every case directory (.json files as JSON)
+INPUTS = {
+    "vectors.csv": "# x,y\n2,0\n0,2\n1,1\n",
+    "vectors.json": [[2, 0], [0, 2], [1.5, 1.5]],
+    "vectors4.json": [[2, 0, 0, 1], [0, 2, 1, 0]],
+    "bool_vectors.json": [[True, False], [0, 1]],
+    "noise.json": {"state_fidelity": 0.9, "dark_count_fraction": 0.01},
+    "estimate.toml": 'task = "estimate"\nu = [3.0, 4.0]\nv = [1.0, 0.0]\n',
+    "classify.json": {"task": "classify", "vectors": [[2, 0], [0, 2], [1, 1]],
+                      "references": REFS},
+    "nn_one.json": {"vectors": [[0.6, 0.6], [2.4, 2.4]], "training": TRAINING},
+    "nn_two.json": {"vectors": [[0.6, 0.6], [2.4, 2.4], [1.4, 1.6]],
+                    "training": {"initial": TRAINING, "added": ADDED}},
+    "nn4.json": {"vectors": "vectors4.json",
+                 "training": [{"label": "x", "vector": [1, 0, 0, 0]}]},
+    "cluster.json": {"task": "cluster", "vectors": CLUSTER_VECTORS, "k": 2,
+                     "init": [0, 0, 1, 1, 1]},
+    "cluster_seeded.json": {"vectors": CLUSTER_VECTORS + [[3.0, 3.1]], "k": 3,
+                            "init": 4, "max_iterations": 20,
+                            "estimator": {"mode": "sampled", "shots": 300, "seed": 2}},
+    "swap.json": {"vectors": [[1.0, 1.0], [1.1, 1.0], [5.0, 5.0], [5.1, 5.0]],
+                  "k": 2, "init": [0, 1, 0, 1]},
+    "fig2.json": {"task": "fig2", "vectors": [[1.0, 0.5], [0.2, 2.0], [1.2, 1.3]],
+                  "estimator": {"shots": 800, "seed": 5, "noise": "noise.json"}},
+    "fig2_noplot.json": {"count": 12, "emit_plot": False, "noise": None},
+    "estimate_nested.json": {"u": [1, 2], "v": [2, 1], "output": "out",
+                             "estimator": {"mode": "sampled", "shots": 50, "seed": 1}},
+    "mismatch.json": {"task": "cluster"},
+    "bad_unknown.json": {"u": [1, 0], "v": [0, 1], "shot": 5},
+    "bad_shots.json": {"u": [1, 0], "v": [0, 1], "estimator": {"shots": 2.5}},
+    "bad_estimator.json": {"u": [1, 0], "v": [0, 1], "estimator": "x"},
+    "bad_bool_u.json": {"u": [True, False], "v": [0, 1]},
+    "bad_k.json": {"vectors": CLUSTER_VECTORS, "k": 2.7},
+    "bad_reference.json": {"vectors": [[1, 0]],
+                           "references": [{"label": "A"}, REFS[1]]},
+    "bad_initial.json": {"vectors": [[1, 0]], "training": [{"vector": [1, 0]}]},
+    "bad_added.json": {"vectors": [[1, 0]],
+                       "training": {"initial": TRAINING, "added": {"label": "x"}}},
+    "bad_init.json": {"vectors": CLUSTER_VECTORS[:3], "k": 2, "init": [0, "a", 0]},
+    "bad_noise.json": {"u": [1, 0], "v": [0, 1], "noise": {"fidelity": 0.9}},
+    "self_noise.json": "self_noise.json",
+    "blocker": "not a directory\n",
+}
+
+SHOTS = ("--shots", "400", "--seed", "7")
+CLASSIFY = ("classify", "--vector", "2,0", "--vector", "0,2", "--vector", "1.2,1.2",
+            "--ref-a", "1.5,0.55", "--ref-b", "0.86,2.35", "--out", "out")
+
+# (name, mode, argv)
+CASES = [
+    ("estimate", "exact", ("estimate", "--u", "1,0", "--v", "0,1")),
+    ("estimate-out", "exact", ("estimate", "--u", "3,0,0,4", "--v", "1,0,0,0", "--out", "out")),
+    ("estimate-toml", "exact", ("estimate", "--config", "estimate.toml")),
+    ("estimate-sampled-noise", "sampled",
+     ("estimate", "--u", "1,0", "--v", "0.5,2", *SHOTS, "--noise", "paper-2012-optics")),
+    ("estimate-nested-config", "sampled", ("estimate", "--config", "estimate_nested.json")),
+    ("classify-plot", "exact", (*CLASSIFY, "--plot")),
+    ("classify-sampled", "sampled", (*CLASSIFY, *SHOTS, "--noise", "noise.json")),
+    ("classify-csv", "exact", ("classify", "--vectors", "vectors.csv", "--ref-a", "1,0",
+                               "--ref-b", "0,1", "--out", "out")),
+    ("classify-config", "exact", ("classify", "--config", "classify.json", "--out", "out",
+                                  "--plot")),
+    ("classify-json-vectors", "sampled", ("classify", "--config", "classify.json",
+                                          "--vectors", "vectors.json", "--out", "out", *SHOTS)),
+    ("nn-one-phase", "exact", ("nn", "--config", "nn_one.json", "--out", "out", "--plot")),
+    ("nn-one-phase-sampled", "sampled", ("nn", "--config", "nn_one.json", "--out", "out",
+                                         *SHOTS)),
+    ("nn-two-phase", "exact", ("nn", "--config", "nn_two.json", "--out", "out", "--plot")),
+    ("nn-two-phase-sampled", "sampled", ("nn", "--config", "nn_two.json", "--out", "out",
+                                         *SHOTS, "--vector", "1,1")),
+    ("cluster", "exact", ("cluster", "--config", "cluster.json", "--out", "out")),
+    ("cluster-plot", "exact", ("cluster", "--config", "cluster.json", "--out", "out", "--plot")),
+    ("cluster-seeded", "sampled", ("cluster", "--config", "cluster_seeded.json", "--out", "out",
+                                   "--plot")),
+    ("cluster-flags", "sampled", ("cluster", "--config", "cluster_seeded.json", "--out", "out",
+                                  "--k", "2", "--init", "1", "--max-iterations", "3")),
+    ("cluster-not-converged", "exact", ("cluster", "--config", "swap.json", "--out", "out")),
+    ("table1", "sampled", ("repro", "table1", "--out", "out")),
+    ("table1-exact", "exact", ("repro", "table1", "--out", "out", "--exact", "--plot")),
+    ("table2", "sampled", ("repro", "table2", "--out", "out", "--seed", "3", "--noise", "none")),
+    ("table2-exact", "exact", ("repro", "table2", "--out", "out", "--exact")),
+    ("fig2", "sampled", ("repro", "fig2", "--out", "out", "--count", "30", "--seed", "1")),
+    ("fig2-exact", "exact", ("repro", "fig2", "--out", "out", "--count", "10", "--exact")),
+    ("fig2-no-plot", "sampled", ("repro", "fig2", "--config", "fig2_noplot.json",
+                                 "--out", "out")),
+    ("fig2-vectors", "sampled", ("repro", "fig2", "--config", "fig2.json", "--out", "out")),
+    ("fig3", "exact", ("repro", "fig3", "--out", "out")),
+    ("fig3-sampled", "sampled", ("repro", "fig3", "--out", "out", *SHOTS)),
+    ("figS1", "exact", ("repro", "figS1", "--out", "out")),
+    ("figS1-sampled", "sampled", ("repro", "figS1", "--out", "out", *SHOTS)),
+    ("help", "exact", ("--help",)),
+    ("version", "exact", ("--version",)),
+    ("err-usage", "error", ("frobnicate",)),
+    ("err-missing-out", "error", ("repro", "table1")),
+    ("err-out-is-file", "error", ("repro", "fig3", "--out", "blocker")),
+    ("err-estimate-out-is-file", "error", ("estimate", "--u", "1,0", "--v", "0,1",
+                                           "--out", "blocker")),
+    ("err-task-mismatch", "error", ("estimate", "--config", "mismatch.json")),
+    ("err-noise-preset", "error", ("repro", "table1", "--out", "out", "--noise", "bogus")),
+    ("err-exact-and-shots", "error", ("estimate", "--u", "1,0", "--v", "0,1", "--exact",
+                                      "--shots", "5")),
+    ("err-one-reference", "error", ("classify", "--vector", "1,0", "--ref-a", "1,0",
+                                    "--out", "out")),
+    ("err-zero-vector", "error", ("estimate", "--u", "0,0", "--v", "1,0")),
+    ("err-bad-number", "error", ("estimate", "--u", "1,x", "--v", "1,0")),
+    ("err-classify-plot-4d", "error", ("classify", "--vectors", "vectors4.json", "--ref-a",
+                                       "1,0,0,0", "--ref-b", "0,0,1,1", "--out", "out",
+                                       "--plot")),
+    ("err-cluster-plot-4d", "error", ("cluster", "--vectors", "vectors4.json", "--out", "out",
+                                      "--plot")),
+    ("err-nn-plot-4d", "error", ("nn", "--config", "nn4.json", "--out", "out", "--plot")),
+    ("err-cluster-k", "error", ("cluster", "--vector", "1,0", "--vector", "0,1", "--k", "5",
+                                "--out", "out")),
+    ("err-unknown-key", "error", ("estimate", "--config", "bad_unknown.json")),
+    ("err-float-shots", "error", ("estimate", "--config", "bad_shots.json")),
+    ("err-estimator-string", "error", ("estimate", "--config", "bad_estimator.json")),
+    ("err-bool-config-vector", "error", ("estimate", "--config", "bad_bool_u.json")),
+    ("err-bool-vector-file", "error", ("classify", "--vectors", "bool_vectors.json",
+                                       "--ref-a", "1,0", "--ref-b", "0,1", "--out", "out")),
+    ("err-float-k", "error", ("cluster", "--config", "bad_k.json", "--out", "out")),
+    ("err-reference-no-vector", "error", ("classify", "--config", "bad_reference.json",
+                                          "--out", "out")),
+    ("err-training-no-label", "error", ("nn", "--config", "bad_initial.json", "--out", "out")),
+    ("err-added-no-vector", "error", ("nn", "--config", "bad_added.json", "--out", "out")),
+    ("err-mixed-init", "error", ("cluster", "--config", "bad_init.json", "--out", "out")),
+    ("err-noise-field", "error", ("estimate", "--config", "bad_noise.json")),
+    ("err-noise-file-loop", "error", ("estimate", "--u", "1,0", "--v", "0,1",
+                                      "--noise", "self_noise.json")),
+    ("err-tiny-norm", "error", ("estimate", "--u", "1e-200,0", "--v", "1,0")),
+    ("err-huge-norm", "error", ("estimate", "--u", "1e200,0", "--v", "1,0")),
+    ("err-tiny-norms", "error", ("estimate", "--u", "1e-200,0", "--v", "0,1e-200")),
+]
+
+
+def run_case(src: Path, argv, workdir: Path) -> dict:
+    """One CLI run in a fresh directory; returns exit status, streams and new files."""
+    for name, content in INPUTS.items():
+        text = json.dumps(content) if name.endswith(".json") else content
+        (workdir / name).write_text(text, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
+    proc = subprocess.run([sys.executable, "-c", RUNNER, *argv], cwd=workdir, env=env,
+                          capture_output=True, timeout=300)
+    files = {
+        str(path.relative_to(workdir)): path.read_bytes()
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file() and path.name not in INPUTS
+    }
+    dirs = sorted(str(p.relative_to(workdir)) for p in workdir.rglob("*") if p.is_dir())
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "files": files, "dirs": dirs}
+
+
+def differences(old: dict, new: dict) -> list[str]:
+    found = []
+    if old["exit"] != new["exit"]:
+        found.append(f"exit status {old['exit']} -> {new['exit']}")
+    for stream in ("stdout", "stderr"):
+        if old[stream] != new[stream]:
+            found.append(f"{stream}:\n      old {old[stream].decode(errors='replace')!r}"
+                         f"\n      new {new[stream].decode(errors='replace')!r}")
+    for name in sorted(set(old["files"]) | set(new["files"])):
+        if name not in new["files"]:
+            found.append(f"file {name}: only in old")
+        elif name not in old["files"]:
+            found.append(f"file {name}: only in new")
+        elif old["files"][name] != new["files"][name]:
+            found.append(f"file {name}: contents differ")
+    if old["dirs"] != new["dirs"]:
+        found.append(f"directories {old['dirs']} -> {new['dirs']}")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="src directory of the reference tree")
+    parser.add_argument("new", type=Path, help="src directory of the tree under test")
+    parser.add_argument("--mode", choices=("exact", "sampled", "error"),
+                        help="only the cases of this kind")
+    args = parser.parse_args(argv)
+    for src in (args.old, args.new):
+        if not (src / "entdist" / "cli.py").is_file():
+            parser.error(f"{src} holds no entdist/cli.py")
+
+    cases = [c for c in CASES if args.mode in (None, c[1])]
+    tally: dict[str, list[int]] = {}
+    with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
+        for i, (name, mode, case_argv) in enumerate(cases):
+            runs = []
+            for side, src in (("old", args.old), ("new", args.new)):
+                workdir = Path(tmp) / f"{i}-{side}"
+                workdir.mkdir()
+                runs.append(run_case(src, case_argv, workdir))
+            found = differences(*runs)
+            counts = tally.setdefault(mode, [0, 0])
+            counts[0] += 1
+            counts[1] += bool(found)
+            if found:
+                print(f"{name} [{mode}]: entdist {' '.join(case_argv)}")
+                for line in found:
+                    print(f"    {line}")
+    for mode, (total, differ) in tally.items():
+        print(f"{mode}: {total} cases, {differ} differ")
+    return 1 if any(differ for _, differ in tally.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
