@@ -8,15 +8,13 @@ import numpy as np
 from entdist import (
     DistanceQuery,
     EstimatorConfig,
-    ancilla_projection_state,
     as_vector,
-    build_entangled_state,
     encode,
     estimate_distance,
     exact_p,
     factorize,
-    project_qubit,
 )
+from entdist.oracle import ancilla_probability, ancilla_projector, entangled_state
 
 u = as_vector([3.42, 1.24, 1.97, 0.72])
 v = as_vector([1.0, 0.0, 0.0, 0.0])
@@ -36,11 +34,11 @@ else:
 
 print("\n== protocol state ==")
 query = DistanceQuery(u, v)
-state = build_entangled_state(query)
-print(f"(|0>|u> + |1>|v>)/sqrt(2) lives on {state.n_qubits} qubits")
-phi = ancilla_projection_state(query)
-print(f"ancilla projector (|u||0> - |v||1>)/sqrt(Z): ({phi.a:.4f}, {phi.b:.4f})")
-p, _ = project_qubit(state, 0, phi)
+state = entangled_state(u, v)
+print(f"(|0>|u> + |1>|v>)/sqrt(2) lives on {state.size.bit_length() - 1} qubits")
+a, b = ancilla_projector(u, v)
+print(f"ancilla projector (|u||0> - |v||1>)/sqrt(Z): ({a:.4f}, {b:.4f})")
+p = ancilla_probability(state, (a, b))
 print(f"projection probability p = {p:.6f} (closed form {exact_p(query):.6f})")
 
 print("\n== exact reconstruction ==")

@@ -4,29 +4,21 @@ background term.  Identical vectors stop reporting distance zero, while
 orthogonal equal-norm vectors are untouched (the channel fixes p = 1/2).
 """
 
-import numpy as np
-
 from entdist import (
     DistanceQuery,
     EstimatorConfig,
-    MixedState,
     NoiseModel,
-    StateVector,
     apply_noise,
     as_vector,
     estimate_distance,
     fidelity_to_mixing_weight,
-    fidelity_with_pure,
     noise_preset,
 )
 
 print("== measured fidelities -> mixing weights ==")
 for m, fidelity in ((2, 0.94), (3, 0.73), (4, 0.75)):
     w = fidelity_to_mixing_weight(fidelity, m)
-    ghz = np.zeros(2**m)
-    ghz[0] = ghz[-1] = 1 / np.sqrt(2)
-    mixed = MixedState(w, StateVector(ghz))
-    back = fidelity_with_pure(mixed, mixed.pure)
+    back = w + (1 - w) / 2**m  # <psi| (w |psi><psi| + (1-w) I/2^m) |psi>
     print(f"  {m}-qubit resource: F = {fidelity}  ->  w = {w:.4f}  (round trip F = {back:.4f})")
 
 print("\n== the channel on p ==")

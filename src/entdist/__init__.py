@@ -2,23 +2,12 @@
 classification and clustering procedures built on it.
 """
 
-from .core import (
-    MixedState,
-    SingleQubitState,
-    StateVector,
-    fidelity_with_pure,
-    project_qubit,
-    projection_probability_mixed,
-    tensor,
-)
 from .ml import (
     BOUNDARY_TOL,
     ClassificationResult,
     ClusteringState,
-    EmptyGroupError,
     LabeledReference,
     classify_two_cluster,
-    mean_group_distance,
     nearest_neighbor_classify,
     unsupervised_cluster,
 )
@@ -36,8 +25,6 @@ from .protocol import (
     DistanceEstimate,
     DistanceQuery,
     EstimatorConfig,
-    ancilla_projection_state,
-    build_entangled_state,
     distance_from_p,
     estimate_distance,
     estimate_distances,
@@ -75,14 +62,6 @@ __all__ = [
     "factorize",
     "load_vectors_csv",
     "load_vectors_json",
-    # core
-    "StateVector",
-    "MixedState",
-    "SingleQubitState",
-    "tensor",
-    "project_qubit",
-    "projection_probability_mixed",
-    "fidelity_with_pure",
     # noise
     "NoiseModel",
     "UnreachableFidelityError",
@@ -96,8 +75,6 @@ __all__ = [
     "EstimatorConfig",
     "DistanceEstimate",
     "GENERATOR_NAME",
-    "build_entangled_state",
-    "ancilla_projection_state",
     "exact_p",
     "sample_p",
     "inner_product_from_p",
@@ -106,12 +83,10 @@ __all__ = [
     "estimate_distances",
     # ml
     "BOUNDARY_TOL",
-    "EmptyGroupError",
     "LabeledReference",
     "ClassificationResult",
     "ClusteringState",
     "classify_two_cluster",
     "nearest_neighbor_classify",
-    "mean_group_distance",
     "unsupervised_cluster",
 ]

@@ -23,7 +23,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,10 +47,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        with warnings.catch_warnings():
-            # out-of-range norms overflow in numpy before the estimator rejects them
-            warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
-            _run(args)
+        _run(args)
         return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

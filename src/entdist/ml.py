@@ -18,22 +18,16 @@ from .vectors import DimensionError, RealVector, as_vector
 
 __all__ = [
     "BOUNDARY_TOL",
-    "EmptyGroupError",
     "LabeledReference",
     "ClassificationResult",
     "ClusteringState",
     "classify_two_cluster",
     "nearest_neighbor_classify",
-    "mean_group_distance",
     "unsupervised_cluster",
 ]
 
 # |margin| below this counts as an exact tie and flags the boundary
 BOUNDARY_TOL = 1e-12
-
-
-class EmptyGroupError(ValueError):
-    """A group mean was requested with no members besides the vector itself."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,28 +110,6 @@ def nearest_neighbor_classify(
         margin=margin,
         boundary_flag=margin < boundary_tol,
     )
-
-
-def mean_group_distance(
-    v_index: int,
-    group_members,
-    vectors,
-    cfg: EstimatorConfig = EstimatorConfig(),
-) -> float:
-    """Mean estimated distance from vectors[v_index] to the group, self excluded.
-
-    Member j runs on the substream (seed, j).
-    """
-    members = [j for j in group_members if j != v_index]
-    if not members:
-        raise EmptyGroupError(
-            f"group has no members besides vector {v_index}; mean distance undefined"
-        )
-    total = 0.0
-    for j in members:
-        q = DistanceQuery(as_vector(vectors[v_index]), as_vector(vectors[j]))
-        total += estimate_distance(q, cfg.derive(j)).distance
-    return total / len(members)
 
 
 @dataclass(frozen=True, eq=False)

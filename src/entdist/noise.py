@@ -89,7 +89,7 @@ class NoiseModel:
 def apply_noise(p_ideal: float, model: NoiseModel, m_qubits: int) -> float:
     """Map the ideal success probability to the observed one.
 
-    White-noise mixing first (exact for the MixedState family), then dark
+    White-noise mixing first (exact for any single-qubit projection), then dark
     counts: p1 = w p + (1-w)/2, p_obs = (1-d) p1 + d * background_split.
     """
     if not (math.isfinite(p_ideal) and 0.0 <= p_ideal <= 1.0):

@@ -21,17 +21,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SingleQubitState, StateVector
 from .noise import NoiseModel, apply_noise
-from .vectors import DimensionError, RealVector, _is_power_of_two, as_vector, encode
+from .vectors import DimensionError, RealVector, _is_power_of_two, as_vector
 
 __all__ = [
     "GENERATOR_NAME",
     "DistanceQuery",
     "EstimatorConfig",
     "DistanceEstimate",
-    "build_entangled_state",
-    "ancilla_projection_state",
     "exact_p",
     "sample_p",
     "inner_product_from_p",
@@ -127,21 +124,6 @@ class DistanceEstimate:
     shots_used: int  # 0 in exact mode
     std_error_p: float  # binomial estimate; 0 in exact mode
     overlap_out_of_range: bool  # shot noise pushed <u|v> outside [-1, 1]
-
-
-def build_entangled_state(query: DistanceQuery) -> StateVector:
-    """(|0>_anc |u> + |1>_anc |v>) / sqrt(2) with the ancilla as qubit 0."""
-    eu = encode(query.u)
-    ev = encode(query.v)
-    amplitudes = np.concatenate([eu.amplitudes, ev.amplitudes]) / math.sqrt(2.0)
-    return StateVector(amplitudes)
-
-
-def ancilla_projection_state(query: DistanceQuery) -> SingleQubitState:
-    """(|u| |0> - |v| |1>) / sqrt(|u|^2 + |v|^2)."""
-    nu, nv = query.u.norm, query.v.norm
-    scale = math.sqrt(nu * nu + nv * nv)
-    return SingleQubitState(nu / scale, -nv / scale)
 
 
 def exact_p(query: DistanceQuery) -> float:

@@ -69,6 +69,8 @@ class RealVector:
             raise ZeroVectorError("the zero vector has no normalized quantum state")
         arr.flags.writeable = False
         object.__setattr__(self, "components", arr)
+        with np.errstate(over="ignore"):  # a norm beyond float64's range reads inf
+            object.__setattr__(self, "_norm", float(np.linalg.norm(arr)))
 
     @property
     def dimension(self) -> int:
@@ -76,7 +78,7 @@ class RealVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
+        return self._norm
 
     def __repr__(self) -> str:
         return f"RealVector({self.components.tolist()!r})"

@@ -18,28 +18,25 @@ import time
 import numpy as np
 import pytest
 
-from entdist.core import MixedState, fidelity_with_pure
 from entdist.datasets import FIG3_DEMO, FIGS1_DEMO, TABLE1
 from entdist.experiments import fig2_run, nn_run, rounds_to_printed, table_run
 from entdist.ml import (
     LabeledReference,
     classify_two_cluster,
-    mean_group_distance,
     unsupervised_cluster,
 )
 from entdist.noise import NoiseModel, apply_noise, fidelity_to_mixing_weight, noise_preset
+from entdist.oracle import ancilla_projector, entangled_state
 from entdist.protocol import (
     DistanceQuery,
     EstimatorConfig,
-    ancilla_projection_state,
-    build_entangled_state,
     estimate_distance,
     exact_p,
     sample_p,
 )
 from entdist.vectors import as_vector
 
-from .test_core import dense_projection_probability, random_state
+from .test_oracle import dense_fidelity, dense_projection_probability, random_state
 
 EXACT = EstimatorConfig(mode="exact")
 
@@ -174,8 +171,8 @@ class TestAcceptance:
         for fidelity in (0.94, 0.73, 0.75):
             for m in (2, 3, 4):
                 w = fidelity_to_mixing_weight(fidelity, m)
-                mixed = MixedState(w, random_state(rng, m))
-                err = abs(fidelity_with_pure(mixed, mixed.pure) - fidelity)
+                psi = random_state(rng, m)
+                err = abs(dense_fidelity(w, psi, psi) - fidelity)
                 worst = max(worst, err)
                 ok &= err <= 1e-12
         # apply_noise against the dense density-matrix oracle on the protocol state
@@ -189,8 +186,9 @@ class TestAcceptance:
                     dark_count_fraction=float(rng.uniform(0.0, 0.3)),
                     background_split=float(rng.uniform(0.0, 1.0)),
                 )
-                mixed = MixedState(model.mixing_weight(m), build_entangled_state(q))
-                dense = dense_projection_probability(mixed, 0, ancilla_projection_state(q))
+                dense = dense_projection_probability(
+                    model.mixing_weight(m), entangled_state(q.u, q.v), ancilla_projector(q.u, q.v)
+                )
                 want = (1 - model.dark_count_fraction) * dense \
                     + model.dark_count_fraction * model.background_split
                 err = abs(apply_noise(exact_p(q), model, m) - want)
@@ -231,13 +229,15 @@ class TestAcceptance:
             and flips_round1 == [2, 3]
             and state.history[2] == state.history[1]
         )
+        points = np.array([v.components for v in vectors])
+        dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
         minimal_ok = True
         for i, label in enumerate(state.labels):
             means = {}
             for g in sorted(set(state.labels)):
-                members = [j for j, lbl in enumerate(state.labels) if lbl == g]
-                if [j for j in members if j != i]:
-                    means[g] = mean_group_distance(i, members, vectors, EXACT)
+                others = [j for j, lbl in enumerate(state.labels) if lbl == g and j != i]
+                if others:
+                    means[g] = float(dist[i, others].mean())
             minimal_ok &= means[label] <= min(means.values()) + 1e-12
         elapsed = time.perf_counter() - start
         report(

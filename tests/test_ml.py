@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import entdist.ml
 from entdist.datasets import FIG3_DEMO, FIGS1_DEMO
+from entdist.experiments import fig2_run
 from entdist.ml import (
-    EmptyGroupError,
     LabeledReference,
     classify_two_cluster,
-    mean_group_distance,
     nearest_neighbor_classify,
     unsupervised_cluster,
 )
@@ -171,22 +171,6 @@ class TestNearestNeighbor:
             assert after.assigned_label == all_training[int(np.argmin(dists))].label
 
 
-class TestMeanGroupDistance:
-    VECTORS = [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
-
-    def test_self_only_group_is_undefined(self):
-        with pytest.raises(EmptyGroupError):
-            mean_group_distance(0, [0], self.VECTORS, EXACT)
-
-    def test_single_other_member(self):
-        d = mean_group_distance(0, [0, 1], self.VECTORS, EXACT)
-        assert d == pytest.approx(1.0, abs=1e-12)
-
-    def test_collinear_middle_point(self):
-        d = mean_group_distance(1, [0, 1, 2], self.VECTORS, EXACT)
-        assert d == pytest.approx(1.0, abs=1e-12)
-
-
 def separated_clouds(seed=0, spread=0.05, gap=3.0):
     rng = np.random.default_rng(seed)
     cloud_a = rng.uniform(-spread, spread, size=(4, 2)) + 1.0
@@ -340,3 +324,26 @@ class TestUnsupervisedCluster:
         demo = FIG3_DEMO
         state = unsupervised_cluster(demo.vectors(), 2, list(demo.initial_labels), EXACT)
         assert set(state.labels) == {"red", "blue"}
+
+
+def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
+    # pair (i, j) of cluster round r runs on cfg.derive(r).derive(i, j) and
+    # fig2 row i on cfg.derive(i).derive(0 | 1): a chain of keys, not one flat key
+    seeds = []
+    estimate = entdist.ml.estimate_distance
+
+    def recording(query, cfg):
+        if cfg.mode == "sampled":
+            seeds.append(cfg.seed)
+        return estimate(query, cfg)
+
+    monkeypatch.setattr(entdist.ml, "estimate_distance", recording)
+    cfg = EstimatorConfig(mode="sampled", shots=100, seed=5)
+    unsupervised_cluster(separated_clouds(), 2, [0, 1] * 4, cfg, max_iterations=1)
+    pairs = list(itertools.combinations(range(8), 2))
+    assert seeds == [cfg.derive(1).derive(i, j).seed for i, j in pairs]
+    assert seeds[0] != cfg.derive(1, 0, 1).seed
+
+    seeds.clear()
+    fig2_run(cfg, vectors=[[1.0, 0.5], [0.3, 2.0], [2.0, 2.0]])
+    assert seeds == [cfg.derive(i).derive(k).seed for i in range(3) for k in (0, 1)]

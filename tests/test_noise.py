@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from entdist.core import MixedState, fidelity_with_pure
 from entdist.noise import (
     DEFAULT_STATE_FIDELITY,
     PAPER_PRESET,
@@ -11,10 +10,11 @@ from entdist.noise import (
     fidelity_to_mixing_weight,
     noise_preset,
 )
-from entdist.protocol import DistanceQuery, ancilla_projection_state, build_entangled_state, exact_p
+from entdist.oracle import ancilla_projector, entangled_state
+from entdist.protocol import DistanceQuery, exact_p
 from entdist.vectors import as_vector
 
-from .test_core import dense_projection_probability, random_state
+from .test_oracle import dense_fidelity, dense_projection_probability, random_state
 
 
 class TestMixingWeight:
@@ -41,8 +41,8 @@ class TestMixingWeight:
         rng = np.random.default_rng(21)
         for fidelity, m in ((0.94, 2), (0.73, 3), (0.75, 4), (0.5, 3), (0.999, 4)):
             w = fidelity_to_mixing_weight(fidelity, m)
-            mixed = MixedState(w, random_state(rng, m))
-            assert fidelity_with_pure(mixed, mixed.pure) == pytest.approx(fidelity, abs=1e-12)
+            psi = random_state(rng, m)
+            assert dense_fidelity(w, psi, psi) == pytest.approx(fidelity, abs=1e-12)
 
 
 class TestNoiseModel:
@@ -133,8 +133,9 @@ class TestApplyNoise:
                     dark_count_fraction=float(rng.uniform(0, 0.3)),
                     background_split=float(rng.uniform(0, 1)),
                 )
-                mixed = MixedState(model.mixing_weight(m), build_entangled_state(query))
-                p_dense = dense_projection_probability(mixed, 0, ancilla_projection_state(query))
+                p_dense = dense_projection_probability(
+                    model.mixing_weight(m), entangled_state(u, v), ancilla_projector(u, v)
+                )
                 want = (1 - model.dark_count_fraction) * p_dense \
                     + model.dark_count_fraction * model.background_split
                 got = apply_noise(exact_p(query), model, m)
@@ -162,5 +163,7 @@ class TestDistanceShrinkage:
         rng = np.random.default_rng(10)
         model = noise_preset(PAPER_PRESET)
         for m, fidelity in DEFAULT_STATE_FIDELITY.items():
-            mixed = MixedState(model.mixing_weight(m), random_state(rng, m))
-            assert fidelity_with_pure(mixed, mixed.pure) == pytest.approx(fidelity, abs=1e-12)
+            psi = random_state(rng, m)
+            assert dense_fidelity(model.mixing_weight(m), psi, psi) == pytest.approx(
+                fidelity, abs=1e-12
+            )

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entdist.core import project_qubit
 from entdist.noise import NoiseModel
+from entdist.oracle import ancilla_probability, ancilla_projector, entangled_state
 from entdist.protocol import (
     DistanceQuery,
     EstimatorConfig,
-    ancilla_projection_state,
-    build_entangled_state,
     distance_from_p,
     estimate_distance,
     estimate_distances,
@@ -19,7 +17,7 @@ from entdist.protocol import (
     inner_product_from_p,
     sample_p,
 )
-from entdist.vectors import DimensionError, as_vector, encode
+from entdist.vectors import DimensionError, as_vector
 
 # the 2-D reference pair of the published figure
 REF_A = (1.50, 0.55)
@@ -67,38 +65,6 @@ class TestEstimatorConfig:
         assert cfg.derive(1, 2).seed != cfg.derive(2, 1).seed
 
 
-class TestEntangledState:
-    def test_identical_vectors_give_product_state(self):
-        state = build_entangled_state(query([1, 0], [1, 0]))
-        want = np.kron([1, 1], [1, 0]) / math.sqrt(2)
-        np.testing.assert_allclose(state.amplitudes.real, want, atol=1e-15)
-
-    def test_orthogonal_vectors_give_bell_state(self):
-        state = build_entangled_state(query([1, 0], [0, 1]))
-        want = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        np.testing.assert_allclose(state.amplitudes.real, want, atol=1e-15)
-
-    def test_branches_hold_encoded_amplitudes(self):
-        u = (3.42, 1.24, 1.97, 0.72)
-        state = build_entangled_state(query(u, [1, 0, 0, 0]))
-        np.testing.assert_allclose(
-            state.amplitudes.real[:4], encode(u).amplitudes / math.sqrt(2), atol=1e-15
-        )
-        np.testing.assert_allclose(
-            state.amplitudes.real[4:], np.array([1, 0, 0, 0]) / math.sqrt(2), atol=1e-15
-        )
-
-
-class TestAncillaProjectionState:
-    def test_equal_norms(self):
-        s = ancilla_projection_state(query([0, 1], [1, 0]))
-        assert (s.a, s.b) == pytest.approx((1 / math.sqrt(2), -1 / math.sqrt(2)))
-
-    def test_table_row_norms(self):
-        s = ancilla_projection_state(query([2, 0, 0, 0], [1, 0, 0, 0]))
-        assert (s.a, s.b) == pytest.approx((2 / math.sqrt(5), -1 / math.sqrt(5)))
-
-
 class TestExactP:
     def test_identical_vectors(self):
         assert exact_p(query([0.3, 0.4], [0.3, 0.4])) == 0.0
@@ -117,8 +83,8 @@ class TestExactP:
         for dim in (2, 4, 8):
             for _ in range(25):
                 q = query(rng.normal(size=dim), rng.normal(size=dim))
-                p_state, _ = project_qubit(
-                    build_entangled_state(q), 0, ancilla_projection_state(q)
+                p_state = ancilla_probability(
+                    entangled_state(q.u, q.v), ancilla_projector(q.u, q.v)
                 )
                 assert exact_p(q) == pytest.approx(p_state, abs=1e-12)
 
@@ -128,8 +94,9 @@ class TestExactP:
         ([1e200, 0], [1, 0]),  # the squared norm overflows
         ([1e154, 0], [0, 1e153]),  # |u|^2 + |v|^2 fits, twice it overflows
     ])
+    @pytest.mark.filterwarnings("error")  # the range error comes without a numpy warning
     def test_rejects_squares_outside_float64_range(self, u, v):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="float64's range"):
+        with pytest.raises(ValueError, match="float64's range"):
             exact_p(query(u, v))
 
     def test_extreme_scales_inside_the_range(self):
