@@ -36,7 +36,7 @@ from entdist.protocol import (
 )
 from entdist.vectors import as_vector
 
-from .test_oracle import dense_fidelity, dense_projection_probability, random_state
+from .test_core import dense_fidelity, dense_projection_probability, random_state
 
 EXACT = EstimatorConfig(mode="exact")
 

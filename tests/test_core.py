@@ -1,10 +1,10 @@
-import math
+"""Checks of the statevector oracle (``entdist.oracle``) and of the dense
+density-matrix oracles that the closed forms are compared against."""
 
 import numpy as np
 import pytest
 
-from entdist.oracle import ancilla_probability, ancilla_projector, entangled_state
-from entdist.vectors import encode
+from entdist.oracle import ancilla_probability, entangled_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -43,35 +43,7 @@ def dense_fidelity(weight, psi, target) -> float:
     return float((target.conj() @ mixture(weight, psi) @ target).real)
 
 
-class TestEntangledState:
-    def test_identical_vectors_give_product_state(self):
-        state = entangled_state([1, 0], [1, 0])
-        want = np.kron([1, 1], [1, 0]) / math.sqrt(2)
-        np.testing.assert_allclose(state, want, atol=1e-15)
-
-    def test_orthogonal_vectors_give_bell_state(self):
-        state = entangled_state([1, 0], [0, 1])
-        want = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        np.testing.assert_allclose(state, want, atol=1e-15)
-
-    def test_branches_hold_encoded_amplitudes(self):
-        u = (3.42, 1.24, 1.97, 0.72)
-        state = entangled_state(u, [1, 0, 0, 0])
-        np.testing.assert_allclose(state[:4], encode(u).amplitudes / math.sqrt(2), atol=1e-15)
-        np.testing.assert_allclose(state[4:], np.array([1, 0, 0, 0]) / math.sqrt(2), atol=1e-15)
-
-
-class TestAncillaProjectionState:
-    def test_equal_norms(self):
-        a, b = ancilla_projector([0, 1], [1, 0])
-        assert (a, b) == pytest.approx((1 / math.sqrt(2), -1 / math.sqrt(2)))
-
-    def test_table_row_norms(self):
-        a, b = ancilla_projector([2, 0, 0, 0], [1, 0, 0, 0])
-        assert (a, b) == pytest.approx((2 / math.sqrt(5), -1 / math.sqrt(5)))
-
-
-class TestAncillaProbability:
+class TestProjectQubit:
     def test_orthogonal_ancilla_probability_zero(self):
         state = entangled_state([0.6, 0.8], [0.6, 0.8])
         assert ancilla_probability(state, (INV_SQRT2, -INV_SQRT2)) == pytest.approx(0.0, abs=1e-15)
@@ -132,7 +104,7 @@ class TestFidelity:
         state = unit([1, 0, 0, 1])
         assert dense_fidelity(0.92, state, state) == pytest.approx(0.94, abs=1e-12)
 
-    def test_against_closed_form(self):
+    def test_against_dense_oracle(self):
         # w |<t|psi>|^2 + (1-w)/2^m
         rng = np.random.default_rng(13)
         for _ in range(20):

@@ -171,6 +171,25 @@ class TestNearestNeighbor:
             assert after.assigned_label == all_training[int(np.argmin(dists))].label
 
 
+class TestMeanGroupDistance:
+    """The clustering's per-vector group means, with the vector itself excluded."""
+
+    VECTORS = [as_vector(v) for v in ([1.0, 0.0], [2.0, 0.0], [3.0, 0.0])]
+
+    def group_mean(self, i, labels, group):
+        dist = entdist.ml._pairwise_distances(self.VECTORS, EXACT)
+        return entdist.ml._group_means(dist, labels, sorted(set(labels)))[i][group]
+
+    def test_self_only_group_is_undefined(self):
+        assert self.group_mean(0, ["a", "b", "b"], "a") is None
+
+    def test_single_other_member(self):
+        assert self.group_mean(0, ["a", "a", "b"], "a") == pytest.approx(1.0, abs=1e-12)
+
+    def test_collinear_middle_point(self):
+        assert self.group_mean(1, ["a", "a", "a"], "a") == pytest.approx(1.0, abs=1e-12)
+
+
 def separated_clouds(seed=0, spread=0.05, gap=3.0):
     rng = np.random.default_rng(seed)
     cloud_a = rng.uniform(-spread, spread, size=(4, 2)) + 1.0

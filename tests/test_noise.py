@@ -14,7 +14,7 @@ from entdist.oracle import ancilla_projector, entangled_state
 from entdist.protocol import DistanceQuery, exact_p
 from entdist.vectors import as_vector
 
-from .test_oracle import dense_fidelity, dense_projection_probability, random_state
+from .test_core import dense_fidelity, dense_projection_probability, random_state
 
 
 class TestMixingWeight:

@@ -17,7 +17,7 @@ from entdist.protocol import (
     inner_product_from_p,
     sample_p,
 )
-from entdist.vectors import DimensionError, as_vector
+from entdist.vectors import DimensionError, as_vector, encode
 
 # the 2-D reference pair of the published figure
 REF_A = (1.50, 0.55)
@@ -63,6 +63,34 @@ class TestEstimatorConfig:
         assert cfg.derive(3).seed == cfg.derive(3).seed
         assert cfg.derive(3).seed != cfg.derive(4).seed
         assert cfg.derive(1, 2).seed != cfg.derive(2, 1).seed
+
+
+class TestEntangledState:
+    def test_identical_vectors_give_product_state(self):
+        state = entangled_state([1, 0], [1, 0])
+        want = np.kron([1, 1], [1, 0]) / math.sqrt(2)
+        np.testing.assert_allclose(state, want, atol=1e-15)
+
+    def test_orthogonal_vectors_give_bell_state(self):
+        state = entangled_state([1, 0], [0, 1])
+        want = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        np.testing.assert_allclose(state, want, atol=1e-15)
+
+    def test_branches_hold_encoded_amplitudes(self):
+        u = (3.42, 1.24, 1.97, 0.72)
+        state = entangled_state(u, [1, 0, 0, 0])
+        np.testing.assert_allclose(state[:4], encode(u).amplitudes / math.sqrt(2), atol=1e-15)
+        np.testing.assert_allclose(state[4:], np.array([1, 0, 0, 0]) / math.sqrt(2), atol=1e-15)
+
+
+class TestAncillaProjectionState:
+    def test_equal_norms(self):
+        a, b = ancilla_projector([0, 1], [1, 0])
+        assert (a, b) == pytest.approx((1 / math.sqrt(2), -1 / math.sqrt(2)))
+
+    def test_table_row_norms(self):
+        a, b = ancilla_projector([2, 0, 0, 0], [1, 0, 0, 0])
+        assert (a, b) == pytest.approx((2 / math.sqrt(5), -1 / math.sqrt(5)))
 
 
 class TestExactP:
