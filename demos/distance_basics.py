@@ -12,7 +12,6 @@ from entdist import (
     encode,
     estimate_distance,
     exact_p,
-    factorize,
 )
 from entdist.oracle import ancilla_probability, ancilla_projector, entangled_state
 
@@ -24,13 +23,6 @@ enc = encode(u)
 print(f"u = {u.components.tolist()}")
 print(f"  norm      {enc.norm:.4f}")
 print(f"  amplitudes {np.round(enc.amplitudes, 4).tolist()}  ({enc.n_qubits} qubits)")
-
-product = factorize(enc, tol=1e-2)
-if product is None:
-    print("  near-product check at tol 1e-2: entangled register (no product form)")
-else:
-    factors = [np.round(f, 3).tolist() for f in product.qubit_factors]
-    print(f"  near-product form at tol 1e-2: {factors}")
 
 print("\n== protocol state ==")
 query = DistanceQuery(u, v)

@@ -7,8 +7,10 @@ from .ml import (
     ClassificationResult,
     ClusteringState,
     LabeledReference,
+    classify_batch,
     classify_two_cluster,
     nearest_neighbor_classify,
+    nearest_neighbors,
     unsupervised_cluster,
 )
 from .noise import (
@@ -26,22 +28,21 @@ from .protocol import (
     DistanceQuery,
     EstimatorConfig,
     distance_from_p,
+    distance_matrix,
     estimate_distance,
-    estimate_distances,
     exact_p,
     inner_product_from_p,
+    p_matrix,
+    row_keys,
     sample_p,
 )
 from .vectors import (
     DimensionError,
     EncodedVector,
-    ProductFactorization,
     RealVector,
     ZeroVectorError,
     as_vector,
-    decode,
     encode,
-    factorize,
     load_vectors_csv,
     load_vectors_json,
 )
@@ -53,13 +54,10 @@ __all__ = [
     # vectors
     "RealVector",
     "EncodedVector",
-    "ProductFactorization",
     "DimensionError",
     "ZeroVectorError",
     "as_vector",
     "encode",
-    "decode",
-    "factorize",
     "load_vectors_csv",
     "load_vectors_json",
     # noise
@@ -80,13 +78,17 @@ __all__ = [
     "inner_product_from_p",
     "distance_from_p",
     "estimate_distance",
-    "estimate_distances",
+    "p_matrix",
+    "distance_matrix",
+    "row_keys",
     # ml
     "BOUNDARY_TOL",
     "LabeledReference",
     "ClassificationResult",
     "ClusteringState",
+    "classify_batch",
     "classify_two_cluster",
+    "nearest_neighbors",
     "nearest_neighbor_classify",
     "unsupervised_cluster",
 ]

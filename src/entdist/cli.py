@@ -31,9 +31,11 @@ from pathlib import Path
 from . import __version__
 from .datasets import FIG2_DEFAULT_COUNT, FIG2_NORM_RANGE, FIG3_DEMO, FIGS1_DEMO
 from .experiments import cluster_run, estimate_run, fig2_run, nn_run, table_run
-from .ml import LabeledReference, classify_two_cluster, nearest_neighbor_classify
+from .ml import LabeledReference, classify_batch, nearest_neighbors
+# bench/tracing.py patches these two names here
+from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .noise import NOISE_PRESETS, PAPER_PRESET, NoiseModel, noise_preset
-from .protocol import GENERATOR_NAME, EstimatorConfig
+from .protocol import GENERATOR_NAME, EstimatorConfig, distance_matrix, row_keys
 from .svgplot import cartesian_scatter_svg, contour_segments, polar_scatter_svg
 from .vectors import as_vector, load_vectors_csv, load_vectors_json
 
@@ -350,8 +352,7 @@ def _classify(args, config: dict, cfg: EstimatorConfig) -> Run:
     ref_a, ref_b = (_labeled(r) for r in refs)
     vectors = _vectors(config)
     rows = []
-    for i, u in enumerate(vectors):
-        res = classify_two_cluster(u, ref_a, ref_b, cfg.derive(i))
+    for i, (u, res) in enumerate(zip(vectors, classify_batch(vectors, ref_a, ref_b, cfg))):
         d = res.per_label_distance
         rows.append({
             "index": i,
@@ -400,9 +401,10 @@ def _nn(args, config: dict, cfg: EstimatorConfig) -> Run:
         result = nn_run(vectors, training, added, cfg)
         return Run(extra, result, ["index", "vector", "label_before", "label_after", "changed"],
                    result["rows"], _nn_phase_plots(vectors, result, training, added), vectors)
+    dist = distance_matrix(vectors, [t.vector for t in training], cfg,
+                           row_keys(cfg, len(vectors)))
     rows = []
-    for i, u in enumerate(vectors):
-        res = nearest_neighbor_classify(u, training, cfg.derive(i))
+    for i, (u, res) in enumerate(zip(vectors, nearest_neighbors(dist, training))):
         rows.append({
             "index": i,
             "vector": u.components.tolist(),

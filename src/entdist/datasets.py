@@ -186,9 +186,6 @@ class NearestNeighborDemo:
     def vectors(self) -> list[RealVector]:
         return [RealVector(np.array(p)) for p in self.points]
 
-    def full_training(self) -> tuple[LabeledReference, ...]:
-        return self.initial_training + (self.added_training,)
-
 
 # With R1/R2 alone, A-D go blue and E-H red; adding R3 pulls exactly E
 # over to blue and leaves everything else in place.

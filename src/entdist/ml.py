@@ -3,7 +3,8 @@
 Three procedures: two-cluster assignment against one reference per
 cluster, supervised nearest-neighbor against a training set, and the
 unsupervised loop that reassigns every vector to the group with the
-smallest mean distance until nothing moves.
+smallest mean distance until nothing moves.  Each reads its distances as
+one block from protocol.distance_matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import DistanceQuery, EstimatorConfig, estimate_distance
+from .protocol import EstimatorConfig, distance_matrix, row_keys
+from .protocol import estimate_distance  # noqa: F401  (bench/tracing.py patches it here)
 from .vectors import DimensionError, RealVector, as_vector
 
 __all__ = [
@@ -21,7 +23,9 @@ __all__ = [
     "LabeledReference",
     "ClassificationResult",
     "ClusteringState",
+    "classify_batch",
     "classify_two_cluster",
+    "nearest_neighbors",
     "nearest_neighbor_classify",
     "unsupervised_cluster",
 ]
@@ -49,6 +53,42 @@ class ClassificationResult:
     boundary_flag: bool
 
 
+def classify_batch(
+    vectors,
+    ref_a: LabeledReference,
+    ref_b: LabeledReference,
+    cfg: EstimatorConfig = EstimatorConfig(),
+    boundary_tol: float = BOUNDARY_TOL,
+    keys=None,
+) -> list[ClassificationResult]:
+    """Assign each vector by the sign of D_A - D_B; margin keeps the signed difference.
+
+    Ties within boundary_tol go to the lexicographically smaller label and
+    raise the boundary flag.  Vector i runs on the substream (seed, i) and
+    its two estimates on that one's substreams 0 and 1, unless ``keys``
+    gives the row keys of the distance block.
+    """
+    if ref_a.label == ref_b.label:
+        raise ValueError("the two reference labels must differ")
+    if keys is None:
+        keys = row_keys(cfg, len(vectors))
+    dist = distance_matrix(vectors, [ref_a.vector, ref_b.vector], cfg, keys)
+    results = []
+    for d_a, d_b in dist.tolist():
+        margin = d_a - d_b
+        if abs(margin) < boundary_tol:
+            assigned = min(ref_a.label, ref_b.label)
+        else:
+            assigned = ref_a.label if margin < 0.0 else ref_b.label
+        results.append(ClassificationResult(
+            per_label_distance={ref_a.label: d_a, ref_b.label: d_b},
+            assigned_label=assigned,
+            margin=margin,
+            boundary_flag=abs(margin) < boundary_tol,
+        ))
+    return results
+
+
 def classify_two_cluster(
     u,
     ref_a: LabeledReference,
@@ -56,28 +96,39 @@ def classify_two_cluster(
     cfg: EstimatorConfig = EstimatorConfig(),
     boundary_tol: float = BOUNDARY_TOL,
 ) -> ClassificationResult:
-    """Assign u by the sign of D_A - D_B; margin keeps the signed difference.
+    """classify_batch for one vector, whose estimates run on the substreams
+    (seed, 0) and (seed, 1)."""
+    return classify_batch([u], ref_a, ref_b, cfg, boundary_tol, [(cfg.seed,)])[0]
 
-    Ties within boundary_tol go to the lexicographically smaller label and
-    raise the boundary flag.  The two estimates run on the substreams
-    (seed, 0) and (seed, 1).
+
+def nearest_neighbors(
+    dist: np.ndarray,
+    training,
+    boundary_tol: float = BOUNDARY_TOL,
+) -> list[ClassificationResult]:
+    """Assign row i of a distance block (columns: the training vectors) the
+    label of its nearest training vector.
+
+    per_label_distance keeps the closest distance per label; margin is the
+    gap between the best and runner-up labels (inf with a single label).
     """
-    u = as_vector(u)
-    if ref_a.label == ref_b.label:
-        raise ValueError("the two reference labels must differ")
-    d_a = estimate_distance(DistanceQuery(u, ref_a.vector), cfg.derive(0)).distance
-    d_b = estimate_distance(DistanceQuery(u, ref_b.vector), cfg.derive(1)).distance
-    margin = d_a - d_b
-    if abs(margin) < boundary_tol:
-        assigned = min(ref_a.label, ref_b.label)
-    else:
-        assigned = ref_a.label if margin < 0.0 else ref_b.label
-    return ClassificationResult(
-        per_label_distance={ref_a.label: d_a, ref_b.label: d_b},
-        assigned_label=assigned,
-        margin=margin,
-        boundary_flag=abs(margin) < boundary_tol,
-    )
+    results = []
+    for row in dist.tolist():
+        per_label: dict[str, float] = {}
+        for d, ref in zip(row, training):
+            if d < per_label.get(ref.label, math.inf):
+                per_label[ref.label] = d
+        ranked = sorted(per_label.values())
+        best = ranked[0]
+        margin = ranked[1] - best if len(ranked) > 1 else math.inf
+        tied = [label for label, d in per_label.items() if d - best < boundary_tol]
+        results.append(ClassificationResult(
+            per_label_distance=per_label,
+            assigned_label=min(tied),
+            margin=margin,
+            boundary_flag=margin < boundary_tol,
+        ))
+    return results
 
 
 def nearest_neighbor_classify(
@@ -86,30 +137,14 @@ def nearest_neighbor_classify(
     cfg: EstimatorConfig = EstimatorConfig(),
     boundary_tol: float = BOUNDARY_TOL,
 ) -> ClassificationResult:
-    """Assign u the label of its nearest training vector.
+    """Assign u the label of its nearest training vector (see nearest_neighbors).
 
-    per_label_distance keeps the closest distance per label; margin is the
-    gap between the best and runner-up labels (inf with a single label).
     Training vector i runs on the substream (seed, i).
     """
     if not training:
         raise ValueError("training set must be non-empty")
-    u = as_vector(u)
-    per_label: dict[str, float] = {}
-    for i, ref in enumerate(training):
-        d = estimate_distance(DistanceQuery(u, ref.vector), cfg.derive(i)).distance
-        if d < per_label.get(ref.label, math.inf):
-            per_label[ref.label] = d
-    ranked = sorted(per_label.values())
-    best = ranked[0]
-    margin = ranked[1] - best if len(ranked) > 1 else math.inf
-    tied = [label for label, d in per_label.items() if d - best < boundary_tol]
-    return ClassificationResult(
-        per_label_distance=per_label,
-        assigned_label=min(tied),
-        margin=margin,
-        boundary_flag=margin < boundary_tol,
-    )
+    dist = distance_matrix([u], [t.vector for t in training], cfg, [(cfg.seed,)])
+    return nearest_neighbors(dist, training, boundary_tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,26 +157,21 @@ class ClusteringState:
     history: tuple[tuple, ...]
 
 
-def _pairwise_distances(vectors, cfg: EstimatorConfig) -> np.ndarray:
-    """Symmetric estimated-distance matrix; pair (i, j) uses substream (i, j)."""
-    n = len(vectors)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = DistanceQuery(vectors[i], vectors[j])
-            dist[i, j] = dist[j, i] = estimate_distance(q, cfg.derive(i, j)).distance
-    return dist
+def _pairwise_distances(vectors, cfg: EstimatorConfig, keys=None) -> np.ndarray:
+    """Symmetric estimated-distance matrix from the upper triangle of one block."""
+    dist = distance_matrix(vectors, vectors, cfg, keys, upper=True)
+    return dist + dist.T
 
 
 def _group_means(dist: np.ndarray, labels, groups) -> list[dict]:
     """Per vector: mean distance to each group with itself excluded (None if empty)."""
-    n = len(labels)
+    members = {g: np.flatnonzero([label == g for label in labels]) for g in groups}
     means = []
-    for i in range(n):
+    for i in range(len(labels)):
         row = {}
         for g in groups:
-            members = [j for j in range(n) if labels[j] == g and j != i]
-            row[g] = float(dist[i, members].mean()) if members else None
+            others = members[g][members[g] != i]
+            row[g] = float(dist[i, others].mean()) if others.size else None
         means.append(row)
     return means
 
@@ -168,12 +198,8 @@ def _reassign(dist: np.ndarray, labels: list, groups) -> list:
             break
         for g in empty:
             previous = [i for i in range(n) if labels[i] == g]
-
-            def closeness(i: int) -> float:
-                others = [j for j in previous if j != i]
-                return float(dist[i, others].mean()) if others else -math.inf
-
-            keep = min(previous, key=lambda i: (closeness(i), i))
+            keep = min(previous, key=lambda i: (
+                -math.inf if means[i][g] is None else means[i][g], i))
             new[keep] = g
     return new
 
@@ -234,7 +260,10 @@ def unsupervised_cluster(
     iteration = 0
     for rnd in range(1, max_iterations + 1):
         iteration = rnd
-        dist = exact_dist if exact_dist is not None else _pairwise_distances(vectors, cfg.derive(rnd))
+        dist = exact_dist
+        if dist is None:  # pair (i, j) of round r on the substream cfg.derive(r).derive(i, j)
+            round_seed = cfg.derive(rnd).seed
+            dist = _pairwise_distances(vectors, cfg, [(round_seed, i) for i in range(n)])
         new = _reassign(dist, labels, groups)
         history.append(tuple(new))
         if new == labels:

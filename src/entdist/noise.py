@@ -5,8 +5,9 @@ fidelity) and then mixed with a detector-background term for dark counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_STATE_FIDELITY",
@@ -86,13 +87,15 @@ class NoiseModel:
         }
 
 
-def apply_noise(p_ideal: float, model: NoiseModel, m_qubits: int) -> float:
-    """Map the ideal success probability to the observed one.
+def apply_noise(p_ideal: float | np.ndarray, model: NoiseModel,
+                m_qubits: int) -> float | np.ndarray:
+    """Map the ideal success probability (a float or an array of them) to the observed one.
 
     White-noise mixing first (exact for any single-qubit projection), then dark
     counts: p1 = w p + (1-w)/2, p_obs = (1-d) p1 + d * background_split.
     """
-    if not (math.isfinite(p_ideal) and 0.0 <= p_ideal <= 1.0):
+    p = np.asarray(p_ideal)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p_ideal must lie in [0, 1]")
     w = model.mixing_weight(m_qubits)
     p_mixed = w * p_ideal + (1.0 - w) * 0.5

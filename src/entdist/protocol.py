@@ -11,7 +11,8 @@ The success probability p of that projection carries everything:
     D     = sqrt(2 p (|u|^2 + |v|^2))  =  |u - v|   (ideal case)
 
 p is evaluated in closed form, or estimated from seeded Bernoulli shots,
-optionally after the noise channel.
+optionally after the noise channel.  ``p_matrix`` does this for a whole
+block of pairs at once; the single-pair functions are 1x1 blocks of it.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ __all__ = [
     "DistanceEstimate",
     "exact_p",
     "sample_p",
+    "p_matrix",
+    "distance_matrix",
+    "row_keys",
     "inner_product_from_p",
     "distance_from_p",
     "estimate_distance",
-    "estimate_distances",
 ]
 
 # all sampling goes through numpy's default PCG64 bit generator
@@ -46,6 +49,9 @@ _MAX_SEED = 2**64
 # normal float64 and 2 (|u|^2 + |v|^2) at most the largest
 _MIN_SQUARE = float(np.finfo(float).tiny)
 _MAX_SQUARE_SUM = float(np.finfo(float).max) / 2
+
+# p_matrix evaluates this many pair components at a time, bounding its memory
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +85,11 @@ class DistanceQuery:
         return self.n_register_qubits + 1
 
 
+def _substream(*key: int) -> int:
+    """The 64-bit seed of the substream keyed by (seed, *indices)."""
+    return int(np.random.SeedSequence(list(key)).generate_state(1, dtype=np.uint64)[0])
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """How p is obtained: exactly, or from seeded Bernoulli sampling."""
@@ -96,19 +107,13 @@ class EstimatorConfig:
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
     def derive(self, *indices: int) -> "EstimatorConfig":
         """Same settings with a substream seed drawn from (seed, *indices).
 
         Batch callers give every query its own substream, so results do not
         depend on execution order.
         """
-        child = np.random.SeedSequence([self.seed, *indices]).generate_state(
-            1, dtype=np.uint64
-        )[0]
-        return replace(self, seed=int(child))
+        return replace(self, seed=_substream(self.seed, *indices))
 
 
 @dataclass(frozen=True)
@@ -126,26 +131,82 @@ class DistanceEstimate:
     overlap_out_of_range: bool  # shot noise pushed <u|v> outside [-1, 1]
 
 
-def exact_p(query: DistanceQuery) -> float:
-    """Ideal success probability |u - v|^2 / (2 (|u|^2 + |v|^2))."""
-    nu2, nv2 = query.u.norm ** 2, query.v.norm ** 2
-    z = nu2 + nv2
-    if not (nu2 >= _MIN_SQUARE and nv2 >= _MIN_SQUARE and z <= _MAX_SQUARE_SUM):
+def row_keys(cfg: EstimatorConfig, n: int) -> list[tuple[int]] | None:
+    """Keys that put row i of a block on the substream cfg.derive(i) (None in exact mode)."""
+    if cfg.mode == "exact":
+        return None
+    return [(cfg.derive(i).seed,) for i in range(n)]
+
+
+def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
+             upper: bool = False) -> np.ndarray:
+    """Observed p for every pair (us[i], vs[j]) under cfg.
+
+    Pairs are checked in row-major order and the first failing one raises the
+    error a DistanceQuery or exact_p would.  With ``upper`` only the pairs
+    j > i are evaluated and every other entry is 0.  In sampled mode entry
+    (i, j) draws its shots on the substream keyed by (*keys[i], j); with
+    ``keys`` None the block must hold a single pair, drawn on cfg.seed.
+    """
+    us, vs = [as_vector(u) for u in us], [as_vector(v) for v in vs]
+    n, m = len(us), len(vs)
+    scope = np.triu(np.ones((n, m), dtype=bool), 1) if upper else np.ones((n, m), dtype=bool)
+    p = np.zeros((n, m))
+    if not scope.any():
+        return p
+    du = np.array([u.dimension for u in us])
+    dv = np.array([v.dimension for v in vs])
+    nu2 = np.array([u.norm ** 2 for u in us])  # C pow, as for a single pair
+    nv2 = np.array([v.norm ** 2 for v in vs])
+    z = nu2[:, None] + nv2[None, :]
+    in_range = ((nu2 >= _MIN_SQUARE)[:, None] & (nv2 >= _MIN_SQUARE)[None, :]
+                & (z <= _MAX_SQUARE_SUM))
+    bad = scope & ((du[:, None] != dv[None, :]) | ((du & (du - 1)) != 0)[:, None] | ~in_range)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), m)
+        if cfg.noise is not None and (i, j) != (0, int(upper)):
+            cfg.noise.mixing_weight(int(du[0]).bit_length())  # the pairs before it met the channel
+        DistanceQuery(us[i], vs[j])
         raise ValueError(
-            f"squared norms {nu2:.3g} and {nv2:.3g} leave float64's range: each must be at "
+            f"squared norms {nu2[i]:.3g} and {nv2[j]:.3g} leave float64's range: each must be at "
             f"least {_MIN_SQUARE:.3g} and their sum at most {_MAX_SQUARE_SUM:.3g}"
         )
-    diff = query.u.components - query.v.components
-    # numerator as a sum of squares keeps p >= 0 even when u == v exactly
-    p = float(np.dot(diff, diff)) / (2.0 * z)
-    return min(max(p, 0.0), 1.0)
 
+    u_rows = np.array([u.components for u in us])
+    v_rows = np.array([v.components for v in vs])
+    step = max(1, _BLOCK_ELEMENTS // (m * u_rows.shape[1]))
+    for r in range(0, n, step):
+        diff = u_rows[r:r + step, None, :] - v_rows[None, :, :]
+        # |u - v|^2 as a sum of squares (p >= 0, and 0 when u == v) by a stacked
+        # matmul, which sums in the order np.dot does for one pair
+        p[r:r + step] = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] / (2.0 * z[r:r + step])
+    np.clip(p, 0.0, 1.0, out=p)
+    if cfg.noise is not None:
+        p = apply_noise(p, cfg.noise, int(du[0]).bit_length())
+    p[~scope] = 0.0
 
-def _observed_p(query: DistanceQuery, noise: NoiseModel | None) -> float:
-    p = exact_p(query)
-    if noise is not None:
-        p = apply_noise(p, noise, query.n_state_qubits)
+    if cfg.mode == "sampled":
+        if keys is None and scope.sum() > 1:
+            raise ValueError("a sampled block of several pairs needs one key per row")
+        for i, j in zip(*(idx.tolist() for idx in np.nonzero(scope))):
+            seed = cfg.seed if keys is None else _substream(*keys[i], j)
+            p[i, j] = np.random.default_rng(seed).binomial(cfg.shots, p[i, j]) / cfg.shots
     return p
+
+
+def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
+                    upper: bool = False) -> np.ndarray:
+    """D = sqrt(2 p (|u|^2 + |v|^2)) for every pair of the p_matrix block."""
+    us, vs = [as_vector(u) for u in us], [as_vector(v) for v in vs]
+    p = p_matrix(us, vs, cfg, keys, upper)
+    nu = np.array([u.norm for u in us])
+    nv = np.array([v.norm for v in vs])
+    return np.sqrt(2.0 * p * ((nu * nu)[:, None] + (nv * nv)[None, :]))
+
+
+def exact_p(query: DistanceQuery) -> float:
+    """Ideal success probability |u - v|^2 / (2 (|u|^2 + |v|^2))."""
+    return float(p_matrix([query.u], [query.v])[0, 0])
 
 
 def sample_p(query: DistanceQuery, cfg: EstimatorConfig) -> tuple[float, float]:
@@ -157,11 +218,8 @@ def sample_p(query: DistanceQuery, cfg: EstimatorConfig) -> tuple[float, float]:
     """
     if cfg.mode != "sampled":
         raise ValueError("sample_p requires a sampled-mode config")
-    p = _observed_p(query, cfg.noise)
-    successes = int(cfg.rng().binomial(cfg.shots, p))
-    p_hat = successes / cfg.shots
-    std_error = math.sqrt(p_hat * (1.0 - p_hat) / cfg.shots)
-    return p_hat, std_error
+    p_hat = float(p_matrix([query.u], [query.v], cfg)[0, 0])
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / cfg.shots)
 
 
 def inner_product_from_p(p: float, norm_u: float, norm_v: float) -> float:
@@ -182,7 +240,7 @@ def estimate_distance(query: DistanceQuery, cfg: EstimatorConfig = EstimatorConf
     """Run the full protocol for one query under the given estimator config."""
     nu, nv = query.u.norm, query.v.norm
     if cfg.mode == "exact":
-        p_hat = _observed_p(query, cfg.noise)
+        p_hat = float(p_matrix([query.u], [query.v], cfg)[0, 0])
         shots_used, std_error = 0, 0.0
     else:
         p_hat, std_error = sample_p(query, cfg)
@@ -190,7 +248,7 @@ def estimate_distance(query: DistanceQuery, cfg: EstimatorConfig = EstimatorConf
     overlap = inner_product_from_p(p_hat, nu, nv)
     return DistanceEstimate(
         p_hat=p_hat,
-        distance=distance_from_p(min(max(p_hat, 0.0), 1.0), nu, nv),
+        distance=distance_from_p(p_hat, nu, nv),
         inner_product=overlap,
         raw_inner_product=overlap * nu * nv,
         norm_u=nu,
@@ -199,8 +257,3 @@ def estimate_distance(query: DistanceQuery, cfg: EstimatorConfig = EstimatorConf
         std_error_p=std_error,
         overlap_out_of_range=not -1.0 <= overlap <= 1.0,
     )
-
-
-def estimate_distances(queries, cfg: EstimatorConfig = EstimatorConfig()) -> list[DistanceEstimate]:
-    """Batch form; query i runs on the substream derived from (seed, i)."""
-    return [estimate_distance(q, cfg.derive(i)) for i, q in enumerate(queries)]

@@ -1,9 +1,7 @@
-"""Real vectors, amplitude encoding, and product-state factorization.
+"""Real vectors, amplitude encoding, and vector file loaders.
 
 An N-dimensional vector splits into a scalar norm and a unit amplitude
-register over log2(N) qubits.  When the register happens to be a tensor
-product of single-qubit states it can also be expressed as one unit
-2-vector per qubit, which is how per-qubit wave-plate hardware sets it.
+register over log2(N) qubits.
 """
 
 from __future__ import annotations
@@ -20,19 +18,11 @@ __all__ = [
     "ZeroVectorError",
     "RealVector",
     "EncodedVector",
-    "ProductFactorization",
     "as_vector",
     "encode",
-    "decode",
-    "factorize",
     "load_vectors_csv",
     "load_vectors_json",
 ]
-
-DEFAULT_FACTORIZATION_TOL = 1e-9
-
-# components at or below this magnitude count as zero for the sign convention
-_SIGN_EPS = 1e-12
 
 
 class DimensionError(ValueError):
@@ -45,12 +35,6 @@ class ZeroVectorError(ValueError):
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,42 +102,6 @@ class EncodedVector:
         return self.dimension.bit_length() - 1
 
 
-@dataclass(frozen=True, eq=False)
-class ProductFactorization:
-    """norm x (a_1|0> + b_1|1>) x ... x (a_n|0> + b_n|1>), one factor per qubit."""
-
-    norm: float
-    qubit_factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not (np.isfinite(self.norm) and self.norm >= 0.0):
-            raise ValueError("norm must be a finite nonnegative real")
-        factors = []
-        for f in self.qubit_factors:
-            arr = np.array(f, dtype=float)
-            if arr.shape != (2,):
-                raise DimensionError("each qubit factor must be a 2-vector")
-            if abs(np.dot(arr, arr) - 1.0) > 1e-12:
-                raise ValueError("each qubit factor must have unit norm")
-            arr.flags.writeable = False
-            factors.append(arr)
-        object.__setattr__(self, "qubit_factors", tuple(factors))
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubit_factors)
-
-    def amplitudes(self) -> np.ndarray:
-        """Tensor product of the per-qubit factors (a unit register state)."""
-        out = np.array([1.0])
-        for f in self.qubit_factors:
-            out = np.kron(out, f)
-        return out
-
-    def to_vector(self) -> RealVector:
-        return RealVector(self.norm * self.amplitudes())
-
-
 def encode(v) -> EncodedVector:
     """Split a nonzero power-of-two-dimensional vector into norm and unit state."""
     vec = as_vector(v)
@@ -163,47 +111,6 @@ def encode(v) -> EncodedVector:
         )
     norm = vec.norm
     return EncodedVector(norm, vec.components / norm)
-
-
-def decode(e: EncodedVector) -> RealVector:
-    """Inverse of encode: rescale the amplitudes by the stored norm."""
-    return RealVector(e.norm * e.amplitudes)
-
-
-def factorize(e: EncodedVector, tol: float = DEFAULT_FACTORIZATION_TOL) -> ProductFactorization | None:
-    """Split the register into per-qubit factors when it is a product state.
-
-    Peels one qubit at a time: the remaining amplitudes are reshaped to a
-    (2, rest) matrix and the split is accepted when the second singular
-    value is at most ``tol``.  Sign convention: every factor's first
-    nonzero entry is made nonnegative, with any residual global sign
-    carried by the last factor.
-
-    Returns None when some split is not rank-1 within ``tol`` (an
-    entangled register), or when the compounded splits fail to reproduce
-    the amplitudes within ``tol``.
-    """
-    rest = np.asarray(e.amplitudes, dtype=float)
-    factors: list[np.ndarray] = []
-    for _ in range(e.n_qubits - 1):
-        matrix = rest.reshape(2, -1)
-        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-        if s[1] > tol:
-            return None
-        factor = u[:, 0]
-        rest = s[0] * vt[0]
-        lead = 1 if abs(factor[0]) <= _SIGN_EPS else 0
-        if factor[lead] < 0.0:
-            factor = -factor
-            rest = -rest
-        factors.append(factor)
-    factors.append(rest / np.linalg.norm(rest))
-
-    result = ProductFactorization(e.norm, tuple(factors))
-    # per-split tolerances compound, so enforce the reconstruction contract
-    if np.linalg.norm(result.amplitudes() - e.amplitudes) > tol:
-        return None
-    return result
 
 
 def load_vectors_json(path) -> list[RealVector]:

@@ -321,6 +321,22 @@ BAD_INPUTS = {
     "huge-norm": ({"u": [1e200, 0], "v": [1, 0]}, ["estimate"], "float64's range"),
     "noise-file-naming-a-file": ({"u": [1, 0], "v": [0, 1], "noise": "self.json"}, ["estimate"],
                                  "noise file self.json"),
+    "cluster-3d": ({"vectors": [[1, 0, 0], [0, 1, 0], [5, 5, 0]]}, ["cluster"],
+                   "dimension 3 is not a power of two"),
+    "classify-dimension-mismatch": ({"vectors": [[1, 0]], "references": [
+        {"label": "A", "vector": [1, 0, 0, 0]}, {"label": "B", "vector": [0, 0, 1, 1]}]},
+        ["classify"], "query vectors differ in dimension: 2 vs 4"),
+    "nn-dimension-mismatch": ({"vectors": [[1, 0]], "training": [
+        {"label": "x", "vector": [1, 0, 0, 0]}]}, ["nn"],
+        "query vectors differ in dimension: 2 vs 4"),
+    "fig2-3d": ({"vectors": [[1, 0, 0]]}, ["repro", "fig2"], "3 vs 2"),
+    # the first pair checked is (0, 1), not the self pair (0, 0)
+    "cluster-tiny-norm": ({"vectors": [[1e-200, 0], [0, 1], [1, 1]]}, ["cluster"],
+                          "squared norms 0 and 1 leave"),
+    # row 0's estimates meet the noise channel before row 1's pair check
+    "noise-before-a-later-bad-vector": ({"vectors": [[1.0, 0.5], [1e-200, 0]],
+                                         "noise": {"state_fidelity": 0.2}}, ["repro", "fig2"],
+                                        "fidelity 0.2 outside"),
 }
 
 

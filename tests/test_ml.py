@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import entdist.ml
-from entdist.datasets import FIG3_DEMO, FIGS1_DEMO
+from entdist.datasets import FIG3_DEMO, FIGS1_DEMO, fig2_references
 from entdist.experiments import fig2_run
 from entdist.ml import (
     LabeledReference,
@@ -13,7 +13,7 @@ from entdist.ml import (
     nearest_neighbor_classify,
     unsupervised_cluster,
 )
-from entdist.protocol import EstimatorConfig
+from entdist.protocol import DistanceQuery, EstimatorConfig, estimate_distance
 from entdist.vectors import DimensionError, as_vector
 
 EXACT = EstimatorConfig(mode="exact")
@@ -348,21 +348,28 @@ class TestUnsupervisedCluster:
 def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
     # pair (i, j) of cluster round r runs on cfg.derive(r).derive(i, j) and
     # fig2 row i on cfg.derive(i).derive(0 | 1): a chain of keys, not one flat key
-    seeds = []
-    estimate = entdist.ml.estimate_distance
+    blocks = []
+    reassign = entdist.ml._reassign
 
-    def recording(query, cfg):
-        if cfg.mode == "sampled":
-            seeds.append(cfg.seed)
-        return estimate(query, cfg)
+    def recording(dist, labels, groups):
+        blocks.append(dist)
+        return reassign(dist, labels, groups)
 
-    monkeypatch.setattr(entdist.ml, "estimate_distance", recording)
-    cfg = EstimatorConfig(mode="sampled", shots=100, seed=5)
-    unsupervised_cluster(separated_clouds(), 2, [0, 1] * 4, cfg, max_iterations=1)
-    pairs = list(itertools.combinations(range(8), 2))
-    assert seeds == [cfg.derive(1).derive(i, j).seed for i, j in pairs]
-    assert seeds[0] != cfg.derive(1, 0, 1).seed
+    monkeypatch.setattr(entdist.ml, "_reassign", recording)
+    cfg = EstimatorConfig(mode="sampled", shots=1000, seed=5)
+    points = [as_vector(p) for p in separated_clouds()]
+    unsupervised_cluster(points, 2, [0, 1] * 4, cfg, max_iterations=1)
+    (dist,) = blocks
+    for i, j in itertools.combinations(range(8), 2):
+        want = estimate_distance(DistanceQuery(points[i], points[j]), cfg.derive(1).derive(i, j))
+        assert dist[i, j] == dist[j, i] == want.distance
+    flat = estimate_distance(DistanceQuery(points[0], points[4]), cfg.derive(1, 0, 4))
+    assert dist[0, 4] != flat.distance
 
-    seeds.clear()
-    fig2_run(cfg, vectors=[[1.0, 0.5], [0.3, 2.0], [2.0, 2.0]])
-    assert seeds == [cfg.derive(i).derive(k).seed for i in range(3) for k in (0, 1)]
+    vectors = [as_vector(v) for v in ([1.0, 0.5], [0.3, 2.0], [2.0, 2.0])]
+    rows = fig2_run(cfg, vectors=vectors)["rows"]
+    ref_a, ref_b = fig2_references()
+    for i, (u, row) in enumerate(zip(vectors, rows)):
+        d_a = estimate_distance(DistanceQuery(u, ref_a.vector), cfg.derive(i).derive(0)).distance
+        d_b = estimate_distance(DistanceQuery(u, ref_b.vector), cfg.derive(i).derive(1)).distance
+        assert row["sampled_diff"] == d_a - d_b

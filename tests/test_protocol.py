@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entdist.noise import NoiseModel
+from entdist.noise import PAPER_PRESET, NoiseModel, apply_noise, noise_preset
 from entdist.oracle import ancilla_probability, ancilla_projector, entangled_state
 from entdist.protocol import (
     DistanceQuery,
     EstimatorConfig,
     distance_from_p,
+    distance_matrix,
     estimate_distance,
-    estimate_distances,
     exact_p,
     inner_product_from_p,
+    p_matrix,
+    row_keys,
     sample_p,
 )
 from entdist.vectors import DimensionError, as_vector, encode
@@ -281,11 +283,70 @@ class TestSampleP:
             assert est.overlap_out_of_range == (not -1 <= est.inner_product <= 1)
 
 
+def _block_vectors(dim: int, count: int):
+    """count vectors of one dimension, each at its own log-uniform scale."""
+    vector = st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).filter(
+            lambda c: float(np.linalg.norm(c)) >= 1e-3),
+        st.floats(-120.0, 120.0),
+    ).map(lambda cs: as_vector(np.array(cs[0]) * 10.0 ** cs[1]))
+    return st.lists(vector, min_size=count, max_size=count)
+
+
+# (dimension, noise): the paper preset has fidelities for 2-4 qubit states only
+_DIM_NOISE = st.sampled_from(
+    [(d, None) for d in (1, 2, 4, 8, 16)] + [(d, PAPER_PRESET) for d in (2, 4, 8)]
+)
+
+
+@st.composite
+def _blocks(draw):
+    dim, noise = draw(_DIM_NOISE)
+    us = draw(_block_vectors(dim, draw(st.integers(1, 4))))
+    vs = draw(_block_vectors(dim, draw(st.integers(1, 4))))
+    mode = draw(st.sampled_from(["exact", "sampled"]))
+    cfg = EstimatorConfig(mode=mode, shots=50, seed=draw(st.integers(0, 2**64 - 1)),
+                          noise=noise_preset(noise) if noise else None)
+    return us, vs, cfg
+
+
 class TestBatch:
     def test_order_independent_streams(self):
         cfg = EstimatorConfig(mode="sampled", shots=200, seed=5)
-        queries = [query([1, 0], [0.6, 0.8]), query([1, 0], [0, 1]), query([2, 1], [1, 2])]
-        all_at_once = estimate_distances(queries, cfg)
-        one_by_one = [estimate_distance(q, cfg.derive(i)) for i, q in enumerate(queries)]
-        for a, b in zip(all_at_once, one_by_one):
-            assert a.p_hat == b.p_hat
+        us = [as_vector(u) for u in ([1, 0], [0, 1], [2, 1])]
+        vs = [as_vector(v) for v in ([0.6, 0.8], [1, 2])]
+        keys = row_keys(cfg, len(us))
+        all_at_once = p_matrix(us, vs, cfg, keys)
+        reversed_rows = p_matrix(us[::-1], vs, cfg, keys[::-1])[::-1]
+        one_by_one = [[estimate_distance(query(u, v), cfg.derive(i).derive(j)).p_hat
+                       for j, v in enumerate(vs)] for i, u in enumerate(us)]
+        assert all_at_once.tolist() == reversed_rows.tolist() == one_by_one
+
+    @settings(max_examples=150, deadline=None)
+    @given(_blocks())
+    def test_block_entries_equal_single_pair_blocks(self, block):
+        # batch composition: an entry does not depend on the block around it
+        us, vs, cfg = block
+        dist = distance_matrix(us, vs, cfg, row_keys(cfg, len(us)))
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                single = distance_matrix([u], [v], cfg.derive(i).derive(j))
+                assert dist[i, j] == single[0, 0]
+        upper = distance_matrix(us, us, cfg, [(cfg.derive(3).seed, i) for i in range(len(us))],
+                                upper=True)
+        for i, j in zip(*np.triu_indices(len(us), 1)):
+            single = distance_matrix([us[i]], [us[j]], cfg.derive(3).derive(i, j))
+            assert upper[i, j] == single[0, 0]
+        assert not np.tril(upper).any()
+        if cfg.mode == "exact":
+            assert dist.tolist() == distance_matrix(vs, us, cfg).T.tolist()
+            # the channel on a block matches the channel on one float
+            q = query(us[0], vs[0])
+            want = exact_p(q) if cfg.noise is None else apply_noise(exact_p(q), cfg.noise,
+                                                                    q.n_state_qubits)
+            assert p_matrix(us[:1], vs[:1], cfg)[0, 0] == want
+
+    def test_sampled_block_needs_keys(self):
+        cfg = EstimatorConfig(mode="sampled", shots=10)
+        with pytest.raises(ValueError, match="one key per row"):
+            p_matrix([[1, 0]], [[0, 1], [1, 1]], cfg)

@@ -5,21 +5,16 @@ from hypothesis import strategies as st
 
 from entdist.vectors import (
     DimensionError,
-    EncodedVector,
-    ProductFactorization,
     RealVector,
     ZeroVectorError,
     as_vector,
-    decode,
     encode,
-    factorize,
     load_vectors_csv,
     load_vectors_json,
 )
 
 # the published 4-dim example: 4.2 x (0.866|0> + 0.5|1>) x (0.94|0> + 0.342|1>)
 EXAMPLE_VECTOR = (3.42, 1.24, 1.97, 0.72)
-EXAMPLE_FACTORS = ((0.866, 0.5), (0.94, 0.342))
 
 
 def _power_of_two_vectors(max_exp=3, max_abs=1e3):
@@ -92,26 +87,18 @@ class TestEncode:
 
 
 class TestDecode:
-    def test_inverse_of_encode(self):
-        v = decode(EncodedVector(5.0, np.array([0.6, 0.8])))
-        np.testing.assert_allclose(v.components, [3.0, 4.0], atol=1e-15)
-
-    def test_identity_on_basis(self):
-        v = decode(EncodedVector(1.0, np.array([1.0, 0.0])))
-        np.testing.assert_array_equal(v.components, [1.0, 0.0])
+    """norm x amplitudes gives the encoded vector back."""
 
     def test_paper_example_round_trip(self):
-        np.testing.assert_allclose(
-            decode(encode(EXAMPLE_VECTOR)).components, EXAMPLE_VECTOR, atol=1e-2
-        )
+        e = encode(EXAMPLE_VECTOR)
+        np.testing.assert_allclose(e.norm * e.amplitudes, EXAMPLE_VECTOR, atol=1e-2)
 
     @settings(max_examples=200, deadline=None)
     @given(_power_of_two_vectors())
     def test_round_trip_property(self, components):
         v = as_vector(components)
-        np.testing.assert_allclose(
-            decode(encode(v)).components, v.components, atol=1e-12, rtol=1e-12
-        )
+        e = encode(v)
+        np.testing.assert_allclose(e.norm * e.amplitudes, v.components, atol=1e-12, rtol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(_power_of_two_vectors(), st.floats(1e-3, 1e3))
@@ -121,79 +108,6 @@ class TestDecode:
         scaled = encode(c * v.components)
         assert scaled.norm == pytest.approx(c * base.norm, rel=1e-12)
         np.testing.assert_allclose(scaled.amplitudes, base.amplitudes, atol=1e-12)
-
-
-class TestFactorize:
-    def test_paper_product_recovered(self):
-        amps = np.kron(*EXAMPLE_FACTORS)
-        result = factorize(encode(4.2 * amps))
-        assert result is not None
-        assert result.norm == pytest.approx(4.2 * np.linalg.norm(amps), rel=1e-12)
-        for got, printed in zip(result.qubit_factors, EXAMPLE_FACTORS):
-            np.testing.assert_allclose(got, np.array(printed) / np.linalg.norm(printed),
-                                       atol=1e-12)
-
-    def test_basis_state(self):
-        result = factorize(EncodedVector(1.0, np.array([1.0, 0, 0, 0])))
-        np.testing.assert_array_equal(result.qubit_factors[0], [1.0, 0.0])
-        np.testing.assert_array_equal(result.qubit_factors[1], [1.0, 0.0])
-
-    def test_bell_state_not_factorizable(self):
-        bell = EncodedVector(1.0, np.array([1.0, 0, 0, 1]) / np.sqrt(2))
-        assert factorize(bell) is None
-
-    def test_w_like_state_not_factorizable(self):
-        w = EncodedVector(1.0, np.array([0, 1.0, 1.0, 1.0, 0, 0, 0, 0]) / np.sqrt(3))
-        assert factorize(w) is None
-
-    def test_global_sign_lands_in_last_factor(self):
-        amps = np.kron([-0.6, -0.8], [0.8, -0.6])
-        result = factorize(EncodedVector(1.0, amps))
-        assert result is not None
-        assert result.qubit_factors[0][0] >= 0.0
-        np.testing.assert_allclose(result.amplitudes(), amps, atol=1e-12)
-
-    def test_single_qubit_keeps_sign(self):
-        result = factorize(EncodedVector(1.0, np.array([-0.6, 0.8])))
-        np.testing.assert_allclose(result.qubit_factors[0], [-0.6, 0.8], atol=1e-15)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=3))
-    def test_complete_on_products(self, angles):
-        amps = np.array([1.0])
-        for t in angles:
-            amps = np.kron(amps, [np.cos(t), np.sin(t)])
-        result = factorize(EncodedVector(1.0, amps), tol=1e-9)
-        assert result is not None
-        np.testing.assert_allclose(result.amplitudes(), amps, atol=1e-9)
-
-    def test_sound_within_tolerance_on_near_products(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            angles = rng.uniform(0, 2 * np.pi, size=3)
-            amps = np.array([1.0])
-            for t in angles:
-                amps = np.kron(amps, [np.cos(t), np.sin(t)])
-            noisy = amps + rng.normal(0, 1e-4, size=amps.size)
-            noisy /= np.linalg.norm(noisy)
-            result = factorize(EncodedVector(1.0, noisy), tol=1e-2)
-            if result is not None:
-                assert np.linalg.norm(result.amplitudes() - noisy) <= 1e-2
-
-    def test_reconstruction_via_to_vector(self):
-        amps = np.kron([0.28, 0.96], [0.6, 0.8])
-        result = factorize(encode(3.0 * amps))
-        np.testing.assert_allclose(result.to_vector().components, 3.0 * amps, atol=1e-12)
-
-
-class TestProductFactorization:
-    def test_unit_factor_enforced(self):
-        with pytest.raises(ValueError):
-            ProductFactorization(1.0, (np.array([1.0, 1.0]),))
-
-    def test_factor_shape_enforced(self):
-        with pytest.raises(DimensionError):
-            ProductFactorization(1.0, (np.array([1.0, 0.0, 0.0]),))
 
 
 class TestLoaders:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,12 @@ REFS = [{"label": "A", "vector": [1.5, 0.55]}, {"label": "B", "vector": [0.86, 2
 CLUSTER_VECTORS = [[1.0, 1.0], [1.1, 1.0], [1.2, 1.0], [5.0, 5.0], [5.1, 5.0]]
 TRAINING = [{"label": "blue", "vector": [0.5, 0.5]}, {"label": "red", "vector": [2.5, 2.5]}]
 ADDED = {"label": "blue", "vector": [2.35, 2.35]}
+# a 6 x 4 integer lattice: many group means tie exactly
+LATTICE = [[float(i % 6 + 1), float(i // 6 + 1)] for i in range(24)]
+
+
+def wave(i: int, dim: int = 16) -> list[float]:
+    return [round(math.sin(3 * i + k), 3) for k in range(dim)]
 
 
 # file name -> contents, written into every case directory (.json files as JSON)
@@ -77,6 +84,15 @@ INPUTS = {
     "bad_init.json": {"vectors": CLUSTER_VECTORS[:3], "k": 2, "init": [0, "a", 0]},
     "bad_noise.json": {"u": [1, 0], "v": [0, 1], "noise": {"fidelity": 0.9}},
     "self_noise.json": "self_noise.json",
+    "nn16.json": {"vectors": [wave(i) for i in range(6)],
+                  "training": {"initial": [{"label": "a", "vector": wave(10)},
+                                           {"label": "b", "vector": wave(11)},
+                                           {"label": "a", "vector": wave(12)}],
+                               "added": {"label": "c", "vector": wave(13)}}},
+    "lattice.json": {"vectors": LATTICE, "k": 3, "init": 5, "max_iterations": 30},
+    "fig2_3d.json": {"vectors": [[1, 0, 0]]},
+    "fig2_bad_noise.json": {"vectors": [[1.0, 0.5], [1e-200, 0]],
+                            "noise": {"state_fidelity": 0.2}},
     "blocker": "not a directory\n",
 }
 
@@ -126,6 +142,23 @@ CASES = [
     ("fig3-sampled", "sampled", ("repro", "fig3", "--out", "out", *SHOTS)),
     ("figS1", "exact", ("repro", "figS1", "--out", "out")),
     ("figS1-sampled", "sampled", ("repro", "figS1", "--out", "out", *SHOTS)),
+    # C pow and x * x square the norm of (0.19, 0.75) differently
+    ("estimate-square-trap", "exact", ("estimate", "--u", "0.19,0.75", "--v", "1.5,0.55")),
+    ("estimate-square-trap-sampled", "sampled", ("estimate", "--u", "0.19,0.75",
+                                                 "--v", "1.5,0.55", *SHOTS)),
+    ("classify-square-trap", "exact", ("classify", "--vector", "0.19,0.75", "--vector", "2,0",
+                                       "--ref-a", "1.5,0.55", "--ref-b", "0.86,2.35",
+                                       "--out", "out")),
+    ("classify-square-trap-sampled", "sampled", ("classify", "--vector", "0.19,0.75",
+                                                 "--vector", "2,0", "--ref-a", "1.5,0.55",
+                                                 "--ref-b", "0.86,2.35", "--out", "out",
+                                                 *SHOTS)),
+    ("nn-16d-two-phase", "exact", ("nn", "--config", "nn16.json", "--out", "out")),
+    ("nn-16d-two-phase-sampled", "sampled", ("nn", "--config", "nn16.json", "--out", "out",
+                                             *SHOTS)),
+    ("cluster-lattice", "exact", ("cluster", "--config", "lattice.json", "--out", "out")),
+    ("cluster-lattice-sampled", "sampled", ("cluster", "--config", "lattice.json",
+                                            "--out", "out", *SHOTS)),
     ("help", "exact", ("--help",)),
     ("version", "exact", ("--version",)),
     ("err-usage", "error", ("frobnicate",)),
@@ -167,6 +200,18 @@ CASES = [
     ("err-tiny-norm", "error", ("estimate", "--u", "1e-200,0", "--v", "1,0")),
     ("err-huge-norm", "error", ("estimate", "--u", "1e200,0", "--v", "1,0")),
     ("err-tiny-norms", "error", ("estimate", "--u", "1e-200,0", "--v", "0,1e-200")),
+    ("err-cluster-3d", "error", ("cluster", "--vector", "1,0,0", "--vector", "0,1,0",
+                                 "--vector", "5,5,0", "--out", "out")),
+    ("err-classify-dims", "error", ("classify", "--vector", "1,0", "--ref-a", "1,0,0,0",
+                                    "--ref-b", "0,0,1,1", "--out", "out")),
+    ("err-nn-dims", "error", ("nn", "--config", "nn4.json", "--vector", "1,0", "--out", "out")),
+    ("err-fig2-3d", "error", ("repro", "fig2", "--config", "fig2_3d.json", "--out", "out")),
+    ("err-cluster-tiny-norm", "error", ("cluster", "--vector", "1e-200,0", "--vector", "0,1",
+                                        "--vector", "1,1", "--out", "out")),
+    ("err-fig2-noise-before-row", "error", ("repro", "fig2", "--config", "fig2_bad_noise.json",
+                                            "--out", "out")),
+    ("err-nn-16d-noise", "error", ("nn", "--config", "nn16.json", "--out", "out",
+                                   "--noise", "paper-2012-optics")),
 ]
 
 
