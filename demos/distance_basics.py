@@ -9,11 +9,10 @@ from entdist import (
     DistanceQuery,
     EstimatorConfig,
     as_vector,
-    encode,
     estimate_distance,
     exact_p,
 )
-from entdist.oracle import ancilla_probability, ancilla_projector, entangled_state
+from entdist.oracle import ancilla_probability, ancilla_projector, encode, entangled_state
 
 u = as_vector([3.42, 1.24, 1.97, 0.72])
 v = as_vector([1.0, 0.0, 0.0, 0.0])

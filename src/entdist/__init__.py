@@ -38,11 +38,10 @@ from .protocol import (
 )
 from .vectors import (
     DimensionError,
-    EncodedVector,
     RealVector,
+    VectorSet,
     ZeroVectorError,
     as_vector,
-    encode,
     load_vectors_csv,
     load_vectors_json,
 )
@@ -53,11 +52,10 @@ __all__ = [
     "__version__",
     # vectors
     "RealVector",
-    "EncodedVector",
+    "VectorSet",
     "DimensionError",
     "ZeroVectorError",
     "as_vector",
-    "encode",
     "load_vectors_csv",
     "load_vectors_json",
     # noise

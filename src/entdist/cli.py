@@ -37,7 +37,7 @@ from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .noise import NOISE_PRESETS, PAPER_PRESET, NoiseModel, noise_preset
 from .protocol import GENERATOR_NAME, EstimatorConfig, distance_matrix, row_keys
 from .svgplot import cartesian_scatter_svg, contour_segments, polar_scatter_svg
-from .vectors import as_vector, load_vectors_csv, load_vectors_json
+from .vectors import VectorSet, load_vectors_csv, load_vectors_json
 
 REPRO_TARGETS = ("fig2", "table1", "table2", "fig3", "figS1")
 
@@ -244,7 +244,7 @@ def _noise_from(source) -> NoiseModel | None:
     return NoiseModel(**source)
 
 
-def _vectors(config: dict):
+def _vectors(config: dict) -> VectorSet:
     source = config.get("vectors")
     if source is None:
         raise ValueError("no vectors: pass --vector/--vectors or set 'vectors' in the config")
@@ -253,13 +253,15 @@ def _vectors(config: dict):
         if path.suffix.lower() == ".json":
             return load_vectors_json(path)
         return load_vectors_csv(path)
-    if source and all(isinstance(x, (int, float)) for x in source):
+    if not source:  # a vector set is never empty
+        raise ValueError("config.vectors: expected at least one vector")
+    if all(isinstance(x, (int, float)) for x in source):
         source = [source]
-    return [as_vector(row) for row in source]
+    return VectorSet(source)
 
 
 def _labeled(entry: dict) -> LabeledReference:
-    return LabeledReference(as_vector(entry["vector"]), str(entry["label"]))
+    return LabeledReference(entry["vector"], str(entry["label"]))
 
 
 # ---------------------------------------------------------------- output
@@ -274,7 +276,7 @@ class Run:
     fields: list | None = None  # results.csv columns; None: no CSV, summary to stdout
     rows: list = field(default_factory=list)
     plots: dict = field(default_factory=dict)  # file name -> render(metadata) -> SVG
-    plot_vectors: list = field(default_factory=list)  # must be 2-D to plot
+    plot_vectors: VectorSet | None = None  # must be 2-D to plot
     line: str | None = None  # printed once the files are written
 
 
@@ -320,7 +322,7 @@ def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default
     if run.fields is None:  # estimate: the summary is the result; files only on request
         print(_json_text(run.summary, meta), end="")
     plots = run.plots if config.get("emit_plot", plot_default) else {}
-    if plots and any(v.dimension != 2 for v in run.plot_vectors):
+    if plots and run.plot_vectors is not None and run.plot_vectors.dimension != 2:
         raise ValueError(f"{task} plots need 2-D vectors")
     if out is None:
         return
@@ -351,18 +353,16 @@ def _classify(args, config: dict, cfg: EstimatorConfig) -> Run:
         raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
     ref_a, ref_b = (_labeled(r) for r in refs)
     vectors = _vectors(config)
-    rows = []
-    for i, (u, res) in enumerate(zip(vectors, classify_batch(vectors, ref_a, ref_b, cfg))):
-        d = res.per_label_distance
-        rows.append({
-            "index": i,
-            "vector": u.components.tolist(),
-            f"distance_{ref_a.label}": d[ref_a.label],
-            f"distance_{ref_b.label}": d[ref_b.label],
-            "margin": res.margin,
-            "assigned": res.assigned_label,
-            "boundary_flag": res.boundary_flag,
-        })
+    results = classify_batch(vectors, ref_a, ref_b, cfg)
+    rows = [{
+        "index": i,
+        "vector": u,
+        f"distance_{ref_a.label}": res.per_label_distance[ref_a.label],
+        f"distance_{ref_b.label}": res.per_label_distance[ref_b.label],
+        "margin": res.margin,
+        "assigned": res.assigned_label,
+        "boundary_flag": res.boundary_flag,
+    } for i, (u, res) in enumerate(zip(vectors.components.tolist(), results))]
     extra = {
         "references": {ref_a.label: ref_a.vector.components.tolist(),
                        ref_b.label: ref_b.vector.components.tolist()},
@@ -403,15 +403,14 @@ def _nn(args, config: dict, cfg: EstimatorConfig) -> Run:
                    result["rows"], _nn_phase_plots(vectors, result, training, added), vectors)
     dist = distance_matrix(vectors, [t.vector for t in training], cfg,
                            row_keys(cfg, len(vectors)))
-    rows = []
-    for i, (u, res) in enumerate(zip(vectors, nearest_neighbors(dist, training))):
-        rows.append({
-            "index": i,
-            "vector": u.components.tolist(),
-            "assigned": res.assigned_label,
-            "margin": res.margin,
-            "boundary_flag": res.boundary_flag,
-        })
+    results = nearest_neighbors(dist, training)
+    rows = [{
+        "index": i,
+        "vector": u,
+        "assigned": res.assigned_label,
+        "margin": res.margin,
+        "boundary_flag": res.boundary_flag,
+    } for i, (u, res) in enumerate(zip(vectors.components.tolist(), results))]
     plot = partial(_nn_phase_svg, vectors, [r["assigned"] for r in rows], training, (),
                    title="nearest neighbor")
     return Run(extra, {"rows": rows}, ["index", "vector", "assigned", "margin", "boundary_flag"],
@@ -441,10 +440,10 @@ def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
     rows = [{
         "index": i,
         "name": names[i] if i < len(names) else str(i),
-        "vector": v.components.tolist(),
+        "vector": v,
         "initial_label": state.history[0][i],
         "final_label": state.labels[i],
-    } for i, v in enumerate(vectors)]
+    } for i, v in enumerate(vectors.components.tolist())]
     summary = {
         "converged": state.converged,
         "iterations": state.iteration,
@@ -493,7 +492,7 @@ def _figs1(args, config: dict, cfg: EstimatorConfig) -> Run:
                ["index", "name", "vector", "label_before", "label_after", "changed"],
                result["rows"],
                _nn_phase_plots(vectors, result, training, demo.added_training, demo.names),
-               vectors, f"figS1: labels changed after the new training vector: {changed or 'none'}")
+               line=f"figS1: labels changed after the new training vector: {changed or 'none'}")
 
 
 # task -> (command, then the estimator mode, shots, noise and plot switch it
@@ -593,7 +592,7 @@ def _classification_svg(rows, ref_a, ref_b, metadata: dict) -> str:
 
 
 def _round_svg(vectors, labels, names, r: int, metadata: dict) -> str:
-    points = [tuple(v.components.tolist()) for v in vectors]
+    points = [tuple(v) for v in vectors.components.tolist()]
     xlim, ylim = _square_limits(points)
     return cartesian_scatter_svg(points, list(labels), xlim, ylim, names=names,
                                  title=f"round {r}", metadata=metadata)
@@ -615,7 +614,7 @@ def _nn_boundary(training, xlim, ylim):
 
 
 def _nn_phase_svg(vectors, labels, training, names, metadata, title: str) -> str:
-    points = [tuple(v.components.tolist()) for v in vectors]
+    points = [tuple(v) for v in vectors.components.tolist()]
     train_pts = [tuple(t.vector.components.tolist()) for t in training]
     xlim, ylim = _square_limits(points + train_pts)
     return cartesian_scatter_svg(

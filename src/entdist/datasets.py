@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ml import LabeledReference
-from .vectors import RealVector
+from .vectors import VectorSet
 
 __all__ = [
     "TableRow",
@@ -124,23 +124,17 @@ FIG2_DEFAULT_COUNT = 100
 
 
 def fig2_references() -> tuple[LabeledReference, LabeledReference]:
-    return (
-        LabeledReference(RealVector(np.array(FIG2_REFERENCE_A)), "A"),
-        LabeledReference(RealVector(np.array(FIG2_REFERENCE_B)), "B"),
-    )
+    return LabeledReference(FIG2_REFERENCE_A, "A"), LabeledReference(FIG2_REFERENCE_B, "B")
 
 
-def fig2_test_vectors(count: int = FIG2_DEFAULT_COUNT, seed: int = 0) -> list[RealVector]:
+def fig2_test_vectors(count: int = FIG2_DEFAULT_COUNT, seed: int = 0) -> VectorSet:
     """Seeded 2-D test vectors, uniform in (norm, angle) over the plot range."""
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
     norms = rng.uniform(*FIG2_NORM_RANGE, size=count)
     angles = rng.uniform(*FIG2_ANGLE_RANGE, size=count)
-    return [
-        RealVector(np.array([r * math.cos(t), r * math.sin(t)]))
-        for r, t in zip(norms, angles)
-    ]
+    return VectorSet(norms[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +146,8 @@ class ClusteringDemo:
     initial_labels: tuple[str, ...]
     k: int = 2
 
-    def vectors(self) -> list[RealVector]:
-        return [RealVector(np.array(p)) for p in self.points]
+    def vectors(self) -> VectorSet:
+        return VectorSet(self.points)
 
 
 # Two clouds of four; C and D start in the wrong group, flip together in
@@ -183,8 +177,8 @@ class NearestNeighborDemo:
     initial_training: tuple[LabeledReference, ...]
     added_training: LabeledReference
 
-    def vectors(self) -> list[RealVector]:
-        return [RealVector(np.array(p)) for p in self.points]
+    def vectors(self) -> VectorSet:
+        return VectorSet(self.points)
 
 
 # With R1/R2 alone, A-D go blue and E-H red; adding R3 pulls exactly E
@@ -202,8 +196,8 @@ FIGS1_DEMO = NearestNeighborDemo(
         (1.71, 1.60),
     ),
     initial_training=(
-        LabeledReference(RealVector(np.array([0.50, 0.50])), "blue"),
-        LabeledReference(RealVector(np.array([1.50, 1.50])), "red"),
+        LabeledReference((0.50, 0.50), "blue"),
+        LabeledReference((1.50, 1.50), "red"),
     ),
-    added_training=LabeledReference(RealVector(np.array([1.20, 0.90])), "blue"),
+    added_training=LabeledReference((1.20, 0.90), "blue"),
 )

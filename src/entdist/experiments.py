@@ -26,7 +26,7 @@ from .ml import (
 # bench/tracing.py patches these two names here
 from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .protocol import DistanceQuery, EstimatorConfig, distance_matrix, estimate_distance, row_keys
-from .vectors import RealVector, as_vector
+from .vectors import VectorSet
 
 __all__ = [
     "rounds_to_printed",
@@ -45,7 +45,7 @@ def rounds_to_printed(value: float, printed: float, decimals: int = 2) -> bool:
 
 def estimate_run(u, v, cfg: EstimatorConfig) -> dict:
     """One distance estimate, flattened for serialization."""
-    query = DistanceQuery(as_vector(u), as_vector(v))
+    query = DistanceQuery(u, v)
     est = estimate_distance(query, cfg)
     return {
         "u": query.u.components.tolist(),
@@ -75,9 +75,9 @@ def table_run(
         dataset: TableDataset = TABLE_DATASETS[name]
     except KeyError:
         raise ValueError(f"unknown table dataset {name!r}") from None
-    ref_a = LabeledReference(as_vector(dataset.reference_a), "A")
-    ref_b = LabeledReference(as_vector(dataset.reference_b), "B")
-    vectors = [as_vector(row.vector) for row in dataset.rows]
+    ref_a = LabeledReference(dataset.reference_a, "A")
+    ref_b = LabeledReference(dataset.reference_b, "B")
+    vectors = VectorSet([row.vector for row in dataset.rows])
     exact = classify_batch(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
     if sampled_cfg is not None:
         sampled = classify_batch(vectors, ref_a, ref_b, sampled_cfg)
@@ -110,7 +110,7 @@ def table_run(
 def fig2_run(
     sampled_cfg: EstimatorConfig,
     count: int = FIG2_DEFAULT_COUNT,
-    vectors: list[RealVector] | None = None,
+    vectors=None,
 ) -> dict:
     """Classify 2-D vectors against the reference pair, exactly and sampled.
 
@@ -119,21 +119,19 @@ def fig2_run(
     disagrees with the exact one.
     """
     ref_a, ref_b = fig2_references()
-    if vectors is None:
-        vectors = fig2_test_vectors(count, sampled_cfg.seed)
-    vectors = [as_vector(u) for u in vectors]
+    vectors = VectorSet(fig2_test_vectors(count, sampled_cfg.seed) if vectors is None else vectors)
     # the sampled block first: it meets the noise channel at row 0, so a noise
     # model the channel rejects is reported ahead of a bad vector in a later row
     sampled = classify_batch(vectors, ref_a, ref_b, sampled_cfg)
     exact = classify_batch(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
     rows = []
-    for i, (u, e, s) in enumerate(zip(vectors, exact, sampled)):
-        x, y = (float(c) for c in u.components)
+    for i, ((x, y), norm, e, s) in enumerate(zip(vectors.components.tolist(),
+                                                  vectors.norms.tolist(), exact, sampled)):
         rows.append({
             "index": i,
             "x": x,
             "y": y,
-            "norm": u.norm,
+            "norm": norm,
             "angle": math.atan2(y, x),
             "exact_diff": e.margin,
             "exact_label": e.assigned_label,
@@ -180,22 +178,20 @@ def nn_run(
     """
     initial = list(initial_training)
     full = initial + [added_training]
-    test_vectors = [as_vector(u) for u in test_vectors]
+    test_vectors = VectorSet(test_vectors)
     dist = distance_matrix(test_vectors, [t.vector for t in full], cfg,
                            row_keys(cfg, len(test_vectors)))
     before = nearest_neighbors(dist[:, :len(initial)], initial)
     after = nearest_neighbors(dist, full)
-    rows = []
-    for i, (u, b, a) in enumerate(zip(test_vectors, before, after)):
-        rows.append({
-            "index": i,
-            "vector": u.components.tolist(),
-            "label_before": b.assigned_label,
-            "label_after": a.assigned_label,
-            "changed": b.assigned_label != a.assigned_label,
-            "distances_before": dict(sorted(b.per_label_distance.items())),
-            "distances_after": dict(sorted(a.per_label_distance.items())),
-        })
+    rows = [{
+        "index": i,
+        "vector": u,
+        "label_before": b.assigned_label,
+        "label_after": a.assigned_label,
+        "changed": b.assigned_label != a.assigned_label,
+        "distances_before": dict(sorted(b.per_label_distance.items())),
+        "distances_after": dict(sorted(a.per_label_distance.items())),
+    } for i, (u, b, a) in enumerate(zip(test_vectors.components.tolist(), before, after))]
     return {
         "rows": rows,
         "changed_indices": [r["index"] for r in rows if r["changed"]],

@@ -16,7 +16,7 @@ import numpy as np
 
 from .protocol import EstimatorConfig, distance_matrix, row_keys
 from .protocol import estimate_distance  # noqa: F401  (bench/tracing.py patches it here)
-from .vectors import DimensionError, RealVector, as_vector
+from .vectors import RealVector, VectorSet, as_vector
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -222,13 +222,10 @@ def unsupervised_cluster(
     fixed point (converged), on a repeated label configuration (cycle),
     or at max_iterations.
     """
-    vectors = [as_vector(v) for v in vectors]
+    vectors = VectorSet(vectors)
     n = len(vectors)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= {n}, got k={k}")
-    dims = {v.dimension for v in vectors}
-    if len(dims) != 1:
-        raise DimensionError(f"vectors differ in dimension: {sorted(dims)}")
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
 

@@ -89,18 +89,18 @@ class NoiseModel:
 
 def apply_noise(p_ideal: float | np.ndarray, model: NoiseModel,
                 m_qubits: int) -> float | np.ndarray:
-    """Map the ideal success probability (a float or an array of them) to the observed one.
+    """Map the ideal success probability (a float or an array-like of them) to the observed one.
 
     White-noise mixing first (exact for any single-qubit projection), then dark
     counts: p1 = w p + (1-w)/2, p_obs = (1-d) p1 + d * background_split.
     """
-    p = np.asarray(p_ideal)
+    p = np.asarray(p_ideal, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p_ideal must lie in [0, 1]")
     w = model.mixing_weight(m_qubits)
-    p_mixed = w * p_ideal + (1.0 - w) * 0.5
     d = model.dark_count_fraction
-    return (1.0 - d) * p_mixed + d * model.background_split
+    p_obs = (1.0 - d) * (w * p + (1.0 - w) * 0.5) + d * model.background_split
+    return float(p_obs) if p.ndim == 0 else p_obs
 
 
 NOISE_PRESETS = {

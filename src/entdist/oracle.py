@@ -8,12 +8,22 @@ The ancilla is the leading qubit, so amplitudes [:N] form its |0> branch
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from .vectors import as_vector, encode
+from .vectors import DimensionError, _is_power_of_two, as_vector
 
-__all__ = ["entangled_state", "ancilla_projector", "ancilla_probability"]
+__all__ = ["encode", "entangled_state", "ancilla_projector", "ancilla_probability"]
+
+
+def encode(u) -> SimpleNamespace:
+    """The norm |u|, the unit amplitude register |u> and its log2(N) qubit count."""
+    vec = as_vector(u)
+    if not _is_power_of_two(vec.dimension):
+        raise DimensionError(f"dimension {vec.dimension} is not a power of two")
+    return SimpleNamespace(norm=vec.norm, amplitudes=vec.components / vec.norm,
+                           n_qubits=vec.dimension.bit_length() - 1)
 
 
 def entangled_state(u, v) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import NoiseModel, apply_noise
-from .vectors import DimensionError, RealVector, _is_power_of_two, as_vector
+from .vectors import DimensionError, RealVector, VectorSet, _is_power_of_two, as_vector
 
 __all__ = [
     "GENERATOR_NAME",
@@ -54,6 +54,13 @@ _MAX_SQUARE_SUM = float(np.finfo(float).max) / 2
 _BLOCK_ELEMENTS = 1 << 20
 
 
+def _check_dimensions(du: int, dv: int) -> None:
+    if du != dv:
+        raise DimensionError(f"query vectors differ in dimension: {du} vs {dv}")
+    if not _is_power_of_two(du):
+        raise DimensionError(f"dimension {du} is not a power of two")
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceQuery:
     """A pair (new vector u, reference vector v) of equal power-of-two dimension."""
@@ -64,25 +71,11 @@ class DistanceQuery:
     def __post_init__(self):
         object.__setattr__(self, "u", as_vector(self.u))
         object.__setattr__(self, "v", as_vector(self.v))
-        if self.u.dimension != self.v.dimension:
-            raise DimensionError(
-                f"query vectors differ in dimension: {self.u.dimension} vs {self.v.dimension}"
-            )
-        if not _is_power_of_two(self.u.dimension):
-            raise DimensionError(f"dimension {self.u.dimension} is not a power of two")
+        _check_dimensions(self.u.dimension, self.v.dimension)
 
     @property
     def dimension(self) -> int:
         return self.u.dimension
-
-    @property
-    def n_register_qubits(self) -> int:
-        return self.dimension.bit_length() - 1
-
-    @property
-    def n_state_qubits(self) -> int:
-        """Register qubits plus the ancilla."""
-        return self.n_register_qubits + 1
 
 
 def _substream(*key: int) -> int:
@@ -140,7 +133,7 @@ def row_keys(cfg: EstimatorConfig, n: int) -> list[tuple[int]] | None:
 
 def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
              upper: bool = False) -> np.ndarray:
-    """Observed p for every pair (us[i], vs[j]) under cfg.
+    """Observed p for every pair (us[i], vs[j]) of two VectorSets (or their rows) under cfg.
 
     Pairs are checked in row-major order and the first failing one raises the
     error a DistanceQuery or exact_p would.  With ``upper`` only the pairs
@@ -148,33 +141,30 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
     (i, j) draws its shots on the substream keyed by (*keys[i], j); with
     ``keys`` None the block must hold a single pair, drawn on cfg.seed.
     """
-    us, vs = [as_vector(u) for u in us], [as_vector(v) for v in vs]
-    n, m = len(us), len(vs)
+    us, vs = VectorSet(us), VectorSet(vs)
+    n, m, dim = len(us), len(vs), us.dimension
     scope = np.triu(np.ones((n, m), dtype=bool), 1) if upper else np.ones((n, m), dtype=bool)
     p = np.zeros((n, m))
     if not scope.any():
         return p
-    du = np.array([u.dimension for u in us])
-    dv = np.array([v.dimension for v in vs])
-    nu2 = np.array([u.norm ** 2 for u in us])  # C pow, as for a single pair
-    nv2 = np.array([v.norm ** 2 for v in vs])
+    _check_dimensions(dim, vs.dimension)
+    nu2 = np.array([x ** 2 for x in us.norms.tolist()])  # C pow, as for a single pair
+    nv2 = np.array([x ** 2 for x in vs.norms.tolist()])
     z = nu2[:, None] + nv2[None, :]
     in_range = ((nu2 >= _MIN_SQUARE)[:, None] & (nv2 >= _MIN_SQUARE)[None, :]
                 & (z <= _MAX_SQUARE_SUM))
-    bad = scope & ((du[:, None] != dv[None, :]) | ((du & (du - 1)) != 0)[:, None] | ~in_range)
+    bad = scope & ~in_range
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), m)
         if cfg.noise is not None and (i, j) != (0, int(upper)):
-            cfg.noise.mixing_weight(int(du[0]).bit_length())  # the pairs before it met the channel
-        DistanceQuery(us[i], vs[j])
+            cfg.noise.mixing_weight(dim.bit_length())  # the pairs before it met the channel
         raise ValueError(
             f"squared norms {nu2[i]:.3g} and {nv2[j]:.3g} leave float64's range: each must be at "
             f"least {_MIN_SQUARE:.3g} and their sum at most {_MAX_SQUARE_SUM:.3g}"
         )
 
-    u_rows = np.array([u.components for u in us])
-    v_rows = np.array([v.components for v in vs])
-    step = max(1, _BLOCK_ELEMENTS // (m * u_rows.shape[1]))
+    u_rows, v_rows = us.components, vs.components
+    step = max(1, _BLOCK_ELEMENTS // (m * dim))
     for r in range(0, n, step):
         diff = u_rows[r:r + step, None, :] - v_rows[None, :, :]
         # |u - v|^2 as a sum of squares (p >= 0, and 0 when u == v) by a stacked
@@ -182,7 +172,7 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
         p[r:r + step] = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] / (2.0 * z[r:r + step])
     np.clip(p, 0.0, 1.0, out=p)
     if cfg.noise is not None:
-        p = apply_noise(p, cfg.noise, int(du[0]).bit_length())
+        p = apply_noise(p, cfg.noise, dim.bit_length())
     p[~scope] = 0.0
 
     if cfg.mode == "sampled":
@@ -197,10 +187,9 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
 def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
                     upper: bool = False) -> np.ndarray:
     """D = sqrt(2 p (|u|^2 + |v|^2)) for every pair of the p_matrix block."""
-    us, vs = [as_vector(u) for u in us], [as_vector(v) for v in vs]
+    us, vs = VectorSet(us), VectorSet(vs)
     p = p_matrix(us, vs, cfg, keys, upper)
-    nu = np.array([u.norm for u in us])
-    nv = np.array([v.norm for v in vs])
+    nu, nv = us.norms, vs.norms
     return np.sqrt(2.0 * p * ((nu * nu)[:, None] + (nv * nv)[None, :]))
 
 

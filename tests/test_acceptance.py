@@ -180,7 +180,7 @@ class TestAcceptance:
             for _ in range(10):
                 q = DistanceQuery(as_vector(rng.normal(size=dim)),
                                   as_vector(rng.normal(size=dim)))
-                m = q.n_state_qubits
+                m = q.dimension.bit_length()
                 model = NoiseModel(
                     state_fidelity=float(rng.uniform(2.0**-m + 0.05, 1.0)),
                     dark_count_fraction=float(rng.uniform(0.0, 0.3)),
@@ -229,7 +229,7 @@ class TestAcceptance:
             and flips_round1 == [2, 3]
             and state.history[2] == state.history[1]
         )
-        points = np.array([v.components for v in vectors])
+        points = vectors.components
         dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
         minimal_ok = True
         for i, label in enumerate(state.labels):
@@ -256,14 +256,14 @@ class TestAcceptance:
         def oracle(u, training):
             return min(
                 training,
-                key=lambda t: np.linalg.norm(u.components - t.vector.components),
+                key=lambda t: np.linalg.norm(u - t.vector.components),
             ).label
 
         full = list(demo.initial_training) + [demo.added_training]
         oracle_ok = all(
             row["label_before"] == oracle(v, list(demo.initial_training))
             and row["label_after"] == oracle(v, full)
-            for row, v in zip(result["rows"], demo.vectors())
+            for row, v in zip(result["rows"], demo.vectors().components)
         )
         report(
             "nearest-neighbor-update",

@@ -337,6 +337,8 @@ BAD_INPUTS = {
     "noise-before-a-later-bad-vector": ({"vectors": [[1.0, 0.5], [1e-200, 0]],
                                          "noise": {"state_fidelity": 0.2}}, ["repro", "fig2"],
                                         "fidelity 0.2 outside"),
+    # an empty set is refused before the run (was an IndexError traceback)
+    "fig2-empty-vectors": ({"vectors": []}, ["repro", "fig2"], "config.vectors"),
 }
 
 

@@ -79,17 +79,25 @@ class TestFig2:
     def test_vectors_are_seeded_and_deterministic(self):
         first = fig2_test_vectors(100, seed=3)
         second = fig2_test_vectors(100, seed=3)
-        for u, w in zip(first, second):
-            np.testing.assert_array_equal(u.components, w.components)
+        np.testing.assert_array_equal(first.components, second.components)
         other = fig2_test_vectors(100, seed=4)
         assert any(
-            not np.array_equal(u.components, w.components) for u, w in zip(first, other)
+            not np.array_equal(u, w) for u, w in zip(first.components, other.components)
         )
 
+    def test_vectors_keep_the_scalar_libm_bits(self):
+        # the vectorized build must give the bits of r*math.cos(t), r*math.sin(t)
+        vectors = fig2_test_vectors(2000, seed=5)
+        rng = np.random.default_rng(5)
+        norms = rng.uniform(*FIG2_NORM_RANGE, size=2000)
+        angles = rng.uniform(*FIG2_ANGLE_RANGE, size=2000)
+        want = [[r * math.cos(t), r * math.sin(t)] for r, t in zip(norms, angles)]
+        assert vectors.components.tolist() == want
+
     def test_vectors_cover_the_polar_window(self):
-        for v in fig2_test_vectors(250, seed=0):
-            r = v.norm
-            angle = math.atan2(v.components[1], v.components[0])
+        vectors = fig2_test_vectors(250, seed=0)
+        for (x, y), r in zip(vectors.components, vectors.norms):
+            angle = math.atan2(y, x)
             assert FIG2_NORM_RANGE[0] - 1e-12 <= r <= FIG2_NORM_RANGE[1] + 1e-12
             assert FIG2_ANGLE_RANGE[0] - 1e-12 <= angle <= FIG2_ANGLE_RANGE[1] + 1e-12
 

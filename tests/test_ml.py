@@ -147,7 +147,7 @@ class TestNearestNeighbor:
         demo = FIGS1_DEMO
         training = list(demo.initial_training)
         duplicated = training + [ref(training[0].vector.components, training[0].label)]
-        for v in demo.vectors():
+        for v in demo.vectors().components:
             before = nearest_neighbor_classify(v, training, EXACT)
             after = nearest_neighbor_classify(v, duplicated, EXACT)
             assert before.assigned_label == after.assigned_label

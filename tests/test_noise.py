@@ -118,6 +118,16 @@ class TestApplyNoise:
         for p in (0.1, 0.37, 0.5, 0.93):
             assert apply_noise(p, model, 3) == pytest.approx(f0 + (f1 - f0) * p, abs=1e-12)
 
+    def test_sequence_and_float_inputs(self):
+        model = noise_preset(PAPER_PRESET)
+        w, d = model.mixing_weight(2), model.dark_count_fraction
+        by_hand = [(1.0 - d) * (w * p + (1.0 - w) * 0.5) + d * model.background_split
+                   for p in (0.2, 0.4)]
+        observed = apply_noise([0.2, 0.4], model, 2)
+        assert isinstance(observed, np.ndarray) and observed.tolist() == by_hand
+        single = apply_noise(0.2, model, 2)
+        assert type(single) is float and single == by_hand[0]
+
     def test_matches_dense_density_matrix_oracle(self):
         # white-noise mixing of the protocol state, then dark counts, computed
         # on the full density matrix, must agree exactly
@@ -127,7 +137,7 @@ class TestApplyNoise:
                 u = as_vector(rng.normal(size=dim))
                 v = as_vector(rng.normal(size=dim))
                 query = DistanceQuery(u, v)
-                m = query.n_state_qubits
+                m = query.dimension.bit_length()
                 model = NoiseModel(
                     state_fidelity=float(rng.uniform(2.0**-m + 0.05, 1.0)),
                     dark_count_fraction=float(rng.uniform(0, 0.3)),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entdist.noise import PAPER_PRESET, NoiseModel, apply_noise, noise_preset
-from entdist.oracle import ancilla_probability, ancilla_projector, entangled_state
+from entdist.oracle import ancilla_probability, ancilla_projector, encode, entangled_state
 from entdist.protocol import (
     DistanceQuery,
     EstimatorConfig,
@@ -19,7 +20,7 @@ from entdist.protocol import (
     row_keys,
     sample_p,
 )
-from entdist.vectors import DimensionError, as_vector, encode
+from entdist.vectors import DimensionError, as_vector
 
 # the 2-D reference pair of the published figure
 REF_A = (1.50, 0.55)
@@ -41,8 +42,8 @@ class TestDistanceQuery:
 
     def test_qubit_counts(self):
         q = query([1, 0, 0, 0], [0, 1, 0, 0])
-        assert q.n_register_qubits == 2
-        assert q.n_state_qubits == 3
+        assert q.dimension.bit_length() - 1 == 2  # register qubits
+        assert q.dimension.bit_length() == 3  # plus the ancilla
 
 
 class TestEstimatorConfig:
@@ -343,8 +344,16 @@ class TestBatch:
             # the channel on a block matches the channel on one float
             q = query(us[0], vs[0])
             want = exact_p(q) if cfg.noise is None else apply_noise(exact_p(q), cfg.noise,
-                                                                    q.n_state_qubits)
+                                                                    q.dimension.bit_length())
             assert p_matrix(us[:1], vs[:1], cfg)[0, 0] == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 2, 4, 8, 16]).flatmap(lambda dim: _block_vectors(dim, 3)))
+    def test_exact_triangle_inequality(self, vectors):
+        dist = distance_matrix(vectors, vectors)
+        slack = 1.0 + 8 * np.finfo(float).eps  # a few ulps of rounding in each distance
+        for i, j, k in itertools.permutations(range(3)):
+            assert dist[i, k] <= (dist[i, j] + dist[j, k]) * slack
 
     def test_sampled_block_needs_keys(self):
         cfg = EstimatorConfig(mode="sampled", shots=10)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from entdist.oracle import encode
 from entdist.vectors import (
     DimensionError,
     RealVector,
+    VectorSet,
     ZeroVectorError,
     as_vector,
-    encode,
     load_vectors_csv,
     load_vectors_json,
 )
@@ -47,6 +48,76 @@ class TestRealVector:
 
     def test_norm(self):
         assert as_vector([3, 4]).norm == 5.0
+
+
+def _scaled_rows(dim: int):
+    """1-6 rows of one dimension, each at its own scale in 1e-150..1e200."""
+    row = st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
+        st.floats(-150.0, 200.0),
+    ).map(lambda cs: (np.array(cs[0]) * 10.0 ** cs[1]).tolist())
+    return st.lists(row, min_size=1, max_size=6)
+
+
+def _raised(build, row):
+    try:
+        build(row)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestVectorSet:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16).flatmap(_scaled_rows))
+    def test_rows_equal_real_vectors_bitwise(self, rows):
+        assume(all(any(row) for row in rows))
+        vectors = VectorSet(rows)
+        assert vectors.components.shape == (len(rows), len(rows[0]))
+        for i, row in enumerate(rows):
+            v = RealVector(row)
+            assert vectors.components[i].tobytes() == v.components.tobytes()
+            with np.errstate(over="ignore"):  # norms past float64's range read inf
+                assert vectors.norms[i] == v.norm == np.linalg.norm(np.array(row))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16).flatmap(_scaled_rows),
+           st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["nan", "inf", "zero", "empty"])),
+                    min_size=1, max_size=3))
+    def test_first_bad_row_gives_the_real_vector_error(self, rows, bad):
+        first = rows[0]
+        for position, kind in bad:
+            if kind == "zero":
+                row = [0.0] * len(first)
+            else:
+                row = [] if kind == "empty" else [*first[1:], float(kind)]
+            rows.insert(position, row)
+        want = next(e for e in (_raised(RealVector, row) for row in rows) if e is not None)
+        assert _raised(VectorSet, rows) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 16).flatmap(_scaled_rows), min_size=2, max_size=3))
+    def test_rows_of_different_lengths(self, groups):
+        rows = [row for group in groups for row in group]
+        assume(all(any(row) for row in rows))
+        dims = sorted({len(row) for row in rows})
+        if len(dims) == 1:
+            assert VectorSet(rows).dimension == dims[0]
+        else:
+            assert _raised(VectorSet, rows) == (
+                DimensionError, f"vectors differ in dimension: {dims}")
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one vector"):
+            VectorSet([])
+
+    def test_read_only(self):
+        vectors = VectorSet([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError):
+            vectors.components[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            vectors.norms[0] = 5.0
+        assert len(vectors) == 2 and vectors.norms[1] == 5.0
 
 
 class TestEncode:
@@ -115,14 +186,14 @@ class TestLoaders:
         path = tmp_path / "v.json"
         path.write_text("[1, 0, 0, 0]")
         vectors = load_vectors_json(path)
-        assert len(vectors) == 1 and vectors[0].dimension == 4
+        assert len(vectors) == 1 and vectors.dimension == 4
 
     def test_json_many_vectors(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text("[[1, 0], [0.5, 2.5]]")
         vectors = load_vectors_json(path)
-        assert [v.dimension for v in vectors] == [2, 2]
-        np.testing.assert_allclose(vectors[1].components, [0.5, 2.5])
+        assert len(vectors) == 2 and vectors.dimension == 2
+        np.testing.assert_allclose(vectors.components[1], [0.5, 2.5])
 
     def test_json_rejects_non_array(self, tmp_path):
         path = tmp_path / "v.json"
@@ -135,7 +206,7 @@ class TestLoaders:
         path.write_text("# comment\nu1,u2\n1,0\n0.5,2.5\n")
         vectors = load_vectors_csv(path)
         assert len(vectors) == 2
-        np.testing.assert_allclose(vectors[0].components, [1.0, 0.0])
+        np.testing.assert_allclose(vectors.components[0], [1.0, 0.0])
 
     def test_csv_rejects_late_garbage(self, tmp_path):
         path = tmp_path / "v.csv"

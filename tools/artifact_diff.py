@@ -93,6 +93,9 @@ INPUTS = {
     "fig2_3d.json": {"vectors": [[1, 0, 0]]},
     "fig2_bad_noise.json": {"vectors": [[1.0, 0.5], [1e-200, 0]],
                             "noise": {"state_fidelity": 0.2}},
+    # np.linalg.norm(axis=1) and the norm of each row alone differ in the last bit here
+    "fig2_row_norms.json": {"vectors": [[1.66, 0.11], [0.15, 0.26]]},
+    "fig2_empty.json": {"vectors": []},
     "blocker": "not a directory\n",
 }
 
@@ -159,6 +162,8 @@ CASES = [
     ("cluster-lattice", "exact", ("cluster", "--config", "lattice.json", "--out", "out")),
     ("cluster-lattice-sampled", "sampled", ("cluster", "--config", "lattice.json",
                                             "--out", "out", *SHOTS)),
+    ("fig2-row-norm-trap", "exact", ("repro", "fig2", "--config", "fig2_row_norms.json",
+                                     "--out", "out", "--exact")),
     ("help", "exact", ("--help",)),
     ("version", "exact", ("--version",)),
     ("err-usage", "error", ("frobnicate",)),
@@ -212,6 +217,10 @@ CASES = [
                                             "--out", "out")),
     ("err-nn-16d-noise", "error", ("nn", "--config", "nn16.json", "--out", "out",
                                    "--noise", "paper-2012-optics")),
+    ("err-classify-ragged", "error", ("classify", "--vector", "1,0", "--vector", "1,0,0,0",
+                                      "--ref-a", "1,0", "--ref-b", "0,1", "--out", "out")),
+    ("err-fig2-empty-vectors", "error", ("repro", "fig2", "--config", "fig2_empty.json",
+                                         "--out", "out")),
 ]
 
 
