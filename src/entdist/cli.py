@@ -255,9 +255,12 @@ def _vectors(config: dict) -> VectorSet:
         return load_vectors_csv(path)
     if not source:  # a vector set is never empty
         raise ValueError("config.vectors: expected at least one vector")
-    if all(isinstance(x, (int, float)) for x in source):
-        source = [source]
-    return VectorSet(source)
+    rows = [isinstance(x, list) for x in source]
+    if any(rows) and not all(rows):
+        kind = "vector" if rows[0] else "number"
+        raise ValueError(f"config.vectors[{rows.index(not rows[0])}]: expected a {kind} "
+                         "like config.vectors[0]")
+    return VectorSet(source if any(rows) else [source])
 
 
 def _labeled(entry: dict) -> LabeledReference:

@@ -1,15 +1,15 @@
 """Classification and clustering built on the distance estimator.
 
-Three procedures: two-cluster assignment against one reference per
-cluster, supervised nearest-neighbor against a training set, and the
-unsupervised loop that reassigns every vector to the group with the
-smallest mean distance until nothing moves.  Each reads its distances as
-one block from protocol.distance_matrix.
+Each procedure reads its distances as one block from protocol.distance_matrix.
+One labelling rule, nearest reference wins and a tie within boundary_tol goes
+to the smallest label, serves two-cluster assignment (over the two references)
+and nearest-neighbor (over a training set).  The unsupervised loop moves every
+vector to the group of smallest mean distance, one (n, k) array of means over
+integer group codes per round, until nothing moves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,32 +61,23 @@ def classify_batch(
     boundary_tol: float = BOUNDARY_TOL,
     keys=None,
 ) -> list[ClassificationResult]:
-    """Assign each vector by the sign of D_A - D_B; margin keeps the signed difference.
+    """nearest_neighbors over the two references; margin keeps the signed D_A - D_B.
 
-    Ties within boundary_tol go to the lexicographically smaller label and
-    raise the boundary flag.  Vector i runs on the substream (seed, i) and
-    its two estimates on that one's substreams 0 and 1, unless ``keys``
-    gives the row keys of the distance block.
+    Vector i runs on the substream (seed, i) and its two estimates on that
+    one's substreams 0 and 1, unless ``keys`` gives the row keys of the
+    distance block.
     """
     if ref_a.label == ref_b.label:
         raise ValueError("the two reference labels must differ")
     if keys is None:
         keys = row_keys(cfg, len(vectors))
     dist = distance_matrix(vectors, [ref_a.vector, ref_b.vector], cfg, keys)
-    results = []
-    for d_a, d_b in dist.tolist():
-        margin = d_a - d_b
-        if abs(margin) < boundary_tol:
-            assigned = min(ref_a.label, ref_b.label)
-        else:
-            assigned = ref_a.label if margin < 0.0 else ref_b.label
-        results.append(ClassificationResult(
-            per_label_distance={ref_a.label: d_a, ref_b.label: d_b},
-            assigned_label=assigned,
-            margin=margin,
-            boundary_flag=abs(margin) < boundary_tol,
-        ))
-    return results
+    names, minima, assigned, gap = _nearest_labels(dist, [ref_a.label, ref_b.label],
+                                                   boundary_tol)
+    return [
+        ClassificationResult(dict(zip(names, row)), names[a], row[0] - row[1], g < boundary_tol)
+        for row, a, g in zip(minima.tolist(), assigned.tolist(), gap.tolist())
+    ]
 
 
 def classify_two_cluster(
@@ -112,23 +103,32 @@ def nearest_neighbors(
     per_label_distance keeps the closest distance per label; margin is the
     gap between the best and runner-up labels (inf with a single label).
     """
-    results = []
-    for row in dist.tolist():
-        per_label: dict[str, float] = {}
-        for d, ref in zip(row, training):
-            if d < per_label.get(ref.label, math.inf):
-                per_label[ref.label] = d
-        ranked = sorted(per_label.values())
-        best = ranked[0]
-        margin = ranked[1] - best if len(ranked) > 1 else math.inf
-        tied = [label for label, d in per_label.items() if d - best < boundary_tol]
-        results.append(ClassificationResult(
-            per_label_distance=per_label,
-            assigned_label=min(tied),
-            margin=margin,
-            boundary_flag=margin < boundary_tol,
-        ))
-    return results
+    names, minima, assigned, gap = _nearest_labels(dist, [t.label for t in training],
+                                                   boundary_tol)
+    return [
+        ClassificationResult(dict(zip(names, row)), names[a], g, g < boundary_tol)
+        for row, a, g in zip(minima.tolist(), assigned.tolist(), gap.tolist())
+    ]
+
+
+def _nearest_labels(dist: np.ndarray, labels: list, boundary_tol: float):
+    """The one labelling rule: row i takes the label of its nearest column j, labels[j].
+
+    Returns the distinct labels in first-seen order, the (n, L) per-label
+    minima, each row's label index (labels within boundary_tol of the best
+    tie; the smallest wins) and the gap to the runner-up label (inf if L = 1).
+    """
+    if not boundary_tol > 0.0:
+        raise ValueError(f"boundary_tol must be positive, got {boundary_tol!r}")
+    names = list(dict.fromkeys(labels))
+    codes = np.array([names.index(label) for label in labels])
+    minima = np.column_stack([dist[:, codes == c].min(axis=1) for c in range(len(names))])
+    ranked = np.sort(minima, axis=1)
+    best = ranked[:, 0]
+    gap = ranked[:, 1] - best if len(names) > 1 else np.full(len(best), np.inf)
+    by_label = np.array(sorted(range(len(names)), key=names.__getitem__))
+    tied = minima[:, by_label] - best[:, None] < boundary_tol
+    return names, minima, by_label[tied.argmax(axis=1)], gap
 
 
 def nearest_neighbor_classify(
@@ -163,44 +163,41 @@ def _pairwise_distances(vectors, cfg: EstimatorConfig, keys=None) -> np.ndarray:
     return dist + dist.T
 
 
-def _group_means(dist: np.ndarray, labels, groups) -> list[dict]:
-    """Per vector: mean distance to each group with itself excluded (None if empty)."""
-    members = {g: np.flatnonzero([label == g for label in labels]) for g in groups}
-    means = []
-    for i in range(len(labels)):
-        row = {}
-        for g in groups:
-            others = members[g][members[g] != i]
-            row[g] = float(dist[i, others].mean()) if others.size else None
-        means.append(row)
+def _group_means(dist: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) mean distance from each vector to each group 0..k-1, itself
+    excluded (nan where it is its group's only member).
+
+    Each mean is ``.mean(axis=1)`` of a gathered C-ordered block, which sums
+    every row as ``dist[i, others].mean()`` does, so exact ties stay exact.
+    """
+    means = np.empty((len(codes), k))
+    for g in range(k):
+        members, rest = np.flatnonzero(codes == g), np.flatnonzero(codes != g)
+        s = members.size
+        means[rest, g] = dist[rest[:, None], members].mean(axis=1)
+        # member r's row reads the other members: columns 0..s-1 without r
+        others = members[np.arange(s - 1) + (np.arange(s - 1) >= np.arange(s)[:, None])]
+        means[members, g] = dist[members[:, None], others].mean(axis=1) if s > 1 else np.nan
     return means
 
 
-def _reassign(dist: np.ndarray, labels: list, groups) -> list:
-    """One synchronous reassignment round, with the empty-group veto."""
-    n = len(labels)
-    means = _group_means(dist, labels, groups)
-    new = []
-    for i, current in enumerate(labels):
-        if means[i][current] is None:
-            new.append(current)  # sole member of its group: no baseline, stays put
-            continue
-        defined = {g: v for g, v in means[i].items() if v is not None}
-        best = min(defined, key=lambda g: (defined[g], g))
-        if defined[current] == defined[best]:
-            best = current  # keep the current label on an exact tie
-        new.append(best)
+def _reassign(dist: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:
+    """One synchronous reassignment round over group codes, with the empty-group veto."""
+    means = _group_means(dist, codes, k)
+    rows = np.arange(len(codes))
+    own = means[rows, codes]
+    sole = np.isnan(own)  # sole member of its group: no baseline, stays put
+    best = np.nanargmin(means, axis=1)  # the first minimum is the smallest group
+    # keep the current group on an exact tie
+    new = np.where(sole | (own == means[rows, best]), codes, best)
     # a group must not be left empty: its previous member closest to the
-    # group's other previous members keeps the label
-    for _ in range(n + 1):
-        empty = [g for g in groups if g not in new]
-        if not empty:
-            break
-        for g in empty:
-            previous = [i for i in range(n) if labels[i] == g]
-            keep = min(previous, key=lambda i: (
-                -math.inf if means[i][g] is None else means[i][g], i))
-            new[keep] = g
+    # group's other previous members keeps the code
+    by_group = np.lexsort((np.where(sole, -np.inf, own), codes))  # stable: index breaks ties
+    keep = by_group[np.searchsorted(codes[by_group], np.arange(k))]
+    empty = np.flatnonzero(np.bincount(new, minlength=k) == 0)
+    while empty.size:  # a kept vector never moves again, so at most k passes
+        new[keep[empty]] = empty
+        empty = np.flatnonzero(np.bincount(new, minlength=k) == 0)
     return new
 
 
@@ -230,12 +227,12 @@ def unsupervised_cluster(
         raise ValueError("max_iterations must be positive")
 
     if isinstance(init, (int, np.integer)) and not isinstance(init, bool):
+        if init < 0:
+            raise ValueError(f"init seed must be a non-negative integer, got {init}")
         rng = np.random.default_rng(int(init))
-        labels = list(rng.integers(0, k, size=n))
-        order = rng.permutation(n)
-        for g in range(k):  # make every group non-empty
-            labels[order[g]] = g
-        labels = [int(g) for g in labels]
+        labels = rng.integers(0, k, size=n)
+        labels[rng.permutation(n)[:k]] = np.arange(k)  # make every group non-empty
+        labels = labels.tolist()
     else:
         try:
             labels = list(init)
@@ -250,29 +247,25 @@ def unsupervised_cluster(
     if len(groups) != k:
         raise ValueError(f"init must cover exactly k={k} distinct labels")
 
+    code_of = {g: c for c, g in enumerate(groups)}
+    codes = np.array([code_of[label] for label in labels])
+
     exact_dist = _pairwise_distances(vectors, cfg) if cfg.mode == "exact" else None
     history = [tuple(labels)]
-    seen = {tuple(labels)}
+    seen = {history[0]}
     converged = False
-    iteration = 0
-    for rnd in range(1, max_iterations + 1):
-        iteration = rnd
+    for iteration in range(1, max_iterations + 1):
         dist = exact_dist
         if dist is None:  # pair (i, j) of round r on the substream cfg.derive(r).derive(i, j)
-            round_seed = cfg.derive(rnd).seed
+            round_seed = cfg.derive(iteration).seed
             dist = _pairwise_distances(vectors, cfg, [(round_seed, i) for i in range(n)])
-        new = _reassign(dist, labels, groups)
-        history.append(tuple(new))
-        if new == labels:
+        new = _reassign(dist, codes, k)
+        history.append(tuple(groups[c] for c in new.tolist()))
+        if np.array_equal(new, codes):
             converged = True
             break
-        labels = new
-        if tuple(new) in seen:
+        codes = new
+        if history[-1] in seen:
             break  # a repeated configuration would loop forever
-        seen.add(tuple(new))
-    return ClusteringState(
-        labels=tuple(labels),
-        iteration=iteration,
-        converged=converged,
-        history=tuple(history),
-    )
+        seen.add(history[-1])
+    return ClusteringState(history[-1], iteration, converged, tuple(history))

@@ -339,6 +339,11 @@ BAD_INPUTS = {
                                         "fidelity 0.2 outside"),
     # an empty set is refused before the run (was an IndexError traceback)
     "fig2-empty-vectors": ({"vectors": []}, ["repro", "fig2"], "config.vectors"),
+    # one list of numbers and vectors names the first entry of the other kind
+    "number-then-vector": ({"vectors": [1, [2, 3]]}, ["cluster"], "config.vectors[1]"),
+    "vector-then-number": ({"vectors": [[1, 0], 2]}, ["cluster"], "config.vectors[1]"),
+    "negative-init-seed": ({"vectors": [[1, 0], [0, 1], [1, 1]], "init": -1}, ["cluster"],
+                           "init seed must be a non-negative integer, got -1"),
 }
 
 

@@ -3,17 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entdist.ml
 from entdist.datasets import FIG3_DEMO, FIGS1_DEMO, fig2_references
 from entdist.experiments import fig2_run
 from entdist.ml import (
     LabeledReference,
+    classify_batch,
     classify_two_cluster,
     nearest_neighbor_classify,
+    nearest_neighbors,
     unsupervised_cluster,
 )
-from entdist.protocol import DistanceQuery, EstimatorConfig, estimate_distance
+from entdist.protocol import (
+    DistanceQuery,
+    EstimatorConfig,
+    distance_matrix,
+    estimate_distance,
+    row_keys,
+)
 from entdist.vectors import DimensionError, as_vector
 
 EXACT = EstimatorConfig(mode="exact")
@@ -55,6 +65,13 @@ class TestTwoCluster:
     def test_same_labels_rejected(self):
         with pytest.raises(ValueError):
             classify_two_cluster([1, 0], ref([1, 0], "A"), ref([0, 1], "A"), EXACT)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12])
+    def test_non_positive_boundary_tol_rejected(self, tol):
+        # with tol 0 an exact midpoint used to go to the second reference's label
+        a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
+        with pytest.raises(ValueError, match="boundary_tol"):
+            classify_two_cluster((a + b) / 2, ref(a, "A"), ref(b, "B"), EXACT, boundary_tol=tol)
 
     def test_agrees_with_euclidean_classifier(self):
         rng = np.random.default_rng(31)
@@ -118,6 +135,19 @@ class TestNearestNeighbor:
         with pytest.raises(ValueError):
             nearest_neighbor_classify([1, 0], [], EXACT)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12])
+    def test_non_positive_boundary_tol_rejected(self, tol):
+        training = [ref([1, 0], "red"), ref([0, 1], "blue")]
+        with pytest.raises(ValueError, match="boundary_tol"):
+            nearest_neighbor_classify([1, 1], training, EXACT, boundary_tol=tol)
+
+    def test_tie_goes_to_the_smallest_label_not_the_first_seen(self):
+        training = [ref([1, 0], "red"), ref([0, 1], "blue"), ref([5, 5], "red")]
+        res = nearest_neighbor_classify([1, 1], training, EXACT)
+        assert res.assigned_label == "blue"
+        assert res.boundary_flag and res.margin == 0.0
+        assert list(res.per_label_distance) == ["red", "blue"]
+
     def test_caption_style_distances(self):
         # distances 0.24 to the blue trainer and 0.62 to the red one
         b = np.array([1.0, 1.0])
@@ -178,10 +208,12 @@ class TestMeanGroupDistance:
 
     def group_mean(self, i, labels, group):
         dist = entdist.ml._pairwise_distances(self.VECTORS, EXACT)
-        return entdist.ml._group_means(dist, labels, sorted(set(labels)))[i][group]
+        groups = sorted(set(labels))
+        codes = np.array([groups.index(label) for label in labels])
+        return entdist.ml._group_means(dist, codes, len(groups))[i, groups.index(group)]
 
     def test_self_only_group_is_undefined(self):
-        assert self.group_mean(0, ["a", "b", "b"], "a") is None
+        assert math.isnan(self.group_mean(0, ["a", "b", "b"], "a"))
 
     def test_single_other_member(self):
         assert self.group_mean(0, ["a", "a", "b"], "a") == pytest.approx(1.0, abs=1e-12)
@@ -225,6 +257,8 @@ class TestUnsupervisedCluster:
             unsupervised_cluster(points, 2, [0, "a"] * 4, EXACT)  # labels that do not sort
         with pytest.raises(DimensionError):
             unsupervised_cluster([[1, 0], [0, 1, 0, 0]], 2, [0, 1], EXACT)
+        with pytest.raises(ValueError, match="init seed must be a non-negative integer, got -1"):
+            unsupervised_cluster(points, 2, -1, EXACT)
 
     def test_cloud_pure_is_the_unique_fixed_point(self):
         # brute force over every two-group labeling
@@ -351,9 +385,9 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
     blocks = []
     reassign = entdist.ml._reassign
 
-    def recording(dist, labels, groups):
+    def recording(dist, codes, k):
         blocks.append(dist)
-        return reassign(dist, labels, groups)
+        return reassign(dist, codes, k)
 
     monkeypatch.setattr(entdist.ml, "_reassign", recording)
     cfg = EstimatorConfig(mode="sampled", shots=1000, seed=5)
@@ -373,3 +407,99 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
         d_a = estimate_distance(DistanceQuery(u, ref_a.vector), cfg.derive(i).derive(0)).distance
         d_b = estimate_distance(DistanceQuery(u, ref_b.vector), cfg.derive(i).derive(1)).distance
         assert row["sampled_diff"] == d_a - d_b
+
+
+def lattice_points(n_min, n_max, dim=2):
+    """Small integer (or half-integer) points: many distances and group means tie exactly."""
+    point = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    return st.lists(point, min_size=n_min, max_size=n_max)
+
+
+def sampled_or_exact():
+    return st.one_of(st.just(EXACT), st.builds(
+        EstimatorConfig, mode=st.just("sampled"), shots=st.integers(1, 400),
+        seed=st.integers(0, 2**32)))
+
+
+def reference_reassign(dist, labels, groups):
+    """The per-(row, group) round that _reassign replaced, as its oracle:
+    dicts of means with None for a sole member, and the veto on lists."""
+    n = len(labels)
+    members = {g: np.flatnonzero([label == g for label in labels]) for g in groups}
+    means = []
+    for i in range(n):
+        row = {}
+        for g in groups:
+            others = members[g][members[g] != i]
+            row[g] = float(dist[i, others].mean()) if others.size else None
+        means.append(row)
+    new = []
+    for i, current in enumerate(labels):
+        if means[i][current] is None:
+            new.append(current)
+            continue
+        defined = {g: v for g, v in means[i].items() if v is not None}
+        best = min(defined, key=lambda g: (defined[g], g))
+        if defined[current] == defined[best]:
+            best = current
+        new.append(best)
+    for _ in range(n + 1):
+        empty = [g for g in groups if g not in new]
+        if not empty:
+            break
+        for g in empty:
+            previous = [i for i in range(n) if labels[i] == g]
+            keep = min(previous, key=lambda i: (
+                -math.inf if means[i][g] is None else means[i][g], i))
+            new[keep] = g
+    return new
+
+
+@st.composite
+def clustering_rounds(draw):
+    k = draw(st.integers(2, 5))
+    dim = draw(st.sampled_from([2, 4]))
+    points = np.array(draw(lattice_points(k, 12, dim)), dtype=float)
+    if draw(st.booleans()):
+        points /= 2
+    n = len(points)
+    codes = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    codes[draw(st.permutations(range(n)))[:k]] = np.arange(k)  # every group non-empty
+    names = draw(st.sampled_from([list(range(k)), [f"g{c}" for c in range(k)]]))
+    return points, codes, k, draw(sampled_or_exact()), names
+
+
+VETO_ROUND = (np.array([[1, 0], [1.2, 0], [1.4, 0], [-2, 0], [5, 0]]), np.array([0, 0, 0, 1, 1]),
+              2, EXACT, [0, 1])
+SOLE_MEMBER_ROUND = (np.array([[0.5, 0.5], [10, 10], [10.1, 10], [9, 9]]),
+                     np.array([0, 1, 1, 2]), 3, EXACT, ["x", "y", "z"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=clustering_rounds())
+@example(case=VETO_ROUND)
+@example(case=SOLE_MEMBER_ROUND)
+@example(case=(VETO_ROUND[0], np.array([1, 0, 0, 1, 1]), 2,
+               EstimatorConfig(mode="sampled", shots=20, seed=3), ["a", "b"]))
+def test_reassign_matches_the_per_cell_reference(case):
+    points, codes, k, cfg, names = case
+    keys = None if cfg.mode == "exact" else [(cfg.seed, i) for i in range(len(points))]
+    dist = entdist.ml._pairwise_distances(points, cfg, keys)
+    labels = [names[c] for c in codes]
+    got = entdist.ml._reassign(dist, codes, k)
+    assert [names[c] for c in got] == reference_reassign(dist, labels, names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=lattice_points(1, 8), a=lattice_points(1, 1), b=lattice_points(1, 1),
+       labels=st.sampled_from([("A", "B"), ("B", "A"), ("z", "m")]), cfg=sampled_or_exact())
+def test_classify_is_nearest_neighbors_over_the_two_references(vectors, a, b, labels, cfg):
+    refs = [ref(np.array(a[0]) / 2, labels[0]), ref(np.array(b[0]) / 2, labels[1])]
+    dist = distance_matrix(vectors, [r.vector for r in refs], cfg, row_keys(cfg, len(vectors)))
+    classified = classify_batch(vectors, *refs, cfg)
+    for got, want in zip(classified, nearest_neighbors(dist, refs), strict=True):
+        assert list(got.per_label_distance.items()) == list(want.per_label_distance.items())
+        assert got.assigned_label == want.assigned_label
+        assert got.boundary_flag == want.boundary_flag
+        assert abs(got.margin) == want.margin
+        assert got.margin == got.per_label_distance[labels[0]] - got.per_label_distance[labels[1]]

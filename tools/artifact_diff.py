@@ -96,6 +96,14 @@ INPUTS = {
     # np.linalg.norm(axis=1) and the norm of each row alone differ in the last bit here
     "fig2_row_norms.json": {"vectors": [[1.66, 0.11], [0.15, 0.26]]},
     "fig2_empty.json": {"vectors": []},
+    "mixed_vectors.json": {"vectors": [[1, 0], 2]},
+    # both members of group 1 prefer group 0: the empty-group veto keeps one
+    "veto.json": {"vectors": [[1, 0], [1.2, 0], [1.4, 0], [-2, 0], [5, 0]], "k": 2,
+                  "init": [0, 0, 0, 1, 1], "max_iterations": 10},
+    # (1, 1) and (3, 3) are equally far from both labels: the tie goes to "blue"
+    "nn_tie.json": {"vectors": [[1, 1], [3, 3], [2, 0.5]],
+                    "training": [{"label": "red", "vector": [1, 0]},
+                                 {"label": "blue", "vector": [0, 1]}]},
     "blocker": "not a directory\n",
 }
 
@@ -162,6 +170,8 @@ CASES = [
     ("cluster-lattice", "exact", ("cluster", "--config", "lattice.json", "--out", "out")),
     ("cluster-lattice-sampled", "sampled", ("cluster", "--config", "lattice.json",
                                             "--out", "out", *SHOTS)),
+    ("cluster-veto", "exact", ("cluster", "--config", "veto.json", "--out", "out")),
+    ("nn-tie", "exact", ("nn", "--config", "nn_tie.json", "--out", "out")),
     ("fig2-row-norm-trap", "exact", ("repro", "fig2", "--config", "fig2_row_norms.json",
                                      "--out", "out", "--exact")),
     ("help", "exact", ("--help",)),
@@ -221,6 +231,10 @@ CASES = [
                                       "--ref-a", "1,0", "--ref-b", "0,1", "--out", "out")),
     ("err-fig2-empty-vectors", "error", ("repro", "fig2", "--config", "fig2_empty.json",
                                          "--out", "out")),
+    ("err-mixed-vectors", "error", ("cluster", "--config", "mixed_vectors.json",
+                                    "--out", "out")),
+    ("err-negative-init", "error", ("cluster", "--vector", "1,0", "--vector", "0,1",
+                                    "--init", "-1", "--out", "out")),
 ]
 
 
