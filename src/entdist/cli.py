@@ -198,6 +198,8 @@ def _apply_flags(args, config: dict) -> None:
     """Lay the non-estimator flags over the config, so commands read the config alone."""
     keys = {"out": "output", "plot": "emit_plot", "count": "count", "k": "k", "init": "init",
             "max_iterations": "max_iterations", "vectors": "vectors"}  # flag -> config key
+    if getattr(args, "vector", None) and getattr(args, "vectors", None) is not None:
+        raise ValueError("choose one of --vector and --vectors")
     ref_a, ref_b = getattr(args, "ref_a", None), getattr(args, "ref_b", None)
     if ref_a or ref_b:
         if not (ref_a and ref_b):
@@ -374,7 +376,10 @@ def _classify(args, config: dict, cfg: EstimatorConfig) -> Run:
     fields = ["index", "vector", f"distance_{ref_a.label}", f"distance_{ref_b.label}",
               "margin", "assigned", "boundary_flag"]
     counts = Counter(row["assigned"] for row in rows)
-    plots = {"plot.svg": partial(_classification_svg, rows, ref_a, ref_b)}
+    a, b = ref_a.vector.components.tolist(), ref_b.vector.components.tolist()
+    plots = {"plot.svg": lambda metadata: _scatter_svg(  # 2-D only: _bisector unpacks a and b
+        vectors, [r["assigned"] for r in rows], [ref_a, ref_b], _bisector(a, b), (),
+        "two-cluster assignment", metadata)}
     return Run(extra, {"rows": rows, "assigned_counts": counts}, fields, rows, plots, vectors)
 
 
@@ -414,8 +419,8 @@ def _nn(args, config: dict, cfg: EstimatorConfig) -> Run:
         "margin": res.margin,
         "boundary_flag": res.boundary_flag,
     } for i, (u, res) in enumerate(zip(vectors.components.tolist(), results))]
-    plot = partial(_nn_phase_svg, vectors, [r["assigned"] for r in rows], training, (),
-                   title="nearest neighbor")
+    plot = partial(_scatter_svg, vectors, [r["assigned"] for r in rows], training,
+                   _nn_gap(training), (), "nearest neighbor")
     return Run(extra, {"rows": rows}, ["index", "vector", "assigned", "margin", "boundary_flag"],
                rows, {"plot.svg": plot}, vectors)
 
@@ -453,7 +458,8 @@ def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
         "history": [list(h) for h in state.history],
         "rows": rows,
     }
-    plots = {f"round_{r}.svg": partial(_round_svg, vectors, labels, names, r)
+    plots = {f"round_{r}.svg": partial(_scatter_svg, vectors, labels, (), None, names,
+                                       f"round {r}")
              for r, labels in enumerate(state.history)}
     return Run(extra, summary, ["index", "name", "vector", "initial_label", "final_label"],
                rows, plots, vectors)
@@ -474,6 +480,8 @@ def _table(args, config: dict, cfg: EstimatorConfig) -> Run:
 
 
 def _fig2(args, config: dict, cfg: EstimatorConfig) -> Run:
+    if "count" in config and "vectors" in config:
+        raise ValueError("choose one of 'count' (--count) and 'vectors'")
     vectors = _vectors(config) if "vectors" in config else None
     result = fig2_run(cfg, count=config.get("count", FIG2_DEFAULT_COUNT), vectors=vectors)
     fields = ["index", "x", "y", "norm", "angle", "exact_diff", "exact_label",
@@ -529,35 +537,41 @@ def _run(args) -> None:
 # ---------------------------------------------------------------- plots
 
 
-def _square_limits(points, pad: float = 0.25):
+def _square_limits(points):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    lo = min(min(xs), min(ys)) - pad
-    hi = max(max(xs), max(ys)) + pad
+    lo = min(min(xs), min(ys)) - 0.25
+    hi = max(max(xs), max(ys)) + 0.25
     return (lo, hi), (lo, hi)
 
 
-def _euclid(p, q) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
+def _bisector(a, b):
+    """D_a - D_b at (x, y): its zero contour is the two-reference boundary."""
+    (a0, a1), (b0, b1) = a, b
+    return lambda x, y: math.hypot(x - a0, y - a1) - math.hypot(x - b0, y - b1)
 
 
-def _bisector_segments(a, b, r_max: float):
-    """Theory boundary D_A = D_B, clipped to the plotted quarter disk."""
-    segments = contour_segments(
-        lambda x, y: _euclid((x, y), a) - _euclid((x, y), b),
-        (0.0, r_max), (0.0, r_max),
-    )
-    return [
-        seg for seg in segments
-        if math.hypot(*seg[0]) <= r_max and math.hypot(*seg[1]) <= r_max
-    ]
+def _nn_gap(training):
+    """Distance to the nearest vector of the first label minus that to the
+    nearest of the second, labels sorted; None unless there are exactly two."""
+    labels = sorted({t.label for t in training})
+    if len(labels) != 2:
+        return None
+    first, second = ([tuple(t.vector.components.tolist()) for t in training if t.label == label]
+                     for label in labels)
+    return lambda x, y: (min(math.hypot(x - q0, y - q1) for q0, q1 in first)
+                         - min(math.hypot(x - q0, y - q1) for q0, q1 in second))
 
 
 def _fig2_svg(result: dict, metadata: dict) -> str:
     a = tuple(result["reference_a"])
     b = tuple(result["reference_b"])
     r_max = FIG2_NORM_RANGE[1]
-    boundary = _bisector_segments(a, b, r_max)
+    segments = contour_segments(_bisector(a, b), (0.0, r_max), (0.0, r_max))
+    boundary = [  # clipped to the plotted quarter disk
+        seg for seg in segments
+        if math.hypot(*seg[0]) <= r_max and math.hypot(*seg[1]) <= r_max
+    ]
     scale = max(
         (max(abs(r["exact_diff"]), abs(r["sampled_diff"])) for r in result["rows"]),
         default=1.0,
@@ -579,64 +593,25 @@ def _fig2_svg(result: dict, metadata: dict) -> str:
     return polar_scatter_svg(panels, r_max, metadata=metadata)
 
 
-def _classification_svg(rows, ref_a, ref_b, metadata: dict) -> str:
-    a = tuple(ref_a.vector.components.tolist())
-    b = tuple(ref_b.vector.components.tolist())
-    points = [tuple(r["vector"]) for r in rows]
-    xlim, ylim = _square_limits(points + [a, b])
-    boundary = contour_segments(
-        lambda x, y: _euclid((x, y), a) - _euclid((x, y), b), xlim, ylim
-    )
-    return cartesian_scatter_svg(
-        points, [r["assigned"] for r in rows], xlim, ylim,
-        references=[(a[0], a[1], ref_a.label), (b[0], b[1], ref_b.label)],
-        boundary=boundary, title="two-cluster assignment", metadata=metadata,
-    )
-
-
-def _round_svg(vectors, labels, names, r: int, metadata: dict) -> str:
+def _scatter_svg(vectors, labels, references, gap, names, title, metadata) -> str:
+    """Labelled 2-D points, a cross at each labelled reference, and the zero
+    contour of ``gap`` unless it is None, in a square window around them."""
     points = [tuple(v) for v in vectors.components.tolist()]
-    xlim, ylim = _square_limits(points)
-    return cartesian_scatter_svg(points, list(labels), xlim, ylim, names=names,
-                                 title=f"round {r}", metadata=metadata)
-
-
-def _nn_boundary(training, xlim, ylim):
-    """Piecewise boundary between the two label groups of the training set."""
-    labels = sorted({t.label for t in training})
-    if len(labels) != 2:
-        return []
-    first = [tuple(t.vector.components.tolist()) for t in training if t.label == labels[0]]
-    second = [tuple(t.vector.components.tolist()) for t in training if t.label == labels[1]]
-
-    def gap(x, y):
-        p = (x, y)
-        return min(_euclid(p, q) for q in first) - min(_euclid(p, q) for q in second)
-
-    return contour_segments(gap, xlim, ylim)
-
-
-def _nn_phase_svg(vectors, labels, training, names, metadata, title: str) -> str:
-    points = [tuple(v) for v in vectors.components.tolist()]
-    train_pts = [tuple(t.vector.components.tolist()) for t in training]
-    xlim, ylim = _square_limits(points + train_pts)
-    return cartesian_scatter_svg(
-        points, labels, xlim, ylim,
-        references=[(p[0], p[1], t.label) for p, t in zip(train_pts, training)],
-        boundary=_nn_boundary(training, xlim, ylim),
-        names=names, title=title, metadata=metadata,
-    )
+    crosses = [(*r.vector.components.tolist(), r.label) for r in references]
+    xlim, ylim = _square_limits(points + [(x, y) for x, y, _ in crosses])
+    boundary = contour_segments(gap, xlim, ylim) if gap is not None else ()
+    return cartesian_scatter_svg(points, list(labels), xlim, ylim, crosses, boundary, names,
+                                 title, metadata)
 
 
 def _nn_phase_plots(vectors, result, training, added, names=()) -> dict:
     """Renderers for the nearest-neighbor labels before and after the added vector."""
-    before = [r["label_before"] for r in result["rows"]]
-    after = [r["label_after"] for r in result["rows"]]
+    extended = list(training) + [added]
     return {
-        "phase_1.svg": partial(_nn_phase_svg, vectors, before, training, names,
-                               title="initial training set"),
-        "phase_2.svg": partial(_nn_phase_svg, vectors, after, list(training) + [added], names,
-                               title="after the new training vector"),
+        "phase_1.svg": partial(_scatter_svg, vectors, [r["label_before"] for r in result["rows"]],
+                               training, _nn_gap(training), names, "initial training set"),
+        "phase_2.svg": partial(_scatter_svg, vectors, [r["label_after"] for r in result["rows"]],
+                               extended, _nn_gap(extended), names, "after the new training vector"),
     }
 
 

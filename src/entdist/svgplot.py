@@ -22,7 +22,9 @@ _CSS_COLORS = {"red", "blue", "green", "orange", "purple", "brown", "gray", "bla
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 _POINT_RADIUS = 5.0
+_CROSS_ARM = 7.0
 _FONT = 'font-family="sans-serif" font-size="11"'
+_GRID = 160  # contour grid cells per axis
 
 
 def _fmt(x: float) -> str:
@@ -51,16 +53,16 @@ def color_for_label(label, all_labels) -> str:
     return _PALETTE[ordered.index(text) % len(_PALETTE)]
 
 
-def contour_segments(f, xlim, ylim, resolution: int = 160):
+def contour_segments(f, xlim, ylim):
     """Zero-contour line segments of f(x, y) via marching squares."""
     x0, x1 = xlim
     y0, y1 = ylim
-    xs = [x0 + (x1 - x0) * i / resolution for i in range(resolution + 1)]
-    ys = [y0 + (y1 - y0) * j / resolution for j in range(resolution + 1)]
+    xs = [x0 + (x1 - x0) * i / _GRID for i in range(_GRID + 1)]
+    ys = [y0 + (y1 - y0) * j / _GRID for j in range(_GRID + 1)]
     grid = [[f(x, y) for x in xs] for y in ys]
     segments = []
-    for j in range(resolution):
-        for i in range(resolution):
+    for j in range(_GRID):
+        for i in range(_GRID):
             corners = [
                 (xs[i], ys[j], grid[j][i]),
                 (xs[i + 1], ys[j], grid[j][i + 1]),
@@ -77,13 +79,14 @@ def contour_segments(f, xlim, ylim, resolution: int = 160):
             if len(crossings) == 2:
                 segments.append((crossings[0], crossings[1]))
             elif len(crossings) == 4:
-                # saddle cell: pair crossings by the sign at the center
+                # saddle cell: the center joins the two corners of its own sign,
+                # so the contour cuts off the other two.  Crossing k lies on the
+                # edge from corner k to corner k + 1.
                 center = sum(c[2] for c in corners) / 4.0
-                first = (corners[0][2] < 0.0) == (center < 0.0)
-                if first:
+                if (corners[0][2] < 0.0) != (center < 0.0):  # cut off corners 0 and 2
                     segments.append((crossings[0], crossings[3]))
                     segments.append((crossings[1], crossings[2]))
-                else:
+                else:  # cut off corners 1 and 3
                     segments.append((crossings[0], crossings[1]))
                     segments.append((crossings[2], crossings[3]))
     return segments
@@ -104,12 +107,12 @@ class _Panel:
         y0, y1 = self.ylim
         return self.py + self.size - (y - y0) / (y1 - y0) * self.size
 
-    def segments(self, segs, color="#888888", width=1.5, dash=None) -> list[str]:
+    def segments(self, segs, dash=None) -> list[str]:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return [
             f'<line x1="{_fmt(self.x(ax))}" y1="{_fmt(self.y(ay))}" '
             f'x2="{_fmt(self.x(bx))}" y2="{_fmt(self.y(by))}" '
-            f'stroke="{color}" stroke-width="{width}"{dash_attr}/>'
+            f'stroke="#888888" stroke-width="1.8"{dash_attr}/>'
             for (ax, ay), (bx, by) in segs
         ]
 
@@ -119,19 +122,25 @@ class _Panel:
             f'fill="{fill}" stroke="{edge}" stroke-width="1.6"/>'
         )
 
-    def cross(self, x: float, y: float, color: str, arm: float = 7.0) -> str:
-        cx, cy = self.x(x), self.y(y)
+    def cross(self, x: float, y: float, color: str) -> str:
+        cx, cy, arm = self.x(x), self.y(y), _CROSS_ARM
         return (
             f'<path d="M {_fmt(cx - arm)} {_fmt(cy)} H {_fmt(cx + arm)} '
             f'M {_fmt(cx)} {_fmt(cy - arm)} V {_fmt(cy + arm)}" '
             f'stroke="{color}" stroke-width="3" fill="none"/>'
         )
 
-    def text(self, x: float, y: float, s: str, anchor="middle", dy=0.0) -> str:
+    def text(self, x: float, y: float, s: str, dy=0.0) -> str:
         return (
             f'<text x="{_fmt(self.x(x))}" y="{_fmt(self.y(y) + dy)}" '
-            f'text-anchor="{anchor}" {_FONT}>{s}</text>'
+            f'text-anchor="middle" {_FONT}>{s}</text>'
         )
+
+
+def _title(x: float, top: float, title: str) -> str:
+    """A bold title centered on x, 18 px above a panel's top edge."""
+    return (f'<text x="{_fmt(x)}" y="{_fmt(top - 18.0)}" text-anchor="middle" {_FONT} '
+            f'font-weight="bold">{title}</text>')
 
 
 def _document(width: float, height: float, body: list[str], metadata: dict | None) -> str:
@@ -179,58 +188,37 @@ def _polar_grid(panel: _Panel, r_max: float) -> list[str]:
     return out
 
 
-def polar_scatter_svg(
-    panels,
-    r_max: float,
-    metadata: dict | None = None,
-    panel_size: float = 360.0,
-    margin: float = 55.0,
-) -> str:
+def polar_scatter_svg(panels, r_max: float, metadata: dict | None = None) -> str:
     """One or more quarter-disk panels side by side.
 
     Each panel is a dict with keys: title, points [(x, y, fill_value, edge_label)],
     fill_scale (value mapped to +/-1 for the diverging fill), references
     [(x, y, label)], labels (all edge labels), boundary (segment list).
     """
+    panel_size, margin = 360.0, 55.0
     width = margin + len(panels) * (panel_size + margin)
     height = panel_size + 2 * margin
     body = []
     for idx, spec in enumerate(panels):
         panel = _Panel(margin + idx * (panel_size + margin), margin, panel_size, (0.0, r_max), (0.0, r_max))
         body.extend(_polar_grid(panel, r_max))
-        body.extend(panel.segments(spec.get("boundary", []), color="#888888", width=1.8))
-        scale = spec.get("fill_scale") or 1.0
-        labels = spec.get("labels", [])
+        body.extend(panel.segments(spec["boundary"]))
+        labels = spec["labels"]
         for x, y, value, edge_label in spec["points"]:
-            fill = diverging_color(value / scale)
+            fill = diverging_color(value / spec["fill_scale"])
             edge = color_for_label(edge_label, labels)
             body.append(panel.point(x, y, fill, edge))
-        for x, y, label in spec.get("references", []):
+        for x, y, label in spec["references"]:
             body.append(panel.cross(x, y, color_for_label(label, labels)))
-        title = spec.get("title", "")
-        if title:
-            tx = panel.px + panel.size / 2.0
-            body.append(
-                f'<text x="{_fmt(tx)}" y="{_fmt(margin - 18.0)}" text-anchor="middle" '
-                f'{_FONT} font-weight="bold">{title}</text>'
-            )
+        body.append(_title(panel.px + panel.size / 2.0, margin, spec["title"]))
     return _document(width, height, body, metadata)
 
 
-def cartesian_scatter_svg(
-    points,
-    labels,
-    xlim,
-    ylim,
-    references=(),
-    boundary=(),
-    names=(),
-    title: str = "",
-    metadata: dict | None = None,
-    panel_size: float = 420.0,
-    margin: float = 50.0,
-) -> str:
-    """Scatter of labeled 2-D points with optional training crosses and boundary."""
+def cartesian_scatter_svg(points, labels, xlim, ylim, references, boundary, names, title: str,
+                          metadata: dict | None) -> str:
+    """Scatter of labeled 2-D points with reference crosses, a dashed boundary
+    (segment list) and the first ``len(names)`` points named."""
+    panel_size, margin = 420.0, 50.0
     width = height = panel_size + 2 * margin
     panel = _Panel(margin, margin, panel_size, xlim, ylim)
     all_labels = sorted({str(l) for l in labels} | {str(l) for _, _, l in references})
@@ -248,22 +236,20 @@ def cartesian_scatter_svg(
                     f'<text x="{_fmt(margin - 8.0)}" y="{_fmt(panel.y(t) + 4.0)}" '
                     f'text-anchor="end" {_FONT}>{t:g}</text>'
                 )
-    body.extend(panel.segments(boundary, color="#888888", width=1.8, dash="6 4"))
+    body.extend(panel.segments(boundary, dash="6 4"))
     for i, ((x, y), label) in enumerate(zip(points, labels)):
         body.append(panel.point(x, y, color_for_label(label, all_labels), "#333333"))
         if i < len(names):
             body.append(panel.text(x, y, str(names[i]), dy=-10.0))
     for x, y, label in references:
         body.append(panel.cross(x, y, color_for_label(label, all_labels)))
-    if title:
-        body.append(
-            f'<text x="{_fmt(width / 2.0)}" y="{_fmt(margin - 18.0)}" text-anchor="middle" '
-            f'{_FONT} font-weight="bold">{title}</text>'
-        )
+    body.append(_title(width / 2.0, margin, title))
     return _document(width, height, body, metadata)
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round-numbered ticks from lo to hi."""
+    n = 5
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / n))
     for mult in (1.0, 2.0, 5.0, 10.0):

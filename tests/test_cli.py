@@ -177,7 +177,7 @@ class TestClusterAndNN:
         assert summary["converged"] is True
         assert summary["iterations"] == 2
         for r in range(summary["iterations"] + 1):
-            assert (out_dir / f"round_{r}.svg").exists()
+            assert "<line" not in (out_dir / f"round_{r}.svg").read_text()  # no boundary
 
     def test_figs1_single_flip(self, capsys, tmp_path):
         out_dir = tmp_path / "fs1"
@@ -185,8 +185,8 @@ class TestClusterAndNN:
         assert code == 0
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["changed_indices"] == [4]
-        assert (out_dir / "phase_1.svg").exists()
-        assert (out_dir / "phase_2.svg").exists()
+        for phase in (1, 2):
+            assert "<line" in (out_dir / f"phase_{phase}.svg").read_text()  # the boundary
         assert "E" in out
 
     def test_generic_cluster_with_config(self, capsys, tmp_path):
@@ -344,6 +344,13 @@ BAD_INPUTS = {
     "vector-then-number": ({"vectors": [[1, 0], 2]}, ["cluster"], "config.vectors[1]"),
     "negative-init-seed": ({"vectors": [[1, 0], [0, 1], [1, 1]], "init": -1}, ["cluster"],
                            "init seed must be a non-negative integer, got -1"),
+    # two vector sources: neither is dropped in favour of the other
+    "vector-and-vectors": ({"references": [{"label": "A", "vector": [1, 0]},
+                                           {"label": "B", "vector": [0, 1]}]},
+                           ["classify", "--vector", "1,0", "--vectors", "v.csv"],
+                           "choose one of --vector and --vectors"),
+    "fig2-count-and-vectors": ({"vectors": [[1, 0], [0, 1]]}, ["repro", "fig2", "--count", "30"],
+                               "choose one of 'count' (--count) and 'vectors'"),
 }
 
 
@@ -353,6 +360,7 @@ class TestErrorContract:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bools.json").write_text("[[true, false], [0, 1]]")
         (tmp_path / "self.json").write_text('"self.json"')
+        (tmp_path / "v.csv").write_text("0,1\n")
         (tmp_path / "c.json").write_text(json.dumps(config))
         code, out, err = run(capsys, *argv, "--config", "c.json", "--out", "out")
         assert code == 1 and out == ""

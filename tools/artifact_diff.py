@@ -104,6 +104,11 @@ INPUTS = {
     "nn_tie.json": {"vectors": [[1, 1], [3, 3], [2, 0.5]],
                     "training": [{"label": "red", "vector": [1, 0]},
                                  {"label": "blue", "vector": [0, 1]}]},
+    # sorting the labels would flip the sign of the boundary function: the grid
+    # has exact zeros on the diagonal, so the plotted segments would change
+    "classify_reversed.json": {"vectors": [[2, 0], [0, 2], [1, 1], [0.4, 1.3]],
+                               "references": [{"label": "B", "vector": [1, 0]},
+                                              {"label": "A", "vector": [0, 1]}]},
     "blocker": "not a directory\n",
 }
 
@@ -174,6 +179,8 @@ CASES = [
     ("nn-tie", "exact", ("nn", "--config", "nn_tie.json", "--out", "out")),
     ("fig2-row-norm-trap", "exact", ("repro", "fig2", "--config", "fig2_row_norms.json",
                                      "--out", "out", "--exact")),
+    ("classify-reversed-labels-plot", "exact", ("classify", "--config", "classify_reversed.json",
+                                                "--out", "out", "--plot")),
     ("help", "exact", ("--help",)),
     ("version", "exact", ("--version",)),
     ("err-usage", "error", ("frobnicate",)),
@@ -235,6 +242,11 @@ CASES = [
                                     "--out", "out")),
     ("err-negative-init", "error", ("cluster", "--vector", "1,0", "--vector", "0,1",
                                     "--init", "-1", "--out", "out")),
+    ("err-vector-and-vectors", "error", ("classify", "--vector", "1,0", "--vectors",
+                                         "vectors.csv", "--ref-a", "1,0", "--ref-b", "0,1",
+                                         "--out", "out")),
+    ("err-fig2-count-and-vectors", "error", ("repro", "fig2", "--config", "fig2.json",
+                                             "--count", "30", "--out", "out")),
 ]
 
 
