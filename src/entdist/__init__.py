@@ -33,7 +33,6 @@ from .protocol import (
     exact_p,
     inner_product_from_p,
     p_matrix,
-    row_keys,
     sample_p,
 )
 from .vectors import (
@@ -46,7 +45,7 @@ from .vectors import (
     load_vectors_json,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",
@@ -78,7 +77,6 @@ __all__ = [
     "estimate_distance",
     "p_matrix",
     "distance_matrix",
-    "row_keys",
     # ml
     "BOUNDARY_TOL",
     "LabeledReference",

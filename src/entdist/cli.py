@@ -3,8 +3,8 @@
 Commands: estimate, classify, nn, cluster, and repro <fig2|table1|table2|
 fig3|figS1>.  Experiments are described by a JSON (optionally TOML) config
 file; flags override config fields.  Every output file embeds the resolved
-config, seed, generator name, and artifact version, so identical runs are
-byte-identical.
+config, seed, generator name, numpy version and artifact version, so
+identical runs are byte-identical.
 
 Each command turns the checked config into a ``Run``; ``_write`` alone
 creates the output directory, writes files and prints results, once every
@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .datasets import FIG2_DEFAULT_COUNT, FIG2_NORM_RANGE, FIG3_DEMO, FIGS1_DEMO
 from .experiments import cluster_run, estimate_run, fig2_run, nn_run, table_run
@@ -35,7 +37,7 @@ from .ml import LabeledReference, classify_batch, nearest_neighbors
 # bench/tracing.py patches these two names here
 from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .noise import NOISE_PRESETS, PAPER_PRESET, NoiseModel, noise_preset
-from .protocol import GENERATOR_NAME, EstimatorConfig, distance_matrix, row_keys
+from .protocol import GENERATOR_NAME, EstimatorConfig, distance_matrix
 from .svgplot import cartesian_scatter_svg, contour_segments, polar_scatter_svg
 from .vectors import VectorSet, load_vectors_csv, load_vectors_json
 
@@ -227,6 +229,8 @@ def _estimator(args, config: dict, mode: str, shots: int, noise: str | None) -> 
     elif args.shots is not None:
         mode, shots = "sampled", args.shots
     seed = args.seed if args.seed is not None else est.get("seed", 0)
+    if "noise" in config and "noise" in est:
+        raise ValueError("choose one of 'noise' and 'estimator.noise'")
     noise = args.noise if args.noise is not None else config.get("noise", est.get("noise", noise))
     return EstimatorConfig(mode=mode, shots=shots, seed=seed, noise=_noise_from(noise))
 
@@ -289,8 +293,9 @@ def _metadata(task: str, cfg: EstimatorConfig, extra: dict) -> dict:
     estimator = {"mode": cfg.mode, "shots": cfg.shots, "seed": cfg.seed}
     noise = cfg.noise.as_dict() if cfg.noise is not None else None
     config = {"task": task, "estimator": estimator, "noise": noise, **extra}
+    # sampled bytes hold for one numpy binomial implementation only
     return {"artifact": "entdist", "version": __version__, "generator": GENERATOR_NAME,
-            "seed": cfg.seed, "config": config}
+            "numpy": np.__version__, "seed": cfg.seed, "config": config}
 
 
 def _cell(value) -> str:
@@ -307,6 +312,7 @@ def _csv_text(fieldnames: list[str], rows: list[dict], metadata: dict) -> str:
     buf = io.StringIO()
     buf.write(f"# artifact: entdist {__version__}\n")
     buf.write(f"# generator: {metadata['generator']}\n")
+    buf.write(f"# numpy: {metadata['numpy']}\n")
     buf.write(f"# seed: {metadata['seed']}\n")
     buf.write(f"# config: {json.dumps(metadata['config'], sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -409,8 +415,7 @@ def _nn(args, config: dict, cfg: EstimatorConfig) -> Run:
         result = nn_run(vectors, training, added, cfg)
         return Run(extra, result, ["index", "vector", "label_before", "label_after", "changed"],
                    result["rows"], _nn_phase_plots(vectors, result, training, added), vectors)
-    dist = distance_matrix(vectors, [t.vector for t in training], cfg,
-                           row_keys(cfg, len(vectors)))
+    dist = distance_matrix(vectors, [t.vector for t in training], cfg)
     results = nearest_neighbors(dist, training)
     rows = [{
         "index": i,

@@ -25,7 +25,7 @@ from .ml import (
 )
 # bench/tracing.py patches these two names here
 from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
-from .protocol import DistanceQuery, EstimatorConfig, distance_matrix, estimate_distance, row_keys
+from .protocol import DistanceQuery, EstimatorConfig, distance_matrix, estimate_distance
 from .vectors import VectorSet
 
 __all__ = [
@@ -69,7 +69,8 @@ def table_run(
     """Exact-mode D_A - D_B for every table row, checked against the printed
     theory column; optionally a sampled-mode column alongside.
 
-    Row i of the sampled column runs on the substream (seed, i).
+    Row i of the sampled column is draw i of the streams (seed, 0) and
+    (seed, 1), one per reference.
     """
     try:
         dataset: TableDataset = TABLE_DATASETS[name]
@@ -114,9 +115,10 @@ def fig2_run(
 ) -> dict:
     """Classify 2-D vectors against the reference pair, exactly and sampled.
 
-    The default test set is seeded from sampled_cfg.seed; vector i runs on
-    the substream (seed, i).  Misclassification means the sampled label
-    disagrees with the exact one.
+    The default test set is seeded from sampled_cfg.seed; vector i's
+    sampled estimates are draw i of the streams (seed, 0) and (seed, 1), one
+    per reference.  Misclassification means the sampled label disagrees with
+    the exact one.
     """
     ref_a, ref_b = fig2_references()
     vectors = VectorSet(fig2_test_vectors(count, sampled_cfg.seed) if vectors is None else vectors)
@@ -173,14 +175,14 @@ def nn_run(
 ) -> dict:
     """Nearest-neighbor labels before and after one extra training vector.
 
-    Test vector i runs on the substream (seed, i) in both phases, so the
-    distances to the original training vectors are reused unchanged.
+    Both phases read one block whose column j draws on the stream (seed, j):
+    the added vector is a new column, so the distances to the original
+    training vectors are reused unchanged.
     """
     initial = list(initial_training)
     full = initial + [added_training]
     test_vectors = VectorSet(test_vectors)
-    dist = distance_matrix(test_vectors, [t.vector for t in full], cfg,
-                           row_keys(cfg, len(test_vectors)))
+    dist = distance_matrix(test_vectors, [t.vector for t in full], cfg)
     before = nearest_neighbors(dist[:, :len(initial)], initial)
     after = nearest_neighbors(dist, full)
     rows = [{

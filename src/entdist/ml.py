@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import EstimatorConfig, distance_matrix, row_keys
+from .protocol import EstimatorConfig, distance_matrix
 from .protocol import estimate_distance  # noqa: F401  (bench/tracing.py patches it here)
 from .vectors import RealVector, VectorSet, as_vector
 
@@ -59,19 +59,15 @@ def classify_batch(
     ref_b: LabeledReference,
     cfg: EstimatorConfig = EstimatorConfig(),
     boundary_tol: float = BOUNDARY_TOL,
-    keys=None,
 ) -> list[ClassificationResult]:
     """nearest_neighbors over the two references; margin keeps the signed D_A - D_B.
 
-    Vector i runs on the substream (seed, i) and its two estimates on that
-    one's substreams 0 and 1, unless ``keys`` gives the row keys of the
-    distance block.
+    Sampled, vector i's estimates are draw i of the streams (seed, 0) and
+    (seed, 1), one per reference.
     """
     if ref_a.label == ref_b.label:
         raise ValueError("the two reference labels must differ")
-    if keys is None:
-        keys = row_keys(cfg, len(vectors))
-    dist = distance_matrix(vectors, [ref_a.vector, ref_b.vector], cfg, keys)
+    dist = distance_matrix(vectors, [ref_a.vector, ref_b.vector], cfg)
     names, minima, assigned, gap = _nearest_labels(dist, [ref_a.label, ref_b.label],
                                                    boundary_tol)
     return [
@@ -87,9 +83,8 @@ def classify_two_cluster(
     cfg: EstimatorConfig = EstimatorConfig(),
     boundary_tol: float = BOUNDARY_TOL,
 ) -> ClassificationResult:
-    """classify_batch for one vector, whose estimates run on the substreams
-    (seed, 0) and (seed, 1)."""
-    return classify_batch([u], ref_a, ref_b, cfg, boundary_tol, [(cfg.seed,)])[0]
+    """classify_batch for one vector: row 0 of any larger batch."""
+    return classify_batch([u], ref_a, ref_b, cfg, boundary_tol)[0]
 
 
 def nearest_neighbors(
@@ -139,11 +134,12 @@ def nearest_neighbor_classify(
 ) -> ClassificationResult:
     """Assign u the label of its nearest training vector (see nearest_neighbors).
 
-    Training vector i runs on the substream (seed, i).
+    Sampled, the estimate against training vector j is draw 0 of the stream
+    (seed, j): row 0 of any larger block.
     """
     if not training:
         raise ValueError("training set must be non-empty")
-    dist = distance_matrix([u], [t.vector for t in training], cfg, [(cfg.seed,)])
+    dist = distance_matrix([u], [t.vector for t in training], cfg)
     return nearest_neighbors(dist, training, boundary_tol)[0]
 
 
@@ -157,9 +153,9 @@ class ClusteringState:
     history: tuple[tuple, ...]
 
 
-def _pairwise_distances(vectors, cfg: EstimatorConfig, keys=None) -> np.ndarray:
+def _pairwise_distances(vectors, cfg: EstimatorConfig) -> np.ndarray:
     """Symmetric estimated-distance matrix from the upper triangle of one block."""
-    dist = distance_matrix(vectors, vectors, cfg, keys, upper=True)
+    dist = distance_matrix(vectors, vectors, cfg, upper=True)
     return dist + dist.T
 
 
@@ -213,8 +209,9 @@ def unsupervised_cluster(
     ``init`` is either an explicit per-vector label assignment covering
     exactly k distinct labels, or an integer seed for a random assignment
     over groups 0..k-1 (surjective, so no group starts empty).  Labels
-    update synchronously each round; round r estimates distances on the
-    substream (seed, r).  A vector that is the sole member of its group
+    update synchronously each round; sampled, round r estimates its block
+    under cfg.derive(r), so pair (i, j), i < j, is draw i of the stream
+    (cfg.derive(r).seed, j).  A vector that is the sole member of its group
     has no own-group mean to compare against and stays put.  Stops at a
     fixed point (converged), on a repeated label configuration (cycle),
     or at max_iterations.
@@ -255,10 +252,8 @@ def unsupervised_cluster(
     seen = {history[0]}
     converged = False
     for iteration in range(1, max_iterations + 1):
-        dist = exact_dist
-        if dist is None:  # pair (i, j) of round r on the substream cfg.derive(r).derive(i, j)
-            round_seed = cfg.derive(iteration).seed
-            dist = _pairwise_distances(vectors, cfg, [(round_seed, i) for i in range(n)])
+        dist = (exact_dist if exact_dist is not None
+                else _pairwise_distances(vectors, cfg.derive(iteration)))
         new = _reassign(dist, codes, k)
         history.append(tuple(groups[c] for c in new.tolist()))
         if np.array_equal(new, codes):

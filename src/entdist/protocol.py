@@ -13,6 +13,8 @@ The success probability p of that projection carries everything:
 p is evaluated in closed form, or estimated from seeded Bernoulli shots,
 optionally after the noise channel.  ``p_matrix`` does this for a whole
 block of pairs at once; the single-pair functions are 1x1 blocks of it.
+In sampled mode entry (i, j) of a block is draw i of the generator seeded
+from (seed, j): one stream per column, drawn down the rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "sample_p",
     "p_matrix",
     "distance_matrix",
-    "row_keys",
     "inner_product_from_p",
     "distance_from_p",
     "estimate_distance",
@@ -103,8 +104,8 @@ class EstimatorConfig:
     def derive(self, *indices: int) -> "EstimatorConfig":
         """Same settings with a substream seed drawn from (seed, *indices).
 
-        Batch callers give every query its own substream, so results do not
-        depend on execution order.
+        Column j of a sampled block draws on the seed of derive(j); a
+        clustering round r runs its block under derive(r).
         """
         return replace(self, seed=_substream(self.seed, *indices))
 
@@ -124,22 +125,16 @@ class DistanceEstimate:
     overlap_out_of_range: bool  # shot noise pushed <u|v> outside [-1, 1]
 
 
-def row_keys(cfg: EstimatorConfig, n: int) -> list[tuple[int]] | None:
-    """Keys that put row i of a block on the substream cfg.derive(i) (None in exact mode)."""
-    if cfg.mode == "exact":
-        return None
-    return [(cfg.derive(i).seed,) for i in range(n)]
-
-
-def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
+def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
              upper: bool = False) -> np.ndarray:
     """Observed p for every pair (us[i], vs[j]) of two VectorSets (or their rows) under cfg.
 
     Pairs are checked in row-major order and the first failing one raises the
     error a DistanceQuery or exact_p would.  With ``upper`` only the pairs
     j > i are evaluated and every other entry is 0.  In sampled mode entry
-    (i, j) draws its shots on the substream keyed by (*keys[i], j); with
-    ``keys`` None the block must hold a single pair, drawn on cfg.seed.
+    (i, j) is draw i of the generator seeded with cfg.derive(j).seed, so the
+    first k rows of a block (the leading k x k of an ``upper`` one) are the
+    k-row block, and a column does not depend on the other columns.
     """
     us, vs = VectorSet(us), VectorSet(vs)
     n, m, dim = len(us), len(vs), us.dimension
@@ -176,19 +171,19 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
     p[~scope] = 0.0
 
     if cfg.mode == "sampled":
-        if keys is None and scope.sum() > 1:
-            raise ValueError("a sampled block of several pairs needs one key per row")
-        for i, j in zip(*(idx.tolist() for idx in np.nonzero(scope))):
-            seed = cfg.seed if keys is None else _substream(*keys[i], j)
-            p[i, j] = np.random.default_rng(seed).binomial(cfg.shots, p[i, j]) / cfg.shots
+        # one generator per column, drawing down its rows in order as scalar calls would
+        for j in range(int(upper), m):
+            rows = slice(j if upper else n)
+            rng = np.random.default_rng(_substream(cfg.seed, j))
+            p[rows, j] = rng.binomial(cfg.shots, p[rows, j]) / cfg.shots
     return p
 
 
-def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(), keys=None,
+def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
                     upper: bool = False) -> np.ndarray:
     """D = sqrt(2 p (|u|^2 + |v|^2)) for every pair of the p_matrix block."""
     us, vs = VectorSet(us), VectorSet(vs)
-    p = p_matrix(us, vs, cfg, keys, upper)
+    p = p_matrix(us, vs, cfg, upper)
     nu, nv = us.norms, vs.norms
     return np.sqrt(2.0 * p * ((nu * nu)[:, None] + (nv * nv)[None, :]))
 
@@ -203,7 +198,8 @@ def sample_p(query: DistanceQuery, cfg: EstimatorConfig) -> tuple[float, float]:
 
     The trials are drawn at the analytic success probability (with the
     noise channel applied when configured), which has the same distribution
-    as simulating per-shot collapse.  Deterministic given cfg.seed.
+    as simulating per-shot collapse.  Draw 0 of the stream cfg.derive(0),
+    like entry (0, 0) of any larger block.
     """
     if cfg.mode != "sampled":
         raise ValueError("sample_p requires a sampled-mode config")

@@ -151,7 +151,7 @@ def load_vectors_csv(path) -> VectorSet:
             except ValueError:
                 if rows:
                     raise ValueError(f"{path}: non-numeric row {row!r}") from None
-                continue  # tolerate a single leading header row
+                continue  # every non-numeric row before the first vector is a header
     if not rows:
         raise ValueError(f"{path}: no vector rows found")
     return VectorSet(rows)

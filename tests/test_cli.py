@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from entdist.cli import main
@@ -109,6 +110,7 @@ class TestTableRepro:
         header = read_metadata_lines(out_dir / "results.csv")
         assert header["artifact"].startswith("entdist")
         assert header["generator"] == "numpy-pcg64"
+        assert header["numpy"] == np.__version__
         assert header["seed"] == "9"
         assert json.loads(header["config"])["task"] == "table1"
 
@@ -351,6 +353,10 @@ BAD_INPUTS = {
                            "choose one of --vector and --vectors"),
     "fig2-count-and-vectors": ({"vectors": [[1, 0], [0, 1]]}, ["repro", "fig2", "--count", "30"],
                                "choose one of 'count' (--count) and 'vectors'"),
+    # two noise sources (the top-level one used to win silently)
+    "noise-and-estimator-noise": ({"u": [1, 0], "v": [0, 1], "noise": "none",
+                                   "estimator": {"noise": "paper-2012-optics"}}, ["estimate"],
+                                  "choose one of 'noise' and 'estimator.noise'"),
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from entdist.ml import (
 from entdist.protocol import (
     DistanceQuery,
     EstimatorConfig,
+    distance_from_p,
     distance_matrix,
     estimate_distance,
-    row_keys,
+    exact_p,
 )
 from entdist.vectors import DimensionError, as_vector
 
@@ -380,8 +382,9 @@ class TestUnsupervisedCluster:
 
 
 def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
-    # pair (i, j) of cluster round r runs on cfg.derive(r).derive(i, j) and
-    # fig2 row i on cfg.derive(i).derive(0 | 1): a chain of keys, not one flat key
+    # cluster round r is the block under cfg.derive(r), so pair (i, j), i < j,
+    # is draw i of the stream cfg.derive(r).derive(j); fig2 row i against
+    # reference j is draw i of the stream cfg.derive(j)
     blocks = []
     reassign = entdist.ml._reassign
 
@@ -392,20 +395,23 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
     monkeypatch.setattr(entdist.ml, "_reassign", recording)
     cfg = EstimatorConfig(mode="sampled", shots=1000, seed=5)
     points = [as_vector(p) for p in separated_clouds()]
-    unsupervised_cluster(points, 2, [0, 1] * 4, cfg, max_iterations=1)
-    (dist,) = blocks
-    for i, j in itertools.combinations(range(8), 2):
-        want = estimate_distance(DistanceQuery(points[i], points[j]), cfg.derive(1).derive(i, j))
-        assert dist[i, j] == dist[j, i] == want.distance
-    flat = estimate_distance(DistanceQuery(points[0], points[4]), cfg.derive(1, 0, 4))
-    assert dist[0, 4] != flat.distance
+    unsupervised_cluster(points, 2, [0, 1] * 4, cfg, max_iterations=2)
+    assert len(blocks) == 2
+    for r, dist in enumerate(blocks, start=1):
+        want = distance_matrix(points, points, cfg.derive(r), upper=True)
+        for i, j in itertools.combinations(range(8), 2):
+            assert dist[i, j] == dist[j, i] == want[i, j]
+        assert (dist != entdist.ml._pairwise_distances(points, cfg)).any()
+    assert (blocks[0] != blocks[1]).any()
 
     vectors = [as_vector(v) for v in ([1.0, 0.5], [0.3, 2.0], [2.0, 2.0])]
     rows = fig2_run(cfg, vectors=vectors)["rows"]
-    ref_a, ref_b = fig2_references()
-    for i, (u, row) in enumerate(zip(vectors, rows)):
-        d_a = estimate_distance(DistanceQuery(u, ref_a.vector), cfg.derive(i).derive(0)).distance
-        d_b = estimate_distance(DistanceQuery(u, ref_b.vector), cfg.derive(i).derive(1)).distance
+    refs = fig2_references()
+    streams = [np.random.default_rng(cfg.derive(j).seed) for j in range(len(refs))]
+    for u, row in zip(vectors, rows):  # one scalar draw per row, down each stream
+        p_hat = [rng.binomial(cfg.shots, exact_p(DistanceQuery(u, r.vector))) / cfg.shots
+                 for rng, r in zip(streams, refs)]
+        d_a, d_b = (distance_from_p(p, u.norm, r.vector.norm) for p, r in zip(p_hat, refs))
         assert row["sampled_diff"] == d_a - d_b
 
 
@@ -483,8 +489,7 @@ SOLE_MEMBER_ROUND = (np.array([[0.5, 0.5], [10, 10], [10.1, 10], [9, 9]]),
                EstimatorConfig(mode="sampled", shots=20, seed=3), ["a", "b"]))
 def test_reassign_matches_the_per_cell_reference(case):
     points, codes, k, cfg, names = case
-    keys = None if cfg.mode == "exact" else [(cfg.seed, i) for i in range(len(points))]
-    dist = entdist.ml._pairwise_distances(points, cfg, keys)
+    dist = entdist.ml._pairwise_distances(points, cfg)
     labels = [names[c] for c in codes]
     got = entdist.ml._reassign(dist, codes, k)
     assert [names[c] for c in got] == reference_reassign(dist, labels, names)
@@ -495,7 +500,7 @@ def test_reassign_matches_the_per_cell_reference(case):
        labels=st.sampled_from([("A", "B"), ("B", "A"), ("z", "m")]), cfg=sampled_or_exact())
 def test_classify_is_nearest_neighbors_over_the_two_references(vectors, a, b, labels, cfg):
     refs = [ref(np.array(a[0]) / 2, labels[0]), ref(np.array(b[0]) / 2, labels[1])]
-    dist = distance_matrix(vectors, [r.vector for r in refs], cfg, row_keys(cfg, len(vectors)))
+    dist = distance_matrix(vectors, [r.vector for r in refs], cfg)
     classified = classify_batch(vectors, *refs, cfg)
     for got, want in zip(classified, nearest_neighbors(dist, refs), strict=True):
         assert list(got.per_label_distance.items()) == list(want.per_label_distance.items())
@@ -503,3 +508,17 @@ def test_classify_is_nearest_neighbors_over_the_two_references(vectors, a, b, la
         assert got.boundary_flag == want.boundary_flag
         assert abs(got.margin) == want.margin
         assert got.margin == got.per_label_distance[labels[0]] - got.per_label_distance[labels[1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors=lattice_points(1, 6), cfg=sampled_or_exact())
+def test_single_vector_calls_are_row_0_of_a_block(vectors, cfg):
+    refs = [ref([1.5, 0.55], "A"), ref([0.86, 2.35], "B")]
+    training = refs + [ref([-1, 0.5], "A")]
+    u = as_vector(vectors[0])
+    assert (asdict(classify_two_cluster(u, *refs, cfg))
+            == asdict(classify_batch(vectors, *refs, cfg)[0]))
+    block = distance_matrix(vectors, [t.vector for t in training], cfg)
+    assert estimate_distance(DistanceQuery(u, refs[0].vector), cfg).distance == block[0, 0]
+    assert (asdict(nearest_neighbor_classify(u, training, cfg))
+            == asdict(nearest_neighbors(block, training)[0]))

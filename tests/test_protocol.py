@@ -1,11 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entdist.protocol
 from entdist.noise import PAPER_PRESET, NoiseModel, apply_noise, noise_preset
 from entdist.oracle import ancilla_probability, ancilla_projector, encode, entangled_state
 from entdist.protocol import (
@@ -17,7 +19,6 @@ from entdist.protocol import (
     exact_p,
     inner_product_from_p,
     p_matrix,
-    row_keys,
     sample_p,
 )
 from entdist.vectors import DimensionError, as_vector
@@ -311,35 +312,55 @@ def _blocks(draw):
     return us, vs, cfg
 
 
+def _column_draws(p: np.ndarray, cfg: EstimatorConfig, upper: bool = False) -> np.ndarray:
+    """Each column of an exact block drawn on its own generator, seeded with
+    cfg.derive(j).seed (the rows above the diagonal only, with ``upper``)."""
+    drawn = np.zeros_like(p)
+    for j in range(p.shape[1]):
+        rows = slice(j if upper else None)
+        rng = np.random.default_rng(cfg.derive(j).seed)
+        drawn[rows, j] = rng.binomial(cfg.shots, p[rows, j]) / cfg.shots
+    return drawn
+
+
 class TestBatch:
-    def test_order_independent_streams(self):
+    def test_order_independent_streams(self, monkeypatch):
         cfg = EstimatorConfig(mode="sampled", shots=200, seed=5)
         us = [as_vector(u) for u in ([1, 0], [0, 1], [2, 1])]
         vs = [as_vector(v) for v in ([0.6, 0.8], [1, 2])]
-        keys = row_keys(cfg, len(us))
-        all_at_once = p_matrix(us, vs, cfg, keys)
-        reversed_rows = p_matrix(us[::-1], vs, cfg, keys[::-1])[::-1]
-        one_by_one = [[estimate_distance(query(u, v), cfg.derive(i).derive(j)).p_hat
-                       for j, v in enumerate(vs)] for i, u in enumerate(us)]
-        assert all_at_once.tolist() == reversed_rows.tolist() == one_by_one
+        all_at_once = p_matrix(us, vs, cfg)
+        for k in range(1, len(us)):
+            assert p_matrix(us[:k], vs, cfg).tolist() == all_at_once[:k].tolist()
+        assert estimate_distance(query(us[0], vs[0]), cfg).p_hat == all_at_once[0, 0]
+        monkeypatch.setattr(entdist.protocol, "_BLOCK_ELEMENTS", 1)  # one row block per row
+        assert p_matrix(us, vs, cfg).tolist() == all_at_once.tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(_blocks())
     def test_block_entries_equal_single_pair_blocks(self, block):
-        # batch composition: an entry does not depend on the block around it
+        # batch composition: the first k rows of a block are the k-row block,
+        # and sampled column j is draw 0, 1, ... of the stream cfg.derive(j)
         us, vs, cfg = block
-        dist = distance_matrix(us, vs, cfg, row_keys(cfg, len(us)))
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
-                single = distance_matrix([u], [v], cfg.derive(i).derive(j))
-                assert dist[i, j] == single[0, 0]
-        upper = distance_matrix(us, us, cfg, [(cfg.derive(3).seed, i) for i in range(len(us))],
-                                upper=True)
-        for i, j in zip(*np.triu_indices(len(us), 1)):
-            single = distance_matrix([us[i]], [us[j]], cfg.derive(3).derive(i, j))
-            assert upper[i, j] == single[0, 0]
+        dist = distance_matrix(us, vs, cfg)
+        upper = distance_matrix(us, us, cfg, upper=True)
+        for k in range(1, len(us) + 1):
+            assert distance_matrix(us[:k], vs, cfg).tolist() == dist[:k].tolist()
+            assert distance_matrix(us[:k], us[:k], cfg, upper=True).tolist() == \
+                upper[:k, :k].tolist()
+        for k in range(1, len(vs) + 1):
+            assert distance_matrix(us, vs[:k], cfg).tolist() == dist[:, :k].tolist()
         assert not np.tril(upper).any()
-        if cfg.mode == "exact":
+        assert distance_matrix(us[:1], vs[:1], cfg)[0, 0] == dist[0, 0]
+        if cfg.mode == "sampled":
+            ideal = replace(cfg, mode="exact")
+            assert p_matrix(us, vs, cfg).tolist() == \
+                _column_draws(p_matrix(us, vs, ideal), cfg).tolist()
+            assert p_matrix(us, us, cfg, upper=True).tolist() == \
+                _column_draws(p_matrix(us, us, ideal, upper=True), cfg, upper=True).tolist()
+        else:
+            for i, u in enumerate(us):
+                for j, v in enumerate(vs):
+                    assert dist[i, j] == distance_matrix([u], [v], cfg)[0, 0]
             assert dist.tolist() == distance_matrix(vs, us, cfg).T.tolist()
             # the channel on a block matches the channel on one float
             q = query(us[0], vs[0])
@@ -355,7 +376,3 @@ class TestBatch:
         for i, j, k in itertools.permutations(range(3)):
             assert dist[i, k] <= (dist[i, j] + dist[j, k]) * slack
 
-    def test_sampled_block_needs_keys(self):
-        cfg = EstimatorConfig(mode="sampled", shots=10)
-        with pytest.raises(ValueError, match="one key per row"):
-            p_matrix([[1, 0]], [[0, 1], [1, 1]], cfg)

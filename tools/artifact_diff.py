@@ -83,6 +83,8 @@ INPUTS = {
                        "training": {"initial": TRAINING, "added": {"label": "x"}}},
     "bad_init.json": {"vectors": CLUSTER_VECTORS[:3], "k": 2, "init": [0, "a", 0]},
     "bad_noise.json": {"u": [1, 0], "v": [0, 1], "noise": {"fidelity": 0.9}},
+    "noise_twice.json": {"u": [1, 0], "v": [0, 1], "noise": "none",
+                         "estimator": {"noise": "paper-2012-optics"}},
     "self_noise.json": "self_noise.json",
     "nn16.json": {"vectors": [wave(i) for i in range(6)],
                   "training": {"initial": [{"label": "a", "vector": wave(10)},
@@ -247,6 +249,7 @@ CASES = [
                                          "--out", "out")),
     ("err-fig2-count-and-vectors", "error", ("repro", "fig2", "--config", "fig2.json",
                                              "--count", "30", "--out", "out")),
+    ("err-noise-and-estimator-noise", "error", ("estimate", "--config", "noise_twice.json")),
 ]
 
 
