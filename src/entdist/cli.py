@@ -135,9 +135,9 @@ CONFIG_SCHEMA = _Object({
     "task": str,
     "u": _VECTOR,
     "v": _VECTOR,
-    "vectors": (str, [(float, _VECTOR)]),  # a file, one vector, or a list of vectors
+    "vectors": (str, [_VECTOR]),  # a file or a list of vectors
     "references": [_ENTRY],
-    "training": ([_ENTRY], _Object({"initial": [_ENTRY], "added": (_ENTRY, [_ENTRY], _NULL)})),
+    "training": ([_ENTRY], _Object({"initial": [_ENTRY], "added": (_ENTRY, _NULL)})),
     "k": int,
     "init": (int, [(int, str)]),
     "max_iterations": int,
@@ -236,7 +236,7 @@ def _estimator(args, config: dict, mode: str, shots: int, noise: str | None) -> 
 
 
 def _noise_from(source) -> NoiseModel | None:
-    if source is None or source == "none" or source == "off":
+    if source is None or source == "none":
         return None
     if isinstance(source, str):
         if source in NOISE_PRESETS:
@@ -261,12 +261,7 @@ def _vectors(config: dict) -> VectorSet:
         return load_vectors_csv(path)
     if not source:  # a vector set is never empty
         raise ValueError("config.vectors: expected at least one vector")
-    rows = [isinstance(x, list) for x in source]
-    if any(rows) and not all(rows):
-        kind = "vector" if rows[0] else "number"
-        raise ValueError(f"config.vectors[{rows.index(not rows[0])}]: expected a {kind} "
-                         "like config.vectors[0]")
-    return VectorSet(source if any(rows) else [source])
+    return VectorSet(source)
 
 
 def _labeled(entry: dict) -> LabeledReference:
@@ -398,10 +393,6 @@ def _nn(args, config: dict, cfg: EstimatorConfig) -> Run:
     initial, added = spec.get("initial", []), spec.get("added")
     if not initial:
         raise ValueError("training set must be non-empty")
-    if isinstance(added, list):
-        if len(added) != 1:
-            raise ValueError("'added' must hold exactly one training vector")
-        added = added[0]
     training = [_labeled(t) for t in initial]
     added = _labeled(added) if added is not None else None
     vectors = _vectors(config)
@@ -577,10 +568,7 @@ def _fig2_svg(result: dict, metadata: dict) -> str:
         seg for seg in segments
         if math.hypot(*seg[0]) <= r_max and math.hypot(*seg[1]) <= r_max
     ]
-    scale = max(
-        (max(abs(r["exact_diff"]), abs(r["sampled_diff"])) for r in result["rows"]),
-        default=1.0,
-    ) or 1.0
+    scale = max(max(abs(r["exact_diff"]), abs(r["sampled_diff"])) for r in result["rows"]) or 1.0
     refs = [(a[0], a[1], "A"), (b[0], b[1], "B")]
     panels = []
     for key_diff, key_label, title in (
@@ -595,7 +583,7 @@ def _fig2_svg(result: dict, metadata: dict) -> str:
             "references": refs,
             "boundary": boundary,
         })
-    return polar_scatter_svg(panels, r_max, metadata=metadata)
+    return polar_scatter_svg(panels, r_max, metadata)
 
 
 def _scatter_svg(vectors, labels, references, gap, names, title, metadata) -> str:

@@ -122,8 +122,8 @@ def fig2_run(
     """
     ref_a, ref_b = fig2_references()
     vectors = VectorSet(fig2_test_vectors(count, sampled_cfg.seed) if vectors is None else vectors)
-    # the sampled block first: it meets the noise channel at row 0, so a noise
-    # model the channel rejects is reported ahead of a bad vector in a later row
+    # the sampled block first: p_matrix checks the noise model before any norm,
+    # so a noise model the channel rejects is reported ahead of a bad vector
     sampled = classify_batch(vectors, ref_a, ref_b, sampled_cfg)
     exact = classify_batch(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
     rows = []

@@ -1,7 +1,7 @@
 """Classification and clustering built on the distance estimator.
 
 Each procedure reads its distances as one block from protocol.distance_matrix.
-One labelling rule, nearest reference wins and a tie within boundary_tol goes
+One labelling rule, nearest reference wins and a tie within BOUNDARY_TOL goes
 to the smallest label, serves two-cluster assignment (over the two references)
 and nearest-neighbor (over a training set).  The unsupervised loop moves every
 vector to the group of smallest mean distance, one (n, k) array of means over
@@ -58,7 +58,6 @@ def classify_batch(
     ref_a: LabeledReference,
     ref_b: LabeledReference,
     cfg: EstimatorConfig = EstimatorConfig(),
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> list[ClassificationResult]:
     """nearest_neighbors over the two references; margin keeps the signed D_A - D_B.
 
@@ -68,10 +67,9 @@ def classify_batch(
     if ref_a.label == ref_b.label:
         raise ValueError("the two reference labels must differ")
     dist = distance_matrix(vectors, [ref_a.vector, ref_b.vector], cfg)
-    names, minima, assigned, gap = _nearest_labels(dist, [ref_a.label, ref_b.label],
-                                                   boundary_tol)
+    names, minima, assigned, gap = _nearest_labels(dist, [ref_a.label, ref_b.label])
     return [
-        ClassificationResult(dict(zip(names, row)), names[a], row[0] - row[1], g < boundary_tol)
+        ClassificationResult(dict(zip(names, row)), names[a], row[0] - row[1], g < BOUNDARY_TOL)
         for row, a, g in zip(minima.tolist(), assigned.tolist(), gap.tolist())
     ]
 
@@ -81,40 +79,32 @@ def classify_two_cluster(
     ref_a: LabeledReference,
     ref_b: LabeledReference,
     cfg: EstimatorConfig = EstimatorConfig(),
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> ClassificationResult:
     """classify_batch for one vector: row 0 of any larger batch."""
-    return classify_batch([u], ref_a, ref_b, cfg, boundary_tol)[0]
+    return classify_batch([u], ref_a, ref_b, cfg)[0]
 
 
-def nearest_neighbors(
-    dist: np.ndarray,
-    training,
-    boundary_tol: float = BOUNDARY_TOL,
-) -> list[ClassificationResult]:
+def nearest_neighbors(dist: np.ndarray, training) -> list[ClassificationResult]:
     """Assign row i of a distance block (columns: the training vectors) the
     label of its nearest training vector.
 
     per_label_distance keeps the closest distance per label; margin is the
     gap between the best and runner-up labels (inf with a single label).
     """
-    names, minima, assigned, gap = _nearest_labels(dist, [t.label for t in training],
-                                                   boundary_tol)
+    names, minima, assigned, gap = _nearest_labels(dist, [t.label for t in training])
     return [
-        ClassificationResult(dict(zip(names, row)), names[a], g, g < boundary_tol)
+        ClassificationResult(dict(zip(names, row)), names[a], g, g < BOUNDARY_TOL)
         for row, a, g in zip(minima.tolist(), assigned.tolist(), gap.tolist())
     ]
 
 
-def _nearest_labels(dist: np.ndarray, labels: list, boundary_tol: float):
+def _nearest_labels(dist: np.ndarray, labels: list):
     """The one labelling rule: row i takes the label of its nearest column j, labels[j].
 
     Returns the distinct labels in first-seen order, the (n, L) per-label
-    minima, each row's label index (labels within boundary_tol of the best
+    minima, each row's label index (labels within BOUNDARY_TOL of the best
     tie; the smallest wins) and the gap to the runner-up label (inf if L = 1).
     """
-    if not boundary_tol > 0.0:
-        raise ValueError(f"boundary_tol must be positive, got {boundary_tol!r}")
     names = list(dict.fromkeys(labels))
     codes = np.array([names.index(label) for label in labels])
     minima = np.column_stack([dist[:, codes == c].min(axis=1) for c in range(len(names))])
@@ -122,7 +112,7 @@ def _nearest_labels(dist: np.ndarray, labels: list, boundary_tol: float):
     best = ranked[:, 0]
     gap = ranked[:, 1] - best if len(names) > 1 else np.full(len(best), np.inf)
     by_label = np.array(sorted(range(len(names)), key=names.__getitem__))
-    tied = minima[:, by_label] - best[:, None] < boundary_tol
+    tied = minima[:, by_label] - best[:, None] < BOUNDARY_TOL
     return names, minima, by_label[tied.argmax(axis=1)], gap
 
 
@@ -130,7 +120,6 @@ def nearest_neighbor_classify(
     u,
     training: list[LabeledReference],
     cfg: EstimatorConfig = EstimatorConfig(),
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> ClassificationResult:
     """Assign u the label of its nearest training vector (see nearest_neighbors).
 
@@ -140,7 +129,7 @@ def nearest_neighbor_classify(
     if not training:
         raise ValueError("training set must be non-empty")
     dist = distance_matrix([u], [t.vector for t in training], cfg)
-    return nearest_neighbors(dist, training, boundary_tol)[0]
+    return nearest_neighbors(dist, training)[0]
 
 
 @dataclass(frozen=True, eq=False)

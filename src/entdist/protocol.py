@@ -129,46 +129,45 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
              upper: bool = False) -> np.ndarray:
     """Observed p for every pair (us[i], vs[j]) of two VectorSets (or their rows) under cfg.
 
-    Pairs are checked in row-major order and the first failing one raises the
-    error a DistanceQuery or exact_p would.  With ``upper`` only the pairs
-    j > i are evaluated and every other entry is 0.  In sampled mode entry
-    (i, j) is draw i of the generator seeded with cfg.derive(j).seed, so the
-    first k rows of a block (the leading k x k of an ``upper`` one) are the
-    k-row block, and a column does not depend on the other columns.
+    Checks run in one order: the two dimensions, then the noise model at that
+    dimension, then the squared norms one row block at a time, where the first
+    pair (row-major) that leaves float64's range raises.  With ``upper`` only
+    the pairs j > i are evaluated and every other entry is 0.  In sampled mode
+    entry (i, j) is draw i of the generator seeded with cfg.derive(j).seed, so
+    the first k rows of a block (the leading k x k of an ``upper`` one) are
+    the k-row block, and a column does not depend on the other columns.
     """
     us, vs = VectorSet(us), VectorSet(vs)
     n, m, dim = len(us), len(vs), us.dimension
-    scope = np.triu(np.ones((n, m), dtype=bool), 1) if upper else np.ones((n, m), dtype=bool)
-    p = np.zeros((n, m))
-    if not scope.any():
-        return p
     _check_dimensions(dim, vs.dimension)
+    if cfg.noise is not None:  # a fidelity the channel rejects raises here, before any norm
+        cfg.noise.mixing_weight(dim.bit_length())
     nu2 = np.array([x ** 2 for x in us.norms.tolist()])  # C pow, as for a single pair
     nv2 = np.array([x ** 2 for x in vs.norms.tolist()])
-    z = nu2[:, None] + nv2[None, :]
-    in_range = ((nu2 >= _MIN_SQUARE)[:, None] & (nv2 >= _MIN_SQUARE)[None, :]
-                & (z <= _MAX_SQUARE_SUM))
-    bad = scope & ~in_range
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), m)
-        if cfg.noise is not None and (i, j) != (0, int(upper)):
-            cfg.noise.mixing_weight(dim.bit_length())  # the pairs before it met the channel
-        raise ValueError(
-            f"squared norms {nu2[i]:.3g} and {nv2[j]:.3g} leave float64's range: each must be at "
-            f"least {_MIN_SQUARE:.3g} and their sum at most {_MAX_SQUARE_SUM:.3g}"
-        )
-
     u_rows, v_rows = us.components, vs.components
+    p = np.empty((n, m))
     step = max(1, _BLOCK_ELEMENTS // (m * dim))
     for r in range(0, n, step):
+        z = nu2[r:r + step, None] + nv2[None, :]
+        bad = ~((nu2[r:r + step] >= _MIN_SQUARE)[:, None] & (nv2 >= _MIN_SQUARE)[None, :]
+                & (z <= _MAX_SQUARE_SUM))
+        if upper:
+            bad = np.triu(bad, r + 1)  # row i of the block is row r + i: keep j > r + i
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), m)
+            raise ValueError(
+                f"squared norms {nu2[r + i]:.3g} and {nv2[j]:.3g} leave float64's range: each "
+                f"must be at least {_MIN_SQUARE:.3g} and their sum at most {_MAX_SQUARE_SUM:.3g}"
+            )
         diff = u_rows[r:r + step, None, :] - v_rows[None, :, :]
         # |u - v|^2 as a sum of squares (p >= 0, and 0 when u == v) by a stacked
         # matmul, which sums in the order np.dot does for one pair
-        p[r:r + step] = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] / (2.0 * z[r:r + step])
+        p[r:r + step] = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] / (2.0 * z)
     np.clip(p, 0.0, 1.0, out=p)
     if cfg.noise is not None:
         p = apply_noise(p, cfg.noise, dim.bit_length())
-    p[~scope] = 0.0
+    if upper:
+        p = np.triu(p, 1)
 
     if cfg.mode == "sampled":
         # one generator per column, drawing down its rows in order as scalar calls would

@@ -143,17 +143,16 @@ def _title(x: float, top: float, title: str) -> str:
             f'font-weight="bold">{title}</text>')
 
 
-def _document(width: float, height: float, body: list[str], metadata: dict | None) -> str:
+def _document(width: float, height: float, body: list[str], metadata: dict) -> str:
+    desc = json.dumps(metadata, sort_keys=True).replace("<", "\\u003c")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
-        f'viewBox="0 0 {width:g} {height:g}">'
+        f'viewBox="0 0 {width:g} {height:g}">',
+        f"<desc>{desc}</desc>",
+        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
+        *body,
+        "</svg>",
     ]
-    if metadata is not None:
-        desc = json.dumps(metadata, sort_keys=True).replace("<", "\\u003c")
-        parts.append(f"<desc>{desc}</desc>")
-    parts.append(f'<rect width="{width:g}" height="{height:g}" fill="white"/>')
-    parts.extend(body)
-    parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
@@ -188,7 +187,7 @@ def _polar_grid(panel: _Panel, r_max: float) -> list[str]:
     return out
 
 
-def polar_scatter_svg(panels, r_max: float, metadata: dict | None = None) -> str:
+def polar_scatter_svg(panels, r_max: float, metadata: dict) -> str:
     """One or more quarter-disk panels side by side.
 
     Each panel is a dict with keys: title, points [(x, y, fill_value, edge_label)],
@@ -215,7 +214,7 @@ def polar_scatter_svg(panels, r_max: float, metadata: dict | None = None) -> str
 
 
 def cartesian_scatter_svg(points, labels, xlim, ylim, references, boundary, names, title: str,
-                          metadata: dict | None) -> str:
+                          metadata: dict) -> str:
     """Scatter of labeled 2-D points with reference crosses, a dashed boundary
     (segment list) and the first ``len(names)`` points named."""
     panel_size, margin = 420.0, 50.0

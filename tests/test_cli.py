@@ -77,6 +77,19 @@ class TestEstimate:
         doc = json.loads(out)
         assert code == 0 and doc["shots_used"] == 100
 
+    def test_noise_file_gives_the_inline_model_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        model = {"state_fidelity": 0.9, "dark_count_fraction": 0.01}
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        (tmp_path / "c.json").write_text(json.dumps({"noise": model}))
+        argv = ["estimate", "--u", "1,2", "--v", "2,1", "--shots", "100"]
+        from_file = run(capsys, *argv, "--noise", "model.json", "--out", "a")
+        inline = run(capsys, *argv, "--config", "c.json", "--out", "b")
+        assert from_file[0] == 0 and '"state_fidelity": 0.9' in from_file[1]
+        assert from_file == inline
+        assert (tmp_path / "a" / "summary.json").read_bytes() == \
+            (tmp_path / "b" / "summary.json").read_bytes()
+
     def test_exact_and_shots_conflict(self, capsys):
         code, _, err = run(capsys, "estimate", "--u", "1,0", "--v", "0,1",
                            "--shots", "10", "--exact")
@@ -335,14 +348,14 @@ BAD_INPUTS = {
     # the first pair checked is (0, 1), not the self pair (0, 0)
     "cluster-tiny-norm": ({"vectors": [[1e-200, 0], [0, 1], [1, 1]]}, ["cluster"],
                           "squared norms 0 and 1 leave"),
-    # row 0's estimates meet the noise channel before row 1's pair check
+    # the kernel checks the noise model before any vector's norms
     "noise-before-a-later-bad-vector": ({"vectors": [[1.0, 0.5], [1e-200, 0]],
                                          "noise": {"state_fidelity": 0.2}}, ["repro", "fig2"],
                                         "fidelity 0.2 outside"),
     # an empty set is refused before the run (was an IndexError traceback)
     "fig2-empty-vectors": ({"vectors": []}, ["repro", "fig2"], "config.vectors"),
-    # one list of numbers and vectors names the first entry of the other kind
-    "number-then-vector": ({"vectors": [1, [2, 3]]}, ["cluster"], "config.vectors[1]"),
+    # a vector list holds vectors only: the first entry that is not one is named
+    "number-then-vector": ({"vectors": [1, [2, 3]]}, ["cluster"], "config.vectors[0]"),
     "vector-then-number": ({"vectors": [[1, 0], 2]}, ["cluster"], "config.vectors[1]"),
     "negative-init-seed": ({"vectors": [[1, 0], [0, 1], [1, 1]], "init": -1}, ["cluster"],
                            "init seed must be a non-negative integer, got -1"),
@@ -357,6 +370,15 @@ BAD_INPUTS = {
     "noise-and-estimator-noise": ({"u": [1, 0], "v": [0, 1], "noise": "none",
                                    "estimator": {"noise": "paper-2012-optics"}}, ["estimate"],
                                   "choose one of 'noise' and 'estimator.noise'"),
+    "ref-a-without-ref-b": ({"vectors": [[1, 0]]}, ["classify", "--ref-a", "1,0"],
+                            "pass both --ref-a and --ref-b"),
+    "classify-one-reference": ({"vectors": [[1, 0]], "references": [
+        {"label": "A", "vector": [1, 0]}]}, ["classify"], "classify needs two references"),
+    "nn-without-training": ({"vectors": [[1, 0]]}, ["nn"], "'training' section"),
+    "nn-empty-training": ({"vectors": [[1, 0]], "training": []}, ["nn"],
+                          "training set must be non-empty"),
+    "empty-vector-argument": ({"v": [1, 0]}, ["estimate", "--u", ","], "empty vector argument"),
+    "no-vectors": ({}, ["cluster"], "no vectors"),
 }
 
 

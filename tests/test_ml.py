@@ -68,13 +68,6 @@ class TestTwoCluster:
         with pytest.raises(ValueError):
             classify_two_cluster([1, 0], ref([1, 0], "A"), ref([0, 1], "A"), EXACT)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12])
-    def test_non_positive_boundary_tol_rejected(self, tol):
-        # with tol 0 an exact midpoint used to go to the second reference's label
-        a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        with pytest.raises(ValueError, match="boundary_tol"):
-            classify_two_cluster((a + b) / 2, ref(a, "A"), ref(b, "B"), EXACT, boundary_tol=tol)
-
     def test_agrees_with_euclidean_classifier(self):
         rng = np.random.default_rng(31)
         for _ in range(1000):
@@ -136,12 +129,6 @@ class TestNearestNeighbor:
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
             nearest_neighbor_classify([1, 0], [], EXACT)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-12])
-    def test_non_positive_boundary_tol_rejected(self, tol):
-        training = [ref([1, 0], "red"), ref([0, 1], "blue")]
-        with pytest.raises(ValueError, match="boundary_tol"):
-            nearest_neighbor_classify([1, 1], training, EXACT, boundary_tol=tol)
 
     def test_tie_goes_to_the_smallest_label_not_the_first_seen(self):
         training = [ref([1, 0], "red"), ref([0, 1], "blue"), ref([5, 5], "red")]

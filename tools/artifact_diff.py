@@ -111,6 +111,10 @@ INPUTS = {
     "classify_reversed.json": {"vectors": [[2, 0], [0, 2], [1, 1], [0.4, 1.3]],
                                "references": [{"label": "B", "vector": [1, 0]},
                                               {"label": "A", "vector": [0, 1]}]},
+    # forms the config schema refuses: one flat vector, a one-entry "added" list
+    "flat_vectors.json": {"vectors": [0.6, 0.6], "training": TRAINING},
+    "added_list.json": {"vectors": [[0.6, 0.6]],
+                        "training": {"initial": TRAINING, "added": [ADDED]}},
     "blocker": "not a directory\n",
 }
 
@@ -250,6 +254,9 @@ CASES = [
     ("err-fig2-count-and-vectors", "error", ("repro", "fig2", "--config", "fig2.json",
                                              "--count", "30", "--out", "out")),
     ("err-noise-and-estimator-noise", "error", ("estimate", "--config", "noise_twice.json")),
+    ("err-flat-vectors", "error", ("nn", "--config", "flat_vectors.json", "--out", "out")),
+    ("err-added-list", "error", ("nn", "--config", "added_list.json", "--out", "out")),
+    ("err-noise-off", "error", ("estimate", "--u", "1,0", "--v", "0,1", "--noise", "off")),
 ]
 
 
