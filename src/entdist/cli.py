@@ -11,7 +11,7 @@ creates the output directory, writes files and prints results, once every
 check has passed, so a failing run writes nothing.
 
 Exit status: 0 success (including reported non-convergence), 1 validation
-error, 2 I/O error.
+error (or an input too large for memory), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -130,7 +130,6 @@ _VECTOR = [float]
 _ENTRY = _Object({"vector": _VECTOR, "label": (str, int)}, required=("vector", "label"))
 _NOISE_MODEL = _Object({"state_fidelity": (float, _NULL), "dark_count_fraction": float,
                         "background_split": float})
-_NOISE = (str, _NULL, _NOISE_MODEL)  # a preset, 'none', a file, or the model itself
 CONFIG_SCHEMA = _Object({
     "task": str,
     "u": _VECTOR,
@@ -141,8 +140,8 @@ CONFIG_SCHEMA = _Object({
     "k": int,
     "init": (int, [(int, str)]),
     "max_iterations": int,
-    "estimator": _Object({"mode": str, "shots": int, "seed": int, "noise": _NOISE}),
-    "noise": _NOISE,
+    "estimator": _Object({"mode": str, "shots": int, "seed": int}),
+    "noise": (str, _NULL, _NOISE_MODEL),  # a preset, 'none', a file, or the model itself
     "output": str,
     "emit_plot": bool,
     "count": int,
@@ -186,6 +185,10 @@ def _load_config(path: str | None) -> dict:
     else:
         data = json.loads(p.read_text(encoding="utf-8"))
     _check(data, CONFIG_SCHEMA, "config")
+    # a file named in a config lies beside it; a preset or 'none' names no file
+    for key, names in (("vectors", ()), ("noise", ("none", *NOISE_PRESETS))):
+        if isinstance(data.get(key), str) and data[key] not in names:
+            data[key] = str(p.parent / data[key])
     return data
 
 
@@ -229,9 +232,7 @@ def _estimator(args, config: dict, mode: str, shots: int, noise: str | None) -> 
     elif args.shots is not None:
         mode, shots = "sampled", args.shots
     seed = args.seed if args.seed is not None else est.get("seed", 0)
-    if "noise" in config and "noise" in est:
-        raise ValueError("choose one of 'noise' and 'estimator.noise'")
-    noise = args.noise if args.noise is not None else config.get("noise", est.get("noise", noise))
+    noise = args.noise if args.noise is not None else config.get("noise", noise)
     return EstimatorConfig(mode=mode, shots=shots, seed=seed, noise=_noise_from(noise))
 
 
@@ -286,7 +287,7 @@ class Run:
 
 def _metadata(task: str, cfg: EstimatorConfig, extra: dict) -> dict:
     estimator = {"mode": cfg.mode, "shots": cfg.shots, "seed": cfg.seed}
-    noise = cfg.noise.as_dict() if cfg.noise is not None else None
+    noise = asdict(cfg.noise) if cfg.noise is not None else None
     config = {"task": task, "estimator": estimator, "noise": noise, **extra}
     # sampled bytes hold for one numpy binomial implementation only
     return {"artifact": "entdist", "version": __version__, "generator": GENERATOR_NAME,
@@ -346,14 +347,14 @@ def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default
 # ---------------------------------------------------------------- commands
 
 
-def _estimate(args, config: dict, cfg: EstimatorConfig) -> Run:
+def _estimate(config: dict, cfg: EstimatorConfig) -> Run:
     u, v = config.get("u"), config.get("v")
     if u is None or v is None:
         raise ValueError("estimate needs both vectors: --u/--v or config keys 'u'/'v'")
     return Run({}, estimate_run(u, v, cfg))
 
 
-def _classify(args, config: dict, cfg: EstimatorConfig) -> Run:
+def _classify(config: dict, cfg: EstimatorConfig) -> Run:
     refs = config.get("references")
     if refs is None or len(refs) != 2:
         raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
@@ -384,7 +385,7 @@ def _classify(args, config: dict, cfg: EstimatorConfig) -> Run:
     return Run(extra, {"rows": rows, "assigned_counts": counts}, fields, rows, plots, vectors)
 
 
-def _nn(args, config: dict, cfg: EstimatorConfig) -> Run:
+def _nn(config: dict, cfg: EstimatorConfig) -> Run:
     spec = config.get("training")
     if spec is None:
         raise ValueError("nn needs a 'training' section in the config")
@@ -421,7 +422,7 @@ def _nn(args, config: dict, cfg: EstimatorConfig) -> Run:
                rows, {"plot.svg": plot}, vectors)
 
 
-def _cluster(args, config: dict, cfg: EstimatorConfig) -> Run:
+def _cluster(config: dict, cfg: EstimatorConfig) -> Run:
     vectors = _vectors(config)
     k, init = config.get("k", 2), config.get("init", cfg.seed)
     max_iter = config.get("max_iterations", 100)
@@ -430,7 +431,7 @@ def _cluster(args, config: dict, cfg: EstimatorConfig) -> Run:
                         "n_vectors": len(vectors)})
 
 
-def _fig3(args, config: dict, cfg: EstimatorConfig) -> Run:
+def _fig3(config: dict, cfg: EstimatorConfig) -> Run:
     demo = FIG3_DEMO
     init = list(demo.initial_labels)
     return _clustering(demo.vectors(), demo.k, init, cfg, config.get("max_iterations", 100),
@@ -461,8 +462,8 @@ def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
                rows, plots, vectors)
 
 
-def _table(args, config: dict, cfg: EstimatorConfig) -> Run:
-    name = args.target
+def _table(config: dict, cfg: EstimatorConfig) -> Run:
+    name = config["task"]
     sampled_cfg = cfg if cfg.mode == "sampled" else None
     result = table_run(name, sampled_cfg)
     fields = ["index", "vector", "theory_diff", "computed_diff", "group", "matches_paper_theory"]
@@ -475,7 +476,7 @@ def _table(args, config: dict, cfg: EstimatorConfig) -> Run:
                line=f"{name}: {len(result['rows'])} rows; {status}")
 
 
-def _fig2(args, config: dict, cfg: EstimatorConfig) -> Run:
+def _fig2(config: dict, cfg: EstimatorConfig) -> Run:
     if "count" in config and "vectors" in config:
         raise ValueError("choose one of 'count' (--count) and 'vectors'")
     vectors = _vectors(config) if "vectors" in config else None
@@ -488,7 +489,7 @@ def _fig2(args, config: dict, cfg: EstimatorConfig) -> Run:
                {"plot.svg": partial(_fig2_svg, result)}, line=line)
 
 
-def _figs1(args, config: dict, cfg: EstimatorConfig) -> Run:
+def _figs1(config: dict, cfg: EstimatorConfig) -> Run:
     demo = FIGS1_DEMO
     vectors, training = demo.vectors(), list(demo.initial_training)
     result = nn_run(vectors, training, demo.added_training, cfg)
@@ -521,13 +522,13 @@ def _run(args) -> None:
     name = getattr(args, "target", args.command)
     command, mode, shots, noise, plot = TASKS[name]
     config = _load_config(args.config)
-    if config.get("task", name) != name:
+    if config.setdefault("task", name) != name:
         raise ValueError(f"config task {config['task']!r} does not match invoked command {name!r}")
     cfg = _estimator(args, config, mode, shots, noise)
     _apply_flags(args, config)
     if name != "estimate" and config.get("output") is None:  # fail before the work, not after
         raise ValueError("this command writes files: pass --out DIR (or 'output' in the config)")
-    _write(command(args, config, cfg), name, cfg, config, plot)
+    _write(command(config, cfg), name, cfg, config, plot)
 
 
 # ---------------------------------------------------------------- plots
@@ -569,21 +570,11 @@ def _fig2_svg(result: dict, metadata: dict) -> str:
         if math.hypot(*seg[0]) <= r_max and math.hypot(*seg[1]) <= r_max
     ]
     scale = max(max(abs(r["exact_diff"]), abs(r["sampled_diff"])) for r in result["rows"]) or 1.0
+    panels = [(title, [(r["x"], r["y"], r[f"{kind}_diff"], r[f"{kind}_label"])
+                       for r in result["rows"]])
+              for kind, title in (("exact", "exact"), ("sampled", "sampled with noise"))]
     refs = [(a[0], a[1], "A"), (b[0], b[1], "B")]
-    panels = []
-    for key_diff, key_label, title in (
-        ("exact_diff", "exact_label", "exact"),
-        ("sampled_diff", "sampled_label", "sampled with noise"),
-    ):
-        panels.append({
-            "title": title,
-            "points": [(r["x"], r["y"], r[key_diff], r[key_label]) for r in result["rows"]],
-            "fill_scale": scale,
-            "labels": ["A", "B"],
-            "references": refs,
-            "boundary": boundary,
-        })
-    return polar_scatter_svg(panels, r_max, metadata)
+    return polar_scatter_svg(panels, refs, boundary, scale, r_max, metadata)
 
 
 def _scatter_svg(vectors, labels, references, gap, names, title, metadata) -> str:

@@ -79,13 +79,6 @@ class NoiseModel:
         """Pure-part weight of the white-noise mixture for an m-qubit state."""
         return fidelity_to_mixing_weight(self.fidelity_for(m_qubits), m_qubits)
 
-    def as_dict(self) -> dict:
-        return {
-            "state_fidelity": self.state_fidelity,
-            "dark_count_fraction": self.dark_count_fraction,
-            "background_split": self.background_split,
-        }
-
 
 def apply_noise(p_ideal: float | np.ndarray, model: NoiseModel,
                 m_qubits: int) -> float | np.ndarray:

@@ -98,6 +98,8 @@ class EstimatorConfig:
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if self.mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode needs shots >= 1")
+        if self.mode == "sampled" and self.shots >= 2**63:  # numpy's binomial takes a C long
+            raise ValueError("sampled mode needs shots < 2**63")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -148,7 +150,8 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
     p = np.empty((n, m))
     step = max(1, _BLOCK_ELEMENTS // (m * dim))
     for r in range(0, n, step):
-        z = nu2[r:r + step, None] + nv2[None, :]
+        with np.errstate(over="ignore"):  # an overflowing sum reads inf: the range check reports it
+            z = nu2[r:r + step, None] + nv2[None, :]
         bad = ~((nu2[r:r + step] >= _MIN_SQUARE)[:, None] & (nv2 >= _MIN_SQUARE)[None, :]
                 & (z <= _MAX_SQUARE_SUM))
         if upper:

@@ -12,7 +12,6 @@ import math
 
 __all__ = [
     "diverging_color",
-    "color_for_label",
     "contour_segments",
     "polar_scatter_svg",
     "cartesian_scatter_svg",
@@ -44,13 +43,12 @@ def diverging_color(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def color_for_label(label, all_labels) -> str:
-    """A label that names a CSS color gets it; others take palette slots."""
-    text = str(label)
-    if text in _CSS_COLORS:
-        return text
-    ordered = sorted(str(x) for x in all_labels)
-    return _PALETTE[ordered.index(text) % len(_PALETTE)]
+def _label_colors(labels) -> dict:
+    """One figure's label -> color map: a label that names a CSS color gets it,
+    and every label's place among them all, sorted, picks its palette slot."""
+    ordered = sorted({str(x) for x in labels})
+    return {text: text if text in _CSS_COLORS else _PALETTE[i % len(_PALETTE)]
+            for i, text in enumerate(ordered)}
 
 
 def contour_segments(f, xlim, ylim):
@@ -187,29 +185,29 @@ def _polar_grid(panel: _Panel, r_max: float) -> list[str]:
     return out
 
 
-def polar_scatter_svg(panels, r_max: float, metadata: dict) -> str:
-    """One or more quarter-disk panels side by side.
+def polar_scatter_svg(panels, references, boundary, fill_scale: float, r_max: float,
+                      metadata: dict) -> str:
+    """Quarter-disk panels side by side, one per (title, points) pair.
 
-    Each panel is a dict with keys: title, points [(x, y, fill_value, edge_label)],
-    fill_scale (value mapped to +/-1 for the diverging fill), references
-    [(x, y, label)], labels (all edge labels), boundary (segment list).
+    Points are (x, y, fill_value, edge_label): fill_scale maps a fill value to
+    +/-1 for the diverging fill, and an edge label is one of the references'
+    labels.  Every panel shows the references [(x, y, label)] as crosses and
+    the boundary (segment list).
     """
     panel_size, margin = 360.0, 55.0
     width = margin + len(panels) * (panel_size + margin)
     height = panel_size + 2 * margin
+    colors = _label_colors(label for _, _, label in references)
     body = []
-    for idx, spec in enumerate(panels):
+    for idx, (title, points) in enumerate(panels):
         panel = _Panel(margin + idx * (panel_size + margin), margin, panel_size, (0.0, r_max), (0.0, r_max))
         body.extend(_polar_grid(panel, r_max))
-        body.extend(panel.segments(spec["boundary"]))
-        labels = spec["labels"]
-        for x, y, value, edge_label in spec["points"]:
-            fill = diverging_color(value / spec["fill_scale"])
-            edge = color_for_label(edge_label, labels)
-            body.append(panel.point(x, y, fill, edge))
-        for x, y, label in spec["references"]:
-            body.append(panel.cross(x, y, color_for_label(label, labels)))
-        body.append(_title(panel.px + panel.size / 2.0, margin, spec["title"]))
+        body.extend(panel.segments(boundary))
+        for x, y, value, edge_label in points:
+            body.append(panel.point(x, y, diverging_color(value / fill_scale), colors[edge_label]))
+        for x, y, label in references:
+            body.append(panel.cross(x, y, colors[label]))
+        body.append(_title(panel.px + panel.size / 2.0, margin, title))
     return _document(width, height, body, metadata)
 
 
@@ -220,7 +218,7 @@ def cartesian_scatter_svg(points, labels, xlim, ylim, references, boundary, name
     panel_size, margin = 420.0, 50.0
     width = height = panel_size + 2 * margin
     panel = _Panel(margin, margin, panel_size, xlim, ylim)
-    all_labels = sorted({str(l) for l in labels} | {str(l) for _, _, l in references})
+    colors = _label_colors([*labels, *(label for _, _, label in references)])
     body = [
         f'<rect x="{margin:g}" y="{margin:g}" width="{panel_size:g}" height="{panel_size:g}" '
         f'fill="none" stroke="#bbbbbb"/>'
@@ -237,11 +235,11 @@ def cartesian_scatter_svg(points, labels, xlim, ylim, references, boundary, name
                 )
     body.extend(panel.segments(boundary, dash="6 4"))
     for i, ((x, y), label) in enumerate(zip(points, labels)):
-        body.append(panel.point(x, y, color_for_label(label, all_labels), "#333333"))
+        body.append(panel.point(x, y, colors[str(label)], "#333333"))
         if i < len(names):
             body.append(panel.text(x, y, str(names[i]), dy=-10.0))
     for x, y, label in references:
-        body.append(panel.cross(x, y, color_for_label(label, all_labels)))
+        body.append(panel.cross(x, y, colors[str(label)]))
     body.append(_title(width / 2.0, margin, title))
     return _document(width, height, body, metadata)
 

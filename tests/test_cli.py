@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entdist.cli import main
 
@@ -366,10 +373,10 @@ BAD_INPUTS = {
                            "choose one of --vector and --vectors"),
     "fig2-count-and-vectors": ({"vectors": [[1, 0], [0, 1]]}, ["repro", "fig2", "--count", "30"],
                                "choose one of 'count' (--count) and 'vectors'"),
-    # two noise sources (the top-level one used to win silently)
+    # noise has one home, the top-level key
     "noise-and-estimator-noise": ({"u": [1, 0], "v": [0, 1], "noise": "none",
                                    "estimator": {"noise": "paper-2012-optics"}}, ["estimate"],
-                                  "choose one of 'noise' and 'estimator.noise'"),
+                                  "config.estimator: unknown key 'noise'"),
     "ref-a-without-ref-b": ({"vectors": [[1, 0]]}, ["classify", "--ref-a", "1,0"],
                             "pass both --ref-a and --ref-b"),
     "classify-one-reference": ({"vectors": [[1, 0]], "references": [
@@ -379,6 +386,14 @@ BAD_INPUTS = {
                           "training set must be non-empty"),
     "empty-vector-argument": ({"v": [1, 0]}, ["estimate", "--u", ","], "empty vector argument"),
     "no-vectors": ({}, ["cluster"], "no vectors"),
+    # numpy's binomial takes shots as a C long
+    "shots-2-63": ({"u": [1, 0], "v": [0, 1]}, ["estimate", "--shots", str(2**63)],
+                   "sampled mode needs shots < 2**63"),
+    # numpy cannot allocate the test vectors
+    "fig2-count-beyond-memory": ({}, ["repro", "fig2", "--count", str(10**15)],
+                                 "Unable to allocate"),
+    # both squared norms are finite, their sum is not
+    "norm-sum-overflow": ({"u": [1e154, 0], "v": [0, 1e154]}, ["estimate"], "float64's range"),
 }
 
 
@@ -406,6 +421,107 @@ class TestErrorContract:
         code, _, err = run(capsys, *argv, "--out", str(out_dir))
         assert code == 1 and err.startswith("error:")
         assert not out_dir.exists()
+
+
+# one valid config (and command) per command; the generated-config property
+# swaps one of its fields, or one of EXTRA_FIELDS, for a drawn value
+VALID_RUNS = {
+    "estimate": ({"u": [1, 2], "v": [2, 1], "estimator": {"mode": "sampled", "shots": 20}},
+                 ["estimate"]),
+    "classify": ({"vectors": [[2, 0], [0, 2], [1, 1]],
+                  "references": [{"label": "A", "vector": [1, 0]},
+                                 {"label": "B", "vector": [0, 1]}]}, ["classify"]),
+    "nn": ({"vectors": [[0.6, 0.6], [2.4, 2.4]],
+            "training": {"initial": [{"label": "blue", "vector": [0.5, 0.5]},
+                                     {"label": "red", "vector": [2.5, 2.5]}],
+                         "added": {"label": "blue", "vector": [2.35, 2.35]}}}, ["nn"]),
+    "cluster": ({"vectors": [[1, 1], [1.1, 1], [5, 5], [5.1, 5]], "k": 2, "init": 3,
+                 "max_iterations": 5}, ["cluster"]),
+    "table1": ({"estimator": {"shots": 20, "seed": 3}, "noise": "paper-2012-optics"},
+               ["repro", "table1"]),
+    "fig2": ({"count": 5, "estimator": {"shots": 20}, "emit_plot": False}, ["repro", "fig2"]),
+    "fig3": ({"max_iterations": 5, "emit_plot": False}, ["repro", "fig3"]),
+    "figS1": ({"estimator": {"mode": "exact"}, "emit_plot": False}, ["repro", "figS1"]),
+}
+EXTRA_FIELDS = ("noise", "task", "estimator.mode", "estimator.shots", "estimator.seed")
+FIELDS = [(name, key) for name, (config, _) in VALID_RUNS.items()
+          for key in dict.fromkeys([*config, *EXTRA_FIELDS])]
+
+# counts stay at 50 or less but for the sentinels, lists at 8 entries or less
+_INTEGERS = st.one_of(st.integers(-2, 50), st.sampled_from([2**63, 10**15]))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([1e154, math.nan]))
+_STRINGS = st.one_of(st.text(alphabet="ab,.- 01\n", max_size=6),
+                     st.sampled_from(["none", "exact", "sampled", "paper-2012-optics"]))
+_SCALARS = st.one_of(_INTEGERS, _FLOATS, _STRINGS, st.booleans(), st.none())
+_VALUES = st.one_of(_INTEGERS, _FLOATS, _STRINGS, st.booleans(), st.none(),
+                    st.lists(_SCALARS, max_size=8),
+                    st.lists(st.lists(st.one_of(_INTEGERS, _FLOATS), min_size=1, max_size=4),
+                             max_size=8))
+
+
+def _replaced(config: dict, key: str, value) -> dict:
+    config = copy.deepcopy(config)
+    outer, _, inner = key.partition(".")
+    if inner:
+        config.setdefault(outer, {})[inner] = value
+    else:
+        config[outer] = value
+    return config
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(FIELDS), value=_VALUES)
+    # the three inputs that once ended in a traceback or a numpy warning
+    @example(field=("estimate", "estimator.shots"), value=2**63)
+    @example(field=("fig2", "count"), value=10**15)
+    @example(field=("cluster", "vectors"), value=[[1e154, 0.0], [0.0, 1e154]])
+    def test_one_field_swapped_keeps_the_error_contract(self, field, value):
+        name, key = field
+        config, argv = VALID_RUNS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "c.json").write_text(json.dumps(_replaced(config, key, value)))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", f"{tmp}/c.json", "--out", f"{tmp}/out"])
+            assert code in (0, 1, 2)
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+                assert not (Path(tmp) / "out").exists()
+
+
+class TestConfigPaths:
+    @pytest.fixture
+    def tree(self, tmp_path, monkeypatch):
+        """cfg/ holds a config and the files it names; the working directory
+        holds other files of the same names."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").mkdir()
+        for where, vectors, fidelity in ((tmp_path / "cfg", "1,1\n1.1,1\n5,5\n5.1,5\n", 0.8),
+                                         (tmp_path, "1,1\n5,5\n5.1,5\n", 0.9)):
+            (where / "v.csv").write_text(vectors)
+            (where / "n.json").write_text(json.dumps({"state_fidelity": fidelity}))
+        return tmp_path
+
+    def embedded(self, capsys, *argv) -> dict:
+        code, _, err = run(capsys, "cluster", *argv, "--out", "out")
+        assert code == 0, err
+        return json.loads(Path("out/summary.json").read_text())["metadata"]["config"]
+
+    def test_files_in_a_config_lie_beside_it(self, capsys, tree):
+        (tree / "cfg" / "c.json").write_text(json.dumps({"vectors": "v.csv", "noise": "n.json"}))
+        config = self.embedded(capsys, "--config", "cfg/c.json")
+        assert config["n_vectors"] == 4 and config["noise"]["state_fidelity"] == 0.8
+
+    def test_flags_absolute_paths_and_presets_are_kept(self, capsys, tree):
+        (tree / "cfg" / "c.json").write_text(json.dumps({"vectors": str(tree / "v.csv"),
+                                                         "noise": "paper-2012-optics"}))
+        config = self.embedded(capsys, "--config", "cfg/c.json")
+        assert config["n_vectors"] == 3 and config["noise"]["dark_count_fraction"] == 0.02
+        config = self.embedded(capsys, "--config", "cfg/c.json", "--vectors", "v.csv",
+                               "--noise", "n.json")
+        assert config["n_vectors"] == 3 and config["noise"]["state_fidelity"] == 0.9
 
 
 class TestDeterminism:

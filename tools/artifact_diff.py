@@ -66,7 +66,7 @@ INPUTS = {
     "swap.json": {"vectors": [[1.0, 1.0], [1.1, 1.0], [5.0, 5.0], [5.1, 5.0]],
                   "k": 2, "init": [0, 1, 0, 1]},
     "fig2.json": {"task": "fig2", "vectors": [[1.0, 0.5], [0.2, 2.0], [1.2, 1.3]],
-                  "estimator": {"shots": 800, "seed": 5, "noise": "noise.json"}},
+                  "estimator": {"shots": 800, "seed": 5}, "noise": "noise.json"},
     "fig2_noplot.json": {"count": 12, "emit_plot": False, "noise": None},
     "estimate_nested.json": {"u": [1, 2], "v": [2, 1], "output": "out",
                              "estimator": {"mode": "sampled", "shots": 50, "seed": 1}},
@@ -116,6 +116,10 @@ INPUTS = {
     "added_list.json": {"vectors": [[0.6, 0.6]],
                         "training": {"initial": TRAINING, "added": [ADDED]}},
     "blocker": "not a directory\n",
+    # file names inside a config are relative to the config file
+    "cfg/cluster.json": {"vectors": "v.csv", "k": 2, "noise": "noise.json"},
+    "cfg/v.csv": "1,1\n1.1,1\n5,5\n5.1,5\n",
+    "cfg/noise.json": {"state_fidelity": 0.8},
 }
 
 SHOTS = ("--shots", "400", "--seed", "7")
@@ -185,6 +189,8 @@ CASES = [
     ("nn-tie", "exact", ("nn", "--config", "nn_tie.json", "--out", "out")),
     ("fig2-row-norm-trap", "exact", ("repro", "fig2", "--config", "fig2_row_norms.json",
                                      "--out", "out", "--exact")),
+    ("cluster-config-in-subdirectory", "exact", ("cluster", "--config", "cfg/cluster.json",
+                                                 "--out", "out")),
     ("classify-reversed-labels-plot", "exact", ("classify", "--config", "classify_reversed.json",
                                                 "--out", "out", "--plot")),
     ("help", "exact", ("--help",)),
@@ -257,6 +263,13 @@ CASES = [
     ("err-flat-vectors", "error", ("nn", "--config", "flat_vectors.json", "--out", "out")),
     ("err-added-list", "error", ("nn", "--config", "added_list.json", "--out", "out")),
     ("err-noise-off", "error", ("estimate", "--u", "1,0", "--v", "0,1", "--noise", "off")),
+    # numpy's binomial takes shots as a C long
+    ("err-shots-2-63", "error", ("estimate", "--u", "1,0", "--v", "0,1",
+                                 "--shots", "9223372036854775808")),
+    ("err-fig2-count-memory", "error", ("repro", "fig2", "--count", "1000000000000000",
+                                        "--out", "out")),
+    # both squared norms are finite, their sum is not
+    ("err-norm-sum-overflow", "error", ("estimate", "--u", "1e154,0", "--v", "0,1e154")),
 ]
 
 
@@ -264,6 +277,7 @@ def run_case(src: Path, argv, workdir: Path) -> dict:
     """One CLI run in a fresh directory; returns exit status, streams and new files."""
     for name, content in INPUTS.items():
         text = json.dumps(content) if name.endswith(".json") else content
+        (workdir / name).parent.mkdir(exist_ok=True)
         (workdir / name).write_text(text, encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     proc = subprocess.run([sys.executable, "-c", RUNNER, *argv], cwd=workdir, env=env,
@@ -271,7 +285,7 @@ def run_case(src: Path, argv, workdir: Path) -> dict:
     files = {
         str(path.relative_to(workdir)): path.read_bytes()
         for path in sorted(workdir.rglob("*"))
-        if path.is_file() and path.name not in INPUTS
+        if path.is_file() and str(path.relative_to(workdir)) not in INPUTS
     }
     dirs = sorted(str(p.relative_to(workdir)) for p in workdir.rglob("*") if p.is_dir())
     return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
