@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_STATE_FIDELITY",
     "PAPER_PRESET",
-    "NOISE_PRESETS",
     "UnreachableFidelityError",
     "NoiseModel",
     "fidelity_to_mixing_weight",

@@ -147,25 +147,26 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
     nu2 = np.array([x ** 2 for x in us.norms.tolist()])  # C pow, as for a single pair
     nv2 = np.array([x ** 2 for x in vs.norms.tolist()])
     u_rows, v_rows = us.components, vs.components
-    p = np.empty((n, m))
+    p = np.zeros((n, m))
     step = max(1, _BLOCK_ELEMENTS // (m * dim))
     for r in range(0, n, step):
+        c = r + 1 if upper else 0  # an upper row block needs no column j <= r
         with np.errstate(over="ignore"):  # an overflowing sum reads inf: the range check reports it
-            z = nu2[r:r + step, None] + nv2[None, :]
-        bad = ~((nu2[r:r + step] >= _MIN_SQUARE)[:, None] & (nv2 >= _MIN_SQUARE)[None, :]
+            z = nu2[r:r + step, None] + nv2[None, c:]
+        bad = ~((nu2[r:r + step] >= _MIN_SQUARE)[:, None] & (nv2[c:] >= _MIN_SQUARE)[None, :]
                 & (z <= _MAX_SQUARE_SUM))
         if upper:
-            bad = np.triu(bad, r + 1)  # row i of the block is row r + i: keep j > r + i
+            bad = np.triu(bad)  # entry (i, j) is pair (r + i, c + j): keep c + j > r + i
         if bad.any():
-            i, j = divmod(int(np.argmax(bad)), m)
+            i, j = divmod(int(np.argmax(bad)), m - c)
             raise ValueError(
-                f"squared norms {nu2[r + i]:.3g} and {nv2[j]:.3g} leave float64's range: each "
+                f"squared norms {nu2[r + i]:.3g} and {nv2[c + j]:.3g} leave float64's range: each "
                 f"must be at least {_MIN_SQUARE:.3g} and their sum at most {_MAX_SQUARE_SUM:.3g}"
             )
-        diff = u_rows[r:r + step, None, :] - v_rows[None, :, :]
+        diff = u_rows[r:r + step, None, :] - v_rows[None, c:, :]
         # |u - v|^2 as a sum of squares (p >= 0, and 0 when u == v) by a stacked
         # matmul, which sums in the order np.dot does for one pair
-        p[r:r + step] = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] / (2.0 * z)
+        p[r:r + step, c:] = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] / (2.0 * z)
     np.clip(p, 0.0, 1.0, out=p)
     if cfg.noise is not None:
         p = apply_noise(p, cfg.noise, dim.bit_length())

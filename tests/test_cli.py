@@ -394,6 +394,11 @@ BAD_INPUTS = {
                                  "Unable to allocate"),
     # both squared norms are finite, their sum is not
     "norm-sum-overflow": ({"u": [1e154, 0], "v": [0, 1e154]}, ["estimate"], "float64's range"),
+    # an integer component beyond float64 (was an OverflowError traceback)
+    "int-beyond-float64": ({"u": [10**400, 0], "v": [0, 1]}, ["estimate"],
+                           "int too large to convert to float"),
+    "csv-without-rows": ({}, ["cluster", "--vectors", "header.csv"],
+                         "header.csv: no vector rows found"),
 }
 
 
@@ -404,6 +409,7 @@ class TestErrorContract:
         (tmp_path / "bools.json").write_text("[[true, false], [0, 1]]")
         (tmp_path / "self.json").write_text('"self.json"')
         (tmp_path / "v.csv").write_text("0,1\n")
+        (tmp_path / "header.csv").write_text("# comments and a header only\nx,y\n")
         (tmp_path / "c.json").write_text(json.dumps(config))
         code, out, err = run(capsys, *argv, "--config", "c.json", "--out", "out")
         assert code == 1 and out == ""
@@ -448,7 +454,7 @@ FIELDS = [(name, key) for name, (config, _) in VALID_RUNS.items()
           for key in dict.fromkeys([*config, *EXTRA_FIELDS])]
 
 # counts stay at 50 or less but for the sentinels, lists at 8 entries or less
-_INTEGERS = st.one_of(st.integers(-2, 50), st.sampled_from([2**63, 10**15]))
+_INTEGERS = st.one_of(st.integers(-2, 50), st.sampled_from([2**63, 10**15, 10**400]))
 _FLOATS = st.one_of(st.floats(), st.sampled_from([1e154, math.nan]))
 _STRINGS = st.one_of(st.text(alphabet="ab,.- 01\n", max_size=6),
                      st.sampled_from(["none", "exact", "sampled", "paper-2012-optics"]))
@@ -459,36 +465,59 @@ _VALUES = st.one_of(_INTEGERS, _FLOATS, _STRINGS, st.booleans(), st.none(),
                              max_size=8))
 
 
-def _replaced(config: dict, key: str, value) -> dict:
+# nested entries, as dotted paths with list indices
+NESTED_FIELDS = [
+    ("estimate", "u.0"), ("estimate", "v.1"),
+    ("classify", "vectors.2"), ("classify", "vectors.2.0"), ("classify", "references.0.vector"),
+    ("classify", "references.1.label"), ("classify", "references.1.vector.1"),
+    ("nn", "vectors.1.0"), ("nn", "training.initial.0.vector"), ("nn", "training.initial.1.label"),
+    ("nn", "training.initial.0"), ("nn", "training.added"), ("nn", "training.added.vector"),
+    ("nn", "training.added.label"), ("cluster", "vectors.2.0"), ("cluster", "vectors.3"),
+]
+
+
+def _replaced(config: dict, path: str, value) -> dict:
+    """A copy of config with the entry at a dotted path set to value; a
+    missing mapping on the way is created."""
     config = copy.deepcopy(config)
-    outer, _, inner = key.partition(".")
-    if inner:
-        config.setdefault(outer, {})[inner] = value
-    else:
-        config[outer] = value
+    *outer, last = path.split(".")
+    node = config
+    for part in outer:
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[int(last) if isinstance(node, list) else last] = value
     return config
+
+
+def _keeps_the_error_contract(name: str, path: str, value) -> None:
+    config, argv = VALID_RUNS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "c.json").write_text(json.dumps(_replaced(config, path, value)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", f"{tmp}/c.json", "--out", f"{tmp}/out"])
+        assert code in (0, 1, 2)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+            assert not (Path(tmp) / "out").exists()
 
 
 class TestGeneratedConfigs:
     @settings(max_examples=300, deadline=None)
     @given(field=st.sampled_from(FIELDS), value=_VALUES)
-    # the three inputs that once ended in a traceback or a numpy warning
+    # the inputs that once ended in a traceback or a numpy warning
     @example(field=("estimate", "estimator.shots"), value=2**63)
     @example(field=("fig2", "count"), value=10**15)
     @example(field=("cluster", "vectors"), value=[[1e154, 0.0], [0.0, 1e154]])
+    @example(field=("cluster", "vectors"), value=[[10**400, 0]])
     def test_one_field_swapped_keeps_the_error_contract(self, field, value):
-        name, key = field
-        config, argv = VALID_RUNS[name]
-        with tempfile.TemporaryDirectory() as tmp:
-            (Path(tmp) / "c.json").write_text(json.dumps(_replaced(config, key, value)))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*argv, "--config", f"{tmp}/c.json", "--out", f"{tmp}/out"])
-            assert code in (0, 1, 2)
-            if code:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
-                assert not (Path(tmp) / "out").exists()
+        _keeps_the_error_contract(*field, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(NESTED_FIELDS), value=_VALUES)
+    @example(field=("nn", "training.added.vector"), value=[10**400, 0])
+    def test_one_nested_field_swapped_keeps_the_error_contract(self, field, value):
+        _keeps_the_error_contract(*field, value)
 
 
 class TestConfigPaths:

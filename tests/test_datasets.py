@@ -3,6 +3,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from entdist.datasets import (
     FIG2_ANGLE_RANGE,
@@ -16,6 +17,7 @@ from entdist.datasets import (
     fig2_references,
     fig2_test_vectors,
 )
+from entdist.experiments import table_run
 
 # one-time transcription checksum; any edit to the published numbers must
 # be deliberate enough to update this digest
@@ -55,6 +57,10 @@ class TestTables:
     def test_transcription_checksum(self):
         blob = json.dumps([_canonical(TABLE1), _canonical(TABLE2)], sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == TABLES_SHA256
+
+    def test_unknown_table_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown table dataset 'table3'"):
+            table_run("table3")
 
     def test_one_misclassified_row_per_table(self):
         assert [r.index for r in TABLE1.rows if not r.experiment_correct] == [17]

@@ -248,6 +248,8 @@ class TestUnsupervisedCluster:
             unsupervised_cluster([[1, 0], [0, 1, 0, 0]], 2, [0, 1], EXACT)
         with pytest.raises(ValueError, match="init seed must be a non-negative integer, got -1"):
             unsupervised_cluster(points, 2, -1, EXACT)
+        with pytest.raises(ValueError, match="init must be an integer seed or a sequence of labels"):
+            unsupervised_cluster(points, 2, 2.5, EXACT)
 
     def test_cloud_pure_is_the_unique_fixed_point(self):
         # brute force over every two-group labeling

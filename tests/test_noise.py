@@ -34,6 +34,10 @@ class TestMixingWeight:
         with pytest.raises(UnreachableFidelityError):
             fidelity_to_mixing_weight(0.1, 2)
 
+    def test_qubit_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="m_qubits must be positive"):
+            fidelity_to_mixing_weight(0.9, 0)
+
     def test_just_above_floor_is_fine(self):
         assert fidelity_to_mixing_weight(0.2501, 2) > 0.0
 

@@ -368,6 +368,25 @@ class TestBatch:
                                                                     q.dimension.bit_length())
             assert p_matrix(us[:1], vs[:1], cfg)[0, 0] == want
 
+    @pytest.mark.parametrize("cfg", [
+        EstimatorConfig(),
+        EstimatorConfig(mode="sampled", shots=300, seed=4,
+                        noise=NoiseModel(state_fidelity=0.8, dark_count_fraction=0.02)),
+    ], ids=["exact", "sampled-noisy"])
+    def test_upper_row_blocks_skip_the_lower_columns(self, monkeypatch, cfg):
+        us = np.random.default_rng(0).normal(size=(9, 4))
+        full = p_matrix(us, us, cfg)
+        # squared norms 4.9e307 and 6.4e307 sum beyond float64's range, and so does
+        # 4.9e307 twice: the first bad pair above the diagonal is (4, 5), in the
+        # second row block of three, after the bad self pair (4, 4)
+        huge = us.copy()
+        huge[4] *= 7e153 / np.linalg.norm(huge[4])
+        huge[5] *= 8e153 / np.linalg.norm(huge[5])
+        monkeypatch.setattr(entdist.protocol, "_BLOCK_ELEMENTS", 3 * 9 * 4)  # rows 0-2, 3-5, 6-8
+        assert p_matrix(us, us, cfg, upper=True).tobytes() == np.triu(full, 1).tobytes()
+        with pytest.raises(ValueError, match="squared norms 4.9e[+]307 and 6.4e[+]307 leave"):
+            p_matrix(huge, huge, cfg, upper=True)
+
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([1, 2, 4, 8, 16]).flatmap(lambda dim: _block_vectors(dim, 3)))
     def test_exact_triangle_inequality(self, vectors):

@@ -208,6 +208,12 @@ class TestLoaders:
         assert len(vectors) == 2
         np.testing.assert_allclose(vectors.components[0], [1.0, 0.0])
 
+    def test_csv_without_rows_is_rejected(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("# comment\nu1,u2\n")
+        with pytest.raises(ValueError, match="v.csv: no vector rows found"):
+            load_vectors_csv(path)
+
     def test_csv_rejects_late_garbage(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("1,0\nnot,numbers\n")

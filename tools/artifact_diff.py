@@ -120,6 +120,9 @@ INPUTS = {
     "cfg/cluster.json": {"vectors": "v.csv", "k": 2, "noise": "noise.json"},
     "cfg/v.csv": "1,1\n1.1,1\n5,5\n5.1,5\n",
     "cfg/noise.json": {"state_fidelity": 0.8},
+    # an integer component beyond float64
+    "big_int_u.json": {"u": [10**400, 0], "v": [0, 1]},
+    "big_int_vectors.json": [[10**400, 0], [0, 1]],
 }
 
 SHOTS = ("--shots", "400", "--seed", "7")
@@ -270,6 +273,9 @@ CASES = [
                                         "--out", "out")),
     # both squared norms are finite, their sum is not
     ("err-norm-sum-overflow", "error", ("estimate", "--u", "1e154,0", "--v", "0,1e154")),
+    ("err-big-int-config", "error", ("estimate", "--config", "big_int_u.json")),
+    ("err-big-int-vectors-file", "error", ("cluster", "--vectors", "big_int_vectors.json",
+                                           "--k", "2", "--out", "out")),
 ]
 
 
