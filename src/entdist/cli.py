@@ -39,7 +39,7 @@ from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .noise import NOISE_PRESETS, PAPER_PRESET, NoiseModel, noise_preset
 from .protocol import GENERATOR_NAME, EstimatorConfig, distance_matrix
 from .svgplot import cartesian_scatter_svg, contour_segments, polar_scatter_svg
-from .vectors import VectorSet, load_vectors_csv, load_vectors_json
+from .vectors import VectorSet
 
 REPRO_TARGETS = ("fig2", "table1", "table2", "fig3", "figS1")
 
@@ -86,19 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", metavar="NUMS", help="new vector, e.g. '1,0'")
     p.add_argument("--v", metavar="NUMS", help="reference vector")
 
-    p = sub.add_parser("classify", parents=[common], help="two-cluster assignment")
-    p.add_argument("--vector", action="append", metavar="NUMS", help="test vector (repeatable)")
-    p.add_argument("--vectors", metavar="PATH", help="CSV/JSON file of test vectors")
+    vectors = argparse.ArgumentParser(add_help=False)
+    vectors.add_argument("--vector", action="append", metavar="NUMS", help="vector (repeatable)")
+    vectors.add_argument("--vectors", metavar="PATH", help="CSV or JSON file of vectors")
+
+    p = sub.add_parser("classify", parents=[common, vectors], help="two-cluster assignment")
     p.add_argument("--ref-a", metavar="NUMS", help="cluster A reference vector")
     p.add_argument("--ref-b", metavar="NUMS", help="cluster B reference vector")
 
-    p = sub.add_parser("nn", parents=[common], help="nearest-neighbor classification")
-    p.add_argument("--vector", action="append", metavar="NUMS", help="test vector (repeatable)")
-    p.add_argument("--vectors", metavar="PATH", help="CSV/JSON file of test vectors")
+    sub.add_parser("nn", parents=[common, vectors], help="nearest-neighbor classification")
 
-    p = sub.add_parser("cluster", parents=[common], help="unsupervised clustering")
-    p.add_argument("--vector", action="append", metavar="NUMS", help="input vector (repeatable)")
-    p.add_argument("--vectors", metavar="PATH", help="CSV/JSON file of input vectors")
+    p = sub.add_parser("cluster", parents=[common, vectors], help="unsupervised clustering")
     p.add_argument("--k", type=int, default=None, help="number of groups (default 2)")
     p.add_argument("--init", type=int, default=None, metavar="SEED",
                    help="seed for the random initial labeling")
@@ -123,8 +121,9 @@ class _Object:
 
 
 # The JSON types each config key accepts.  A spec is a scalar type (float takes
-# any number, int only integers; a boolean is never a number), _NULL for null,
-# [spec] for an array, an _Object, or a tuple of alternatives of distinct types.
+# any number within float64's range, int only integers; a boolean is never a
+# number), _NULL for null, [spec] for an array, an _Object, or a tuple of
+# alternatives of distinct types.
 _NULL = type(None)
 _VECTOR = [float]
 _ENTRY = _Object({"vector": _VECTOR, "label": (str, int)}, required=("vector", "label"))
@@ -136,7 +135,7 @@ CONFIG_SCHEMA = _Object({
     "v": _VECTOR,
     "vectors": (str, [_VECTOR]),  # a file or a list of vectors
     "references": [_ENTRY],
-    "training": ([_ENTRY], _Object({"initial": [_ENTRY], "added": (_ENTRY, _NULL)})),
+    "training": _Object({"initial": [_ENTRY], "added": (_ENTRY, _NULL)}),
     "k": int,
     "init": (int, [(int, str)]),
     "max_iterations": int,
@@ -164,31 +163,50 @@ def _check(value, spec, where: str) -> None:
                 if key not in value:
                     raise ValueError(f"{where}: missing key {key!r}")
             return
+        # an int compares with a float exactly, where float(value) would overflow
+        if alt is float and type(value) is int and abs(value) > sys.float_info.max:
+            raise ValueError(f"{where} is an integer beyond float64's range")
         if type(value) is alt or alt is float and type(value) is int:
             return
     raise ValueError(f"{where} has the wrong type: {value!r}")
 
 
+def _read(path, spec, where: str):
+    """Parse a JSON input file (TOML for a .toml config) and check it against spec.
+
+    A byte-order mark is skipped, and a file that does not parse is an error
+    that names it.  A value of the wrong type is named from ``where`` on, as
+    in ``config.u[0]``.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+        if spec is not CONFIG_SCHEMA or path.suffix.lower() != ".toml":
+            data = json.loads(text)
+        else:
+            try:
+                import tomllib  # Python >= 3.11
+            except ImportError:
+                try:
+                    import tomli as tomllib
+                except ImportError:
+                    raise ValueError("TOML configs need Python >= 3.11 "
+                                     "or the tomli package") from None
+            data = tomllib.loads(text)
+    except ValueError as exc:  # undecodable bytes, or a JSON or TOML syntax error
+        raise ValueError(f"{path}: {exc}") from None
+    _check(data, spec, where)
+    return data
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    p = Path(path)
-    if p.suffix.lower() == ".toml":
-        try:
-            import tomllib  # Python >= 3.11
-        except ImportError:
-            try:
-                import tomli as tomllib
-            except ImportError:
-                raise ValueError("TOML configs need Python >= 3.11 or the tomli package") from None
-        data = tomllib.loads(p.read_text(encoding="utf-8"))
-    else:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    _check(data, CONFIG_SCHEMA, "config")
+    data = _read(path, CONFIG_SCHEMA, "config")
     # a file named in a config lies beside it; a preset or 'none' names no file
     for key, names in (("vectors", ()), ("noise", ("none", *NOISE_PRESETS))):
         if isinstance(data.get(key), str) and data[key] not in names:
-            data[key] = str(p.parent / data[key])
+            data[key] = str(Path(path).parent / data[key])
     return data
 
 
@@ -242,27 +260,43 @@ def _noise_from(source) -> NoiseModel | None:
     if isinstance(source, str):
         if source in NOISE_PRESETS:
             return noise_preset(source)
-        path = Path(source)
-        if path.exists():
-            data = json.loads(path.read_text(encoding="utf-8"))
-            _check(data, (_NULL, _NOISE_MODEL), f"noise file {source}")
-            return _noise_from(data)
+        if Path(source).exists():
+            return _noise_from(_read(source, (_NULL, _NOISE_MODEL), f"noise file {source}"))
         raise ValueError(f"unknown noise preset or missing file: {source!r}")
     return NoiseModel(**source)
 
 
 def _vectors(config: dict) -> VectorSet:
-    source = config.get("vectors")
+    """The vectors of a config: its list, or a CSV or JSON file it names."""
+    source, where = config.get("vectors"), "config.vectors"
     if source is None:
         raise ValueError("no vectors: pass --vector/--vectors or set 'vectors' in the config")
     if isinstance(source, str):
-        path = Path(source)
-        if path.suffix.lower() == ".json":
-            return load_vectors_json(path)
-        return load_vectors_csv(path)
+        if Path(source).suffix.lower() != ".json":
+            return load_vectors_csv(source)
+        source, where = _read(source, [_VECTOR], source), source
     if not source:  # a vector set is never empty
-        raise ValueError("config.vectors: expected at least one vector")
+        raise ValueError(f"{where}: expected at least one vector")
     return VectorSet(source)
+
+
+def load_vectors_csv(path) -> VectorSet:
+    """Read one vector per CSV row; '#' comments and leading header rows are skipped."""
+    rows: list[list[float]] = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for row in csv.reader(fh):
+            cells = [c.strip() for c in row if c.strip()]
+            if not cells or cells[0].startswith("#"):
+                continue
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                if rows:
+                    raise ValueError(f"{path}: non-numeric row {row!r}") from None
+                continue  # every non-numeric row before the first vector is a header
+    if not rows:
+        raise ValueError(f"{path}: no vector rows found")
+    return VectorSet(rows)
 
 
 def _labeled(entry: dict) -> LabeledReference:
@@ -326,20 +360,19 @@ def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default
     """Check the run's plots, then write its files and print its result."""
     meta = _metadata(task, cfg, run.extra)
     out = config.get("output")
-    if run.fields is None:  # estimate: the summary is the result; files only on request
-        print(_json_text(run.summary, meta), end="")
     plots = run.plots if config.get("emit_plot", plot_default) else {}
     if plots and run.plot_vectors is not None and run.plot_vectors.dimension != 2:
         raise ValueError(f"{task} plots need 2-D vectors")
-    if out is None:
-        return
-    files = {"results.csv": partial(_csv_text, run.fields, run.rows)} if run.fields else {}
-    files["summary.json"] = partial(_json_text, run.summary)
-    files.update(plots)
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    for name, render in files.items():
-        (path / name).write_text(render(meta), encoding="utf-8")
+    if out is not None:
+        files = {"results.csv": partial(_csv_text, run.fields, run.rows)} if run.fields else {}
+        files["summary.json"] = partial(_json_text, run.summary)
+        files.update(plots)
+        path = Path(out)
+        path.mkdir(parents=True, exist_ok=True)
+        for name, render in files.items():
+            (path / name).write_text(render(meta), encoding="utf-8")
+    if run.fields is None:  # estimate: the summary is the result; files only on request
+        print(_json_text(run.summary, meta), end="")
     if run.line is not None:
         print(run.line)
 
@@ -389,8 +422,6 @@ def _nn(config: dict, cfg: EstimatorConfig) -> Run:
     spec = config.get("training")
     if spec is None:
         raise ValueError("nn needs a 'training' section in the config")
-    if isinstance(spec, list):
-        spec = {"initial": spec}
     initial, added = spec.get("initial", []), spec.get("added")
     if not initial:
         raise ValueError("training set must be non-empty")

@@ -142,7 +142,8 @@ def _title(x: float, top: float, title: str) -> str:
 
 
 def _document(width: float, height: float, body: list[str], metadata: dict) -> str:
-    desc = json.dumps(metadata, sort_keys=True).replace("<", "\\u003c")
+    # JSON escapes keep the desc well-formed XML and still the same JSON
+    desc = json.dumps(metadata, sort_keys=True).replace("<", "\\u003c").replace("&", "\\u0026")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
         f'viewBox="0 0 {width:g} {height:g}">',

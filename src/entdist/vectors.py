@@ -1,4 +1,4 @@
-"""Real vectors, validated vector sets, and vector file loaders.
+"""Real vectors and validated vector sets.
 
 A ``RealVector`` is one nonzero finite vector; a ``VectorSet`` holds n of
 them of one dimension as a read-only (n, d) array plus their norms.  Both
@@ -8,10 +8,7 @@ same messages; the estimator and the procedures read sets as arrays.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -21,8 +18,6 @@ __all__ = [
     "RealVector",
     "VectorSet",
     "as_vector",
-    "load_vectors_csv",
-    "load_vectors_json",
 ]
 
 
@@ -120,38 +115,3 @@ class VectorSet:
 def as_vector(v) -> RealVector:
     """Coerce a sequence of reals (or pass through a RealVector)."""
     return v if isinstance(v, RealVector) else RealVector(v)
-
-
-def load_vectors_json(path) -> VectorSet:
-    """Read vectors from a JSON array of numbers, or an array of such arrays."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, list) or not data:
-        raise ValueError(f"{path}: expected a non-empty JSON array")
-    if all(_is_number(x) for x in data):
-        data = [data]
-    if not all(isinstance(row, list) and all(_is_number(x) for x in row) for row in data):
-        raise ValueError(f"{path}: vector components must be numbers")
-    return VectorSet(data)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def load_vectors_csv(path) -> VectorSet:
-    """Read one vector per CSV row; '#' comments and leading header rows are skipped."""
-    rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            cells = [c.strip() for c in row if c.strip()]
-            if not cells or cells[0].startswith("#"):
-                continue
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                if rows:
-                    raise ValueError(f"{path}: non-numeric row {row!r}") from None
-                continue  # every non-numeric row before the first vector is a header
-    if not rows:
-        raise ValueError(f"{path}: no vector rows found")
-    return VectorSet(rows)

@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -297,8 +298,8 @@ DETERMINISM_RUNS = {
     "classify": (None, ["classify", "--vector", "2,0", "--vector", "1.2,1.2", "--ref-a", "1.5,0.55",
                         "--ref-b", "0.86,2.35", "--shots", "200", "--plot"]),
     "nn": ({"vectors": [[0.6, 0.6], [2.4, 2.4]],
-            "training": [{"label": "blue", "vector": [0.5, 0.5]},
-                         {"label": "red", "vector": [2.5, 2.5]}]},
+            "training": {"initial": [{"label": "blue", "vector": [0.5, 0.5]},
+                                     {"label": "red", "vector": [2.5, 2.5]}]}},
            ["nn", "--config", "c.json", "--shots", "200", "--plot"]),
     "nn-two-phase": ({"vectors": [[0.6, 0.6], [2.4, 2.4]],
                       "training": {"initial": [{"label": "blue", "vector": [0.5, 0.5]},
@@ -326,7 +327,7 @@ BAD_INPUTS = {
     "bool-config-vector": ({"u": [True, False], "v": [0, 1]}, ["estimate"], "config.u[0]"),
     "bool-vector-file": ({"vectors": "bools.json", "references": [
         {"label": "A", "vector": [1, 0]}, {"label": "B", "vector": [0, 1]}]}, ["classify"],
-        "bools.json"),
+        "bools.json[0][0] has the wrong type: True"),
     "reference-without-vector": ({"vectors": [[1, 0]], "references": [
         {"label": "A"}, {"label": "B", "vector": [0, 1]}]}, ["classify"], "'vector'"),
     "reference-without-label": ({"vectors": [[1, 0]], "references": [
@@ -348,8 +349,8 @@ BAD_INPUTS = {
     "classify-dimension-mismatch": ({"vectors": [[1, 0]], "references": [
         {"label": "A", "vector": [1, 0, 0, 0]}, {"label": "B", "vector": [0, 0, 1, 1]}]},
         ["classify"], "query vectors differ in dimension: 2 vs 4"),
-    "nn-dimension-mismatch": ({"vectors": [[1, 0]], "training": [
-        {"label": "x", "vector": [1, 0, 0, 0]}]}, ["nn"],
+    "nn-dimension-mismatch": ({"vectors": [[1, 0]], "training": {"initial": [
+        {"label": "x", "vector": [1, 0, 0, 0]}]}}, ["nn"],
         "query vectors differ in dimension: 2 vs 4"),
     "fig2-3d": ({"vectors": [[1, 0, 0]]}, ["repro", "fig2"], "3 vs 2"),
     # the first pair checked is (0, 1), not the self pair (0, 0)
@@ -382,8 +383,11 @@ BAD_INPUTS = {
     "classify-one-reference": ({"vectors": [[1, 0]], "references": [
         {"label": "A", "vector": [1, 0]}]}, ["classify"], "classify needs two references"),
     "nn-without-training": ({"vectors": [[1, 0]]}, ["nn"], "'training' section"),
-    "nn-empty-training": ({"vectors": [[1, 0]], "training": []}, ["nn"],
+    "nn-empty-training": ({"vectors": [[1, 0]], "training": {"initial": []}}, ["nn"],
                           "training set must be non-empty"),
+    # training takes one form, the object
+    "training-list": ({"vectors": [[1, 0]], "training": [{"label": "x", "vector": [1, 0]}]},
+                      ["nn"], "config.training has the wrong type"),
     "empty-vector-argument": ({"v": [1, 0]}, ["estimate", "--u", ","], "empty vector argument"),
     "no-vectors": ({}, ["cluster"], "no vectors"),
     # numpy's binomial takes shots as a C long
@@ -396,7 +400,18 @@ BAD_INPUTS = {
     "norm-sum-overflow": ({"u": [1e154, 0], "v": [0, 1e154]}, ["estimate"], "float64's range"),
     # an integer component beyond float64 (was an OverflowError traceback)
     "int-beyond-float64": ({"u": [10**400, 0], "v": [0, 1]}, ["estimate"],
-                           "int too large to convert to float"),
+                           "config.u[0] is an integer beyond float64's range"),
+    "int-beyond-float64-in-a-file": ({"vectors": "big.json"}, ["cluster"],
+                                     "big.json[0][0] is an integer beyond float64's range"),
+    # a vectors file follows the rule for config.vectors
+    "flat-vector-file": ({"vectors": "flat.json"}, ["cluster"], "flat.json[0] has the wrong type"),
+    "empty-vector-file": ({"vectors": "empty.json"}, ["cluster"],
+                          "empty.json: expected at least one vector"),
+    # a file that does not parse is named
+    "vector-file-does-not-parse": ({"vectors": "broken.json"}, ["cluster"],
+                                   "broken.json: Expecting ',' delimiter"),
+    "noise-file-does-not-parse": ({"u": [1, 0], "v": [0, 1], "noise": "broken.json"},
+                                  ["estimate"], "broken.json: Expecting ',' delimiter"),
     "csv-without-rows": ({}, ["cluster", "--vectors", "header.csv"],
                          "header.csv: no vector rows found"),
 }
@@ -410,6 +425,10 @@ class TestErrorContract:
         (tmp_path / "self.json").write_text('"self.json"')
         (tmp_path / "v.csv").write_text("0,1\n")
         (tmp_path / "header.csv").write_text("# comments and a header only\nx,y\n")
+        (tmp_path / "big.json").write_text(json.dumps([[10**400, 0]]))
+        (tmp_path / "flat.json").write_text("[1, 0]")
+        (tmp_path / "empty.json").write_text("[]")
+        (tmp_path / "broken.json").write_text('[[1, 0]\n[0, 1]]')
         (tmp_path / "c.json").write_text(json.dumps(config))
         code, out, err = run(capsys, *argv, "--config", "c.json", "--out", "out")
         assert code == 1 and out == ""
@@ -427,6 +446,22 @@ class TestErrorContract:
         code, _, err = run(capsys, *argv, "--out", str(out_dir))
         assert code == 1 and err.startswith("error:")
         assert not out_dir.exists()
+
+    def test_estimate_prints_no_result_when_out_fails(self, capsys, tmp_path):
+        (tmp_path / "blocker").write_text("x")
+        code, out, err = run(capsys, "estimate", "--u", "1,0", "--v", "0,1",
+                             "--out", str(tmp_path / "blocker"))
+        assert code == 2 and out == "" and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, text", [
+        ("c.json", '{"u": [1, 0]\n"v": [0, 1]}'),
+        ("c.toml", "u = [1, 0\nv = [0, 1]\n"),
+    ], ids=["json", "toml"])
+    def test_config_that_does_not_parse_is_named(self, capsys, tmp_path, name, text):
+        (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, "estimate", "--config", str(tmp_path / name))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {tmp_path / name}: ") and err.count("\n") == 1, err
 
 
 # one valid config (and command) per command; the generated-config property
@@ -488,10 +523,17 @@ def _replaced(config: dict, path: str, value) -> dict:
     return config
 
 
-def _keeps_the_error_contract(name: str, path: str, value) -> None:
+def _keeps_the_error_contract(name: str, path: str | None, value) -> None:
+    """Run name's valid config with the entry at path set to value; with no
+    path, value is the content of a JSON vectors file passed with --vectors."""
     config, argv = VALID_RUNS[name]
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "c.json").write_text(json.dumps(_replaced(config, path, value)))
+        if path is None:
+            (Path(tmp) / "v.json").write_text(json.dumps(value))
+            argv = [*argv, "--vectors", f"{tmp}/v.json"]
+        else:
+            config = _replaced(config, path, value)
+        (Path(tmp) / "c.json").write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, "--config", f"{tmp}/c.json", "--out", f"{tmp}/out"])
@@ -518,6 +560,40 @@ class TestGeneratedConfigs:
     @example(field=("nn", "training.added.vector"), value=[10**400, 0])
     def test_one_nested_field_swapped_keeps_the_error_contract(self, field, value):
         _keeps_the_error_contract(*field, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["classify", "nn", "cluster"]), value=_VALUES)
+    @example(name="cluster", value=[[10**400, 0]])
+    @example(name="cluster", value=[[True, 0]])
+    def test_vectors_file_keeps_the_error_contract(self, name, value):
+        _keeps_the_error_contract(name, None, value)
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("name, text", [
+        ("c.json", '{"u": [1, 0], "v": [0, 1]}'),
+        ("c.toml", "u = [1, 0]\nv = [0, 1]\n"),
+    ], ids=["json", "toml"])
+    def test_config_with_a_byte_order_mark_runs(self, capsys, tmp_path, name, text):
+        (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+        code, out, err = run(capsys, "estimate", "--config", str(tmp_path / name))
+        assert code == 0, err
+        assert json.loads(out)["distance"] == pytest.approx(math.sqrt(2))
+
+    def test_ampersand_in_a_label_keeps_every_svg_well_formed(self, capsys, tmp_path):
+        config = copy.deepcopy(VALID_RUNS["nn"][0])
+        config["training"]["initial"][0]["label"] = "a&b <c>"
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "nn", "--config", str(tmp_path / "c.json"),
+                           "--out", str(out_dir), "--plot")
+        assert code == 0, err
+        embedded = json.loads((out_dir / "summary.json").read_text())["metadata"]
+        svgs = sorted(out_dir.glob("*.svg"))
+        assert [p.name for p in svgs] == ["phase_1.svg", "phase_2.svg"]
+        for svg in svgs:
+            desc = ElementTree.parse(svg).getroot().find("{http://www.w3.org/2000/svg}desc")
+            assert json.loads(desc.text) == embedded
 
 
 class TestConfigPaths:

@@ -387,6 +387,18 @@ class TestBatch:
         with pytest.raises(ValueError, match="squared norms 4.9e[+]307 and 6.4e[+]307 leave"):
             p_matrix(huge, huge, cfg, upper=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8, 16]),
+           exponent=st.floats(-100.0, 100.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_scale_covariance_across_the_range(self, seed, dim, exponent, sign):
+        # D(cu, cv) = |c| D(u, v) for c log-uniform in 1e-100..1e100.  The pairs
+        # are random normal vectors: rounding c * u alone moves a difference that
+        # cancels to a few ulps of its components by more than any relative bound.
+        u, v = np.random.default_rng(seed).normal(size=(2, dim))
+        c = sign * 10.0 ** exponent
+        scaled = distance_matrix([c * u], [c * v])[0, 0]
+        assert scaled == pytest.approx(abs(c) * distance_matrix([u], [v])[0, 0], rel=1e-12)
+
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([1, 2, 4, 8, 16]).flatmap(lambda dim: _block_vectors(dim, 3)))
     def test_exact_triangle_inequality(self, vectors):

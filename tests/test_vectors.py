@@ -3,16 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from entdist.cli import _vectors, load_vectors_csv
 from entdist.oracle import encode
-from entdist.vectors import (
-    DimensionError,
-    RealVector,
-    VectorSet,
-    ZeroVectorError,
-    as_vector,
-    load_vectors_csv,
-    load_vectors_json,
-)
+from entdist.vectors import DimensionError, RealVector, VectorSet, ZeroVectorError, as_vector
 
 # the published 4-dim example: 4.2 x (0.866|0> + 0.5|1>) x (0.94|0> + 0.342|1>)
 EXAMPLE_VECTOR = (3.42, 1.24, 1.97, 0.72)
@@ -182,16 +175,21 @@ class TestDecode:
 
 
 class TestLoaders:
+    """Vector files, as the CLI reads them."""
+
     def test_json_single_vector(self, tmp_path):
         path = tmp_path / "v.json"
-        path.write_text("[1, 0, 0, 0]")
-        vectors = load_vectors_json(path)
+        path.write_text("[[1, 0, 0, 0]]")
+        vectors = _vectors({"vectors": str(path)})
         assert len(vectors) == 1 and vectors.dimension == 4
+        path.write_text("[1, 0, 0, 0]")  # one form only: a flat array is no list of vectors
+        with pytest.raises(ValueError, match=r"v\.json\[0\] has the wrong type: 1$"):
+            _vectors({"vectors": str(path)})
 
     def test_json_many_vectors(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text("[[1, 0], [0.5, 2.5]]")
-        vectors = load_vectors_json(path)
+        vectors = _vectors({"vectors": str(path)})
         assert len(vectors) == 2 and vectors.dimension == 2
         np.testing.assert_allclose(vectors.components[1], [0.5, 2.5])
 
@@ -199,7 +197,7 @@ class TestLoaders:
         path = tmp_path / "v.json"
         path.write_text('{"a": 1}')
         with pytest.raises(ValueError):
-            load_vectors_json(path)
+            _vectors({"vectors": str(path)})
 
     def test_csv_rows(self, tmp_path):
         path = tmp_path / "v.csv"
@@ -213,6 +211,11 @@ class TestLoaders:
         path.write_text("# comment\nu1,u2\n")
         with pytest.raises(ValueError, match="v.csv: no vector rows found"):
             load_vectors_csv(path)
+
+    def test_csv_byte_order_mark_is_no_header(self, tmp_path):
+        path = tmp_path / "v.csv"  # as spreadsheets export "CSV UTF-8"
+        path.write_text("\ufeff1,0\n0,1\n2,2\n", encoding="utf-8")
+        assert load_vectors_csv(path).components.tolist() == [[1, 0], [0, 1], [2, 2]]
 
     def test_csv_rejects_late_garbage(self, tmp_path):
         path = tmp_path / "v.csv"

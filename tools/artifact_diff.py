@@ -43,7 +43,8 @@ def wave(i: int, dim: int = 16) -> list[float]:
     return [round(math.sin(3 * i + k), 3) for k in range(dim)]
 
 
-# file name -> contents, written into every case directory (.json files as JSON)
+# file name -> contents, written into every case directory (bytes as they are,
+# other .json contents as JSON)
 INPUTS = {
     "vectors.csv": "# x,y\n2,0\n0,2\n1,1\n",
     "vectors.json": [[2, 0], [0, 2], [1.5, 1.5]],
@@ -53,11 +54,11 @@ INPUTS = {
     "estimate.toml": 'task = "estimate"\nu = [3.0, 4.0]\nv = [1.0, 0.0]\n',
     "classify.json": {"task": "classify", "vectors": [[2, 0], [0, 2], [1, 1]],
                       "references": REFS},
-    "nn_one.json": {"vectors": [[0.6, 0.6], [2.4, 2.4]], "training": TRAINING},
+    "nn_one.json": {"vectors": [[0.6, 0.6], [2.4, 2.4]], "training": {"initial": TRAINING}},
     "nn_two.json": {"vectors": [[0.6, 0.6], [2.4, 2.4], [1.4, 1.6]],
                     "training": {"initial": TRAINING, "added": ADDED}},
     "nn4.json": {"vectors": "vectors4.json",
-                 "training": [{"label": "x", "vector": [1, 0, 0, 0]}]},
+                 "training": {"initial": [{"label": "x", "vector": [1, 0, 0, 0]}]}},
     "cluster.json": {"task": "cluster", "vectors": CLUSTER_VECTORS, "k": 2,
                      "init": [0, 0, 1, 1, 1]},
     "cluster_seeded.json": {"vectors": CLUSTER_VECTORS + [[3.0, 3.1]], "k": 3,
@@ -78,7 +79,7 @@ INPUTS = {
     "bad_k.json": {"vectors": CLUSTER_VECTORS, "k": 2.7},
     "bad_reference.json": {"vectors": [[1, 0]],
                            "references": [{"label": "A"}, REFS[1]]},
-    "bad_initial.json": {"vectors": [[1, 0]], "training": [{"vector": [1, 0]}]},
+    "bad_initial.json": {"vectors": [[1, 0]], "training": {"initial": [{"vector": [1, 0]}]}},
     "bad_added.json": {"vectors": [[1, 0]],
                        "training": {"initial": TRAINING, "added": {"label": "x"}}},
     "bad_init.json": {"vectors": CLUSTER_VECTORS[:3], "k": 2, "init": [0, "a", 0]},
@@ -104,17 +105,31 @@ INPUTS = {
                   "init": [0, 0, 0, 1, 1], "max_iterations": 10},
     # (1, 1) and (3, 3) are equally far from both labels: the tie goes to "blue"
     "nn_tie.json": {"vectors": [[1, 1], [3, 3], [2, 0.5]],
-                    "training": [{"label": "red", "vector": [1, 0]},
-                                 {"label": "blue", "vector": [0, 1]}]},
+                    "training": {"initial": [{"label": "red", "vector": [1, 0]},
+                                             {"label": "blue", "vector": [0, 1]}]}},
     # sorting the labels would flip the sign of the boundary function: the grid
     # has exact zeros on the diagonal, so the plotted segments would change
     "classify_reversed.json": {"vectors": [[2, 0], [0, 2], [1, 1], [0.4, 1.3]],
                                "references": [{"label": "B", "vector": [1, 0]},
                                               {"label": "A", "vector": [0, 1]}]},
-    # forms the config schema refuses: one flat vector, a one-entry "added" list
-    "flat_vectors.json": {"vectors": [0.6, 0.6], "training": TRAINING},
+    # forms the config schema refuses: one flat vector, a one-entry "added" list,
+    # a bare training list, and a vectors file holding one flat vector
+    "flat_vectors.json": {"vectors": [0.6, 0.6], "training": {"initial": TRAINING}},
     "added_list.json": {"vectors": [[0.6, 0.6]],
                         "training": {"initial": TRAINING, "added": [ADDED]}},
+    "training_list.json": {"vectors": [[0.6, 0.6]], "training": TRAINING},
+    "flat_vector_file.json": [0.6, 0.6],
+    # bytes are written as they are: JSON that does not parse, and a config
+    # naming a noise file and a vectors file that do not parse
+    "broken.json": b'{"u": [1, 0], "v": [0, 1]\n"shots": 5}',
+    "broken_noise.json": {"u": [1, 0], "v": [0, 1], "noise": "broken.json"},
+    "broken_vectors.json": {"vectors": "broken.json"},
+    # the byte-order mark of a spreadsheet's "CSV UTF-8" export
+    "bom.csv": "\ufeff1,0\n0,1\n2,2\n",
+    # an & in a config string lands in every SVG's <desc>
+    "nn_ampersand.json": {"vectors": [[0.6, 0.6], [2.4, 2.4]],
+                          "training": {"initial": [{"label": "a&b", "vector": [0.5, 0.5]},
+                                                   {"label": "red", "vector": [2.5, 2.5]}]}},
     "blocker": "not a directory\n",
     # file names inside a config are relative to the config file
     "cfg/cluster.json": {"vectors": "v.csv", "k": 2, "noise": "noise.json"},
@@ -196,6 +211,9 @@ CASES = [
                                                  "--out", "out")),
     ("classify-reversed-labels-plot", "exact", ("classify", "--config", "classify_reversed.json",
                                                 "--out", "out", "--plot")),
+    ("cluster-bom-csv", "exact", ("cluster", "--vectors", "bom.csv", "--out", "out")),
+    ("nn-ampersand-label-plot", "exact", ("nn", "--config", "nn_ampersand.json", "--out", "out",
+                                          "--plot")),
     ("help", "exact", ("--help",)),
     ("version", "exact", ("--version",)),
     ("err-usage", "error", ("frobnicate",)),
@@ -276,15 +294,24 @@ CASES = [
     ("err-big-int-config", "error", ("estimate", "--config", "big_int_u.json")),
     ("err-big-int-vectors-file", "error", ("cluster", "--vectors", "big_int_vectors.json",
                                            "--k", "2", "--out", "out")),
+    ("err-training-list", "error", ("nn", "--config", "training_list.json", "--out", "out")),
+    ("err-flat-vector-file", "error", ("cluster", "--vectors", "flat_vector_file.json",
+                                       "--out", "out")),
+    ("err-config-does-not-parse", "error", ("estimate", "--config", "broken.json")),
+    ("err-noise-file-does-not-parse", "error", ("estimate", "--config", "broken_noise.json")),
+    ("err-vectors-file-does-not-parse", "error", ("cluster", "--config", "broken_vectors.json",
+                                                  "--out", "out")),
 ]
 
 
 def run_case(src: Path, argv, workdir: Path) -> dict:
     """One CLI run in a fresh directory; returns exit status, streams and new files."""
     for name, content in INPUTS.items():
-        text = json.dumps(content) if name.endswith(".json") else content
+        if not isinstance(content, bytes):
+            text = json.dumps(content) if name.endswith(".json") else content
+            content = text.encode("utf-8")
         (workdir / name).parent.mkdir(exist_ok=True)
-        (workdir / name).write_text(text, encoding="utf-8")
+        (workdir / name).write_bytes(content)
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     proc = subprocess.run([sys.executable, "-c", RUNNER, *argv], cwd=workdir, env=env,
                           capture_output=True, timeout=300)
