@@ -25,7 +25,10 @@ import re
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +150,9 @@ CONFIG_SCHEMA = _Object({
 })
 
 
+_REPR_LIMIT = 60  # characters of a wrong-typed value an error repeats
+
+
 def _check(value, spec, where: str) -> None:
     """Raise ValueError unless value has one of the JSON types spec allows."""
     for alt in spec if isinstance(spec, tuple) else (spec,):
@@ -168,7 +174,10 @@ def _check(value, spec, where: str) -> None:
             raise ValueError(f"{where} is an integer beyond float64's range")
         if type(value) is alt or alt is float and type(value) is int:
             return
-    raise ValueError(f"{where} has the wrong type: {value!r}")
+    text = repr(value)  # clipped: a misplaced list would otherwise fill the error line
+    if len(text) > _REPR_LIMIT:
+        text = text[:_REPR_LIMIT] + "..."
+    raise ValueError(f"{where} has the wrong type: {text}")
 
 
 def _read(path, spec, where: str):
@@ -277,7 +286,17 @@ def _vectors(config: dict) -> VectorSet:
         source, where = _read(source, [_VECTOR], source), source
     if not source:  # a vector set is never empty
         raise ValueError(f"{where}: expected at least one vector")
-    return VectorSet(source)
+    return _vector_set(source, where)
+
+
+def _vector_set(rows, where: str) -> VectorSet:
+    """VectorSet(rows), where an error in row i reads ``{where}[i]: ...``."""
+    try:
+        return VectorSet(rows)
+    except ValueError as exc:
+        if not str(exc).startswith("["):  # an error of the whole set, not of one row
+            raise
+        raise type(exc)(f"{where}{exc}") from None
 
 
 def load_vectors_csv(path) -> VectorSet:
@@ -296,7 +315,7 @@ def load_vectors_csv(path) -> VectorSet:
                 continue  # every non-numeric row before the first vector is a header
     if not rows:
         raise ValueError(f"{path}: no vector rows found")
-    return VectorSet(rows)
+    return _vector_set(rows, str(path))
 
 
 def _labeled(entry: dict) -> LabeledReference:
@@ -338,6 +357,9 @@ def _cell(value) -> str:
     return str(value)
 
 
+_AS_IS = {float, int, str}  # the csv module writes these as _cell does
+
+
 def _csv_text(fieldnames: list[str], rows: list[dict], metadata: dict) -> str:
     buf = io.StringIO()
     buf.write(f"# artifact: entdist {__version__}\n")
@@ -347,13 +369,53 @@ def _csv_text(fieldnames: list[str], rows: list[dict], metadata: dict) -> str:
     buf.write(f"# config: {json.dumps(metadata['config'], sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_cell(row[f]) for f in fieldnames])
+    # the csv module writes a float as its repr and an int or str as its str:
+    # only a column holding another type (a bool, a list) goes through _cell
+    columns = [column if set(map(type, column)) <= _AS_IS else list(map(_cell, column))
+               for column in zip(*map(itemgetter(*fieldnames), rows))]
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)  # json.JSONEncoder.encode would build a new one on every call
+def _encoder(depth: int):
+    """The C JSON encoder whose item separator is a newline and depth + 1 indents."""
+    # CPython's _json: markers, default, key encoder, indent, key and item
+    # separators, sort_keys, skipkeys, allow_nan
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * (depth + 1), True, False, True)
+
+
 def _json_text(payload: dict, metadata: dict) -> str:
-    return json.dumps({"metadata": metadata, **payload}, indent=2, sort_keys=True) + "\n"
+    """json.dumps({"metadata": metadata, **payload}, indent=2, sort_keys=True), newline-ended."""
+    return _json_value({"metadata": metadata, **payload}, 0) + "\n"
+
+
+def _json_value(obj, depth: int) -> str:
+    """The indent=2, sorted-keys JSON text of obj where it sits at nesting depth.
+
+    A scalar, an empty container or one of scalars only (most of a payload)
+    is one C encoder call, whose item separator already lays out the items;
+    only the bracket lines are added here.  Keys are strings.
+    """
+    encode = _encoder(depth)
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return "".join(encode(obj, 0))
+    is_dict = isinstance(obj, dict)
+    inner = "  " * (depth + 1)
+    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+        body = "".join(encode(obj, 0))[1:-1]
+    elif is_dict:
+        body = (",\n" + inner).join(
+            f"{encode_basestring_ascii(key)}: {_json_value(obj[key], depth + 1)}"
+            for key in sorted(obj))
+    else:
+        body = (",\n" + inner).join(_json_value(value, depth + 1) for value in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}{body}\n{inner[2:]}{closing}"
 
 
 def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default: bool) -> None:
@@ -600,12 +662,14 @@ def _fig2_svg(result: dict, metadata: dict) -> str:
         seg for seg in segments
         if math.hypot(*seg[0]) <= r_max and math.hypot(*seg[1]) <= r_max
     ]
-    scale = max(max(abs(r["exact_diff"]), abs(r["sampled_diff"])) for r in result["rows"]) or 1.0
-    panels = [(title, [(r["x"], r["y"], r[f"{kind}_diff"], r[f"{kind}_label"])
-                       for r in result["rows"]])
-              for kind, title in (("exact", "exact"), ("sampled", "sampled with noise"))]
+    rows = result["rows"]
+    xs, ys, *diffs = np.array(list(map(itemgetter("x", "y", "exact_diff", "sampled_diff"),
+                                       rows))).T
+    scale = float(np.abs(diffs).max()) or 1.0
+    panels = [(title, diff, list(map(itemgetter(f"{kind}_label"), rows))) for diff, kind, title
+              in zip(diffs, ("exact", "sampled"), ("exact", "sampled with noise"))]
     refs = [(a[0], a[1], "A"), (b[0], b[1], "B")]
-    return polar_scatter_svg(panels, refs, boundary, scale, r_max, metadata)
+    return polar_scatter_svg(xs, ys, panels, refs, boundary, scale, r_max, metadata)
 
 
 def _scatter_svg(vectors, labels, references, gap, names, title, metadata) -> str:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 __all__ = [
-    "diverging_color",
     "contour_segments",
     "polar_scatter_svg",
     "cartesian_scatter_svg",
@@ -24,6 +25,8 @@ _POINT_RADIUS = 5.0
 _CROSS_ARM = 7.0
 _FONT = 'font-family="sans-serif" font-size="11"'
 _GRID = 160  # contour grid cells per axis
+# the diverging fill's ends and middle
+_BLUE, _WHITE, _RED = np.array([33, 102, 172]), np.array([247, 247, 247]), np.array([178, 24, 43])
 
 
 def _fmt(x: float) -> str:
@@ -34,13 +37,14 @@ def _lerp(a: float, b: float, t: float) -> float:
     return a + (b - a) * t
 
 
-def diverging_color(t: float) -> str:
-    """Blue (-1) through white (0) to red (+1), clipped outside [-1, 1]."""
-    t = min(max(t, -1.0), 1.0)
-    blue, white, red = (33, 102, 172), (247, 247, 247), (178, 24, 43)
-    lo, hi, s = (blue, white, t + 1.0) if t < 0 else (white, red, t)
-    rgb = tuple(int(round(_lerp(a, b, s))) for a, b in zip(lo, hi))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _diverging_fills(t: np.ndarray) -> list[str]:
+    """Blue (-1) through white (0) to red (+1) for each of t, clipped outside
+    [-1, 1]: channel a + (b - a) * s, rounded half to even."""
+    t = np.clip(t, -1.0, 1.0)[:, None]
+    below = t < 0
+    lo, hi = np.where(below, _BLUE, _WHITE), np.where(below, _WHITE, _RED)
+    rgb = np.rint(lo + (hi - lo) * np.where(below, t + 1.0, t)).astype(int)
+    return list(map("#{:02x}{:02x}{:02x}".format, *rgb.T.tolist()))
 
 
 def _label_colors(labels) -> dict:
@@ -58,35 +62,38 @@ def contour_segments(f, xlim, ylim):
     xs = [x0 + (x1 - x0) * i / _GRID for i in range(_GRID + 1)]
     ys = [y0 + (y1 - y0) * j / _GRID for j in range(_GRID + 1)]
     grid = [[f(x, y) for x in xs] for y in ys]
+    below = np.array(grid) < 0.0
+    # only a cell whose corners differ in sign holds a crossing; visit those row by row
+    mixed = ((below[:-1, :-1] != below[:-1, 1:]) | (below[:-1, :-1] != below[1:, 1:])
+             | (below[:-1, :-1] != below[1:, :-1]))
     segments = []
-    for j in range(_GRID):
-        for i in range(_GRID):
-            corners = [
-                (xs[i], ys[j], grid[j][i]),
-                (xs[i + 1], ys[j], grid[j][i + 1]),
-                (xs[i + 1], ys[j + 1], grid[j + 1][i + 1]),
-                (xs[i], ys[j + 1], grid[j + 1][i]),
-            ]
-            crossings = []
-            for k in range(4):
-                xa, ya, fa = corners[k]
-                xb, yb, fb = corners[(k + 1) % 4]
-                if (fa < 0.0) != (fb < 0.0):
-                    t = fa / (fa - fb)
-                    crossings.append((_lerp(xa, xb, t), _lerp(ya, yb, t)))
-            if len(crossings) == 2:
+    for j, i in zip(*(axis.tolist() for axis in np.nonzero(mixed))):
+        corners = [
+            (xs[i], ys[j], grid[j][i]),
+            (xs[i + 1], ys[j], grid[j][i + 1]),
+            (xs[i + 1], ys[j + 1], grid[j + 1][i + 1]),
+            (xs[i], ys[j + 1], grid[j + 1][i]),
+        ]
+        crossings = []
+        for k in range(4):
+            xa, ya, fa = corners[k]
+            xb, yb, fb = corners[(k + 1) % 4]
+            if (fa < 0.0) != (fb < 0.0):
+                t = fa / (fa - fb)
+                crossings.append((_lerp(xa, xb, t), _lerp(ya, yb, t)))
+        if len(crossings) == 2:
+            segments.append((crossings[0], crossings[1]))
+        elif len(crossings) == 4:
+            # saddle cell: the center joins the two corners of its own sign,
+            # so the contour cuts off the other two.  Crossing k lies on the
+            # edge from corner k to corner k + 1.
+            center = sum(c[2] for c in corners) / 4.0
+            if (corners[0][2] < 0.0) != (center < 0.0):  # cut off corners 0 and 2
+                segments.append((crossings[0], crossings[3]))
+                segments.append((crossings[1], crossings[2]))
+            else:  # cut off corners 1 and 3
                 segments.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                # saddle cell: the center joins the two corners of its own sign,
-                # so the contour cuts off the other two.  Crossing k lies on the
-                # edge from corner k to corner k + 1.
-                center = sum(c[2] for c in corners) / 4.0
-                if (corners[0][2] < 0.0) != (center < 0.0):  # cut off corners 0 and 2
-                    segments.append((crossings[0], crossings[3]))
-                    segments.append((crossings[1], crossings[2]))
-                else:  # cut off corners 1 and 3
-                    segments.append((crossings[0], crossings[1]))
-                    segments.append((crossings[2], crossings[3]))
+                segments.append((crossings[2], crossings[3]))
     return segments
 
 
@@ -114,11 +121,13 @@ class _Panel:
             for (ax, ay), (bx, by) in segs
         ]
 
-    def point(self, x: float, y: float, fill: str, edge: str) -> str:
-        return (
-            f'<circle cx="{_fmt(self.x(x))}" cy="{_fmt(self.y(y))}" r="{_POINT_RADIUS}" '
+    def points(self, xs: np.ndarray, ys: np.ndarray, fills, edges) -> list[str]:
+        """One circle per point, its pixel coordinates computed for all points at once."""
+        return [
+            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{_POINT_RADIUS}" '
             f'fill="{fill}" stroke="{edge}" stroke-width="1.6"/>'
-        )
+            for cx, cy, fill, edge in zip(self.x(xs).tolist(), self.y(ys).tolist(), fills, edges)
+        ]
 
     def cross(self, x: float, y: float, color: str) -> str:
         cx, cy, arm = self.x(x), self.y(y), _CROSS_ARM
@@ -186,26 +195,27 @@ def _polar_grid(panel: _Panel, r_max: float) -> list[str]:
     return out
 
 
-def polar_scatter_svg(panels, references, boundary, fill_scale: float, r_max: float,
+def polar_scatter_svg(xs, ys, panels, references, boundary, fill_scale: float, r_max: float,
                       metadata: dict) -> str:
-    """Quarter-disk panels side by side, one per (title, points) pair.
+    """Quarter-disk panels side by side, one per (title, fill_values, edge_labels).
 
-    Points are (x, y, fill_value, edge_label): fill_scale maps a fill value to
-    +/-1 for the diverging fill, and an edge label is one of the references'
-    labels.  Every panel shows the references [(x, y, label)] as crosses and
-    the boundary (segment list).
+    Each panel draws point i at (xs[i], ys[i]) with fill fill_values[i] /
+    fill_scale on the diverging map and the colour of edge_labels[i], one of
+    the references' labels (arrays for xs, ys and the fill values).  Every
+    panel shows the references [(x, y, label)] as crosses and the boundary
+    (segment list).
     """
     panel_size, margin = 360.0, 55.0
     width = margin + len(panels) * (panel_size + margin)
     height = panel_size + 2 * margin
     colors = _label_colors(label for _, _, label in references)
     body = []
-    for idx, (title, points) in enumerate(panels):
+    for idx, (title, values, edge_labels) in enumerate(panels):
         panel = _Panel(margin + idx * (panel_size + margin), margin, panel_size, (0.0, r_max), (0.0, r_max))
         body.extend(_polar_grid(panel, r_max))
         body.extend(panel.segments(boundary))
-        for x, y, value, edge_label in points:
-            body.append(panel.point(x, y, diverging_color(value / fill_scale), colors[edge_label]))
+        body.extend(panel.points(xs, ys, _diverging_fills(values / fill_scale),
+                                 map(colors.__getitem__, edge_labels)))
         for x, y, label in references:
             body.append(panel.cross(x, y, colors[label]))
         body.append(_title(panel.px + panel.size / 2.0, margin, title))
@@ -235,10 +245,13 @@ def cartesian_scatter_svg(points, labels, xlim, ylim, references, boundary, name
                     f'text-anchor="end" {_FONT}>{t:g}</text>'
                 )
     body.extend(panel.segments(boundary, dash="6 4"))
-    for i, ((x, y), label) in enumerate(zip(points, labels)):
-        body.append(panel.point(x, y, colors[str(label)], "#333333"))
+    xs, ys = np.array(points).T
+    circles = panel.points(xs, ys, [colors[str(label)] for label in labels],
+                           ["#333333"] * len(points))
+    for i, circle in enumerate(circles):
+        body.append(circle)
         if i < len(names):
-            body.append(panel.text(x, y, str(names[i]), dy=-10.0))
+            body.append(panel.text(*points[i], str(names[i]), dy=-10.0))
     for x, y, label in references:
         body.append(panel.cross(x, y, colors[str(label)]))
     body.append(_title(width / 2.0, margin, title))

@@ -43,7 +43,10 @@ class RealVector:
         arr = np.array(self.components, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionError("expected a non-empty 1-D sequence of reals")
-        row = VectorSet(arr[None])
+        try:
+            row = VectorSet(arr[None])
+        except ValueError as exc:  # a lone vector is no row of a set: drop the "[0]: "
+            raise type(exc)(str(exc).removeprefix("[0]: ")) from None
         object.__setattr__(self, "components", row.components[0])
         object.__setattr__(self, "_norm", float(row.norms[0]))
 
@@ -64,9 +67,10 @@ class VectorSet:
     """Vectors of one dimension: a read-only (n, d) array and the n norms.
 
     Built from an (n, d) array or from rows (sequences of reals, arrays or
-    RealVectors).  The first bad row raises what RealVector raises for it;
-    then rows of different lengths raise a DimensionError.  A VectorSet given
-    as the rows is shared, not checked again.
+    RealVectors).  The first bad row i raises what RealVector raises for it,
+    its message prefixed with ``[i]: ``; then rows of different lengths raise
+    a DimensionError.  A VectorSet given as the rows is shared, not checked
+    again.
     """
 
     components: np.ndarray
@@ -87,14 +91,20 @@ class VectorSet:
         except ValueError:  # rows of different lengths, or a row that is no vector
             arr = None
         if arr is None or arr.ndim != 2 or arr.shape[1] == 0:
-            dims = sorted({RealVector(r).dimension for r in rows})  # a bad row raises first
-            raise DimensionError(f"vectors differ in dimension: {dims}")
+            dims = set()
+            for i, row in enumerate(rows):  # a bad row raises first
+                try:
+                    dims.add(RealVector(row).dimension)
+                except ValueError as exc:
+                    raise type(exc)(f"[{i}]: {exc}") from None
+            raise DimensionError(f"vectors differ in dimension: {sorted(dims)}")
         finite = np.isfinite(arr).all(axis=1)
         ok = finite & arr.any(axis=1)
         if not ok.all():
-            if not finite[np.argmin(ok)]:
-                raise ValueError("vector components must be finite")
-            raise ZeroVectorError("the zero vector has no normalized quantum state")
+            i = int(np.argmin(ok))
+            if not finite[i]:
+                raise ValueError(f"[{i}]: vector components must be finite")
+            raise ZeroVectorError(f"[{i}]: the zero vector has no normalized quantum state")
         arr.flags.writeable = False
         # sqrt(x . x) per row by a stacked matmul: the float steps of np.linalg.norm
         # on one row, which a row-wise norm (axis=1) does not keep

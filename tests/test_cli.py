@@ -414,6 +414,13 @@ BAD_INPUTS = {
                                   ["estimate"], "broken.json: Expecting ',' delimiter"),
     "csv-without-rows": ({}, ["cluster", "--vectors", "header.csv"],
                          "header.csv: no vector rows found"),
+    # a bad vector is named by its source and index
+    "non-finite-row-in-a-file": ({"vectors": "inf.json"}, ["cluster"],
+                                 "inf.json[0]: vector components must be finite"),
+    "zero-row-in-a-csv": ({}, ["cluster", "--vectors", "zero.csv"],
+                          "zero.csv[1]: the zero vector has no normalized quantum state"),
+    "zero-row-in-the-config": ({"vectors": [[1, 0], [0, 1], [0, 0]]}, ["cluster"],
+                               "config.vectors[2]: the zero vector"),
 }
 
 
@@ -429,6 +436,8 @@ class TestErrorContract:
         (tmp_path / "flat.json").write_text("[1, 0]")
         (tmp_path / "empty.json").write_text("[]")
         (tmp_path / "broken.json").write_text('[[1, 0]\n[0, 1]]')
+        (tmp_path / "inf.json").write_text("[[1e400, 0], [0, 1]]")  # JSON reads 1e400 as inf
+        (tmp_path / "zero.csv").write_text("1,0\n0,0\n")
         (tmp_path / "c.json").write_text(json.dumps(config))
         code, out, err = run(capsys, *argv, "--config", "c.json", "--out", "out")
         assert code == 1 and out == ""
@@ -446,6 +455,17 @@ class TestErrorContract:
         code, _, err = run(capsys, *argv, "--out", str(out_dir))
         assert code == 1 and err.startswith("error:")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value, shown", [
+        (True, "True"),
+        # 40 entries: the first 60 characters are shown
+        ([{"label": str(i), "vector": [1, 0]} for i in range(40)],
+         "[{'label': '0', 'vector': [1, 0]}, {'label': '1', 'vector': ..."),
+    ], ids=["short", "long"])
+    def test_wrong_typed_value_is_shown_clipped(self, capsys, tmp_path, value, shown):
+        (tmp_path / "c.json").write_text(json.dumps({"vectors": [[1, 0]], "training": value}))
+        code, _, err = run(capsys, "nn", "--config", str(tmp_path / "c.json"), "--out", "out")
+        assert code == 1 and err == f"error: config.training has the wrong type: {shown}\n"
 
     def test_estimate_prints_no_result_when_out_fails(self, capsys, tmp_path):
         (tmp_path / "blocker").write_text("x")

@@ -85,8 +85,10 @@ class TestVectorSet:
             else:
                 row = [] if kind == "empty" else [*first[1:], float(kind)]
             rows.insert(position, row)
-        want = next(e for e in (_raised(RealVector, row) for row in rows) if e is not None)
-        assert _raised(VectorSet, rows) == want
+        errors = [_raised(RealVector, row) for row in rows]
+        i = next(i for i, error in enumerate(errors) if error is not None)
+        kind, message = errors[i]
+        assert _raised(VectorSet, rows) == (kind, f"[{i}]: {message}")
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(1, 16).flatmap(_scaled_rows), min_size=2, max_size=3))

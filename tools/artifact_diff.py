@@ -138,6 +138,15 @@ INPUTS = {
     # an integer component beyond float64
     "big_int_u.json": {"u": [10**400, 0], "v": [0, 1]},
     "big_int_vectors.json": [[10**400, 0], [0, 1]],
+    # labels that JSON escapes become keys of summary.json (the per-label distances)
+    "nn_escaped_labels.json": {
+        "vectors": [[0.6, 0.6], [2.4, 2.4], [1.4, 1.6]],
+        "training": {"initial": [{"label": 'say "A"', "vector": [0.5, 0.5]},
+                                 {"label": "C:\\caf\u00e9", "vector": [2.5, 2.5]}],
+                     "added": {"label": 'say "A"', "vector": [2.35, 2.35]}}},
+    # JSON reads 1e400 as inf
+    "inf_vectors.json": b"[[1, 0], [1e400, 0]]",
+    "zero_row.csv": "1,0\n0,1\n0,0\n",
 }
 
 SHOTS = ("--shots", "400", "--seed", "7")
@@ -179,6 +188,8 @@ CASES = [
     ("table2-exact", "exact", ("repro", "table2", "--out", "out", "--exact")),
     ("fig2", "sampled", ("repro", "fig2", "--out", "out", "--count", "30", "--seed", "1")),
     ("fig2-exact", "exact", ("repro", "fig2", "--out", "out", "--count", "10", "--exact")),
+    # the benchmark's size (the default count is 100) at every other default, plot on
+    ("fig2-default", "sampled", ("repro", "fig2", "--out", "out", "--count", "4000")),
     ("fig2-no-plot", "sampled", ("repro", "fig2", "--config", "fig2_noplot.json",
                                  "--out", "out")),
     ("fig2-vectors", "sampled", ("repro", "fig2", "--config", "fig2.json", "--out", "out")),
@@ -214,6 +225,8 @@ CASES = [
     ("cluster-bom-csv", "exact", ("cluster", "--vectors", "bom.csv", "--out", "out")),
     ("nn-ampersand-label-plot", "exact", ("nn", "--config", "nn_ampersand.json", "--out", "out",
                                           "--plot")),
+    ("nn-escaped-labels-plot", "exact", ("nn", "--config", "nn_escaped_labels.json",
+                                         "--out", "out", "--plot")),
     ("help", "exact", ("--help",)),
     ("version", "exact", ("--version",)),
     ("err-usage", "error", ("frobnicate",)),
@@ -301,6 +314,9 @@ CASES = [
     ("err-noise-file-does-not-parse", "error", ("estimate", "--config", "broken_noise.json")),
     ("err-vectors-file-does-not-parse", "error", ("cluster", "--config", "broken_vectors.json",
                                                   "--out", "out")),
+    ("err-non-finite-vectors-file", "error", ("cluster", "--vectors", "inf_vectors.json",
+                                              "--out", "out")),
+    ("err-zero-row-csv", "error", ("cluster", "--vectors", "zero_row.csv", "--out", "out")),
 ]
 
 
