@@ -18,10 +18,13 @@ print(f"  added later -> {demo.added_training.label}: "
       f"{demo.added_training.vector.components.tolist()}")
 
 print(f"\n{'':>2} {'before':>7} {'after':>7}   nearest distances (after)")
-for row, name in zip(result["rows"], demo.names):
-    dists = ", ".join(f"{k} {v:.3f}" for k, v in row["distances_after"].items())
-    mark = "  <- reassigned" if row["changed"] else ""
-    print(f"{name:>2} {row['label_before']:>7} {row['label_after']:>7}   {dists}{mark}")
+rows = result["rows"]  # the table as columns, name -> one value per test vector
+for name, before, after, distances, changed in zip(
+        demo.names, rows["label_before"], rows["label_after"], rows["distances_after"],
+        rows["changed"]):
+    dists = ", ".join(f"{k} {v:.3f}" for k, v in distances.items())
+    mark = "  <- reassigned" if changed else ""
+    print(f"{name:>2} {before:>7} {after:>7}   {dists}{mark}")
 
 changed = [demo.names[i] for i in result["changed_indices"]]
 print(f"\nlabels changed by the new training vector: {', '.join(changed) or 'none'}")

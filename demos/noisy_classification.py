@@ -13,21 +13,22 @@ cfg = EstimatorConfig(mode="sampled", shots=10_000, seed=0,
                       noise=noise_preset("paper-2012-optics"))
 result = fig2_run(cfg)
 
-rows = result["rows"]
+rows = result["rows"]  # the table as columns, name -> one value per vector
 print(f"references: A = {result['reference_a']}, B = {result['reference_b']}")
-print(f"{len(rows)} test vectors, exact assignment vs noisy sampled assignment\n")
+print(f"{len(rows['index'])} test vectors, exact assignment vs noisy sampled assignment\n")
 
-wrong = [r for r in rows if r["misclassified"]]
+exact, sampled = np.array(rows["exact_diff"]), np.array(rows["sampled_diff"])
+wrong = [i for i in rows["index"] if rows["misclassified"][i]]
 print(f"misclassified under noise: {len(wrong)}")
-for r in wrong:
-    print(f"  vector ({r['x']:+.3f}, {r['y']:+.3f})  exact D_A-D_B = {r['exact_diff']:+.4f}"
-          f"  noisy = {r['sampled_diff']:+.4f}")
+for i in wrong:
+    print(f"  vector ({rows['x'][i]:+.3f}, {rows['y'][i]:+.3f})  exact D_A-D_B = {exact[i]:+.4f}"
+          f"  noisy = {sampled[i]:+.4f}")
 
-errors = np.array([abs(r["sampled_diff"] - r["exact_diff"]) for r in rows])
+errors = np.abs(sampled - exact)
 print(f"\n|noisy - exact| over all vectors: mean {errors.mean():.3f}, "
       f"90th percentile {result['error_p90']:.3f}")
 print("every misclassified vector lies below that percentile in exact |D_A - D_B|:",
       result["boundary_concentrated"])
 
-margins = sorted(abs(r["exact_diff"]) for r in rows)
+margins = np.sort(np.abs(exact))
 print(f"(for scale: exact |D_A - D_B| runs from {margins[0]:.3f} to {margins[-1]:.3f})")

@@ -17,10 +17,12 @@ for name in ("table1", "table2"):
     result = table_run(name, sampled_cfg=sampled)
     print(f"== {name}:  A = {result['reference_a']}  B = {result['reference_b']} ==")
     print(f"{'':>3} {'printed':>8} {'computed':>9} {'sampled':>8}  group")
-    for row in result["rows"]:
-        flag = "" if row["matches_paper_theory"] else "  <- off the printed value"
-        print(f"{row['index']:>3} {row['theory_diff']:>8.2f} {row['computed_diff']:>9.4f} "
-              f"{row['sampled_diff']:>8.2f}  {row['group']}{flag}")
+    rows = result["rows"]  # the table as columns, name -> one value per table row
+    for index, theory, computed, noisy, group, match in zip(
+            rows["index"], rows["theory_diff"], rows["computed_diff"], rows["sampled_diff"],
+            rows["group"], rows["matches_paper_theory"]):
+        flag = "" if match else "  <- off the printed value"
+        print(f"{index:>3} {theory:>8.2f} {computed:>9.4f} {noisy:>8.2f}  {group}{flag}")
     if result["mismatched_rows"]:
         print(f"rows not matching the printed two decimals: {result['mismatched_rows']}")
         print("(the printed vectors are rounded; the original encodings were not published)")

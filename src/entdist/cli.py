@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from . import __version__
 from .datasets import FIG2_DEFAULT_COUNT, FIG2_NORM_RANGE, FIG3_DEMO, FIGS1_DEMO
 from .experiments import cluster_run, estimate_run, fig2_run, nn_run, table_run
-from .ml import LabeledReference, classify_batch, nearest_neighbors
+from .ml import LabeledReference, nearest_neighbor_assignment, two_cluster_assignment
 # bench/tracing.py patches these two names here
 from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .noise import NOISE_PRESETS, PAPER_PRESET, NoiseModel, noise_preset
@@ -332,7 +331,7 @@ class Run:
     extra: dict  # embedded config entries besides task, estimator and noise
     summary: dict  # summary.json without its metadata
     fields: list | None = None  # results.csv columns; None: no CSV, summary to stdout
-    rows: list = field(default_factory=list)
+    rows: Table | None = None  # the results.csv table
     plots: dict = field(default_factory=dict)  # file name -> render(metadata) -> SVG
     plot_vectors: VectorSet | None = None  # must be 2-D to plot
     line: str | None = None  # printed once the files are written
@@ -348,19 +347,45 @@ def _metadata(task: str, cfg: EstimatorConfig, extra: dict) -> dict:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
+    """The text of one results.csv cell."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     if isinstance(value, (list, tuple)):
         return " ".join(f"{x:g}" for x in value)
     return str(value)
 
 
-_AS_IS = {float, int, str}  # the csv module writes these as _cell does
+# the C-level formatter that gives a column of one exact type its _cell texts
+_FORMAT = {float: float.__repr__, int: int.__repr__, bool: {True: "true", False: "false"}.get}
 
 
-def _csv_text(fieldnames: list[str], rows: list[dict], metadata: dict) -> str:
+class Table(dict):
+    """A results table as columns: name -> one value per row.
+
+    summary.json writes it as json.dumps writes the list of its rows as
+    dicts, and results.csv writes the columns a command names.  Each column
+    is formatted once: its _cell texts serve both files where the JSON text
+    is the same, as for a column of floats, ints or bools.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._cells = {}
+
+    def cells(self, name: str) -> tuple[type | None, list]:
+        """The column's one exact value type (None if it has several) and its _cell texts."""
+        if name not in self._cells:
+            column = self[name]
+            kinds = set(map(type, column))
+            kind = kinds.pop() if len(kinds) == 1 else None
+            self._cells[name] = kind, (column if kind is str
+                                       else list(map(_FORMAT.get(kind, _cell), column)))
+        return self._cells[name]
+
+
+def _csv_text(fieldnames: list[str], table: Table, metadata: dict) -> str:
     buf = io.StringIO()
     buf.write(f"# artifact: entdist {__version__}\n")
     buf.write(f"# generator: {metadata['generator']}\n")
@@ -369,11 +394,7 @@ def _csv_text(fieldnames: list[str], rows: list[dict], metadata: dict) -> str:
     buf.write(f"# config: {json.dumps(metadata['config'], sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    # the csv module writes a float as its repr and an int or str as its str:
-    # only a column holding another type (a bool, a list) goes through _cell
-    columns = [column if set(map(type, column)) <= _AS_IS else list(map(_cell, column))
-               for column in zip(*map(itemgetter(*fieldnames), rows))]
-    writer.writerows(zip(*columns))
+    writer.writerows(zip(*(table.cells(name)[1] for name in fieldnames)))
     return buf.getvalue()
 
 
@@ -399,8 +420,11 @@ def _json_value(obj, depth: int) -> str:
 
     A scalar, an empty container or one of scalars only (most of a payload)
     is one C encoder call, whose item separator already lays out the items;
-    only the bracket lines are added here.  Keys are strings.
+    only the bracket lines are added here.  Keys are strings; a Table is the
+    list of its rows.
     """
+    if isinstance(obj, Table):
+        return _table_json(obj, depth)
     encode = _encoder(depth)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return "".join(encode(obj, 0))
@@ -416,6 +440,43 @@ def _json_value(obj, depth: int) -> str:
         body = (",\n" + inner).join(_json_value(value, depth + 1) for value in obj)
     opening, closing = "{}" if is_dict else "[]"
     return f"{opening}\n{inner}{body}\n{inner[2:]}{closing}"
+
+
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # else float.__repr__
+
+
+def _table_json(table: Table, depth: int) -> str:
+    """The JSON text of a table's rows as dicts where the table sits at nesting depth.
+
+    One template per table lays out a row: the sorted, escaped keys with a
+    ``{}`` for each value, filled by one str.format call per row.  This is
+    the last read of the table's cells (summary.json follows results.csv),
+    so they are released once the rows are laid out, and the rows are joined
+    with their brackets: a large table is held as few times as it can be.
+    """
+    names = sorted(table)
+    if not names or not table[names[0]]:
+        return "[]"
+    outer, inner = "  " * (depth + 1), "  " * (depth + 2)  # a row, its keys
+    template = "{{\n" + ",\n".join(
+        f"{inner}{encode_basestring_ascii(name).replace('{', '{{').replace('}', '}}')}: {{}}"
+        for name in names) + f"\n{outer}}}}}"
+    columns = []
+    for name in names:
+        kind, cells = table.cells(name)
+        if kind is float:
+            cells = list(map(_JSON_FLOAT.get, cells, cells))
+        elif kind is str:
+            cells = list(map(encode_basestring_ascii, cells))
+        elif kind is not int and kind is not bool:
+            cells = [_json_value(value, depth + 2) for value in table[name]]
+        columns.append(cells)
+    table._cells.clear()
+    rows = list(map(template.format, *columns))
+    del columns
+    rows[0] = f"[\n{outer}{rows[0]}"
+    rows[-1] += f"\n{outer[2:]}]"
+    return (",\n" + outer).join(rows)
 
 
 def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default: bool) -> None:
@@ -455,29 +516,27 @@ def _classify(config: dict, cfg: EstimatorConfig) -> Run:
         raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
     ref_a, ref_b = (_labeled(r) for r in refs)
     vectors = _vectors(config)
-    results = classify_batch(vectors, ref_a, ref_b, cfg)
-    rows = [{
-        "index": i,
-        "vector": u,
-        f"distance_{ref_a.label}": res.per_label_distance[ref_a.label],
-        f"distance_{ref_b.label}": res.per_label_distance[ref_b.label],
-        "margin": res.margin,
-        "assigned": res.assigned_label,
-        "boundary_flag": res.boundary_flag,
-    } for i, (u, res) in enumerate(zip(vectors.components.tolist(), results))]
+    result = two_cluster_assignment(vectors, ref_a, ref_b, cfg)
+    labels = result.labels
+    rows = Table({
+        "index": list(range(len(vectors))),
+        "vector": vectors.components.tolist(),
+        f"distance_{ref_a.label}": result.distances[:, 0].tolist(),
+        f"distance_{ref_b.label}": result.distances[:, 1].tolist(),
+        "margin": result.margin.tolist(),
+        "assigned": labels,
+        "boundary_flag": result.boundary.tolist(),
+    })
     extra = {
         "references": {ref_a.label: ref_a.vector.components.tolist(),
                        ref_b.label: ref_b.vector.components.tolist()},
         "n_vectors": len(vectors),
     }
-    fields = ["index", "vector", f"distance_{ref_a.label}", f"distance_{ref_b.label}",
-              "margin", "assigned", "boundary_flag"]
-    counts = Counter(row["assigned"] for row in rows)
     a, b = ref_a.vector.components.tolist(), ref_b.vector.components.tolist()
     plots = {"plot.svg": lambda metadata: _scatter_svg(  # 2-D only: _bisector unpacks a and b
-        vectors, [r["assigned"] for r in rows], [ref_a, ref_b], _bisector(a, b), (),
-        "two-cluster assignment", metadata)}
-    return Run(extra, {"rows": rows, "assigned_counts": counts}, fields, rows, plots, vectors)
+        vectors, labels, [ref_a, ref_b], _bisector(a, b), (), "two-cluster assignment", metadata)}
+    return Run(extra, {"rows": rows, "assigned_counts": Counter(labels)}, list(rows), rows, plots,
+               vectors)
 
 
 def _nn(config: dict, cfg: EstimatorConfig) -> Run:
@@ -498,21 +557,22 @@ def _nn(config: dict, cfg: EstimatorConfig) -> Run:
     }
     if added is not None:
         result = nn_run(vectors, training, added, cfg)
-        return Run(extra, result, ["index", "vector", "label_before", "label_after", "changed"],
-                   result["rows"], _nn_phase_plots(vectors, result, training, added), vectors)
+        rows = Table(result["rows"])
+        return Run(extra, {**result, "rows": rows},
+                   ["index", "vector", "label_before", "label_after", "changed"], rows,
+                   _nn_phase_plots(vectors, rows, training, added), vectors)
     dist = distance_matrix(vectors, [t.vector for t in training], cfg)
-    results = nearest_neighbors(dist, training)
-    rows = [{
-        "index": i,
-        "vector": u,
-        "assigned": res.assigned_label,
-        "margin": res.margin,
-        "boundary_flag": res.boundary_flag,
-    } for i, (u, res) in enumerate(zip(vectors.components.tolist(), results))]
-    plot = partial(_scatter_svg, vectors, [r["assigned"] for r in rows], training,
-                   _nn_gap(training), (), "nearest neighbor")
-    return Run(extra, {"rows": rows}, ["index", "vector", "assigned", "margin", "boundary_flag"],
-               rows, {"plot.svg": plot}, vectors)
+    result = nearest_neighbor_assignment(dist, training)
+    rows = Table({
+        "index": list(range(len(vectors))),
+        "vector": vectors.components.tolist(),
+        "assigned": result.labels,
+        "margin": result.margin.tolist(),
+        "boundary_flag": result.boundary.tolist(),
+    })
+    plot = partial(_scatter_svg, vectors, rows["assigned"], training, _nn_gap(training), (),
+                   "nearest neighbor")
+    return Run(extra, {"rows": rows}, list(rows), rows, {"plot.svg": plot}, vectors)
 
 
 def _cluster(config: dict, cfg: EstimatorConfig) -> Run:
@@ -535,13 +595,14 @@ def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
     state = cluster_run(vectors, k, init, cfg, max_iterations)
     if not state.converged:
         print(f"note: not converged after {state.iteration} rounds", file=sys.stderr)
-    rows = [{
-        "index": i,
-        "name": names[i] if i < len(names) else str(i),
-        "vector": v,
-        "initial_label": state.history[0][i],
-        "final_label": state.labels[i],
-    } for i, v in enumerate(vectors.components.tolist())]
+    n = len(vectors)
+    rows = Table({
+        "index": list(range(n)),
+        "name": [*names[:n], *map(str, range(len(names), n))],
+        "vector": vectors.components.tolist(),
+        "initial_label": list(state.history[0]),
+        "final_label": list(state.labels),
+    })
     summary = {
         "converged": state.converged,
         "iterations": state.iteration,
@@ -551,8 +612,7 @@ def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
     plots = {f"round_{r}.svg": partial(_scatter_svg, vectors, labels, (), None, names,
                                        f"round {r}")
              for r, labels in enumerate(state.history)}
-    return Run(extra, summary, ["index", "name", "vector", "initial_label", "final_label"],
-               rows, plots, vectors)
+    return Run(extra, summary, list(rows), rows, plots, vectors)
 
 
 def _table(config: dict, cfg: EstimatorConfig) -> Run:
@@ -562,11 +622,13 @@ def _table(config: dict, cfg: EstimatorConfig) -> Run:
     fields = ["index", "vector", "theory_diff", "computed_diff", "group", "matches_paper_theory"]
     if sampled_cfg is not None:
         fields += ["sampled_diff", "sampled_group"]
-    rows = [{**r, "theory_diff": f"{r['theory_diff']:.2f}"} for r in result["rows"]]
+    table = Table(result["rows"])
+    rows = Table(table, theory_diff=[f"{t:.2f}" for t in table["theory_diff"]])
     status = ("all rows match" if result["all_match_paper_theory"]
               else f"rows off the printed two decimals: {result['mismatched_rows']}")
-    return Run({"dataset": name, "sampled_column": sampled_cfg is not None}, result, fields, rows,
-               line=f"{name}: {len(result['rows'])} rows; {status}")
+    return Run({"dataset": name, "sampled_column": sampled_cfg is not None},
+               {**result, "rows": table}, fields, rows,
+               line=f"{name}: {len(table['index'])} rows; {status}")
 
 
 def _fig2(config: dict, cfg: EstimatorConfig) -> Run:
@@ -574,11 +636,11 @@ def _fig2(config: dict, cfg: EstimatorConfig) -> Run:
         raise ValueError("choose one of 'count' (--count) and 'vectors'")
     vectors = _vectors(config) if "vectors" in config else None
     result = fig2_run(cfg, count=config.get("count", FIG2_DEFAULT_COUNT), vectors=vectors)
-    fields = ["index", "x", "y", "norm", "angle", "exact_diff", "exact_label",
-              "sampled_diff", "sampled_label", "misclassified"]
-    line = (f"fig2: {len(result['rows'])} vectors, {result['misclassified_count']} misclassified "
+    rows = Table(result["rows"])
+    count = len(rows["index"])
+    line = (f"fig2: {count} vectors, {result['misclassified_count']} misclassified "
             f"under noise (mean |error| {result['mean_abs_error']:.3f})")
-    return Run({"count": len(result["rows"])}, result, fields, result["rows"],
+    return Run({"count": count}, {**result, "rows": rows}, list(rows), rows,
                {"plot.svg": partial(_fig2_svg, result)}, line=line)
 
 
@@ -586,13 +648,11 @@ def _figs1(config: dict, cfg: EstimatorConfig) -> Run:
     demo = FIGS1_DEMO
     vectors, training = demo.vectors(), list(demo.initial_training)
     result = nn_run(vectors, training, demo.added_training, cfg)
-    for row, name in zip(result["rows"], demo.names):
-        row["name"] = name
-    changed = [result["rows"][i].get("name", i) for i in result["changed_indices"]]
-    return Run({"dataset": "builtin-figS1-demo"}, result,
-               ["index", "name", "vector", "label_before", "label_after", "changed"],
-               result["rows"],
-               _nn_phase_plots(vectors, result, training, demo.added_training, demo.names),
+    rows = Table(result["rows"], name=list(demo.names))
+    changed = [demo.names[i] for i in result["changed_indices"]]
+    return Run({"dataset": "builtin-figS1-demo"}, {**result, "rows": rows},
+               ["index", "name", "vector", "label_before", "label_after", "changed"], rows,
+               _nn_phase_plots(vectors, rows, training, demo.added_training, demo.names),
                line=f"figS1: labels changed after the new training vector: {changed or 'none'}")
 
 
@@ -663,10 +723,9 @@ def _fig2_svg(result: dict, metadata: dict) -> str:
         if math.hypot(*seg[0]) <= r_max and math.hypot(*seg[1]) <= r_max
     ]
     rows = result["rows"]
-    xs, ys, *diffs = np.array(list(map(itemgetter("x", "y", "exact_diff", "sampled_diff"),
-                                       rows))).T
+    xs, ys, *diffs = np.array([rows["x"], rows["y"], rows["exact_diff"], rows["sampled_diff"]])
     scale = float(np.abs(diffs).max()) or 1.0
-    panels = [(title, diff, list(map(itemgetter(f"{kind}_label"), rows))) for diff, kind, title
+    panels = [(title, diff, rows[f"{kind}_label"]) for diff, kind, title
               in zip(diffs, ("exact", "sampled"), ("exact", "sampled with noise"))]
     refs = [(a[0], a[1], "A"), (b[0], b[1], "B")]
     return polar_scatter_svg(xs, ys, panels, refs, boundary, scale, r_max, metadata)
@@ -683,14 +742,14 @@ def _scatter_svg(vectors, labels, references, gap, names, title, metadata) -> st
                                  title, metadata)
 
 
-def _nn_phase_plots(vectors, result, training, added, names=()) -> dict:
+def _nn_phase_plots(vectors, rows, training, added, names=()) -> dict:
     """Renderers for the nearest-neighbor labels before and after the added vector."""
     extended = list(training) + [added]
     return {
-        "phase_1.svg": partial(_scatter_svg, vectors, [r["label_before"] for r in result["rows"]],
-                               training, _nn_gap(training), names, "initial training set"),
-        "phase_2.svg": partial(_scatter_svg, vectors, [r["label_after"] for r in result["rows"]],
-                               extended, _nn_gap(extended), names, "after the new training vector"),
+        "phase_1.svg": partial(_scatter_svg, vectors, rows["label_before"], training,
+                               _nn_gap(training), names, "initial training set"),
+        "phase_2.svg": partial(_scatter_svg, vectors, rows["label_after"], extended,
+                               _nn_gap(extended), names, "after the new training vector"),
     }
 
 

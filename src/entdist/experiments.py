@@ -19,8 +19,8 @@ from .datasets import (
 from .ml import (
     ClusteringState,
     LabeledReference,
-    classify_batch,
-    nearest_neighbors,
+    nearest_neighbor_assignment,
+    two_cluster_assignment,
     unsupervised_cluster,
 )
 # bench/tracing.py patches these two names here
@@ -69,8 +69,9 @@ def table_run(
     """Exact-mode D_A - D_B for every table row, checked against the printed
     theory column; optionally a sampled-mode column alongside.
 
-    Row i of the sampled column is draw i of the streams (seed, 0) and
-    (seed, 1), one per reference.
+    ``rows`` is the table as columns, name -> one value per table row.  Row i
+    of the sampled column is draw i of the streams (seed, 0) and (seed, 1),
+    one per reference.
     """
     try:
         dataset: TableDataset = TABLE_DATASETS[name]
@@ -79,32 +80,31 @@ def table_run(
     ref_a = LabeledReference(dataset.reference_a, "A")
     ref_b = LabeledReference(dataset.reference_b, "B")
     vectors = VectorSet([row.vector for row in dataset.rows])
-    exact = classify_batch(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
+    exact = two_cluster_assignment(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
+    theory = [row.theory_diff for row in dataset.rows]
+    computed = exact.margin.tolist()
+    matches = list(map(rounds_to_printed, computed, theory))
+    rows = {
+        "index": [row.index for row in dataset.rows],
+        "vector": [list(row.vector) for row in dataset.rows],
+        "theory_diff": theory,
+        "computed_diff": computed,
+        "group": exact.labels,
+        "matches_paper_theory": matches,
+        "paper_experiment_diff": [row.experiment_diff for row in dataset.rows],
+        "paper_group": [row.group for row in dataset.rows],
+    }
     if sampled_cfg is not None:
-        sampled = classify_batch(vectors, ref_a, ref_b, sampled_cfg)
-    rows = []
-    for i, (row, result) in enumerate(zip(dataset.rows, exact)):
-        entry = {
-            "index": row.index,
-            "vector": list(row.vector),
-            "theory_diff": row.theory_diff,
-            "computed_diff": result.margin,
-            "group": result.assigned_label,
-            "matches_paper_theory": rounds_to_printed(result.margin, row.theory_diff),
-            "paper_experiment_diff": row.experiment_diff,
-            "paper_group": row.group,
-        }
-        if sampled_cfg is not None:
-            entry["sampled_diff"] = sampled[i].margin
-            entry["sampled_group"] = sampled[i].assigned_label
-        rows.append(entry)
+        sampled = two_cluster_assignment(vectors, ref_a, ref_b, sampled_cfg)
+        rows["sampled_diff"] = sampled.margin.tolist()
+        rows["sampled_group"] = sampled.labels
     return {
         "name": dataset.name,
         "reference_a": list(dataset.reference_a),
         "reference_b": list(dataset.reference_b),
         "rows": rows,
-        "all_match_paper_theory": all(r["matches_paper_theory"] for r in rows),
-        "mismatched_rows": [r["index"] for r in rows if not r["matches_paper_theory"]],
+        "all_match_paper_theory": all(matches),
+        "mismatched_rows": [i for i, match in zip(rows["index"], matches) if not match],
     }
 
 
@@ -115,6 +115,8 @@ def fig2_run(
 ) -> dict:
     """Classify 2-D vectors against the reference pair, exactly and sampled.
 
+    ``rows`` is the table as columns, name -> one value per vector, so
+    ``result["rows"]["sampled_diff"][i]`` is vector i's sampled D_A - D_B.
     The default test set is seeded from sampled_cfg.seed; vector i's
     sampled estimates are draw i of the streams (seed, 0) and (seed, 1), one
     per reference.  Misclassification means the sampled label disagrees with
@@ -124,36 +126,32 @@ def fig2_run(
     vectors = VectorSet(fig2_test_vectors(count, sampled_cfg.seed) if vectors is None else vectors)
     # the sampled block first: p_matrix checks the noise model before any norm,
     # so a noise model the channel rejects is reported ahead of a bad vector
-    sampled = classify_batch(vectors, ref_a, ref_b, sampled_cfg)
-    exact = classify_batch(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
-    rows = []
-    for i, ((x, y), norm, e, s) in enumerate(zip(vectors.components.tolist(),
-                                                  vectors.norms.tolist(), exact, sampled)):
-        rows.append({
-            "index": i,
-            "x": x,
-            "y": y,
-            "norm": norm,
-            "angle": math.atan2(y, x),
-            "exact_diff": e.margin,
-            "exact_label": e.assigned_label,
-            "sampled_diff": s.margin,
-            "sampled_label": s.assigned_label,
-            "misclassified": s.assigned_label != e.assigned_label,
-        })
-    errors = np.array([abs(r["sampled_diff"] - r["exact_diff"]) for r in rows])
+    sampled = two_cluster_assignment(vectors, ref_a, ref_b, sampled_cfg)
+    exact = two_cluster_assignment(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
+    xs, ys = vectors.components.T.tolist()
+    misclassified = sampled.codes != exact.codes  # both passes name the labels A, B
+    errors = np.abs(sampled.margin - exact.margin)
     error_p90 = float(np.percentile(errors, 90))
-    misclassified = [r for r in rows if r["misclassified"]]
+    rows = {
+        "index": list(range(len(vectors))),
+        "x": xs,
+        "y": ys,
+        "norm": vectors.norms.tolist(),
+        "angle": list(map(math.atan2, ys, xs)),  # np.arctan2 differs in the last bit
+        "exact_diff": exact.margin.tolist(),
+        "exact_label": exact.labels,
+        "sampled_diff": sampled.margin.tolist(),
+        "sampled_label": sampled.labels,
+        "misclassified": misclassified.tolist(),
+    }
     return {
         "reference_a": ref_a.vector.components.tolist(),
         "reference_b": ref_b.vector.components.tolist(),
         "rows": rows,
-        "misclassified_count": len(misclassified),
+        "misclassified_count": int(misclassified.sum()),
         "mean_abs_error": float(errors.mean()),
         "error_p90": error_p90,
-        "boundary_concentrated": all(
-            abs(r["exact_diff"]) < error_p90 for r in misclassified
-        ),
+        "boundary_concentrated": bool((np.abs(exact.margin[misclassified]) < error_p90).all()),
     }
 
 
@@ -175,6 +173,7 @@ def nn_run(
 ) -> dict:
     """Nearest-neighbor labels before and after one extra training vector.
 
+    ``rows`` is the table as columns, name -> one value per test vector.
     Both phases read one block whose column j draws on the stream (seed, j):
     the added vector is a new column, so the distances to the original
     training vectors are reused unchanged.
@@ -183,18 +182,20 @@ def nn_run(
     full = initial + [added_training]
     test_vectors = VectorSet(test_vectors)
     dist = distance_matrix(test_vectors, [t.vector for t in full], cfg)
-    before = nearest_neighbors(dist[:, :len(initial)], initial)
-    after = nearest_neighbors(dist, full)
-    rows = [{
-        "index": i,
-        "vector": u,
-        "label_before": b.assigned_label,
-        "label_after": a.assigned_label,
-        "changed": b.assigned_label != a.assigned_label,
-        "distances_before": dict(sorted(b.per_label_distance.items())),
-        "distances_after": dict(sorted(a.per_label_distance.items())),
-    } for i, (u, b, a) in enumerate(zip(test_vectors.components.tolist(), before, after))]
+    before = nearest_neighbor_assignment(dist[:, :len(initial)], initial)
+    after = nearest_neighbor_assignment(dist, full)
+    labels_before, labels_after = before.labels, after.labels
+    changed = [b != a for b, a in zip(labels_before, labels_after)]
+    rows = {
+        "index": list(range(len(test_vectors))),
+        "vector": test_vectors.components.tolist(),
+        "label_before": labels_before,
+        "label_after": labels_after,
+        "changed": changed,
+        "distances_before": [dict(sorted(d.items())) for d in before.per_label()],
+        "distances_after": [dict(sorted(d.items())) for d in after.per_label()],
+    }
     return {
         "rows": rows,
-        "changed_indices": [r["index"] for r in rows if r["changed"]],
+        "changed_indices": [i for i, c in enumerate(changed) if c],
     }

@@ -10,7 +10,7 @@ integer group codes per round, until nothing moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,9 +22,12 @@ __all__ = [
     "BOUNDARY_TOL",
     "LabeledReference",
     "ClassificationResult",
+    "Assignment",
     "ClusteringState",
+    "two_cluster_assignment",
     "classify_batch",
     "classify_two_cluster",
+    "nearest_neighbor_assignment",
     "nearest_neighbors",
     "nearest_neighbor_classify",
     "unsupervised_cluster",
@@ -53,13 +56,41 @@ class ClassificationResult:
     boundary_flag: bool
 
 
-def classify_batch(
+@dataclass(frozen=True, eq=False)
+class Assignment:
+    """A labelled distance block as columns, one entry per row."""
+
+    names: list  # the distinct labels, first-seen order
+    distances: np.ndarray  # (n, L): the nearest distance to each label
+    codes: np.ndarray  # (n,): the assigned label, an index into names
+    margin: np.ndarray  # (n,)
+    gap: np.ndarray  # (n,): best to runner-up label (inf with a single label)
+
+    @property
+    def labels(self) -> list:
+        return list(map(self.names.__getitem__, self.codes.tolist()))
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """True where the runner-up label is within BOUNDARY_TOL: a tie."""
+        return self.gap < BOUNDARY_TOL
+
+    def per_label(self) -> list[dict]:
+        """Each row's nearest distance per label, in label order."""
+        return [dict(zip(self.names, row)) for row in self.distances.tolist()]
+
+    def results(self) -> list[ClassificationResult]:
+        return list(map(ClassificationResult, self.per_label(), self.labels,
+                        self.margin.tolist(), self.boundary.tolist()))
+
+
+def two_cluster_assignment(
     vectors,
     ref_a: LabeledReference,
     ref_b: LabeledReference,
     cfg: EstimatorConfig = EstimatorConfig(),
-) -> list[ClassificationResult]:
-    """nearest_neighbors over the two references; margin keeps the signed D_A - D_B.
+) -> Assignment:
+    """nearest_neighbor_assignment over the two references; margin is the signed D_A - D_B.
 
     Sampled, vector i's estimates are draw i of the streams (seed, 0) and
     (seed, 1), one per reference.
@@ -67,11 +98,18 @@ def classify_batch(
     if ref_a.label == ref_b.label:
         raise ValueError("the two reference labels must differ")
     dist = distance_matrix(vectors, [ref_a.vector, ref_b.vector], cfg)
-    names, minima, assigned, gap = _nearest_labels(dist, [ref_a.label, ref_b.label])
-    return [
-        ClassificationResult(dict(zip(names, row)), names[a], row[0] - row[1], g < BOUNDARY_TOL)
-        for row, a, g in zip(minima.tolist(), assigned.tolist(), gap.tolist())
-    ]
+    assignment = nearest_neighbor_assignment(dist, [ref_a, ref_b])
+    return replace(assignment, margin=assignment.distances[:, 0] - assignment.distances[:, 1])
+
+
+def classify_batch(
+    vectors,
+    ref_a: LabeledReference,
+    ref_b: LabeledReference,
+    cfg: EstimatorConfig = EstimatorConfig(),
+) -> list[ClassificationResult]:
+    """two_cluster_assignment, one ClassificationResult per vector."""
+    return two_cluster_assignment(vectors, ref_a, ref_b, cfg).results()
 
 
 def classify_two_cluster(
@@ -84,27 +122,14 @@ def classify_two_cluster(
     return classify_batch([u], ref_a, ref_b, cfg)[0]
 
 
-def nearest_neighbors(dist: np.ndarray, training) -> list[ClassificationResult]:
-    """Assign row i of a distance block (columns: the training vectors) the
-    label of its nearest training vector.
+def nearest_neighbor_assignment(dist: np.ndarray, training) -> Assignment:
+    """The one labelling rule: row i of a distance block takes the label of its
+    nearest column j, training[j].label.
 
-    per_label_distance keeps the closest distance per label; margin is the
-    gap between the best and runner-up labels (inf with a single label).
+    Labels within BOUNDARY_TOL of the best tie, and the smallest wins; the
+    margin is the gap to the runner-up label.
     """
-    names, minima, assigned, gap = _nearest_labels(dist, [t.label for t in training])
-    return [
-        ClassificationResult(dict(zip(names, row)), names[a], g, g < BOUNDARY_TOL)
-        for row, a, g in zip(minima.tolist(), assigned.tolist(), gap.tolist())
-    ]
-
-
-def _nearest_labels(dist: np.ndarray, labels: list):
-    """The one labelling rule: row i takes the label of its nearest column j, labels[j].
-
-    Returns the distinct labels in first-seen order, the (n, L) per-label
-    minima, each row's label index (labels within BOUNDARY_TOL of the best
-    tie; the smallest wins) and the gap to the runner-up label (inf if L = 1).
-    """
+    labels = [t.label for t in training]
     names = list(dict.fromkeys(labels))
     codes = np.array([names.index(label) for label in labels])
     minima = np.column_stack([dist[:, codes == c].min(axis=1) for c in range(len(names))])
@@ -113,7 +138,12 @@ def _nearest_labels(dist: np.ndarray, labels: list):
     gap = ranked[:, 1] - best if len(names) > 1 else np.full(len(best), np.inf)
     by_label = np.array(sorted(range(len(names)), key=names.__getitem__))
     tied = minima[:, by_label] - best[:, None] < BOUNDARY_TOL
-    return names, minima, by_label[tied.argmax(axis=1)], gap
+    return Assignment(names, minima, by_label[tied.argmax(axis=1)], gap, gap)
+
+
+def nearest_neighbors(dist: np.ndarray, training) -> list[ClassificationResult]:
+    """nearest_neighbor_assignment, one ClassificationResult per row."""
+    return nearest_neighbor_assignment(dist, training).results()
 
 
 def nearest_neighbor_classify(

@@ -75,11 +75,13 @@ def table_criterion(name: str, budget_s: float) -> None:
     ref_a = LabeledReference(as_vector(result["reference_a"]), "A")
     ref_b = LabeledReference(as_vector(result["reference_b"]), "B")
     rows = result["rows"]
+    table = list(zip(rows["index"], rows["vector"], rows["theory_diff"], rows["group"]))
     inconsistent = [
-        r["index"] for r in rows
-        if not consistent_with_printed(r["vector"], r["theory_diff"], ref_a, ref_b)
+        index for index, vector, theory, _ in table
+        if not consistent_with_printed(vector, theory, ref_a, ref_b)
     ]
-    wrong_sign = [r["index"] for r in rows if r["group"] != ("A" if r["theory_diff"] < 0 else "B")]
+    wrong_sign = [index for index, _, theory, group in table
+                  if group != ("A" if theory < 0 else "B")]
     report(
         f"{name}-theory-column",
         not inconsistent and not wrong_sign and elapsed < budget_s,
@@ -203,10 +205,10 @@ class TestAcceptance:
         # exact mode must agree with the classical Euclidean classifier everywhere
         a = np.asarray(result["reference_a"])
         b = np.asarray(result["reference_b"])
+        rows = result["rows"]
         exact_wrong = sum(
-            r["exact_label"] != ("A" if np.linalg.norm([r["x"], r["y"]] - a)
-                                 < np.linalg.norm([r["x"], r["y"]] - b) else "B")
-            for r in result["rows"]
+            label != ("A" if np.linalg.norm([x, y] - a) < np.linalg.norm([x, y] - b) else "B")
+            for x, y, label in zip(rows["x"], rows["y"], rows["exact_label"])
         )
         ok = exact_wrong == 0 and result["misclassified_count"] > 0 \
             and result["boundary_concentrated"]
@@ -260,10 +262,11 @@ class TestAcceptance:
             ).label
 
         full = list(demo.initial_training) + [demo.added_training]
+        rows = result["rows"]
         oracle_ok = all(
-            row["label_before"] == oracle(v, list(demo.initial_training))
-            and row["label_after"] == oracle(v, full)
-            for row, v in zip(result["rows"], demo.vectors().components)
+            before == oracle(v, list(demo.initial_training)) and after == oracle(v, full)
+            for before, after, v in zip(rows["label_before"], rows["label_after"],
+                                        demo.vectors().components)
         )
         report(
             "nearest-neighbor-update",

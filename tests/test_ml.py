@@ -394,14 +394,14 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
     assert (blocks[0] != blocks[1]).any()
 
     vectors = [as_vector(v) for v in ([1.0, 0.5], [0.3, 2.0], [2.0, 2.0])]
-    rows = fig2_run(cfg, vectors=vectors)["rows"]
+    sampled_diff = fig2_run(cfg, vectors=vectors)["rows"]["sampled_diff"]
     refs = fig2_references()
     streams = [np.random.default_rng(cfg.derive(j).seed) for j in range(len(refs))]
-    for u, row in zip(vectors, rows):  # one scalar draw per row, down each stream
+    for u, diff in zip(vectors, sampled_diff):  # one scalar draw per row, down each stream
         p_hat = [rng.binomial(cfg.shots, exact_p(DistanceQuery(u, r.vector))) / cfg.shots
                  for rng, r in zip(streams, refs)]
         d_a, d_b = (distance_from_p(p, u.norm, r.vector.norm) for p, r in zip(p_hat, refs))
-        assert row["sampled_diff"] == d_a - d_b
+        assert diff == d_a - d_b
 
 
 def lattice_points(n_min, n_max, dim=2):
@@ -511,3 +511,38 @@ def test_single_vector_calls_are_row_0_of_a_block(vectors, cfg):
     assert estimate_distance(DistanceQuery(u, refs[0].vector), cfg).distance == block[0, 0]
     assert (asdict(nearest_neighbor_classify(u, training, cfg))
             == asdict(nearest_neighbors(block, training)[0]))
+
+
+# points on the bisector of the fig2 references A = (1.5, 0.55) and B = (0.86, 2.35):
+# D_A - D_B is zero or a rounding error there, so ties and boundary flags occur
+FIG2_BISECTOR = st.floats(-1.5, 1.5).map(lambda t: [1.18 + 1.8 * t, 1.45 + 0.64 * t])
+PLANE_POINTS = st.lists(st.integers(-300, 300).map(lambda k: k / 100),
+                        min_size=2, max_size=2).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors=st.lists(FIG2_BISECTOR | PLANE_POINTS, min_size=1, max_size=8),
+       cfg=sampled_or_exact())
+@example(vectors=[[1.18, 1.45], [2.0, 0.5], [0.1, 2.0]], cfg=EXACT)
+@example(vectors=[[1.18, 1.45], [2.0, 0.5], [1.18 + 1.8, 1.45 + 0.64]],
+         cfg=EstimatorConfig(mode="sampled", shots=50, seed=3))
+def test_fig2_columns_are_the_scalar_results_row_by_row(vectors, cfg):
+    """Row i of every fig2 column, bit for bit: exact, classify_two_cluster of
+    vector i; sampled, row i of the (i + 1)-vector batch (draw i of each
+    reference's stream), which for i = 0 is classify_two_cluster again."""
+    rows = fig2_run(cfg, vectors=vectors)["rows"]
+    refs = fig2_references()
+    assert rows["index"] == list(range(len(vectors)))
+    assert {len(column) for column in rows.values()} == {len(vectors)}
+    for i, u in enumerate(map(as_vector, vectors)):
+        exact = classify_two_cluster(u, *refs, EXACT)
+        sampled = (classify_two_cluster(u, *refs, cfg) if i == 0
+                   else classify_batch(vectors[:i + 1], *refs, cfg)[i])
+        x, y = u.components.tolist()
+        assert (rows["x"][i], rows["y"][i], rows["norm"][i]) == (x, y, u.norm)
+        assert rows["angle"][i] == math.atan2(y, x)
+        assert rows["exact_diff"][i] == exact.margin
+        assert rows["exact_label"][i] == exact.assigned_label
+        assert rows["sampled_diff"][i] == sampled.margin
+        assert rows["sampled_label"][i] == sampled.assigned_label
+        assert rows["misclassified"][i] == (sampled.assigned_label != exact.assigned_label)

@@ -1,7 +1,8 @@
 """The artifact writers against the straightforward code they replace.
 
-``summary.json`` must be ``json.dumps(indent=2, sort_keys=True)`` text,
-``results.csv`` the per-cell ``_cell`` loop, the plotted boundary the
+``summary.json`` must be ``json.dumps(indent=2, sort_keys=True)`` text (a
+results table as the list of its rows as dicts), ``results.csv`` the
+per-cell loop, the plotted boundary the
 marching-squares loop over every grid cell, and the fig2 fills the scalar
 diverging colour map; each reference below is that code, kept here.
 """
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entdist import __version__
-from entdist.cli import _bisector, _cell, _csv_text, _json_text
+from entdist.cli import Table, _bisector, _cell, _csv_text, _json_text
 from entdist.svgplot import _GRID, _diverging_fills, _lerp, contour_segments
 
 METADATA = {"artifact": "entdist", "generator": "numpy-pcg64", "numpy": "x", "seed": 3,
@@ -41,6 +42,41 @@ def _containers(children):
 
 PAYLOADS = st.dictionaries(TEXT, st.recursive(SCALARS, _containers, max_leaves=30), max_size=5)
 
+# column names with every character that CSV quoting, JSON key escaping or the
+# row template's brace escaping touches
+NAMES = st.text(st.sampled_from(['"', "\\", "{", "}", "\u00e9", ",", "a", "_"]), max_size=5)
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+# the values of one column: of one type, as a command builds them, or mixed
+COLUMN_CELLS = st.sampled_from([
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(-2**70, 2**70) | st.sampled_from([2**63, -2**63 - 1, 10**30]),
+    st.booleans(),
+    TEXT,
+    SCALARS,
+    st.lists(st.floats(allow_nan=False), max_size=3),
+    st.dictionaries(TEXT, FLOATS, max_size=3),
+])
+
+
+@st.composite
+def tables(draw, cells=COLUMN_CELLS):
+    """A Table of 0-5 rows whose every column draws its values from one strategy."""
+    n = draw(st.integers(0, 5))
+    names = draw(st.lists(NAMES, unique=True, max_size=5))
+    return Table({name: draw(st.lists(draw(cells), min_size=n, max_size=n)) for name in names})
+
+
+def _as_rows(obj):
+    """obj with every Table replaced by the list of its rows as dicts."""
+    if isinstance(obj, Table):
+        return [dict(zip(obj, values)) for values in zip(*obj.values())]
+    if isinstance(obj, dict):
+        return type(obj)({key: _as_rows(value) for key, value in obj.items()})
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_as_rows, obj))
+    return obj
+
 
 @settings(max_examples=600, deadline=None)
 @given(PAYLOADS)
@@ -52,8 +88,29 @@ def test_json_text_is_json_dumps(payload):
     assert _json_text(payload, METADATA) == want
 
 
-def _csv_reference(fieldnames, rows, metadata):
-    """The per-cell writer: every cell goes through _cell."""
+def _cell_reference(value) -> str:
+    """The text of one cell: a float (numpy's too) as float.__repr__, a bool
+    (numpy's too) as true/false, a list or tuple as its %g items."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return " ".join(f"{x:g}" for x in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.float64(0.5), "0.5"), (np.float64(-0.0), "-0.0"), (np.float64("nan"), "nan"),
+    (np.bool_(True), "true"), (np.bool_(False), "false"), (True, "true"), (0.1, "0.1"),
+    (2**64, "18446744073709551616"), ([1.0, 0.25], "1 0.25"), ("a,b", "a,b"),
+])
+def test_cell_writes_numpy_scalars_as_python_ones(value, text):
+    assert _cell(value) == _cell_reference(value) == text
+
+
+def _csv_reference(fieldnames, table, metadata):
+    """The per-cell writer: row by row, every cell through _cell_reference."""
     buf = io.StringIO()
     buf.write(f"# artifact: entdist {__version__}\n")
     buf.write(f"# generator: {metadata['generator']}\n")
@@ -62,25 +119,38 @@ def _csv_reference(fieldnames, rows, metadata):
     buf.write(f"# config: {json.dumps(metadata['config'], sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_cell(row[f]) for f in fieldnames])
+    for row in _as_rows(table):
+        writer.writerow([_cell_reference(row[f]) for f in fieldnames])
     return buf.getvalue()
 
 
-CELLS = (SCALARS | st.lists(st.floats(allow_nan=False), max_size=3)
+CELLS = (SCALARS | st.booleans().map(np.bool_) | st.lists(st.floats(allow_nan=False), max_size=3)
          | st.lists(st.integers(-9, 9), max_size=3).map(tuple))
-FIELDS = ["index", "a", "b", "c"]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.fixed_dictionaries({f: CELLS for f in FIELDS}), max_size=6),
-       st.sampled_from([None, bool, float, str]))
-def test_csv_text_is_the_per_cell_loop(rows, column_type):
-    # a column of one type, as every real column is, next to mixed ones
-    if column_type is not None:
-        for i, row in enumerate(rows):
-            row["index"] = column_type(i % 2)
-    assert _csv_text(FIELDS, rows, METADATA) == _csv_reference(FIELDS, rows, METADATA)
+@given(tables(COLUMN_CELLS | st.just(CELLS)), st.data())
+@example(Table({'say "A", \u00e9': [1.5, math.nan], "{0}": [np.bool_(True), False]}), None)
+def test_csv_text_is_the_per_cell_loop(table, data):
+    # every column, or a subset in any order, as a command names them
+    fields = list(table) if data is None else data.draw(st.permutations(list(table)))[:4]
+    assert _csv_text(fields, table, METADATA) == _csv_reference(fields, table, METADATA)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(TEXT, st.recursive(SCALARS | tables(), _containers, max_leaves=8),
+                       max_size=4),
+       tables())
+@example({}, Table())
+@example({}, Table({"a": [], "b": []}))
+@example({"more": [Table({"x": [1.0]})]},
+         Table({"{0}": [0.5, -0.0], '"}': [math.nan, 5e-324], "\u00e9\\": [2**64, -1],
+                "v": [[1.0, 2.0], []], "d": [{"b": 1.0, "a": math.inf}, {}],
+                "f": [np.float64(0.1), np.float64(-math.inf)], "m": [None, True]}))
+def test_json_text_of_a_table_is_json_dumps_of_its_rows(payload, rows):
+    payload = {**payload, "rows": rows}
+    want = json.dumps({"metadata": METADATA, **_as_rows(payload)}, indent=2, sort_keys=True)
+    assert _json_text(payload, METADATA) == want + "\n"
 
 
 def _contour_reference(f, xlim, ylim):

@@ -144,6 +144,12 @@ INPUTS = {
         "training": {"initial": [{"label": 'say "A"', "vector": [0.5, 0.5]},
                                  {"label": "C:\\caf\u00e9", "vector": [2.5, 2.5]}],
                      "added": {"label": 'say "A"', "vector": [2.35, 2.35]}}},
+    # reference labels become the column names distance_<label>: through CSV
+    # quoting, JSON key escaping and the braces of summary.json's row template
+    "classify_escaped_labels.json": {
+        "vectors": [[2, 0], [0, 2], [1.18, 1.45], [0.4, 1.3]],
+        "references": [{"label": "{0}", "vector": [1.5, 0.55]},
+                       {"label": 'say "A", \u00e9', "vector": [0.86, 2.35]}]},
     # JSON reads 1e400 as inf
     "inf_vectors.json": b"[[1, 0], [1e400, 0]]",
     "zero_row.csv": "1,0\n0,1\n0,0\n",
@@ -227,6 +233,9 @@ CASES = [
                                           "--plot")),
     ("nn-escaped-labels-plot", "exact", ("nn", "--config", "nn_escaped_labels.json",
                                          "--out", "out", "--plot")),
+    ("classify-escaped-labels-plot", "exact", ("classify", "--config",
+                                               "classify_escaped_labels.json", "--out", "out",
+                                               "--plot")),
     ("help", "exact", ("--help",)),
     ("version", "exact", ("--version",)),
     ("err-usage", "error", ("frobnicate",)),
