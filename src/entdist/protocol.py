@@ -14,7 +14,10 @@ p is evaluated in closed form, or estimated from seeded Bernoulli shots,
 optionally after the noise channel.  ``p_matrix`` does this for a whole
 block of pairs at once; the single-pair functions are 1x1 blocks of it.
 In sampled mode entry (i, j) of a block is draw i of the generator seeded
-from (seed, j): one stream per column, drawn down the rows.
+from (seed, j): one stream per column, drawn down the rows.  The seeds and
+generator states of all of a block's columns come out of one vectorised pass
+of numpy's SeedSequence algorithm; they equal default_rng(s) with s the
+first 64-bit word of SeedSequence([seed, j]).
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ __all__ = [
 GENERATOR_NAME = "numpy-pcg64"
 
 _MAX_SEED = 2**64
+
+# numpy's SeedSequence: the fixed hash constants of its pool of four uint32 words
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 # p = |u-v|^2 / (2 (|u|^2 + |v|^2)) needs |u|^2 and |v|^2 at least the smallest
 # normal float64 and 2 (|u|^2 + |v|^2) at most the largest
@@ -79,9 +87,66 @@ class DistanceQuery:
         return self.u.dimension
 
 
-def _substream(*key: int) -> int:
-    """The 64-bit seed of the substream keyed by (seed, *indices)."""
-    return int(np.random.SeedSequence(list(key)).generate_state(1, dtype=np.uint64)[0])
+def _words(n: int) -> list[int]:
+    """The uint32 words of a key integer as SeedSequence splits it: low word first."""
+    if n < 0:
+        raise ValueError(f"a stream key must be a non-negative integer, got {n}")
+    return [int(n) >> s & _MASK for s in range(0, max(int(n).bit_length(), 1), 32)]
+
+
+def _seed_states(keys: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(key).generate_state(n_words, np.uint64) for every key at once.
+
+    Column k of the (w, m) uint32 array ``keys`` holds the words of key k.
+    The hash constants of numpy's algorithm do not depend on the data, so
+    all keys run through its pool of four words side by side.
+    """
+    words = np.zeros((max(len(keys), 4), keys.shape[1]), np.uint32)
+    words[:len(keys)] = keys  # short entropy hashes zeros into the pool
+    # hash call k xors the k-th constant and multiplies by the next; uint32 powers wrap exactly
+    a = np.uint32(_INIT_A) * np.uint32(_MULT_A) ** np.arange(4 * len(words) + 1, dtype=np.uint32)
+
+    def hashmix(x, k, count):  # hash calls k .. k + count - 1 of the mixing
+        x = (x ^ a[k:k + count, None]) * a[k + 1:k + count + 1, None]
+        return x ^ (x >> 16)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> 16)
+
+    pool = hashmix(words[:4], 0, 4)
+    for s in range(4):  # the three updates from one source word are independent
+        others = [d for d in range(4) if d != s]
+        pool[others] = mix(pool[others], hashmix(pool[s], 4 + 3 * s, 3))
+    for s in range(4, len(words)):
+        pool = mix(pool, hashmix(words[s], 4 * s, 4))
+    b = np.uint32(_INIT_B) * np.uint32(_MULT_B) ** np.arange(2 * n_words + 1, dtype=np.uint32)
+    state = (pool[np.arange(2 * n_words) % 4] ^ b[:-1, None]) * b[1:, None]
+    state ^= state >> 16
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
+
+
+def _column_generators(seed: int, m: int):
+    """Yield default_rng(derive(j).seed) for j < m, one at a time.
+
+    Both SeedSequence passes, for the column seeds and for their PCG64
+    states, run on all m columns at once.
+    """
+    from numpy.random import PCG64, Generator  # only here: an exact run never loads numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    class State(ISeedSequence):  # hands PCG64 a precomputed seed state
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    keys = np.array(_words(seed) + [0], np.uint32)[:, None].repeat(m, axis=1)
+    keys[-1] = np.arange(m)  # a column index is one word: p would not fit in memory otherwise
+    seeds = _seed_states(keys, 1)[:, 0]
+    for words in _seed_states(np.array([seeds & _MASK, seeds >> 32], np.uint32), 4):
+        yield Generator(PCG64(State(words)))
 
 
 @dataclass(frozen=True)
@@ -96,6 +161,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        for name in ("shots", "seed"):  # a boolean is never a number
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode needs shots >= 1")
         if self.mode == "sampled" and self.shots >= 2**63:  # numpy's binomial takes a C long
@@ -106,10 +175,13 @@ class EstimatorConfig:
     def derive(self, *indices: int) -> "EstimatorConfig":
         """Same settings with a substream seed drawn from (seed, *indices).
 
-        Column j of a sampled block draws on the seed of derive(j); a
-        clustering round r runs its block under derive(r).
+        The seed is the first 64-bit word of numpy's
+        SeedSequence([seed, *indices]), computed by the pass that seeds a
+        block's columns.  Column j of a sampled block draws on the seed of
+        derive(j); a clustering round r runs its block under derive(r).
         """
-        return replace(self, seed=_substream(self.seed, *indices))
+        key = [w for k in (self.seed, *indices) for w in _words(k)]
+        return replace(self, seed=int(_seed_states(np.array(key, np.uint32)[:, None], 1)[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -137,7 +209,9 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
     the pairs j > i are evaluated and every other entry is 0.  In sampled mode
     entry (i, j) is draw i of the generator seeded with cfg.derive(j).seed, so
     the first k rows of a block (the leading k x k of an ``upper`` one) are
-    the k-row block, and a column does not depend on the other columns.
+    the k-row block, and a column does not depend on the other columns.  The
+    column generators start from states computed for all columns at once,
+    and each is built only when its column is drawn.
     """
     us, vs = VectorSet(us), VectorSet(vs)
     n, m, dim = len(us), len(vs), us.dimension
@@ -174,10 +248,10 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
         p = np.triu(p, 1)
 
     if cfg.mode == "sampled":
-        # one generator per column, drawing down its rows in order as scalar calls would
-        for j in range(int(upper), m):
+        # one generator per column, built as it is reached, drawing down its
+        # rows in order as scalar calls would
+        for j, rng in enumerate(_column_generators(cfg.seed, m)):
             rows = slice(j if upper else n)
-            rng = np.random.default_rng(_substream(cfg.seed, j))
             p[rows, j] = rng.binomial(cfg.shots, p[rows, j]) / cfg.shots
     return p
 

@@ -3,6 +3,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from xml.etree import ElementTree
@@ -263,6 +266,16 @@ class TestClusterAndNN:
         assert summary["rows"][0]["label_before"] == "blue"
         assert summary["rows"][1]["label_before"] == "red"
         assert summary["rows"][1]["label_after"] == "blue"
+
+    def test_an_exact_run_never_imports_numpy_random(self, tmp_path):
+        # exact mode seeds no stream, and the import would add to every exact run's start-up
+        (tmp_path / "c.json").write_text(json.dumps(VALID_RUNS["nn"][0]))
+        code = ("import sys; from entdist.cli import main; "
+                "print(main(['nn', '--config', 'c.json', '--out', 'o']), 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.stdout.split()[-2:] == ["0", "False"], result.stderr
 
     def test_classify_with_flags(self, capsys, tmp_path):
         out_dir = tmp_path / "cls"

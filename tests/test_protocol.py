@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entdist.protocol
@@ -67,6 +67,47 @@ class TestEstimatorConfig:
         assert cfg.derive(3).seed == cfg.derive(3).seed
         assert cfg.derive(3).seed != cfg.derive(4).seed
         assert cfg.derive(1, 2).seed != cfg.derive(2, 1).seed
+
+    @pytest.mark.parametrize("field", ["shots", "seed"])
+    @pytest.mark.parametrize("value", [True, 10.5, 7.0, "5"])
+    def test_shots_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            EstimatorConfig(mode="sampled", **{field: value})
+
+    def test_numpy_integers_act_as_python_integers(self):
+        us = np.random.default_rng(1).normal(size=(5, 4))
+        cfg = EstimatorConfig(mode="sampled", shots=300, seed=7)
+        numpy_cfg = EstimatorConfig(mode="sampled", shots=np.int64(300), seed=np.uint64(7))
+        assert p_matrix(us, us, numpy_cfg).tobytes() == p_matrix(us, us, cfg).tobytes()
+        assert numpy_cfg.derive(3, 1).seed == cfg.derive(3, 1).seed
+
+
+def numpy_stream_seed(*key: int) -> int:
+    """The reference for derive: the first 64-bit word of numpy's SeedSequence(key)."""
+    return int(np.random.SeedSequence(list(key)).generate_state(1, np.uint64)[0])
+
+
+# one word, the largest one-word seed, two words and the largest seed
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestStreamSeeds:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+           indices=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+                            min_size=1, max_size=3))
+    @example(seed=2**64 - 1, indices=[1, 2])
+    @example(seed=2**64 - 1, indices=[2**32, 5, 2**64 - 1])  # 7 words: the mixing beyond the pool
+    def test_derive_is_numpy_seed_sequence(self, seed, indices):
+        assert EstimatorConfig(seed=seed).derive(*indices).seed == numpy_stream_seed(seed, *indices)
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["full", "upper"])
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_column_j_draws_on_default_rng_of_its_seed(self, seed, upper):
+        us = np.random.default_rng(2).normal(size=(40, 2))
+        cfg = EstimatorConfig(mode="sampled", shots=100, seed=seed)
+        ideal = p_matrix(us, us, replace(cfg, mode="exact"), upper)
+        assert p_matrix(us, us, cfg, upper).tolist() == _column_draws(ideal, cfg, upper).tolist()
 
 
 class TestEntangledState:
@@ -313,12 +354,12 @@ def _blocks(draw):
 
 
 def _column_draws(p: np.ndarray, cfg: EstimatorConfig, upper: bool = False) -> np.ndarray:
-    """Each column of an exact block drawn on its own generator, seeded with
-    cfg.derive(j).seed (the rows above the diagonal only, with ``upper``)."""
+    """Each column of an exact block drawn on its own numpy default_rng, seeded
+    with SeedSequence([seed, j]) (the rows above the diagonal only, with ``upper``)."""
     drawn = np.zeros_like(p)
     for j in range(p.shape[1]):
         rows = slice(j if upper else None)
-        rng = np.random.default_rng(cfg.derive(j).seed)
+        rng = np.random.default_rng(numpy_stream_seed(cfg.seed, j))
         drawn[rows, j] = rng.binomial(cfg.shots, p[rows, j]) / cfg.shots
     return drawn
 
