@@ -35,8 +35,8 @@ print(f"projection probability p = {p:.6f} (closed form {exact_p(query):.6f})")
 print("\n== exact reconstruction ==")
 est = estimate_distance(query)
 print(f"distance        {est.distance:.6f}   (Euclidean {np.linalg.norm(u.components - v.components):.6f})")
-print(f"unit overlap    {est.inner_product:.6f}")
-print(f"raw dot product {est.raw_inner_product:.6f}   (u.v = {float(u.components @ v.components):.6f})")
+print(f"unit overlap    {est.inner_product_unit:.6f}")
+print(f"raw dot product {est.inner_product_raw:.6f}   (u.v = {float(u.components @ v.components):.6f})")
 
 print("\n== sampled reconstruction ==")
 for shots in (100, 1_000, 10_000, 100_000):

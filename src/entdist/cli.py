@@ -41,7 +41,7 @@ from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .noise import NOISE_PRESETS, PAPER_PRESET, NoiseModel, noise_preset
 from .protocol import GENERATOR_NAME, EstimatorConfig, distance_matrix
 from .svgplot import cartesian_scatter_svg, contour_segments, polar_scatter_svg
-from .vectors import VectorSet
+from .vectors import RealVector, VectorSet
 
 REPRO_TARGETS = ("fig2", "table1", "table2", "fig3", "figS1")
 
@@ -298,6 +298,14 @@ def _vector_set(rows, where: str) -> VectorSet:
         raise type(exc)(f"{where}{exc}") from None
 
 
+def _vector(row, where: str) -> RealVector:
+    """RealVector(row), where an error reads ``{where}: ...``."""
+    try:
+        return RealVector(row)
+    except ValueError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def load_vectors_csv(path) -> VectorSet:
     """Read one vector per CSV row; '#' comments and leading header rows are skipped."""
     rows: list[list[float]] = []
@@ -317,8 +325,8 @@ def load_vectors_csv(path) -> VectorSet:
     return _vector_set(rows, str(path))
 
 
-def _labeled(entry: dict) -> LabeledReference:
-    return LabeledReference(entry["vector"], str(entry["label"]))
+def _labeled(entry: dict, where: str) -> LabeledReference:
+    return LabeledReference(_vector(entry["vector"], f"{where}.vector"), str(entry["label"]))
 
 
 # ---------------------------------------------------------------- output
@@ -507,14 +515,14 @@ def _estimate(config: dict, cfg: EstimatorConfig) -> Run:
     u, v = config.get("u"), config.get("v")
     if u is None or v is None:
         raise ValueError("estimate needs both vectors: --u/--v or config keys 'u'/'v'")
-    return Run({}, estimate_run(u, v, cfg))
+    return Run({}, estimate_run(_vector(u, "config.u"), _vector(v, "config.v"), cfg))
 
 
 def _classify(config: dict, cfg: EstimatorConfig) -> Run:
     refs = config.get("references")
     if refs is None or len(refs) != 2:
         raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
-    ref_a, ref_b = (_labeled(r) for r in refs)
+    ref_a, ref_b = (_labeled(r, f"config.references[{i}]") for i, r in enumerate(refs))
     vectors = _vectors(config)
     result = two_cluster_assignment(vectors, ref_a, ref_b, cfg)
     labels = result.labels
@@ -546,8 +554,8 @@ def _nn(config: dict, cfg: EstimatorConfig) -> Run:
     initial, added = spec.get("initial", []), spec.get("added")
     if not initial:
         raise ValueError("training set must be non-empty")
-    training = [_labeled(t) for t in initial]
-    added = _labeled(added) if added is not None else None
+    training = [_labeled(t, f"config.training.initial[{i}]") for i, t in enumerate(initial)]
+    added = _labeled(added, "config.training.added") if added is not None else None
     vectors = _vectors(config)
     extra = {
         "training": [{"label": t.label, "vector": t.vector.components.tolist()} for t in training],

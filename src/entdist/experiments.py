@@ -6,6 +6,7 @@ responsible for files and plots.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -46,20 +47,8 @@ def rounds_to_printed(value: float, printed: float, decimals: int = 2) -> bool:
 def estimate_run(u, v, cfg: EstimatorConfig) -> dict:
     """One distance estimate, flattened for serialization."""
     query = DistanceQuery(u, v)
-    est = estimate_distance(query, cfg)
-    return {
-        "u": query.u.components.tolist(),
-        "v": query.v.components.tolist(),
-        "p_hat": est.p_hat,
-        "distance": est.distance,
-        "inner_product_unit": est.inner_product,
-        "inner_product_raw": est.raw_inner_product,
-        "norm_u": est.norm_u,
-        "norm_v": est.norm_v,
-        "shots_used": est.shots_used,
-        "std_error_p": est.std_error_p,
-        "overlap_out_of_range": est.overlap_out_of_range,
-    }
+    return {"u": query.u.components.tolist(), "v": query.v.components.tolist(),
+            **asdict(estimate_distance(query, cfg))}
 
 
 def table_run(

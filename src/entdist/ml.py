@@ -21,14 +21,11 @@ from .vectors import RealVector, VectorSet, as_vector
 __all__ = [
     "BOUNDARY_TOL",
     "LabeledReference",
-    "ClassificationResult",
     "Assignment",
     "ClusteringState",
     "two_cluster_assignment",
-    "classify_batch",
     "classify_two_cluster",
     "nearest_neighbor_assignment",
-    "nearest_neighbors",
     "nearest_neighbor_classify",
     "unsupervised_cluster",
 ]
@@ -46,14 +43,6 @@ class LabeledReference:
 
     def __post_init__(self):
         object.__setattr__(self, "vector", as_vector(self.vector))
-
-
-@dataclass(frozen=True, eq=False)
-class ClassificationResult:
-    per_label_distance: dict[str, float]
-    assigned_label: str
-    margin: float
-    boundary_flag: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +68,6 @@ class Assignment:
         """Each row's nearest distance per label, in label order."""
         return [dict(zip(self.names, row)) for row in self.distances.tolist()]
 
-    def results(self) -> list[ClassificationResult]:
-        return list(map(ClassificationResult, self.per_label(), self.labels,
-                        self.margin.tolist(), self.boundary.tolist()))
-
 
 def two_cluster_assignment(
     vectors,
@@ -102,24 +87,14 @@ def two_cluster_assignment(
     return replace(assignment, margin=assignment.distances[:, 0] - assignment.distances[:, 1])
 
 
-def classify_batch(
-    vectors,
-    ref_a: LabeledReference,
-    ref_b: LabeledReference,
-    cfg: EstimatorConfig = EstimatorConfig(),
-) -> list[ClassificationResult]:
-    """two_cluster_assignment, one ClassificationResult per vector."""
-    return two_cluster_assignment(vectors, ref_a, ref_b, cfg).results()
-
-
 def classify_two_cluster(
     u,
     ref_a: LabeledReference,
     ref_b: LabeledReference,
     cfg: EstimatorConfig = EstimatorConfig(),
-) -> ClassificationResult:
-    """classify_batch for one vector: row 0 of any larger batch."""
-    return classify_batch([u], ref_a, ref_b, cfg)[0]
+) -> Assignment:
+    """two_cluster_assignment of u alone: a one-row Assignment, row 0 of any larger batch."""
+    return two_cluster_assignment([u], ref_a, ref_b, cfg)
 
 
 def nearest_neighbor_assignment(dist: np.ndarray, training) -> Assignment:
@@ -141,25 +116,20 @@ def nearest_neighbor_assignment(dist: np.ndarray, training) -> Assignment:
     return Assignment(names, minima, by_label[tied.argmax(axis=1)], gap, gap)
 
 
-def nearest_neighbors(dist: np.ndarray, training) -> list[ClassificationResult]:
-    """nearest_neighbor_assignment, one ClassificationResult per row."""
-    return nearest_neighbor_assignment(dist, training).results()
-
-
 def nearest_neighbor_classify(
     u,
     training: list[LabeledReference],
     cfg: EstimatorConfig = EstimatorConfig(),
-) -> ClassificationResult:
-    """Assign u the label of its nearest training vector (see nearest_neighbors).
+) -> Assignment:
+    """Assign u the label of its nearest training vector: a one-row Assignment.
 
     Sampled, the estimate against training vector j is draw 0 of the stream
     (seed, j): row 0 of any larger block.
     """
     if not training:
         raise ValueError("training set must be non-empty")
-    dist = distance_matrix([u], [t.vector for t in training], cfg)
-    return nearest_neighbors(dist, training)[0]
+    return nearest_neighbor_assignment(distance_matrix([u], [t.vector for t in training], cfg),
+                                       training)
 
 
 @dataclass(frozen=True, eq=False)

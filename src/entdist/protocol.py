@@ -190,8 +190,8 @@ class DistanceEstimate:
 
     p_hat: float
     distance: float
-    inner_product: float  # unit-state overlap <u|v>, reported unclamped
-    raw_inner_product: float  # u . v = |u| |v| <u|v>
+    inner_product_unit: float  # unit-state overlap <u|v>, reported unclamped
+    inner_product_raw: float  # u . v = |u| |v| <u|v>
     norm_u: float
     norm_v: float
     shots_used: int  # 0 in exact mode
@@ -311,8 +311,8 @@ def estimate_distance(query: DistanceQuery, cfg: EstimatorConfig = EstimatorConf
     return DistanceEstimate(
         p_hat=p_hat,
         distance=distance_from_p(p_hat, nu, nv),
-        inner_product=overlap,
-        raw_inner_product=overlap * nu * nv,
+        inner_product_unit=overlap,
+        inner_product_raw=overlap * nu * nv,
         norm_u=nu,
         norm_v=nv,
         shots_used=shots_used,

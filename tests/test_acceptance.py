@@ -20,11 +20,7 @@ import pytest
 
 from entdist.datasets import FIG3_DEMO, FIGS1_DEMO, TABLE1
 from entdist.experiments import fig2_run, nn_run, rounds_to_printed, table_run
-from entdist.ml import (
-    LabeledReference,
-    classify_two_cluster,
-    unsupervised_cluster,
-)
+from entdist.ml import LabeledReference, two_cluster_assignment, unsupervised_cluster
 from entdist.noise import NoiseModel, apply_noise, fidelity_to_mixing_weight, noise_preset
 from entdist.oracle import ancilla_projector, entangled_state
 from entdist.protocol import (
@@ -64,7 +60,8 @@ def consistent_with_printed(vector, theory: float, ref_a: LabeledReference,
         centre + half_width * np.asarray(signs)
         for signs in itertools.product((-1.0, 1.0), repeat=centre.size)
     ]
-    margins = [classify_two_cluster(as_vector(x), ref_a, ref_b, EXACT).margin for x in points]
+    # exact entries are bitwise equal to 1x1 blocks, so one block serves every point
+    margins = two_cluster_assignment(points, ref_a, ref_b, EXACT).margin.tolist()
     return rounds_to_printed(min(max(theory, min(margins)), max(margins)), theory, decimals)
 
 
@@ -118,7 +115,7 @@ class TestAcceptance:
                 est = estimate_distance(DistanceQuery(as_vector(u), as_vector(v)), EXACT)
                 worst_d = max(worst_d, abs(est.distance - float(np.linalg.norm(u - v))))
                 unit_dot = float(u @ v) / float(np.linalg.norm(u) * np.linalg.norm(v))
-                worst_ip = max(worst_ip, abs(est.inner_product - unit_dot))
+                worst_ip = max(worst_ip, abs(est.inner_product_unit - unit_dot))
         elapsed = time.perf_counter() - start
         report(
             "oracle-equivalence",

@@ -434,6 +434,23 @@ BAD_INPUTS = {
                           "zero.csv[1]: the zero vector has no normalized quantum state"),
     "zero-row-in-the-config": ({"vectors": [[1, 0], [0, 1], [0, 0]]}, ["cluster"],
                                "config.vectors[2]: the zero vector"),
+    # so is a single vector, by its config key; a flag reads as the key it sets
+    "zero-u-flag": ({"v": [0, 1]}, ["estimate", "--u", "0,0"],
+                    "config.u: the zero vector has no normalized quantum state"),
+    "non-finite-u-flag": ({"v": [0, 1]}, ["estimate", "--u", "nan,1"],
+                          "config.u: vector components must be finite"),
+    "zero-v-in-the-config": ({"u": [1, 0], "v": [0, 0]}, ["estimate"], "config.v: the zero vector"),
+    "zero-ref-a-flag": ({"vectors": [[1, 0]]}, ["classify", "--ref-a", "0,0", "--ref-b", "0,1"],
+                        "config.references[0].vector: the zero vector"),
+    "non-finite-reference": ({"vectors": [[1, 0]], "references": [
+        {"label": "A", "vector": [1, 0]}, {"label": "B", "vector": [math.inf, 1]}]}, ["classify"],
+        "config.references[1].vector: vector components must be finite"),
+    "zero-training-entry": ({"vectors": [[1, 0]], "training": {"initial": [
+        {"label": "x", "vector": [1, 0]}, {"label": "y", "vector": [0, 0]}]}}, ["nn"],
+        "config.training.initial[1].vector: the zero vector"),
+    "zero-added-vector": ({"vectors": [[1, 0]], "training": {
+        "initial": [{"label": "x", "vector": [1, 0]}], "added": {"label": "y", "vector": [0, 0]}}},
+        ["nn"], "config.training.added.vector: the zero vector"),
 }
 
 

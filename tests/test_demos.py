@@ -1,6 +1,8 @@
-"""Every script under demos/ runs to completion without writing to stderr."""
+"""Every script under demos/, and every Python block of README.md, runs to
+completion without writing to stderr."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,15 @@ def test_demo_runs_cleanly(demo):
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+def test_readme_python_blocks_run_cleanly():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for block in blocks:
+        result = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,11 +11,12 @@ import entdist.ml
 from entdist.datasets import FIG3_DEMO, FIGS1_DEMO, fig2_references
 from entdist.experiments import fig2_run
 from entdist.ml import (
+    BOUNDARY_TOL,
     LabeledReference,
-    classify_batch,
     classify_two_cluster,
+    nearest_neighbor_assignment,
     nearest_neighbor_classify,
-    nearest_neighbors,
+    two_cluster_assignment,
     unsupervised_cluster,
 )
 from entdist.protocol import (
@@ -43,27 +43,27 @@ def euclid_mean(point, others) -> float:
 class TestTwoCluster:
     def test_table1_row1(self):
         res = classify_two_cluster([2, 0, 0, 0], ref([1, 0, 0, 0], "A"), ref([0, 0, 1, 1], "B"), EXACT)
-        assert res.assigned_label == "A"
-        assert res.margin == pytest.approx(1 - math.sqrt(6), abs=1e-12)
+        assert res.labels[0] == "A"
+        assert res.margin[0] == pytest.approx(1 - math.sqrt(6), abs=1e-12)
 
     def test_table2_row2(self):
         u = [0, 0, 0, 0, 0, 0, 0, 0.60]
         a = [1, 0, 0, 0, 0, 0, 0, 0]
         b = [0, 0, 0, 0, 0, 0, 0, 1]
         res = classify_two_cluster(u, ref(a, "A"), ref(b, "B"), EXACT)
-        assert res.assigned_label == "B"
-        assert res.margin == pytest.approx(math.sqrt(1.36) - 0.40, abs=1e-12)
+        assert res.labels[0] == "B"
+        assert res.margin[0] == pytest.approx(math.sqrt(1.36) - 0.40, abs=1e-12)
 
     def test_midpoint_is_boundary(self):
         a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
         res = classify_two_cluster((a + b) / 2, ref(a, "A"), ref(b, "B"), EXACT)
-        assert res.boundary_flag
-        assert res.assigned_label == "A"  # lexicographic tie-break
+        assert res.boundary[0]
+        assert res.labels[0] == "A"  # lexicographic tie-break
 
     def test_tie_break_uses_smallest_label(self):
         a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
         res = classify_two_cluster((a + b) / 2, ref(a, "z"), ref(b, "m"), EXACT)
-        assert res.assigned_label == "m"
+        assert res.labels[0] == "m"
 
     def test_same_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -80,7 +80,7 @@ class TestTwoCluster:
             if abs(gap) < 1e-9:
                 continue
             res = classify_two_cluster(u, ref(a, "A"), ref(b, "B"), EXACT)
-            assert res.assigned_label == ("A" if gap < 0 else "B")
+            assert res.labels[0] == ("A" if gap < 0 else "B")
 
     def test_global_scaling_leaves_label_unchanged(self):
         rng = np.random.default_rng(32)
@@ -89,7 +89,7 @@ class TestTwoCluster:
                 u, a, b = rng.normal(size=(3, 4))
                 base = classify_two_cluster(u, ref(a, "A"), ref(b, "B"), EXACT)
                 scaled = classify_two_cluster(c * u, ref(c * a, "A"), ref(c * b, "B"), EXACT)
-                assert scaled.assigned_label == base.assigned_label
+                assert scaled.labels[0] == base.labels[0]
 
     def test_scaling_invariance_holds_under_sampling(self):
         cfg = EstimatorConfig(mode="sampled", shots=200, seed=77)
@@ -98,18 +98,18 @@ class TestTwoCluster:
         scaled = classify_two_cluster(
             [7 * x for x in u], ref([7 * x for x in a], "A"), ref([7 * x for x in b], "B"), cfg
         )
-        assert scaled.assigned_label == base.assigned_label
-        assert scaled.margin == pytest.approx(7 * base.margin, rel=1e-12)
+        assert scaled.labels[0] == base.labels[0]
+        assert scaled.margin[0] == pytest.approx(7 * base.margin[0], rel=1e-12)
 
     def test_figure_references_classify_to_their_own_cluster(self):
         a, b = [1.50, 0.55], [0.86, 2.35]
         gap = float(np.linalg.norm(np.subtract(a, b)))
         res_a = classify_two_cluster(a, ref(a, "A"), ref(b, "B"), EXACT)
         res_b = classify_two_cluster(b, ref(a, "A"), ref(b, "B"), EXACT)
-        assert res_a.assigned_label == "A"
-        assert res_a.margin == pytest.approx(-gap, abs=1e-12)
-        assert res_b.assigned_label == "B"
-        assert res_b.margin == pytest.approx(gap, abs=1e-12)
+        assert res_a.labels[0] == "A"
+        assert res_a.margin[0] == pytest.approx(-gap, abs=1e-12)
+        assert res_b.labels[0] == "B"
+        assert res_b.margin[0] == pytest.approx(gap, abs=1e-12)
         assert gap == pytest.approx(1.9104, abs=1e-4)
 
     def test_label_renaming_permutes_output(self):
@@ -117,15 +117,15 @@ class TestTwoCluster:
         first = classify_two_cluster(u, ref(a, "A"), ref(b, "B"), EXACT)
         second = classify_two_cluster(u, ref(a, "left"), ref(b, "right"), EXACT)
         mapping = {"A": "left", "B": "right"}
-        assert second.assigned_label == mapping[first.assigned_label]
-        assert second.per_label_distance["left"] == first.per_label_distance["A"]
+        assert second.labels[0] == mapping[first.labels[0]]
+        assert second.per_label()[0]["left"] == first.per_label()[0]["A"]
 
 
 class TestNearestNeighbor:
     def test_single_training_vector(self):
         res = nearest_neighbor_classify([5, 5], [ref([0, 1], "only")], EXACT)
-        assert res.assigned_label == "only"
-        assert res.margin == math.inf
+        assert res.labels[0] == "only"
+        assert res.margin[0] == math.inf
 
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
@@ -134,18 +134,18 @@ class TestNearestNeighbor:
     def test_tie_goes_to_the_smallest_label_not_the_first_seen(self):
         training = [ref([1, 0], "red"), ref([0, 1], "blue"), ref([5, 5], "red")]
         res = nearest_neighbor_classify([1, 1], training, EXACT)
-        assert res.assigned_label == "blue"
-        assert res.boundary_flag and res.margin == 0.0
-        assert list(res.per_label_distance) == ["red", "blue"]
+        assert res.labels[0] == "blue"
+        assert res.boundary[0] and res.margin[0] == 0.0
+        assert list(res.per_label()[0]) == ["red", "blue"]
 
     def test_caption_style_distances(self):
         # distances 0.24 to the blue trainer and 0.62 to the red one
         b = np.array([1.0, 1.0])
         training = [ref(b + [0.24, 0.0], "blue"), ref(b - [0.62, 0.0], "red")]
         res = nearest_neighbor_classify(b, training, EXACT)
-        assert res.assigned_label == "blue"
-        assert res.per_label_distance["blue"] == pytest.approx(0.24, abs=1e-12)
-        assert res.per_label_distance["red"] == pytest.approx(0.62, abs=1e-12)
+        assert res.labels[0] == "blue"
+        assert res.per_label()[0]["blue"] == pytest.approx(0.24, abs=1e-12)
+        assert res.per_label()[0]["red"] == pytest.approx(0.62, abs=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(33)
@@ -154,14 +154,14 @@ class TestNearestNeighbor:
             u = rng.normal(size=2)
             res = nearest_neighbor_classify(u, training, EXACT)
             dists = [np.linalg.norm(u - t.vector.components) for t in training]
-            assert res.assigned_label == training[int(np.argmin(dists))].label
+            assert res.labels[0] == training[int(np.argmin(dists))].label
 
     def test_single_label_training_set_wins_everywhere(self):
         training = [ref([0.5, 0.5], "red"), ref([4.0, 4.0], "red")]
         rng = np.random.default_rng(36)
         for _ in range(20):
             res = nearest_neighbor_classify(rng.uniform(0.5, 5, size=2), training, EXACT)
-            assert res.assigned_label == "red"
+            assert res.labels[0] == "red"
 
     def test_duplicate_training_vector_changes_nothing(self):
         demo = FIGS1_DEMO
@@ -170,7 +170,7 @@ class TestNearestNeighbor:
         for v in demo.vectors().components:
             before = nearest_neighbor_classify(v, training, EXACT)
             after = nearest_neighbor_classify(v, duplicated, EXACT)
-            assert before.assigned_label == after.assigned_label
+            assert before.labels[0] == after.labels[0]
 
     def test_new_training_vector_flips_only_closer_points(self):
         rng = np.random.default_rng(34)
@@ -181,14 +181,14 @@ class TestNearestNeighbor:
             before = nearest_neighbor_classify(u, training, EXACT)
             after = nearest_neighbor_classify(u, training + [extra], EXACT)
             d_extra = np.linalg.norm(u - extra.vector.components)
-            d_nearest_before = min(before.per_label_distance.values())
-            if after.assigned_label != before.assigned_label:
+            d_nearest_before = min(before.per_label()[0].values())
+            if after.labels[0] != before.labels[0]:
                 assert d_extra < d_nearest_before
-                assert after.assigned_label == extra.label
+                assert after.labels[0] == extra.label
             # oracle agreement either way
             all_training = training + [extra]
             dists = [np.linalg.norm(u - t.vector.components) for t in all_training]
-            assert after.assigned_label == all_training[int(np.argmin(dists))].label
+            assert after.labels[0] == all_training[int(np.argmin(dists))].label
 
 
 class TestMeanGroupDistance:
@@ -487,19 +487,38 @@ def test_reassign_matches_the_per_cell_reference(case):
     assert [names[c] for c in got] == reference_reassign(dist, labels, names)
 
 
+def reference_nearest(row, training):
+    """The labelling rule one row at a time, as its oracle: the nearest
+    distance per label (first-seen order), the smallest label within
+    BOUNDARY_TOL of the best, and the gap to the runner-up label."""
+    per_label = {}
+    for d, t in zip(row, training, strict=True):
+        per_label[t.label] = min(per_label.get(t.label, math.inf), d)
+    best, *rest = sorted(per_label.values())
+    label = min(name for name, d in per_label.items() if d - best < BOUNDARY_TOL)
+    return per_label, label, rest[0] - best if rest else math.inf
+
+
+def assert_row_follows_reference(got, i, row, training):
+    """Row i of an Assignment is reference_nearest of its distance row; returns the gap."""
+    per_label, label, gap = reference_nearest(row, training)
+    assert list(got.per_label()[i].items()) == list(per_label.items())
+    assert got.labels[i] == label
+    assert got.boundary[i] == (gap < BOUNDARY_TOL)
+    return gap
+
+
 @settings(max_examples=200, deadline=None)
 @given(vectors=lattice_points(1, 8), a=lattice_points(1, 1), b=lattice_points(1, 1),
        labels=st.sampled_from([("A", "B"), ("B", "A"), ("z", "m")]), cfg=sampled_or_exact())
 def test_classify_is_nearest_neighbors_over_the_two_references(vectors, a, b, labels, cfg):
     refs = [ref(np.array(a[0]) / 2, labels[0]), ref(np.array(b[0]) / 2, labels[1])]
     dist = distance_matrix(vectors, [r.vector for r in refs], cfg)
-    classified = classify_batch(vectors, *refs, cfg)
-    for got, want in zip(classified, nearest_neighbors(dist, refs), strict=True):
-        assert list(got.per_label_distance.items()) == list(want.per_label_distance.items())
-        assert got.assigned_label == want.assigned_label
-        assert got.boundary_flag == want.boundary_flag
-        assert abs(got.margin) == want.margin
-        assert got.margin == got.per_label_distance[labels[0]] - got.per_label_distance[labels[1]]
+    got = two_cluster_assignment(vectors, *refs, cfg)
+    for i, row in enumerate(dist.tolist()):
+        gap = assert_row_follows_reference(got, i, row, refs)
+        assert abs(got.margin[i]) == gap
+        assert got.margin[i] == row[0] - row[1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -508,12 +527,19 @@ def test_single_vector_calls_are_row_0_of_a_block(vectors, cfg):
     refs = [ref([1.5, 0.55], "A"), ref([0.86, 2.35], "B")]
     training = refs + [ref([-1, 0.5], "A")]
     u = as_vector(vectors[0])
-    assert (asdict(classify_two_cluster(u, *refs, cfg))
-            == asdict(classify_batch(vectors, *refs, cfg)[0]))
     block = distance_matrix(vectors, [t.vector for t in training], cfg)
+    single = classify_two_cluster(u, *refs, cfg)
+    assert len(single.codes) == 1
+    row = block[0, :2].tolist()  # the references' columns draw on the streams (seed, 0), (seed, 1)
+    assert_row_follows_reference(single, 0, row, refs)
+    assert single.margin[0] == row[0] - row[1]
     assert estimate_distance(DistanceQuery(u, refs[0].vector), cfg).distance == block[0, 0]
-    assert (asdict(nearest_neighbor_classify(u, training, cfg))
-            == asdict(nearest_neighbors(block, training)[0]))
+    single = nearest_neighbor_classify(u, training, cfg)
+    assert len(single.codes) == 1
+    assert single.margin[0] == assert_row_follows_reference(single, 0, block[0].tolist(), training)
+    everyone = nearest_neighbor_assignment(block, training)
+    for i, row in enumerate(block.tolist()):
+        assert everyone.margin[i] == assert_row_follows_reference(everyone, i, row, training)
 
 
 # points on the bisector of the fig2 references A = (1.5, 0.55) and B = (0.86, 2.35):
@@ -530,25 +556,31 @@ PLANE_POINTS = st.lists(st.integers(-300, 300).map(lambda k: k / 100),
 @example(vectors=[[1.18, 1.45], [2.0, 0.5], [1.18 + 1.8, 1.45 + 0.64]],
          cfg=EstimatorConfig(mode="sampled", shots=50, seed=3))
 def test_fig2_columns_are_the_scalar_results_row_by_row(vectors, cfg):
-    """Row i of every fig2 column, bit for bit: exact, classify_two_cluster of
-    vector i; sampled, row i of the (i + 1)-vector batch (draw i of each
-    reference's stream), which for i = 0 is classify_two_cluster again."""
+    """Row i of every fig2 column, bit for bit, from scalar calls: exact, the
+    distance from exact_p of each pair; sampled, draw i of each reference's
+    stream, numpy's default_rng of SeedSequence([seed, j]); then the labels
+    by reference_nearest."""
     rows = fig2_run(cfg, vectors=vectors)["rows"]
     refs = fig2_references()
     assert rows["index"] == list(range(len(vectors)))
     assert {len(column) for column in rows.values()} == {len(vectors)}
+    streams = [np.random.default_rng(int(np.random.SeedSequence([cfg.seed, j])
+                                         .generate_state(1, np.uint64)[0]))
+               for j in range(len(refs))]
     for i, u in enumerate(map(as_vector, vectors)):
-        exact = classify_two_cluster(u, *refs, EXACT)
-        sampled = (classify_two_cluster(u, *refs, cfg) if i == 0
-                   else classify_batch(vectors[:i + 1], *refs, cfg)[i])
+        p = [exact_p(DistanceQuery(u, r.vector)) for r in refs]
+        if cfg.mode == "sampled":  # one scalar draw per row, down each stream
+            p_hat = [rng.binomial(cfg.shots, x) / cfg.shots for rng, x in zip(streams, p)]
+        else:
+            p_hat = p
+        for kind, ps in (("exact", p), ("sampled", p_hat)):
+            d_a, d_b = (distance_from_p(x, u.norm, r.vector.norm) for x, r in zip(ps, refs))
+            assert rows[f"{kind}_diff"][i] == d_a - d_b
+            assert rows[f"{kind}_label"][i] == reference_nearest([d_a, d_b], refs)[1]
         x, y = u.components.tolist()
         assert (rows["x"][i], rows["y"][i], rows["norm"][i]) == (x, y, u.norm)
         assert rows["angle"][i] == math.atan2(y, x)
-        assert rows["exact_diff"][i] == exact.margin
-        assert rows["exact_label"][i] == exact.assigned_label
-        assert rows["sampled_diff"][i] == sampled.margin
-        assert rows["sampled_label"][i] == sampled.assigned_label
-        assert rows["misclassified"][i] == (sampled.assigned_label != exact.assigned_label)
+        assert rows["misclassified"][i] == (rows["sampled_label"][i] != rows["exact_label"][i])
 
 
 # values with ties and few distinct digits, where the percentile's two rules meet

@@ -220,7 +220,7 @@ class TestEstimateDistance:
     def test_identical_vectors(self):
         est = estimate_distance(query([1.2, 3.4], [1.2, 3.4]))
         assert est.distance == 0.0
-        assert est.inner_product == pytest.approx(1.0, abs=1e-12)
+        assert est.inner_product_unit == pytest.approx(1.0, abs=1e-12)
         assert est.shots_used == 0 and est.std_error_p == 0.0
 
     def test_fields_are_consistent(self):
@@ -229,8 +229,8 @@ class TestEstimateDistance:
             est = estimate_distance(query([2, 0, 0, 0], [1, 0, 0, 0]), cfg)
             z = est.norm_u**2 + est.norm_v**2
             assert est.distance == pytest.approx(math.sqrt(2 * est.p_hat * z), abs=1e-12)
-            assert est.raw_inner_product == pytest.approx(
-                est.inner_product * est.norm_u * est.norm_v, abs=1e-12
+            assert est.inner_product_raw == pytest.approx(
+                est.inner_product_unit * est.norm_u * est.norm_v, abs=1e-12
             )
 
     def test_oracle_equivalence_sample(self):
@@ -242,8 +242,8 @@ class TestEstimateDistance:
                 est = estimate_distance(query(u, v))
                 assert est.distance == pytest.approx(float(np.linalg.norm(u - v)), abs=1e-9)
                 unit_dot = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-                assert est.inner_product == pytest.approx(unit_dot, abs=1e-9)
-                assert est.raw_inner_product == pytest.approx(float(u @ v), abs=1e-9)
+                assert est.inner_product_unit == pytest.approx(unit_dot, abs=1e-9)
+                assert est.inner_product_raw == pytest.approx(float(u @ v), abs=1e-9)
 
     def test_symmetry_in_exact_mode(self):
         rng = np.random.default_rng(17)
@@ -323,7 +323,7 @@ class TestSampleP:
         exact = estimate_distance(q)
         assert not exact.overlap_out_of_range
         if est.p_hat != pytest.approx(exact.p_hat, abs=1e-3):
-            assert est.overlap_out_of_range == (not -1 <= est.inner_product <= 1)
+            assert est.overlap_out_of_range == (not -1 <= est.inner_product_unit <= 1)
 
 
 def _block_vectors(dim: int, count: int):

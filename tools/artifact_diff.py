@@ -153,6 +153,10 @@ INPUTS = {
     # JSON reads 1e400 as inf
     "inf_vectors.json": b"[[1, 0], [1e400, 0]]",
     "zero_row.csv": "1,0\n0,1\n0,0\n",
+    # a bad single vector is named by its config key
+    "nn_zero_training.json": {"vectors": [[0.6, 0.6]],
+                              "training": {"initial": [TRAINING[0], {"label": "red",
+                                                                     "vector": [0, 0]}]}},
 }
 
 SHOTS = ("--shots", "400", "--seed", "7")
@@ -326,6 +330,10 @@ CASES = [
     ("err-non-finite-vectors-file", "error", ("cluster", "--vectors", "inf_vectors.json",
                                               "--out", "out")),
     ("err-zero-row-csv", "error", ("cluster", "--vectors", "zero_row.csv", "--out", "out")),
+    ("err-zero-training-entry", "error", ("nn", "--config", "nn_zero_training.json",
+                                          "--out", "out")),
+    ("err-non-finite-reference", "error", ("classify", "--vector", "1,0", "--ref-a", "1,0",
+                                           "--ref-b", "nan,1", "--out", "out")),
 ]
 
 
