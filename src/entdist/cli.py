@@ -25,8 +25,8 @@ import re
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
-from itertools import repeat
+from functools import lru_cache, partial, reduce
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
@@ -307,19 +307,24 @@ def _vector(row, where: str) -> RealVector:
 
 
 def load_vectors_csv(path) -> VectorSet:
-    """Read one vector per CSV row; '#' comments and leading header rows are skipped."""
+    """One vector per CSV row; skips '#' comments, leading headers and trailing empty cells."""
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
-            cells = [c.strip() for c in row if c.strip()]
+            cells = [c.strip() for c in row]
+            while cells and not cells[-1]:
+                cells.pop()
             if not cells or cells[0].startswith("#"):
                 continue
             try:
-                rows.append([float(c) for c in cells])
+                vector = [float(c) for c in cells if c]
             except ValueError:
                 if rows:
                     raise ValueError(f"{path}: non-numeric row {row!r}") from None
                 continue  # every non-numeric row before the first vector is a header
+            if len(vector) < len(cells):
+                raise ValueError(f"{path}[{len(rows)}]: empty cell before the row's last value")
+            rows.append(vector)
     if not rows:
         raise ValueError(f"{path}: no vector rows found")
     return _vector_set(rows, str(path))
@@ -393,17 +398,25 @@ class Table(dict):
         return self._cells[name]
 
 
+_QUOTABLE = re.compile('[,"\r\n]')  # csv.writer may quote for these, as the Python version has it
+
+
 def _csv_text(fieldnames: list[str], table: Table, metadata: dict) -> str:
+    """The metadata comment lines, then the header and rows joined with commas, or
+    written by csv.writer where a name or a text cell is empty or _QUOTABLE."""
+    head = (f"# artifact: entdist {__version__}\n"
+            f"# generator: {metadata['generator']}\n"
+            f"# numpy: {metadata['numpy']}\n"
+            f"# seed: {metadata['seed']}\n"
+            f"# config: {json.dumps(metadata['config'], sort_keys=True)}\n")
+    columns = [table.cells(name) for name in fieldnames]
+    rows = zip(*(cells for _, cells in columns))
+    texts = [fieldnames, *(cells for kind, cells in columns if kind not in _FORMAT)]
+    if not any("" in text or _QUOTABLE.search("".join(text)) for text in texts):
+        return head + "\n".join(map(",".join, chain([fieldnames], rows))) + "\n"
     buf = io.StringIO()
-    buf.write(f"# artifact: entdist {__version__}\n")
-    buf.write(f"# generator: {metadata['generator']}\n")
-    buf.write(f"# numpy: {metadata['numpy']}\n")
-    buf.write(f"# seed: {metadata['seed']}\n")
-    buf.write(f"# config: {json.dumps(metadata['config'], sort_keys=True)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    writer.writerows(zip(*(table.cells(name)[1] for name in fieldnames)))
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows(chain([fieldnames], rows))
+    return head + buf.getvalue()
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -456,21 +469,20 @@ _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # else flo
 def _table_json(table: Table, depth: int) -> str:
     """The JSON text of a table's rows as dicts where the table sits at nesting depth.
 
-    One template per table lays out a row: the sorted, escaped keys with a
-    ``{}`` for each value, filled by one str.format call per row.  This is
-    the last read of the table's cells (summary.json follows results.csv),
-    so they are released once the rows are laid out, and the rows are joined
-    with their brackets: a large table is held as few times as it can be.
+    The text is one join of each row's sorted, escaped keys, each with its
+    line's lead, interleaved with the row's value texts.  This is the last
+    read of the table's cells (summary.json follows results.csv), so they
+    are released once the value texts are made: a large table is held as
+    few times as it can be.
     """
     names = sorted(table)
     if not names or not table[names[0]]:
         return "[]"
     outer, inner = "  " * (depth + 1), "  " * (depth + 2)  # a row, its keys
-    template = "{{\n" + ",\n".join(
-        f"{inner}{encode_basestring_ascii(name).replace('{', '{{').replace('}', '}}')}: {{}}"
-        for name in names) + f"\n{outer}}}}}"
-    columns = []
-    for name in names:
+    keys = [f",\n{inner}{encode_basestring_ascii(name)}: " for name in names]
+    keys[0] = f",\n{outer}{{\n{keys[0][2:]}"  # a row opens with its comma and brace
+    fields = []
+    for key, name in zip(keys, names):
         kind, cells = table.cells(name)
         if kind is float:
             cells = list(map(_JSON_FLOAT.get, cells, cells))
@@ -478,13 +490,11 @@ def _table_json(table: Table, depth: int) -> str:
             cells = list(map(encode_basestring_ascii, cells))
         elif kind is not int and kind is not bool:
             cells = [_json_value(value, depth + 2) for value in table[name]]
-        columns.append(cells)
+        fields += (repeat(key), cells)
     table._cells.clear()
-    rows = list(map(template.format, *columns))
-    del columns
-    rows[0] = f"[\n{outer}{rows[0]}"
-    rows[-1] += f"\n{outer[2:]}]"
-    return (",\n" + outer).join(rows)
+    fields[0] = chain([f"[{keys[0][1:]}"], fields[0])  # the list's bracket for the first comma
+    rows = zip(*fields, repeat(f"\n{outer}}}"))
+    return "".join(chain(chain.from_iterable(rows), [f"\n{outer[2:]}]"]))
 
 
 def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default: bool) -> None:
@@ -541,8 +551,8 @@ def _classify(config: dict, cfg: EstimatorConfig) -> Run:
         "n_vectors": len(vectors),
     }
     a, b = ref_a.vector.components.tolist(), ref_b.vector.components.tolist()
-    plots = {"plot.svg": lambda metadata: _scatter_svg(  # 2-D only: _bisector unpacks a and b
-        vectors, labels, [ref_a, ref_b], _bisector(a, b), (), "two-cluster assignment", metadata)}
+    plots = {"plot.svg": partial(_scatter_svg, vectors, labels, [ref_a, ref_b], _bisector(a, b),
+                                 (), "two-cluster assignment")}
     return Run(extra, {"rows": rows, "assigned_counts": Counter(labels)}, list(rows), rows, plots,
                vectors)
 
@@ -703,10 +713,37 @@ def _square_limits(points):
     return (lo, hi), (lo, hi)
 
 
+def _distance_gap(first, second):
+    """D_first - D_second at (x, y), where D_s is the distance to the nearest
+    point of s: its zero contour is the boundary between the two sets.
+
+    Two floats give the math.hypot value.  Arrays give np.hypot values, and
+    the math.hypot value wherever their sign could differ from its sign.
+    """
+    def at(x, y):
+        return (min(math.hypot(x - q0, y - q1) for q0, q1 in first)
+                - min(math.hypot(x - q0, y - q1) for q0, q1 in second))
+
+    def gap(x, y):
+        if not isinstance(x, np.ndarray):
+            return at(x, y)
+        d1, d2 = (reduce(np.minimum, (np.hypot(x - q0, y - q1) for q0, q1 in s))
+                  for s in (first, second))
+        values = d1 - d2
+        # np.hypot (C hypot) and math.hypot each lie within 2 ulps of the true
+        # distance (glibc documents 1, CPython's is correctly rounded in most
+        # cases), so the two gaps differ by less than 4 eps (d1 + d2) + 2**-1071;
+        # where values is not twice that far from 0, or is NaN, at decides
+        unsure = ~(np.abs(values) > 8 * sys.float_info.epsilon * (d1 + d2) + 2.0 ** -1070)
+        values[unsure] = list(map(at, x[unsure].tolist(), y[unsure].tolist()))
+        return values
+
+    return gap
+
+
 def _bisector(a, b):
     """D_a - D_b at (x, y): its zero contour is the two-reference boundary."""
-    (a0, a1), (b0, b1) = a, b
-    return lambda x, y: math.hypot(x - a0, y - a1) - math.hypot(x - b0, y - b1)
+    return _distance_gap([a], [b])
 
 
 def _nn_gap(training):
@@ -715,10 +752,8 @@ def _nn_gap(training):
     labels = sorted({t.label for t in training})
     if len(labels) != 2:
         return None
-    first, second = ([tuple(t.vector.components.tolist()) for t in training if t.label == label]
-                     for label in labels)
-    return lambda x, y: (min(math.hypot(x - q0, y - q1) for q0, q1 in first)
-                         - min(math.hypot(x - q0, y - q1) for q0, q1 in second))
+    return _distance_gap(*([tuple(t.vector.components.tolist()) for t in training
+                            if t.label == label] for label in labels))
 
 
 def _fig2_svg(result: dict, metadata: dict) -> str:

@@ -44,7 +44,9 @@ def _diverging_fills(t: np.ndarray) -> list[str]:
     below = t < 0
     lo, hi = np.where(below, _BLUE, _WHITE), np.where(below, _WHITE, _RED)
     rgb = np.rint(lo + (hi - lo) * np.where(below, t + 1.0, t)).astype(int)
-    return list(map("#{:02x}{:02x}{:02x}".format, *rgb.T.tolist()))
+    # each distinct colour is formatted once, as its packed 0xRRGGBB
+    colors, which = np.unique(rgb @ [65536, 256, 1], return_inverse=True)
+    return np.array(list(map("#{:06x}".format, colors.tolist())), dtype=object)[which].tolist()
 
 
 def _label_colors(labels) -> dict:
@@ -56,23 +58,29 @@ def _label_colors(labels) -> dict:
 
 
 def contour_segments(f, xlim, ylim):
-    """Zero-contour line segments of f(x, y) via marching squares."""
-    x0, x1 = xlim
-    y0, y1 = ylim
-    xs = [x0 + (x1 - x0) * i / _GRID for i in range(_GRID + 1)]
-    ys = [y0 + (y1 - y0) * j / _GRID for j in range(_GRID + 1)]
-    grid = [[f(x, y) for x in xs] for y in ys]
-    below = np.array(grid) < 0.0
+    """Zero-contour line segments of f(x, y) via marching squares.
+
+    f is called once with the whole grid as two arrays, to find the cells
+    whose corners differ in sign, then once with two floats at each corner
+    of those cells, whose values the crossings interpolate.  So f's values
+    on arrays must have the signs of its values at single points.
+    """
+    xs, ys = (lo + (hi - lo) * np.arange(_GRID + 1) / _GRID for lo, hi in (xlim, ylim))
+    below = np.asarray(f(*np.meshgrid(xs, ys))) < 0.0
+    xs, ys = xs.tolist(), ys.tolist()
     # only a cell whose corners differ in sign holds a crossing; visit those row by row
     mixed = ((below[:-1, :-1] != below[:-1, 1:]) | (below[:-1, :-1] != below[1:, 1:])
              | (below[:-1, :-1] != below[1:, :-1]))
+    cells = list(zip(*(axis.tolist() for axis in np.nonzero(mixed))))
+    grid = {(j, i): f(xs[i], ys[j]) for j, i in dict.fromkeys(
+        (j + dj, i + di) for j, i in cells for dj in (0, 1) for di in (0, 1))}
     segments = []
-    for j, i in zip(*(axis.tolist() for axis in np.nonzero(mixed))):
+    for j, i in cells:
         corners = [
-            (xs[i], ys[j], grid[j][i]),
-            (xs[i + 1], ys[j], grid[j][i + 1]),
-            (xs[i + 1], ys[j + 1], grid[j + 1][i + 1]),
-            (xs[i], ys[j + 1], grid[j + 1][i]),
+            (xs[i], ys[j], grid[j, i]),
+            (xs[i + 1], ys[j], grid[j, i + 1]),
+            (xs[i + 1], ys[j + 1], grid[j + 1, i + 1]),
+            (xs[i], ys[j + 1], grid[j + 1, i]),
         ]
         crossings = []
         for k in range(4):

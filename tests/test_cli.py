@@ -391,6 +391,9 @@ BAD_INPUTS = {
     "noise-and-estimator-noise": ({"u": [1, 0], "v": [0, 1], "noise": "none",
                                    "estimator": {"noise": "paper-2012-optics"}}, ["estimate"],
                                   "config.estimator: unknown key 'noise'"),
+    # an empty cell is not dropped: "1,,0" was read as the vector (1, 0)
+    "csv-empty-cell": ({"vectors": "gap.csv"}, ["cluster"],
+                       "gap.csv[1]: empty cell before the row's last value"),
     "ref-a-without-ref-b": ({"vectors": [[1, 0]]}, ["classify", "--ref-a", "1,0"],
                             "pass both --ref-a and --ref-b"),
     "classify-one-reference": ({"vectors": [[1, 0]], "references": [
@@ -468,6 +471,7 @@ class TestErrorContract:
         (tmp_path / "broken.json").write_text('[[1, 0]\n[0, 1]]')
         (tmp_path / "inf.json").write_text("[[1e400, 0], [0, 1]]")  # JSON reads 1e400 as inf
         (tmp_path / "zero.csv").write_text("1,0\n0,0\n")
+        (tmp_path / "gap.csv").write_text("1,0,\n1,,0\n")  # a trailing comma, then a gap
         (tmp_path / "c.json").write_text(json.dumps(config))
         code, out, err = run(capsys, *argv, "--config", "c.json", "--out", "out")
         assert code == 1 and out == ""

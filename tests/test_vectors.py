@@ -219,6 +219,18 @@ class TestLoaders:
         path.write_text("\ufeff1,0\n0,1\n2,2\n", encoding="utf-8")
         assert load_vectors_csv(path).components.tolist() == [[1, 0], [0, 1], [2, 2]]
 
+    def test_csv_trailing_empty_cells_are_ignored(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("1,0,\n0, 1 , ,\n")
+        assert load_vectors_csv(path).components.tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("row", ["1,,0", ",1,0", "1, ,0"])
+    def test_csv_empty_cell_before_the_last_value_is_named(self, tmp_path, row):
+        path = tmp_path / "v.csv"
+        path.write_text(f"x,y\n1,0\n{row}\n")
+        with pytest.raises(ValueError, match=r"v\.csv\[1\]: empty cell before the row's last"):
+            load_vectors_csv(path)
+
     def test_csv_rejects_late_garbage(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("1,0\nnot,numbers\n")

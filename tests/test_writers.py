@@ -2,9 +2,10 @@
 
 ``summary.json`` must be ``json.dumps(indent=2, sort_keys=True)`` text (a
 results table as the list of its rows as dicts), ``results.csv`` the
-per-cell loop, the plotted boundary the
-marching-squares loop over every grid cell, and the fig2 fills the scalar
-diverging colour map; each reference below is that code, kept here.
+per-cell loop, the plotted boundary the marching-squares loop over every
+grid cell of a gap evaluated point by point with math.hypot, and the fig2
+fills the scalar diverging colour map; each reference below is that code,
+kept here.
 """
 
 import csv
@@ -19,15 +20,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entdist import __version__
-from entdist.cli import Table, _bisector, _cell, _csv_text, _json_text
+from entdist.cli import (Table, _bisector, _cell, _csv_text, _json_text, _nn_gap,
+                         _square_limits)
+from entdist.ml import LabeledReference
 from entdist.svgplot import _GRID, _diverging_fills, _lerp, contour_segments
 
 METADATA = {"artifact": "entdist", "generator": "numpy-pcg64", "numpy": "x", "seed": 3,
             "config": {"task": "t", "label": 'a"b\\é'}}
 
-# strings with every character JSON escapes, plus non-ASCII ones
-TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\t", "é", " ", "😀", "a", ",", " "]),
-               max_size=6)
+# strings with every character JSON escapes or csv.writer may quote, plus
+# non-ASCII ones
+TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\r", "\t", "é", " ", "😀", "a", ",",
+                                " "]), max_size=6)
 SCALARS = (st.none() | st.booleans() | TEXT
            | st.integers(-2**70, 2**70) | st.sampled_from([2**63, -2**63 - 1, 10**30])
            | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
@@ -42,9 +46,10 @@ def _containers(children):
 
 PAYLOADS = st.dictionaries(TEXT, st.recursive(SCALARS, _containers, max_leaves=30), max_size=5)
 
-# column names with every character that CSV quoting, JSON key escaping or the
-# row template's brace escaping touches
-NAMES = st.text(st.sampled_from(['"', "\\", "{", "}", "\u00e9", ",", "a", "_"]), max_size=5)
+# column names with every character that CSV quoting or JSON key escaping
+# touches, and braces
+NAMES = st.text(st.sampled_from(['"', "\\", "{", "}", "\u00e9", ",", "\r", "a", "_"]),
+                max_size=5)
 FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
 # the values of one column: of one type, as a command builds them, or mixed
 COLUMN_CELLS = st.sampled_from([
@@ -131,6 +136,9 @@ CELLS = (SCALARS | st.booleans().map(np.bool_) | st.lists(st.floats(allow_nan=Fa
 @settings(max_examples=300, deadline=None)
 @given(tables(COLUMN_CELLS | st.just(CELLS)), st.data())
 @example(Table({'say "A", \u00e9': [1.5, math.nan], "{0}": [np.bool_(True), False]}), None)
+@example(Table({"a": [1.5, 2**70], "b": ["x", "y z"], "c": [[1.0], [2.0, 0.5]]}), None)  # joined
+@example(Table({"a": ["", "x"]}), None)  # a row of one empty cell: csv.writer writes ""
+@example(Table({"a": [{"b": 1.0, "c": "d"}], "e": [0.5]}), None)  # "{'b': 1.0, 'c': 'd'}"
 def test_csv_text_is_the_per_cell_loop(table, data):
     # every column, or a subset in any order, as a command names them
     fields = list(table) if data is None else data.draw(st.permutations(list(table)))[:4]
@@ -189,16 +197,39 @@ def _contour_reference(f, xlim, ylim):
     return segments
 
 
-@pytest.mark.parametrize("f, xlim, ylim", [
-    (_bisector((1.5, 0.55), (0.86, 2.35)), (0.0, 3.0), (0.0, 3.0)),  # the fig2 boundary
-    (_bisector((1.0, 0.0), (0.0, 1.0)), (-0.25, 1.25), (-0.25, 1.25)),  # exact zeros on the grid
-    # sign changes in most cells, with saddles of both orientations
-    (lambda x, y: math.sin(37.0 * x) * math.sin(41.0 * y) + 0.05 * math.sin(3.0 * x),
-     (0.0, 1.0), (-0.5, 0.5)),
-], ids=["fig2-bisector", "diagonal-bisector", "saddle-grid"])
-def test_contour_segments_is_the_full_grid_loop(f, xlim, ylim):
+def _nearest_gap(first, second):
+    """The distance from (x, y) to the nearest point of first minus that to
+    the nearest of second, point by point with math.hypot."""
+    return lambda x, y: (min(math.hypot(x - q0, y - q1) for q0, q1 in first)
+                         - min(math.hypot(x - q0, y - q1) for q0, q1 in second))
+
+
+def _saddles(x, y):  # sign changes in most cells, with saddles of both orientations
+    return np.sin(37.0 * x) * np.sin(41.0 * y) + 0.05 * np.sin(3.0 * x)
+
+
+FIG2_REFS = [(1.5, 0.55), (0.86, 2.35)]
+DIAGONAL = [(1.0, 0.0), (0.0, 1.0)]  # exact zeros on the grid
+# the bisector runs through grid points, where np.hypot and math.hypot give
+# gaps of opposite sign
+THROUGH_GRID_POINTS = [(-0.77, -1.41), (-0.76, -1.40)]
+NN_FIRST, NN_SECOND = [(0.5, 0.25), (0.3, 1.1)], [(1.0, 0.25), (1.2, 0.9)]
+
+
+@pytest.mark.parametrize("f, at_point, xlim, ylim", [
+    (_bisector(*FIG2_REFS), _nearest_gap(*([r] for r in FIG2_REFS)), (0.0, 3.0), (0.0, 3.0)),
+    (_bisector(*DIAGONAL), _nearest_gap(*([r] for r in DIAGONAL)), *_square_limits(DIAGONAL)),
+    (_saddles, _saddles, (0.0, 1.0), (-0.5, 0.5)),
+    (_bisector(*THROUGH_GRID_POINTS), _nearest_gap(*([r] for r in THROUGH_GRID_POINTS)),
+     *_square_limits(THROUGH_GRID_POINTS)),
+    (_nn_gap([LabeledReference(q, label) for label, points in (("a", NN_FIRST), ("b", NN_SECOND))
+              for q in points]),
+     _nearest_gap(NN_FIRST, NN_SECOND), *_square_limits(NN_FIRST + NN_SECOND)),
+], ids=["fig2-bisector", "diagonal-bisector", "saddle-grid", "bisector-through-grid-points",
+        "nearest-neighbor"])
+def test_contour_segments_is_the_full_grid_loop(f, at_point, xlim, ylim):
     got = contour_segments(f, xlim, ylim)
-    assert got and got == _contour_reference(f, xlim, ylim)
+    assert got and got == _contour_reference(at_point, xlim, ylim)
 
 
 def _diverging_color(t: float) -> str:

@@ -153,6 +153,13 @@ INPUTS = {
     # JSON reads 1e400 as inf
     "inf_vectors.json": b"[[1, 0], [1e400, 0]]",
     "zero_row.csv": "1,0\n0,1\n0,0\n",
+    # a trailing comma is no cell; an empty cell before the last value is an error
+    "empty_cell.csv": "1,0,\n1,,0\n",
+    # the bisector runs through contour grid points, where np.hypot and
+    # math.hypot give gaps of opposite sign (argparse reads -0.77,... as a flag)
+    "classify_grid_points.json": {"vectors": [[-1, -1]],
+                                  "references": [{"label": "A", "vector": [-0.77, -1.41]},
+                                                 {"label": "B", "vector": [-0.76, -1.40]}]},
     # a bad single vector is named by its config key
     "nn_zero_training.json": {"vectors": [[0.6, 0.6]],
                               "training": {"initial": [TRAINING[0], {"label": "red",
@@ -240,6 +247,9 @@ CASES = [
     ("classify-escaped-labels-plot", "exact", ("classify", "--config",
                                                "classify_escaped_labels.json", "--out", "out",
                                                "--plot")),
+    ("classify-bisector-through-grid-points-plot", "exact", ("classify", "--config",
+                                                             "classify_grid_points.json",
+                                                             "--out", "out", "--plot")),
     ("help", "exact", ("--help",)),
     ("version", "exact", ("--version",)),
     ("err-usage", "error", ("frobnicate",)),
@@ -330,6 +340,7 @@ CASES = [
     ("err-non-finite-vectors-file", "error", ("cluster", "--vectors", "inf_vectors.json",
                                               "--out", "out")),
     ("err-zero-row-csv", "error", ("cluster", "--vectors", "zero_row.csv", "--out", "out")),
+    ("err-csv-empty-cell", "error", ("cluster", "--vectors", "empty_cell.csv", "--out", "out")),
     ("err-zero-training-entry", "error", ("nn", "--config", "nn_zero_training.json",
                                           "--out", "out")),
     ("err-non-finite-reference", "error", ("classify", "--vector", "1,0", "--ref-a", "1,0",
