@@ -164,6 +164,19 @@ INPUTS = {
     "nn_zero_training.json": {"vectors": [[0.6, 0.6]],
                               "training": {"initial": [TRAINING[0], {"label": "red",
                                                                      "vector": [0, 0]}]}},
+    # inputs the library's own checks refuse
+    "fast_mode.json": {"u": [1, 0], "v": [0, 1], "estimator": {"mode": "fast"}},
+    "init_short.json": {"vectors": CLUSTER_VECTORS, "k": 2, "init": [0, 0, 1, 1]},
+    "init_one_label.json": {"vectors": CLUSTER_VECTORS, "k": 2, "init": [0, 0, 0, 0, 0]},
+    "nn_empty_training.json": {"vectors": [[1, 0]], "training": {"initial": []}},
+    "same_labels.json": {"vectors": [[1, 0]],
+                         "references": [{"label": "A", "vector": [1, 0]},
+                                        {"label": "A", "vector": [0, 1]}]},
+    "header_only.csv": "x,y\n",
+    "late_text.csv": "1,0\n2,zz\n",
+    "fidelity_above_one.json": {"state_fidelity": 1.5},
+    "dark_counts_all.json": {"dark_count_fraction": 1},
+    "split_above_one.json": {"background_split": 2},
 }
 
 SHOTS = ("--shots", "400", "--seed", "7")
@@ -345,6 +358,31 @@ CASES = [
                                           "--out", "out")),
     ("err-non-finite-reference", "error", ("classify", "--vector", "1,0", "--ref-a", "1,0",
                                            "--ref-b", "nan,1", "--out", "out")),
+    ("err-zero-shots", "error", ("estimate", "--u", "1,0", "--v", "0,1", "--shots", "0")),
+    ("err-negative-seed", "error", ("estimate", "--u", "1,0", "--v", "0,1", "--seed", "-1")),
+    ("err-unknown-mode", "error", ("estimate", "--config", "fast_mode.json")),
+    ("err-zero-max-iterations", "error", ("cluster", "--vector", "1,0", "--vector", "0,1",
+                                          "--max-iterations", "0", "--out", "out")),
+    ("err-init-short", "error", ("cluster", "--config", "init_short.json", "--out", "out")),
+    ("err-init-one-label", "error", ("cluster", "--config", "init_one_label.json",
+                                     "--out", "out")),
+    ("err-estimate-one-vector", "error", ("estimate", "--u", "1,0")),
+    ("err-classify-no-references", "error", ("classify", "--vector", "1,0", "--out", "out")),
+    ("err-nn-no-training", "error", ("nn", "--vector", "1,0", "--out", "out")),
+    ("err-empty-training", "error", ("nn", "--config", "nn_empty_training.json",
+                                     "--out", "out")),
+    ("err-cluster-no-vectors", "error", ("cluster", "--out", "out")),
+    ("err-csv-header-only", "error", ("cluster", "--vectors", "header_only.csv", "--out", "out")),
+    ("err-csv-late-text", "error", ("cluster", "--vectors", "late_text.csv", "--out", "out")),
+    ("err-empty-vector-flag", "error", ("estimate", "--u", ",", "--v", "1,0")),
+    ("err-same-reference-labels", "error", ("classify", "--config", "same_labels.json",
+                                            "--out", "out")),
+    ("err-fidelity-above-one", "error", ("estimate", "--u", "1,0", "--v", "0,1",
+                                         "--noise", "fidelity_above_one.json")),
+    ("err-dark-counts-all", "error", ("estimate", "--u", "1,0", "--v", "0,1",
+                                      "--noise", "dark_counts_all.json")),
+    ("err-split-above-one", "error", ("estimate", "--u", "1,0", "--v", "0,1",
+                                      "--noise", "split_above_one.json")),
 ]
 
 
