@@ -149,7 +149,13 @@ CONFIG_SCHEMA = _Object({
 })
 
 
-_REPR_LIMIT = 60  # characters of a wrong-typed value an error repeats
+_REPR_LIMIT = 60  # characters of a bad value an error repeats
+
+
+def _clipped(value) -> str:
+    """repr(value), clipped: a misplaced list or a long row would otherwise fill the error line."""
+    text = repr(value)
+    return text[:_REPR_LIMIT] + "..." if len(text) > _REPR_LIMIT else text
 
 
 def _check(value, spec, where: str) -> None:
@@ -173,10 +179,7 @@ def _check(value, spec, where: str) -> None:
             raise ValueError(f"{where} is an integer beyond float64's range")
         if type(value) is alt or alt is float and type(value) is int:
             return
-    text = repr(value)  # clipped: a misplaced list would otherwise fill the error line
-    if len(text) > _REPR_LIMIT:
-        text = text[:_REPR_LIMIT] + "..."
-    raise ValueError(f"{where} has the wrong type: {text}")
+    raise ValueError(f"{where} has the wrong type: {_clipped(value)}")
 
 
 def _read(path, spec, where: str):
@@ -218,11 +221,18 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _parse_vector_arg(text: str) -> list[float]:
+def _parse_vector_arg(text: str, where: str) -> list[float]:
+    """The numbers of a vector flag; an error names the config key the flag sets."""
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
-        raise ValueError(f"empty vector argument {text!r}")
-    return [float(t) for t in tokens]
+        raise ValueError(f"{where}: empty vector argument {_clipped(text)}")
+    vector = []
+    for i, token in enumerate(tokens):
+        try:
+            vector.append(float(token))
+        except ValueError:
+            raise ValueError(f"{where}[{i}] is not a number: {_clipped(token)}") from None
+    return vector
 
 
 def _apply_flags(args, config: dict) -> None:
@@ -235,16 +245,18 @@ def _apply_flags(args, config: dict) -> None:
     if ref_a or ref_b:
         if not (ref_a and ref_b):
             raise ValueError("pass both --ref-a and --ref-b")
-        config["references"] = [{"vector": _parse_vector_arg(ref_a), "label": "A"},
-                                {"vector": _parse_vector_arg(ref_b), "label": "B"}]
+        config["references"] = [
+            {"vector": _parse_vector_arg(ref_a, "config.references[0].vector"), "label": "A"},
+            {"vector": _parse_vector_arg(ref_b, "config.references[1].vector"), "label": "B"}]
     for dest, key in keys.items():
         if getattr(args, dest, None) is not None:
             config[key] = getattr(args, dest)
     if getattr(args, "vector", None):
-        config["vectors"] = [_parse_vector_arg(s) for s in args.vector]
+        config["vectors"] = [_parse_vector_arg(s, f"config.vectors[{i}]")
+                             for i, s in enumerate(args.vector)]
     for key in ("u", "v"):
         if getattr(args, key, None):
-            config[key] = _parse_vector_arg(getattr(args, key))
+            config[key] = _parse_vector_arg(getattr(args, key), f"config.{key}")
 
 
 def _estimator(args, config: dict, mode: str, shots: int, noise: str | None) -> EstimatorConfig:
@@ -320,7 +332,8 @@ def load_vectors_csv(path) -> VectorSet:
                 vector = [float(c) for c in cells if c]
             except ValueError:
                 if rows:
-                    raise ValueError(f"{path}: non-numeric row {row!r}") from None
+                    raise ValueError(f"{path}[{len(rows)}]: non-numeric row "
+                                     f"{_clipped(cells)}") from None
                 continue  # every non-numeric row before the first vector is a header
             if len(vector) < len(cells):
                 raise ValueError(f"{path}[{len(rows)}]: empty cell before the row's last value")
@@ -551,8 +564,8 @@ def _classify(config: dict, cfg: EstimatorConfig) -> Run:
         "n_vectors": len(vectors),
     }
     a, b = ref_a.vector.components.tolist(), ref_b.vector.components.tolist()
-    plots = {"plot.svg": partial(_scatter_svg, vectors, labels, [ref_a, ref_b], _bisector(a, b),
-                                 (), "two-cluster assignment")}
+    plots = {"plot.svg": partial(_scatter_svg, vectors, labels, [ref_a, ref_b],
+                                 _distance_gap([a], [b]), (), "two-cluster assignment")}
     return Run(extra, {"rows": rows, "assigned_counts": Counter(labels)}, list(rows), rows, plots,
                vectors)
 
@@ -741,11 +754,6 @@ def _distance_gap(first, second):
     return gap
 
 
-def _bisector(a, b):
-    """D_a - D_b at (x, y): its zero contour is the two-reference boundary."""
-    return _distance_gap([a], [b])
-
-
 def _nn_gap(training):
     """Distance to the nearest vector of the first label minus that to the
     nearest of the second, labels sorted; None unless there are exactly two."""
@@ -760,7 +768,7 @@ def _fig2_svg(result: dict, metadata: dict) -> str:
     a = tuple(result["reference_a"])
     b = tuple(result["reference_b"])
     r_max = FIG2_NORM_RANGE[1]
-    segments = contour_segments(_bisector(a, b), (0.0, r_max), (0.0, r_max))
+    segments = contour_segments(_distance_gap([a], [b]), (0.0, r_max), (0.0, r_max))
     boundary = [  # clipped to the plotted quarter disk
         seg for seg in segments
         if math.hypot(*seg[0]) <= r_max and math.hypot(*seg[1]) <= r_max

@@ -55,10 +55,6 @@ class TableDataset:
     reference_b: tuple[float, ...]
     rows: tuple[TableRow, ...]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.reference_a)
-
 
 def _rows(raw) -> tuple[TableRow, ...]:
     return tuple(

@@ -82,10 +82,6 @@ class DistanceQuery:
         object.__setattr__(self, "v", as_vector(self.v))
         _check_dimensions(self.u.dimension, self.v.dimension)
 
-    @property
-    def dimension(self) -> int:
-        return self.u.dimension
-
 
 def _words(n: int) -> list[int]:
     """The uint32 words of a key integer as SeedSequence splits it: low word first."""
@@ -218,8 +214,7 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
     _check_dimensions(dim, vs.dimension)
     if cfg.noise is not None:  # a fidelity the channel rejects raises here, before any norm
         cfg.noise.mixing_weight(dim.bit_length())
-    nu2 = np.array([x ** 2 for x in us.norms.tolist()])  # C pow, as for a single pair
-    nv2 = np.array([x ** 2 for x in vs.norms.tolist()])
+    nu2, nv2 = us.norms * us.norms, vs.norms * vs.norms  # x * x, like every square: no C pow
     u_rows, v_rows = us.components, vs.components
     p = np.zeros((n, m))
     step = max(1, _BLOCK_ELEMENTS // (m * dim))

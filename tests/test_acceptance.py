@@ -179,7 +179,7 @@ class TestAcceptance:
             for _ in range(10):
                 q = DistanceQuery(as_vector(rng.normal(size=dim)),
                                   as_vector(rng.normal(size=dim)))
-                m = q.dimension.bit_length()
+                m = q.u.dimension.bit_length()
                 model = NoiseModel(
                     state_fidelity=float(rng.uniform(2.0**-m + 0.05, 1.0)),
                     dark_count_fraction=float(rng.uniform(0.0, 0.3)),

@@ -404,7 +404,18 @@ BAD_INPUTS = {
     # training takes one form, the object
     "training-list": ({"vectors": [[1, 0]], "training": [{"label": "x", "vector": [1, 0]}]},
                       ["nn"], "config.training has the wrong type"),
-    "empty-vector-argument": ({"v": [1, 0]}, ["estimate", "--u", ","], "empty vector argument"),
+    "empty-vector-argument": ({"v": [1, 0]}, ["estimate", "--u", ","],
+                              "config.u: empty vector argument ','"),
+    # a token that is no number is named by the config key its flag sets
+    "non-numeric-u-flag": ({"v": [1, 0]}, ["estimate", "--u", "1,x"],
+                           "config.u[1] is not a number: 'x'"),
+    "non-numeric-vector-flag": ({}, ["cluster", "--vector", "1,0", "--vector", "2 q"],
+                                "config.vectors[1][1] is not a number: 'q'"),
+    "non-numeric-ref-b-flag": ({"vectors": [[1, 0]]}, ["classify", "--ref-a", "1,0",
+                                                       "--ref-b", "0,y"],
+                               "config.references[1].vector[1] is not a number: 'y'"),
+    "csv-text-row": ({"vectors": "text.csv"}, ["cluster"],
+                     "text.csv[1]: non-numeric row ['2', 'zz']"),
     "no-vectors": ({}, ["cluster"], "no vectors"),
     # numpy's binomial takes shots as a C long
     "shots-2-63": ({"u": [1, 0], "v": [0, 1]}, ["estimate", "--shots", str(2**63)],
@@ -472,6 +483,7 @@ class TestErrorContract:
         (tmp_path / "inf.json").write_text("[[1e400, 0], [0, 1]]")  # JSON reads 1e400 as inf
         (tmp_path / "zero.csv").write_text("1,0\n0,0\n")
         (tmp_path / "gap.csv").write_text("1,0,\n1,,0\n")  # a trailing comma, then a gap
+        (tmp_path / "text.csv").write_text("1,0\n2,zz\n")
         (tmp_path / "c.json").write_text(json.dumps(config))
         code, out, err = run(capsys, *argv, "--config", "c.json", "--out", "out")
         assert code == 1 and out == ""
@@ -500,6 +512,20 @@ class TestErrorContract:
         (tmp_path / "c.json").write_text(json.dumps({"vectors": [[1, 0]], "training": value}))
         code, _, err = run(capsys, "nn", "--config", str(tmp_path / "c.json"), "--out", "out")
         assert code == 1 and err == f"error: config.training has the wrong type: {shown}\n"
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["estimate", "--v", "1,0", "--u", "1," + "x" * 500],
+         "config.u[1] is not a number: '" + "x" * 59 + "..."),
+        (["estimate", "--v", "1,0", "--u", "," * 500],
+         "config.u: empty vector argument '" + "," * 59 + "..."),
+        (["cluster", "--vectors", "long.csv"],
+         "long.csv[1]: non-numeric row " + repr(["zz"] * 5000)[:60] + "..."),
+    ], ids=["long-token", "long-empty-flag", "long-csv-row"])
+    def test_repeated_input_text_is_clipped(self, capsys, tmp_path, monkeypatch, argv, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "long.csv").write_text("1,0\n" + ",".join(["zz"] * 5000) + "\n")
+        code, _, err = run(capsys, *argv, "--out", "out")
+        assert code == 1 and err == f"error: {shown}\n"
 
     def test_estimate_prints_no_result_when_out_fails(self, capsys, tmp_path):
         (tmp_path / "blocker").write_text("x")

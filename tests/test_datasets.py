@@ -43,8 +43,8 @@ class TestTables:
         assert len(TABLE2.rows) == 9
 
     def test_dimensions(self):
-        assert TABLE1.dimension == 4
-        assert TABLE2.dimension == 8
+        assert len(TABLE1.reference_a) == 4
+        assert len(TABLE2.reference_a) == 8
         assert all(len(r.vector) == 4 for r in TABLE1.rows)
         assert all(len(r.vector) == 8 for r in TABLE2.rows)
 

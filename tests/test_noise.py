@@ -141,7 +141,7 @@ class TestApplyNoise:
                 u = as_vector(rng.normal(size=dim))
                 v = as_vector(rng.normal(size=dim))
                 query = DistanceQuery(u, v)
-                m = query.dimension.bit_length()
+                m = query.u.dimension.bit_length()
                 model = NoiseModel(
                     state_fidelity=float(rng.uniform(2.0**-m + 0.05, 1.0)),
                     dark_count_fraction=float(rng.uniform(0, 0.3)),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entdist.cli import _bisector, _nn_gap, _square_limits
+from entdist.cli import _distance_gap, _nn_gap, _square_limits
 from entdist.ml import LabeledReference
 from entdist.svgplot import contour_segments
 
@@ -14,7 +14,7 @@ def test_bisector_contour_lies_on_the_perpendicular_bisector():
     rng = np.random.default_rng(0)
     for _ in range(50):
         a, b = (tuple(rng.uniform(-3.0, 3.0, 2).tolist()) for _ in range(2))
-        gap = _bisector(a, b)
+        gap = _distance_gap([a], [b])
         assert gap(*a) < 0.0 < gap(*b)
         xlim, ylim = _square_limits([a, b])
         segments = contour_segments(gap, xlim, ylim)

@@ -43,8 +43,8 @@ class TestDistanceQuery:
 
     def test_qubit_counts(self):
         q = query([1, 0, 0, 0], [0, 1, 0, 0])
-        assert q.dimension.bit_length() - 1 == 2  # register qubits
-        assert q.dimension.bit_length() == 3  # plus the ancilla
+        assert q.u.dimension.bit_length() - 1 == 2  # register qubits
+        assert q.u.dimension.bit_length() == 3  # plus the ancilla
 
 
 class TestEstimatorConfig:
@@ -406,7 +406,7 @@ class TestBatch:
             # the channel on a block matches the channel on one float
             q = query(us[0], vs[0])
             want = exact_p(q) if cfg.noise is None else apply_noise(exact_p(q), cfg.noise,
-                                                                    q.dimension.bit_length())
+                                                                    q.u.dimension.bit_length())
             assert p_matrix(us[:1], vs[:1], cfg)[0, 0] == want
 
     @pytest.mark.parametrize("cfg", [
@@ -439,6 +439,26 @@ class TestBatch:
         c = sign * 10.0 ** exponent
         scaled = distance_matrix([c * u], [c * v])[0, 0]
         assert scaled == pytest.approx(abs(c) * distance_matrix([u], [v])[0, 0], rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8, 16])).map(
+               lambda s: tuple(np.random.default_rng(s[0]).normal(size=(2, s[1])))),
+           e=st.integers(-60, 59))
+    # C pow squared these norms off by an ulp at one of the two scales
+    @example(pair=((1.017486474381074, -1.3066112595978296),
+                   (-0.4116867936057472, 1.827518567008105)), e=-5)
+    @example(pair=((-0.29076750945597457, 0.7807654999708792),
+                   (-1.753172359519872, 0.061608256582247424)), e=-30)
+    def test_power_of_two_scale_covariance_is_bitwise(self, pair, e):
+        # every step of p, D and the overlap is exact under a power-of-two scale
+        # short of the subnormals: sums, differences, x * x, quotients and sqrt
+        u, v = np.array(pair)
+        su, sv = np.ldexp(u, e), np.ldexp(v, e)
+        assert p_matrix([su], [sv])[0, 0] == p_matrix([u], [v])[0, 0]
+        assert distance_matrix([su], [sv])[0, 0] == np.ldexp(distance_matrix([u], [v])[0, 0], e)
+        plain, scaled = estimate_distance(query(u, v)), estimate_distance(query(su, sv))
+        assert scaled.p_hat == plain.p_hat
+        assert scaled.inner_product_unit == plain.inner_product_unit
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([1, 2, 4, 8, 16]).flatmap(lambda dim: _block_vectors(dim, 3)))

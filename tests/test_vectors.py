@@ -234,5 +234,11 @@ class TestLoaders:
     def test_csv_rejects_late_garbage(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("1,0\nnot,numbers\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             load_vectors_csv(path)
+        assert str(info.value) == f"{path}[1]: non-numeric row ['not', 'numbers']"
+        # a long row is repeated clipped to 60 characters, not in full
+        path.write_text("1,0\n0,1\n" + ",".join(["zz"] * 5000) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_vectors_csv(path)
+        assert str(info.value) == f"{path}[2]: non-numeric row {repr(['zz'] * 5000)[:60]}..."

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entdist import __version__
-from entdist.cli import (Table, _bisector, _cell, _csv_text, _json_text, _nn_gap,
+from entdist.cli import (Table, _cell, _csv_text, _distance_gap, _json_text, _nn_gap,
                          _square_limits)
 from entdist.ml import LabeledReference
 from entdist.svgplot import _GRID, _diverging_fills, _lerp, contour_segments
@@ -217,10 +217,13 @@ NN_FIRST, NN_SECOND = [(0.5, 0.25), (0.3, 1.1)], [(1.0, 0.25), (1.2, 0.9)]
 
 
 @pytest.mark.parametrize("f, at_point, xlim, ylim", [
-    (_bisector(*FIG2_REFS), _nearest_gap(*([r] for r in FIG2_REFS)), (0.0, 3.0), (0.0, 3.0)),
-    (_bisector(*DIAGONAL), _nearest_gap(*([r] for r in DIAGONAL)), *_square_limits(DIAGONAL)),
+    (_distance_gap(*([r] for r in FIG2_REFS)), _nearest_gap(*([r] for r in FIG2_REFS)),
+     (0.0, 3.0), (0.0, 3.0)),
+    (_distance_gap(*([r] for r in DIAGONAL)), _nearest_gap(*([r] for r in DIAGONAL)),
+     *_square_limits(DIAGONAL)),
     (_saddles, _saddles, (0.0, 1.0), (-0.5, 0.5)),
-    (_bisector(*THROUGH_GRID_POINTS), _nearest_gap(*([r] for r in THROUGH_GRID_POINTS)),
+    (_distance_gap(*([r] for r in THROUGH_GRID_POINTS)),
+     _nearest_gap(*([r] for r in THROUGH_GRID_POINTS)),
      *_square_limits(THROUGH_GRID_POINTS)),
     (_nn_gap([LabeledReference(q, label) for label, points in (("a", NN_FIRST), ("b", NN_SECOND))
               for q in points]),

@@ -14,8 +14,13 @@ Usage, e.g. against the parent commit:
     python3 tools/artifact_diff.py /tmp/parent/src src --mode exact
 
 ``--mode`` keeps only the cases of one kind: ``exact`` (no sampling),
-``sampled`` or ``error`` (runs that must fail).  Exit status: 0 when
-nothing differs, 1 otherwise.  Standard library only.
+``sampled`` or ``error`` (runs that must fail).  When the trees' ``__version__``
+differ, a case whose outputs match once the old tree's ``entdist <version>``
+and ``"version": "<version>"`` are read as the new tree's is listed as
+``version only`` and counted apart from the cases that differ; the other
+differences of a case are shown with the old tree's version read that way.
+Exit status: 0 when nothing differs, 1 otherwise (version-only differences
+included).  Standard library only.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -227,7 +233,8 @@ CASES = [
     ("fig3-sampled", "sampled", ("repro", "fig3", "--out", "out", *SHOTS)),
     ("figS1", "exact", ("repro", "figS1", "--out", "out")),
     ("figS1-sampled", "sampled", ("repro", "figS1", "--out", "out", *SHOTS)),
-    # C pow and x * x square the norm of (0.19, 0.75) differently
+    # pin multiplication: every norm is squared as x * x, and C pow squares
+    # the norm of (0.19, 0.75) one ulp apart from it
     ("estimate-square-trap", "exact", ("estimate", "--u", "0.19,0.75", "--v", "1.5,0.55")),
     ("estimate-square-trap-sampled", "sampled", ("estimate", "--u", "0.19,0.75",
                                                  "--v", "1.5,0.55", *SHOTS)),
@@ -407,6 +414,23 @@ def run_case(src: Path, argv, workdir: Path) -> dict:
             "files": files, "dirs": dirs}
 
 
+def version(src: Path) -> str:
+    """The __version__ literal of the tree's entdist package."""
+    text = (src / "entdist" / "__init__.py").read_text(encoding="utf-8")
+    return re.search(r'^__version__ = "([^"]+)"', text, re.M).group(1)
+
+
+def renamed(run: dict, old: str, new: str) -> dict:
+    """The run with the version strings of the old tree's outputs read as the new tree's."""
+    def swap(data: bytes) -> bytes:
+        for template in ("entdist {}", '"version": "{}"'):
+            data = data.replace(template.format(old).encode(), template.format(new).encode())
+        return data
+
+    return {**run, "stdout": swap(run["stdout"]), "stderr": swap(run["stderr"]),
+            "files": {name: swap(data) for name, data in run["files"].items()}}
+
+
 def differences(old: dict, new: dict) -> list[str]:
     found = []
     if old["exit"] != new["exit"]:
@@ -439,7 +463,8 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no entdist/cli.py")
 
     cases = [c for c in CASES if args.mode in (None, c[1])]
-    tally: dict[str, list[int]] = {}
+    versions = version(args.old), version(args.new)
+    tally: dict[str, list[int]] = {}  # mode -> cases, differ, version only
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
         for i, (name, mode, case_argv) in enumerate(cases):
             runs = []
@@ -448,16 +473,23 @@ def main(argv=None) -> int:
                 workdir.mkdir()
                 runs.append(run_case(src, case_argv, workdir))
             found = differences(*runs)
-            counts = tally.setdefault(mode, [0, 0])
+            version_only = False
+            if found and versions[0] != versions[1]:
+                found = differences(renamed(runs[0], *versions), runs[1])
+                version_only = not found
+            counts = tally.setdefault(mode, [0, 0, 0])
             counts[0] += 1
             counts[1] += bool(found)
-            if found:
+            counts[2] += version_only
+            if version_only:
+                print(f"{name} [{mode}]: version only")
+            elif found:
                 print(f"{name} [{mode}]: entdist {' '.join(case_argv)}")
                 for line in found:
                     print(f"    {line}")
-    for mode, (total, differ) in tally.items():
-        print(f"{mode}: {total} cases, {differ} differ")
-    return 1 if any(differ for _, differ in tally.values()) else 0
+    for mode, (total, differ, version_only) in tally.items():
+        print(f"{mode}: {total} cases, {differ} differ, {version_only} version only")
+    return 1 if any(differ or version_only for _, differ, version_only in tally.values()) else 0
 
 
 if __name__ == "__main__":
