@@ -47,14 +47,11 @@ REPRO_TARGETS = ("fig2", "table1", "table2", "fig3", "figS1")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
-        return 0 if exc.code in (0, None) else 1
-    try:
-        _run(args)
+        _run(build_parser().parse_args(argv))
         return 0
+    except SystemExit as exc:  # --help and --version
+        return exc.code or 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -63,8 +60,13 @@ def main(argv=None) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one error line and status 1, like any bad input
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entdist",
         description="Entanglement-based distance estimation and classification.",
     )
@@ -222,8 +224,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _parse_vector_arg(text: str, where: str) -> list[float]:
-    """The numbers of a vector flag; an error names the config key the flag sets."""
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+    """The numbers of a vector flag, split at commas and whitespace; an error names
+    the config key the flag sets.  As in a CSV row, a trailing comma is no cell."""
+    tokens = re.split(r"\s*,\s*|\s+", text.strip())
+    while tokens and not tokens[-1]:
+        tokens.pop()
     if not tokens:
         raise ValueError(f"{where}: empty vector argument {_clipped(text)}")
     vector = []
@@ -231,7 +236,8 @@ def _parse_vector_arg(text: str, where: str) -> list[float]:
         try:
             vector.append(float(token))
         except ValueError:
-            raise ValueError(f"{where}[{i}] is not a number: {_clipped(token)}") from None
+            what = f"not a number: {_clipped(token)}" if token else "an empty cell"
+            raise ValueError(f"{where}[{i}] is {what}") from None
     return vector
 
 

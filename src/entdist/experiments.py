@@ -126,8 +126,6 @@ def fig2_run(
     """
     ref_a, ref_b = fig2_references()
     vectors = VectorSet(fig2_test_vectors(count, sampled_cfg.seed) if vectors is None else vectors)
-    # the sampled block first: p_matrix checks the noise model before any norm,
-    # so a noise model the channel rejects is reported ahead of a bad vector
     sampled = two_cluster_assignment(vectors, ref_a, ref_b, sampled_cfg)
     exact = two_cluster_assignment(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
     xs, ys = vectors.components.T.tolist()

@@ -39,8 +39,6 @@ __all__ = [
     "sample_p",
     "p_matrix",
     "distance_matrix",
-    "inner_product_from_p",
-    "distance_from_p",
     "estimate_distance",
 ]
 
@@ -54,13 +52,17 @@ _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-# p = |u-v|^2 / (2 (|u|^2 + |v|^2)) needs |u|^2 and |v|^2 at least the smallest
-# normal float64 and 2 (|u|^2 + |v|^2) at most the largest
-_MIN_SQUARE = float(np.finfo(float).tiny)
-_MAX_SQUARE_SUM = float(np.finfo(float).max) / 2
-
 # p_matrix evaluates this many pair components at a time, bounding its memory
 _BLOCK_ELEMENTS = 1 << 20
+
+
+def _pair_scale(nu, nv):
+    """Each pair's exponent e, the frexp exponent of its larger norm, and (|u|^2 + |v|^2) 4^-e:
+    scaled by 2^-e, no square overflows, the larger does not underflow, and p
+    and the overlap stay as they are (bit for bit, short of the subnormals)."""
+    e = np.maximum(np.frexp(nu)[1], np.frexp(nv)[1])
+    su, sv = np.ldexp(nu, -e), np.ldexp(nv, -e)
+    return e, su * su + sv * sv  # x * x, like every square: no C pow
 
 
 def _check_dimensions(du: int, dv: int) -> None:
@@ -199,40 +201,30 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
              upper: bool = False) -> np.ndarray:
     """Observed p for every pair (us[i], vs[j]) of two VectorSets (or their rows) under cfg.
 
-    Checks run in one order: the two dimensions, then the noise model at that
-    dimension, then the squared norms one row block at a time, where the first
-    pair (row-major) that leaves float64's range raises.  With ``upper`` only
-    the pairs j > i are evaluated and every other entry is 0.  In sampled mode
-    entry (i, j) is draw i of the generator seeded with cfg.derive(j).seed, so
-    the first k rows of a block (the leading k x k of an ``upper`` one) are
-    the k-row block, and a column does not depend on the other columns.  The
-    column generators start from states computed for all columns at once,
-    and each is built only when its column is drawn.
+    The two dimensions are checked, then the noise model at that dimension.
+    Each pair is evaluated scaled by the power of two ``_pair_scale`` gives
+    it, which leaves p as it is.  With ``upper`` only the pairs j > i are
+    evaluated and every other entry is 0.  In sampled mode entry (i, j) is
+    draw i of the generator seeded with cfg.derive(j).seed, so the first k
+    rows of a block (the leading k x k of an ``upper`` one) are the k-row
+    block, and a column does not depend on the other columns.  The column
+    generators start from states computed for all columns at once, and each
+    is built only when its column is drawn.
     """
     us, vs = VectorSet(us), VectorSet(vs)
     n, m, dim = len(us), len(vs), us.dimension
     _check_dimensions(dim, vs.dimension)
-    if cfg.noise is not None:  # a fidelity the channel rejects raises here, before any norm
+    if cfg.noise is not None:  # a fidelity the channel rejects raises before any pair
         cfg.noise.mixing_weight(dim.bit_length())
-    nu2, nv2 = us.norms * us.norms, vs.norms * vs.norms  # x * x, like every square: no C pow
     u_rows, v_rows = us.components, vs.components
     p = np.zeros((n, m))
     step = max(1, _BLOCK_ELEMENTS // (m * dim))
     for r in range(0, n, step):
         c = r + 1 if upper else 0  # an upper row block needs no column j <= r
-        with np.errstate(over="ignore"):  # an overflowing sum reads inf: the range check reports it
-            z = nu2[r:r + step, None] + nv2[None, c:]
-        bad = ~((nu2[r:r + step] >= _MIN_SQUARE)[:, None] & (nv2[c:] >= _MIN_SQUARE)[None, :]
-                & (z <= _MAX_SQUARE_SUM))
-        if upper:
-            bad = np.triu(bad)  # entry (i, j) is pair (r + i, c + j): keep c + j > r + i
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), m - c)
-            raise ValueError(
-                f"squared norms {nu2[r + i]:.3g} and {nv2[c + j]:.3g} leave float64's range: each "
-                f"must be at least {_MIN_SQUARE:.3g} and their sum at most {_MAX_SQUARE_SUM:.3g}"
-            )
+        e, z = _pair_scale(us.norms[r:r + step, None], vs.norms[None, c:])
+        # finite, as VectorSet caps each norm at half of float64's largest value
         diff = u_rows[r:r + step, None, :] - v_rows[None, c:, :]
+        np.ldexp(diff, -e[..., None], out=diff)
         # |u - v|^2 as a sum of squares (p >= 0, and 0 when u == v) by a stacked
         # matmul, which sums in the order np.dot does for one pair
         p[r:r + step, c:] = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] / (2.0 * z)
@@ -256,8 +248,9 @@ def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
     """D = sqrt(2 p (|u|^2 + |v|^2)) for every pair of the p_matrix block."""
     us, vs = VectorSet(us), VectorSet(vs)
     p = p_matrix(us, vs, cfg, upper)
-    nu, nv = us.norms, vs.norms
-    return np.sqrt(2.0 * p * ((nu * nu)[:, None] + (nv * nv)[None, :]))
+    e, z = _pair_scale(us.norms[:, None], vs.norms[None, :])
+    with np.errstate(over="ignore"):  # a D rounded past float64's largest value reads inf
+        return np.ldexp(np.sqrt(2.0 * p * z), e)
 
 
 def exact_p(query: DistanceQuery) -> float:
@@ -279,20 +272,6 @@ def sample_p(query: DistanceQuery, cfg: EstimatorConfig) -> tuple[float, float]:
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / cfg.shots)
 
 
-def inner_product_from_p(p: float, norm_u: float, norm_v: float) -> float:
-    """<u|v> = (0.5 - p)(|u|^2 + |v|^2) / (|u| |v|)."""
-    if norm_u <= 0.0 or norm_v <= 0.0:
-        raise ValueError("norms must be positive")
-    return (0.5 - p) * (norm_u * norm_u + norm_v * norm_v) / (norm_u * norm_v)
-
-
-def distance_from_p(p: float, norm_u: float, norm_v: float) -> float:
-    """D = sqrt(2 p (|u|^2 + |v|^2)); p must already lie in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]; clamp sampled estimates first")
-    return math.sqrt(2.0 * p * (norm_u * norm_u + norm_v * norm_v))
-
-
 def estimate_distance(query: DistanceQuery, cfg: EstimatorConfig = EstimatorConfig()) -> DistanceEstimate:
     """Run the full protocol for one query under the given estimator config."""
     nu, nv = query.u.norm, query.v.norm
@@ -302,10 +281,17 @@ def estimate_distance(query: DistanceQuery, cfg: EstimatorConfig = EstimatorConf
     else:
         p_hat, std_error = sample_p(query, cfg)
         shots_used = cfg.shots
-    overlap = inner_product_from_p(p_hat, nu, nv)
+    e, z = _pair_scale(nu, nv)
+    # <u|v> = (0.5 - p)(|u|^2 + |v|^2) / (|u| |v|) from the pair scaled by 2^-e.  |u| |v| 4^-e
+    # is 0 only where |u| / |v| leaves float64's range, so p is 1/2 to rounding; read as
+    # the least subnormal, it gives the overlap 0 at p = 1/2 and beyond 1e306 elsewhere
+    norms = float(np.ldexp(nu, -e) * np.ldexp(nv, -e)) or math.ulp(0.0)
+    overlap = (0.5 - p_hat) * float(z) / norms
+    with np.errstate(over="ignore"):  # a D rounded past float64's largest value reads inf
+        distance = float(np.ldexp(np.sqrt(2.0 * p_hat * z), e))
     return DistanceEstimate(
         p_hat=p_hat,
-        distance=distance_from_p(p_hat, nu, nv),
+        distance=distance,
         inner_product_unit=overlap,
         inner_product_raw=overlap * nu * nv,
         norm_u=nu,

@@ -159,8 +159,9 @@ def _title(x: float, top: float, title: str) -> str:
 
 
 def _document(width: float, height: float, body: list[str], metadata: dict) -> str:
-    # JSON escapes keep the desc well-formed XML and still the same JSON
-    desc = json.dumps(metadata, sort_keys=True).replace("<", "\\u003c").replace("&", "\\u0026")
+    # JSON escapes keep the desc well-formed XML (no markup, no "]]>") and still the same JSON
+    desc = json.dumps(metadata, sort_keys=True)
+    desc = desc.replace("<", "\\u003c").replace("&", "\\u0026").replace(">", "\\u003e")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
         f'viewBox="0 0 {width:g} {height:g}">',

@@ -98,18 +98,24 @@ class VectorSet:
                 except ValueError as exc:
                     raise type(exc)(f"[{i}]: {exc}") from None
             raise DimensionError(f"vectors differ in dimension: {sorted(dims)}")
-        finite = np.isfinite(arr).all(axis=1)
-        ok = finite & arr.any(axis=1)
+        # sqrt(x . x) per row by a stacked matmul (the float steps of np.linalg.norm on
+        # one row, which a row-wise norm does not keep), with x the row scaled by 2^-e,
+        # e the frexp exponent of its largest |component|: x . x stays in float64's range
+        with np.errstate(over="ignore"):  # a norm past float64's largest value reads inf
+            e = np.frexp(np.abs(arr).max(axis=1))[1][:, None]
+            scaled = np.ldexp(arr, -e)
+            norms = np.ldexp(np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0], e)[:, 0]
+        # a norm above half of float64's largest value could make |u - v| overflow
+        ok = (norms > 0) & (norms <= np.finfo(float).max / 2)  # inf or nan if not finite
         if not ok.all():
             i = int(np.argmin(ok))
-            if not finite[i]:
+            if not np.isfinite(arr[i]).all():
                 raise ValueError(f"[{i}]: vector components must be finite")
-            raise ZeroVectorError(f"[{i}]: the zero vector has no normalized quantum state")
+            if not norms[i]:
+                raise ZeroVectorError(f"[{i}]: the zero vector has no normalized quantum state")
+            raise ValueError(f"[{i}]: vector norm {norms[i]:.3g} exceeds half of float64's "
+                             "largest value")
         arr.flags.writeable = False
-        # sqrt(x . x) per row by a stacked matmul: the float steps of np.linalg.norm
-        # on one row, which a row-wise norm (axis=1) does not keep
-        with np.errstate(over="ignore"):  # a norm beyond float64's range reads inf
-            norms = np.sqrt((arr[:, None, :] @ arr[:, :, None])[:, 0, 0])
         norms.flags.writeable = False
         object.__setattr__(self, "components", arr)
         object.__setattr__(self, "norms", norms)

@@ -352,9 +352,6 @@ BAD_INPUTS = {
         "'vector'"),
     "mixed-init-labels": ({"vectors": [[1, 0], [0, 1], [1, 1]], "k": 2, "init": [0, "a", 0]},
                           ["cluster"], "init labels"),
-    "tiny-norm": ({"u": [1e-200, 0], "v": [1, 0]}, ["estimate"], "float64's range"),
-    "tiny-norms": ({"u": [1e-200, 0], "v": [0, 1e-200]}, ["estimate"], "float64's range"),
-    "huge-norm": ({"u": [1e200, 0], "v": [1, 0]}, ["estimate"], "float64's range"),
     "noise-file-naming-a-file": ({"u": [1, 0], "v": [0, 1], "noise": "self.json"}, ["estimate"],
                                  "noise file self.json"),
     "cluster-3d": ({"vectors": [[1, 0, 0], [0, 1, 0], [5, 5, 0]]}, ["cluster"],
@@ -366,13 +363,14 @@ BAD_INPUTS = {
         {"label": "x", "vector": [1, 0, 0, 0]}]}}, ["nn"],
         "query vectors differ in dimension: 2 vs 4"),
     "fig2-3d": ({"vectors": [[1, 0, 0]]}, ["repro", "fig2"], "3 vs 2"),
-    # the first pair checked is (0, 1), not the self pair (0, 0)
-    "cluster-tiny-norm": ({"vectors": [[1e-200, 0], [0, 1], [1, 1]]}, ["cluster"],
-                          "squared norms 0 and 1 leave"),
-    # the kernel checks the noise model before any vector's norms
-    "noise-before-a-later-bad-vector": ({"vectors": [[1.0, 0.5], [1e-200, 0]],
-                                         "noise": {"state_fidelity": 0.2}}, ["repro", "fig2"],
-                                        "fidelity 0.2 outside"),
+    # a vector is refused when it is read, before the kernel checks the noise model
+    "bad-vector-before-the-noise-model": ({"vectors": [[1.0, 0.5], [1e308, 1e308]],
+                                           "noise": {"state_fidelity": 0.2}}, ["repro", "fig2"],
+                                          "config.vectors[1]: vector norm 1.41e+308 exceeds"),
+    # a norm above half of float64's largest value would let |u - v| overflow
+    "norm-above-half-of-float64": ({"v": [1, 0]}, ["estimate", "--u", "1e308,1e308"],
+                                   "config.u: vector norm 1.41e+308 exceeds half of float64's "
+                                   "largest value"),
     # an empty set is refused before the run (was an IndexError traceback)
     "fig2-empty-vectors": ({"vectors": []}, ["repro", "fig2"], "config.vectors"),
     # a vector list holds vectors only: the first entry that is not one is named
@@ -406,6 +404,14 @@ BAD_INPUTS = {
                       ["nn"], "config.training has the wrong type"),
     "empty-vector-argument": ({"v": [1, 0]}, ["estimate", "--u", ","],
                               "config.u: empty vector argument ','"),
+    # an empty cell is not dropped: "1,,0" was read as the vector (1, 0)
+    "empty-cell-in-a-vector-flag": ({"v": [1, 0]}, ["estimate", "--u", "1, ,0"],
+                                    "config.u[1] is an empty cell"),
+    # usage errors are one line too, not argparse's usage block
+    "shots-not-an-integer": ({"u": [1, 0], "v": [0, 1]}, ["estimate", "--shots", "abc"],
+                             "error: argument --shots: invalid int value: 'abc'"),
+    "unknown-command": ({}, ["frobnicate"],
+                        "error: argument command: invalid choice: 'frobnicate'"),
     # a token that is no number is named by the config key its flag sets
     "non-numeric-u-flag": ({"v": [1, 0]}, ["estimate", "--u", "1,x"],
                            "config.u[1] is not a number: 'x'"),
@@ -423,8 +429,6 @@ BAD_INPUTS = {
     # numpy cannot allocate the test vectors
     "fig2-count-beyond-memory": ({}, ["repro", "fig2", "--count", str(10**15)],
                                  "Unable to allocate"),
-    # both squared norms are finite, their sum is not
-    "norm-sum-overflow": ({"u": [1e154, 0], "v": [0, 1e154]}, ["estimate"], "float64's range"),
     # an integer component beyond float64 (was an OverflowError traceback)
     "int-beyond-float64": ({"u": [10**400, 0], "v": [0, 1]}, ["estimate"],
                            "config.u[0] is an integer beyond float64's range"),
@@ -466,6 +470,34 @@ BAD_INPUTS = {
         "initial": [{"label": "x", "vector": [1, 0]}], "added": {"label": "y", "vector": [0, 0]}}},
         ["nn"], "config.training.added.vector: the zero vector"),
 }
+
+
+# inputs once refused because a squared norm, or the sum of two, left float64's
+# range: each pair is now evaluated scaled by a power of two
+FLOAT_RANGE_RUNS = {
+    "tiny-norm": ({"u": [1e-200, 0], "v": [1, 0]}, ["estimate"]),
+    "tiny-norms": ({"u": [1e-200, 0], "v": [0, 1e-200]}, ["estimate"]),
+    "huge-norm": ({"u": [1e200, 0], "v": [1, 0]}, ["estimate"]),
+    "cluster-tiny-norm": ({"vectors": [[1e-200, 0], [0, 1], [1, 1]]}, ["cluster"]),
+    "norm-sum-overflow": ({"u": [1e154, 0], "v": [0, 1e154]}, ["estimate"]),
+}
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("config, argv", FLOAT_RANGE_RUNS.values(),
+                             ids=FLOAT_RANGE_RUNS.keys())
+    @pytest.mark.filterwarnings("error")
+    def test_former_range_error_runs(self, capsys, tmp_path, monkeypatch, config, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code, out, err = run(capsys, *argv, "--config", "c.json", "--out", "out")
+        assert code == 0 and err == "", err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        if "u" in config:  # the reference: math.hypot of u - v, which never overflows
+            assert json.loads(out)["distance"] == summary["distance"] == pytest.approx(
+                math.hypot(*np.subtract(config["u"], config["v"])), rel=1e-15)
+        else:
+            assert summary["converged"]
 
 
 class TestErrorContract:
@@ -743,6 +775,16 @@ class TestDeterminism:
 class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_version_exits_zero(self, capsys):
+        code, out, err = run(capsys, "--version")
+        assert code == 0 and out.startswith("entdist ") and err == ""
+
+    @pytest.mark.parametrize("text", ["1,0", "1, 0", "1 0", " 1,\t0 ", "1,0,", "1,0 , "])
+    def test_vector_flag_separators(self, capsys, text):
+        code, out, err = run(capsys, "estimate", "--u", text, "--v", "0,1")
+        assert code == 0, err
+        assert json.loads(out)["u"] == [1.0, 0.0]
 
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1

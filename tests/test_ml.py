@@ -22,7 +22,6 @@ from entdist.ml import (
 from entdist.protocol import (
     DistanceQuery,
     EstimatorConfig,
-    distance_from_p,
     distance_matrix,
     estimate_distance,
     exact_p,
@@ -34,6 +33,11 @@ EXACT = EstimatorConfig(mode="exact")
 
 def ref(vector, label) -> LabeledReference:
     return LabeledReference(as_vector(vector), label)
+
+
+def distance_from_p(p: float, norm_u: float, norm_v: float) -> float:
+    """The reference D = sqrt(2 p (|u|^2 + |v|^2)), for norms whose squares fit float64."""
+    return math.sqrt(2.0 * p * (norm_u * norm_u + norm_v * norm_v))
 
 
 def euclid_mean(point, others) -> float:

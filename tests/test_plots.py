@@ -1,11 +1,13 @@
 """Geometry of the plotted decision boundaries."""
 
+import json
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from entdist.cli import _distance_gap, _nn_gap, _square_limits
+from entdist.cli import _distance_gap, _nn_gap, _square_limits, main
 from entdist.ml import LabeledReference
 from entdist.svgplot import contour_segments
 
@@ -60,3 +62,17 @@ def test_nn_gap_is_the_first_sorted_label_minus_the_second():
     assert gap(0.0, 1.0) < 0.0 < gap(1.0, 0.0)  # "blue" sorts first
     assert gap(0.0, 2.0) == pytest.approx(1.0 - math.sqrt(5.0))
     assert gap(3.0, 2.5) == pytest.approx(math.hypot(3.0, 1.5) - 0.5)
+
+
+@pytest.mark.parametrize("label", ["x]]>y", "a > b", "<&>"])
+def test_desc_holds_the_metadata_whatever_the_labels(capsys, tmp_path, label):
+    # "]]>" may not appear in XML text: the desc escapes ">" as JSON does "<" and "&"
+    references = [{"label": label, "vector": [1, 0]}, {"label": "B", "vector": [0, 1]}]
+    (tmp_path / "c.json").write_text(json.dumps({"vectors": [[2, 0]], "references": references}))
+    out = tmp_path / "out"
+    code = main(["classify", "--config", str(tmp_path / "c.json"), "--out", str(out), "--plot"])
+    assert code == 0, capsys.readouterr().err
+    svg = ElementTree.parse(out / "plot.svg").getroot()
+    metadata = json.loads(svg.find("{http://www.w3.org/2000/svg}desc").text)
+    assert metadata == json.loads((out / "summary.json").read_text())["metadata"]
+    assert metadata["config"]["references"] == {label: [1.0, 0.0], "B": [0.0, 1.0]}

@@ -13,15 +13,13 @@ from entdist.oracle import ancilla_probability, ancilla_projector, encode, entan
 from entdist.protocol import (
     DistanceQuery,
     EstimatorConfig,
-    distance_from_p,
     distance_matrix,
     estimate_distance,
     exact_p,
-    inner_product_from_p,
     p_matrix,
     sample_p,
 )
-from entdist.vectors import DimensionError, as_vector
+from entdist.vectors import DimensionError, ZeroVectorError, as_vector
 
 # the 2-D reference pair of the published figure
 REF_A = (1.50, 0.55)
@@ -161,16 +159,24 @@ class TestExactP:
                 )
                 assert exact_p(q) == pytest.approx(p_state, abs=1e-12)
 
-    @pytest.mark.parametrize("u, v", [
-        ([1e-200, 0], [0, 1e-200]),  # both squared norms underflow
-        ([1e-200, 0], [1, 0]),
-        ([1e200, 0], [1, 0]),  # the squared norm overflows
-        ([1e154, 0], [0, 1e153]),  # |u|^2 + |v|^2 fits, twice it overflows
-    ])
-    @pytest.mark.filterwarnings("error")  # the range error comes without a numpy warning
-    def test_rejects_squares_outside_float64_range(self, u, v):
-        with pytest.raises(ValueError, match="float64's range"):
-            exact_p(query(u, v))
+    @pytest.mark.parametrize("u, v, distance", [
+        ([1e-200, 0], [0, 1e-200], 1.414213562373095e-200),  # both squared norms underflow
+        ([1e-200, 0], [1, 0], 1.0),
+        ([1e200, 0], [1, 0], 1e200),  # the squared norm overflows
+        ([1e154, 0], [0, 1e153], 1.004987562112089e154),  # |u|^2 + |v|^2 fits, twice it does not
+        ([5e-324, 0], [0, 5e-324], 5e-324),  # subnormal components
+        ([1e-300, 0], [0, 1e300], 1e300),  # |u| / |v| is beyond float64's range
+        ([8e307, 0], [-8e307, 0], 1.6e308),  # |u - v| near float64's largest value
+    ], ids=["tiny-norms", "tiny-norm", "huge-norm", "norm-sum-overflow", "subnormal", "norm-ratio",
+            "near-largest"])
+    @pytest.mark.filterwarnings("error")  # and no numpy warning on the way
+    def test_squares_outside_float64_range_give_the_distance(self, u, v, distance):
+        est = estimate_distance(query(u, v))
+        assert est.distance == distance == distance_matrix([u], [v])[0, 0]
+        assert est.distance == pytest.approx(math.hypot(*np.subtract(u, v)), rel=1e-15)
+        assert exact_p(query(u, v)) == est.p_hat
+        if est.p_hat == 0.5:  # orthogonal, or p too near 1/2 to tell the overlap
+            assert est.inner_product_unit == 0.0 and not est.overlap_out_of_range
 
     def test_extreme_scales_inside_the_range(self):
         assert exact_p(query([1e-150, 0], [0, 1e150])) == 0.5
@@ -182,32 +188,56 @@ class TestExactP:
             assert 0.0 <= exact_p(q) <= 0.5 + 1e-15
 
 
+def reference_overlap(p: float, norm_u: float, norm_v: float) -> float:
+    """<u|v> = (0.5 - p)(|u|^2 + |v|^2) / (|u| |v|), for norms whose squares fit float64."""
+    return (0.5 - p) * (norm_u * norm_u + norm_v * norm_v) / (norm_u * norm_v)
+
+
+def reference_distance(p: float, norm_u: float, norm_v: float) -> float:
+    """D = sqrt(2 p (|u|^2 + |v|^2)), for norms whose squares fit float64."""
+    return math.sqrt(2.0 * p * (norm_u * norm_u + norm_v * norm_v))
+
+
 class TestReconstruction:
     def test_inner_product_identity_case(self):
-        assert inner_product_from_p(0.0, 1.0, 1.0) == pytest.approx(1.0)
+        assert estimate_distance(query([1, 0], [1, 0])).inner_product_unit == pytest.approx(1.0)
 
     def test_inner_product_zero_at_half(self):
-        assert inner_product_from_p(0.5, 2.3, 0.7) == 0.0
+        est = estimate_distance(query([2.3, 0], [0, 0.7]))
+        assert est.p_hat == 0.5 and est.inner_product_unit == 0.0
 
     def test_inner_product_table_row(self):
-        assert inner_product_from_p(0.1, 2.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        est = estimate_distance(query([2, 0, 0, 0], [1, 0, 0, 0]))
+        assert est.inner_product_unit == pytest.approx(1.0, abs=1e-15)
 
     def test_distance_zero_at_p_zero(self):
-        assert distance_from_p(0.0, 3.0, 4.0) == 0.0
+        assert estimate_distance(query([3, 4], [3, 4])).distance == 0.0
 
     def test_distance_orthogonal_case(self):
-        assert distance_from_p(0.5, 1.0, 1.0) == pytest.approx(math.sqrt(2), abs=1e-15)
+        est = estimate_distance(query([1, 0], [0, 1]))
+        assert est.distance == pytest.approx(math.sqrt(2), abs=1e-15)
 
     def test_distance_table_row(self):
-        assert distance_from_p(0.1, 2.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        est = estimate_distance(query([2, 0, 0, 0], [1, 0, 0, 0]))
+        assert est.distance == pytest.approx(1.0, abs=1e-15)
 
     def test_distance_requires_p_in_range(self):
-        with pytest.raises(ValueError):
-            distance_from_p(-0.01, 1.0, 1.0)
+        # D is real for every p_hat: exact p is clipped into [0, 1], and a
+        # sampled p_hat is a fraction of the shots, after noise or not
+        noisy = NoiseModel(state_fidelity=0.6, dark_count_fraction=0.1)
+        for u, v in (([1, 0], [1, 0]), ([1, 0], [-1, 0]), ([1e-3, 0], [-10.0, 0])):
+            for cfg in (EstimatorConfig(), EstimatorConfig(noise=noisy),
+                        EstimatorConfig(mode="sampled", shots=7, seed=3, noise=noisy)):
+                est = estimate_distance(query(u, v), cfg)
+                assert 0.0 <= est.p_hat <= 1.0
+                assert est.distance == reference_distance(est.p_hat, est.norm_u, est.norm_v)
+                assert est.inner_product_unit == reference_overlap(est.p_hat, est.norm_u,
+                                                                   est.norm_v)
 
     def test_inner_product_requires_positive_norms(self):
-        with pytest.raises(ValueError):
-            inner_product_from_p(0.2, 0.0, 1.0)
+        # the overlap divides by |u| |v|: a zero vector never reaches the estimator
+        with pytest.raises(ZeroVectorError):
+            estimate_distance(query([0.0, 0.0], [1, 0]))
 
 
 class TestEstimateDistance:
@@ -416,23 +446,26 @@ class TestBatch:
     ], ids=["exact", "sampled-noisy"])
     def test_upper_row_blocks_skip_the_lower_columns(self, monkeypatch, cfg):
         us = np.random.default_rng(0).normal(size=(9, 4))
-        full = p_matrix(us, us, cfg)
         # squared norms 4.9e307 and 6.4e307 sum beyond float64's range, and so does
-        # 4.9e307 twice: the first bad pair above the diagonal is (4, 5), in the
-        # second row block of three, after the bad self pair (4, 4)
+        # 4.9e307 twice: the pairs (4, 4), (4, 5) and (5, 5) lie in the second row
+        # block of three, and every pair is computed scaled
         huge = us.copy()
         huge[4] *= 7e153 / np.linalg.norm(huge[4])
         huge[5] *= 8e153 / np.linalg.norm(huge[5])
         monkeypatch.setattr(entdist.protocol, "_BLOCK_ELEMENTS", 3 * 9 * 4)  # rows 0-2, 3-5, 6-8
-        assert p_matrix(us, us, cfg, upper=True).tobytes() == np.triu(full, 1).tobytes()
-        with pytest.raises(ValueError, match="squared norms 4.9e[+]307 and 6.4e[+]307 leave"):
-            p_matrix(huge, huge, cfg, upper=True)
+        for vectors in (us, huge):
+            full = p_matrix(vectors, vectors, cfg)
+            assert np.isfinite(full).all()
+            assert p_matrix(vectors, vectors, cfg, upper=True).tobytes() == \
+                np.triu(full, 1).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8, 16]),
-           exponent=st.floats(-100.0, 100.0), sign=st.sampled_from([1.0, -1.0]))
+           exponent=st.floats(-300.0, 300.0), sign=st.sampled_from([1.0, -1.0]))
+    @example(seed=0, dim=16, exponent=300.0, sign=-1.0)
+    @example(seed=0, dim=2, exponent=-300.0, sign=1.0)
     def test_scale_covariance_across_the_range(self, seed, dim, exponent, sign):
-        # D(cu, cv) = |c| D(u, v) for c log-uniform in 1e-100..1e100.  The pairs
+        # D(cu, cv) = |c| D(u, v) for c log-uniform in 1e-300..1e300.  The pairs
         # are random normal vectors: rounding c * u alone moves a difference that
         # cancels to a few ulps of its components by more than any relative bound.
         u, v = np.random.default_rng(seed).normal(size=(2, dim))

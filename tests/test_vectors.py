@@ -42,6 +42,15 @@ class TestRealVector:
     def test_norm(self):
         assert as_vector([3, 4]).norm == 5.0
 
+    @pytest.mark.parametrize("e", [-1070, -600, 600, 1020])
+    def test_norm_whose_square_leaves_float64(self, e):
+        assert as_vector(np.ldexp([3.0, 4.0], e)).norm == np.ldexp(5.0, e)
+
+    @pytest.mark.parametrize("components", [[1e308, 1e308], [1.7e308], [-9e307, 0.0]])
+    def test_norm_above_half_of_float64_rejected(self, components):
+        with pytest.raises(ValueError, match="^vector norm .* exceeds half of float64's largest"):
+            RealVector(components)
+
 
 def _scaled_rows(dim: int):
     """1-6 rows of one dimension, each at its own scale in 1e-150..1e200."""
@@ -50,6 +59,13 @@ def _scaled_rows(dim: int):
         st.floats(-150.0, 200.0),
     ).map(lambda cs: (np.array(cs[0]) * 10.0 ** cs[1]).tolist())
     return st.lists(row, min_size=1, max_size=6)
+
+
+def scaled_norm(row) -> float:
+    """np.linalg.norm of the row scaled by 2^-e, e the frexp exponent of its
+    largest |component|, scaled back: the norm without overflow or underflow."""
+    e = int(np.frexp(np.max(np.abs(row)))[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(np.array(row), -e)), e))
 
 
 def _raised(build, row):
@@ -70,12 +86,12 @@ class TestVectorSet:
         for i, row in enumerate(rows):
             v = RealVector(row)
             assert vectors.components[i].tobytes() == v.components.tobytes()
-            with np.errstate(over="ignore"):  # norms past float64's range read inf
-                assert vectors.norms[i] == v.norm == np.linalg.norm(np.array(row))
+            assert vectors.norms[i] == v.norm == scaled_norm(row)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 16).flatmap(_scaled_rows),
-           st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["nan", "inf", "zero", "empty"])),
+           st.lists(st.tuples(st.integers(0, 6),
+                              st.sampled_from(["nan", "inf", "zero", "empty", "1.7e308"])),
                     min_size=1, max_size=3))
     def test_first_bad_row_gives_the_real_vector_error(self, rows, bad):
         first = rows[0]

@@ -19,8 +19,13 @@ differ, a case whose outputs match once the old tree's ``entdist <version>``
 and ``"version": "<version>"`` are read as the new tree's is listed as
 ``version only`` and counted apart from the cases that differ; the other
 differences of a case are shown with the old tree's version read that way.
-Exit status: 0 when nothing differs, 1 otherwise (version-only differences
-included).  Standard library only.
+Each case is also checked against its kind on the new tree, the error
+contract of the README: an ``error`` case exits 1 or 2, writes one stderr
+line starting ``error: `` and no file; an ``exact`` or ``sampled`` case exits
+0 with only ``note: `` lines on stderr.  A case that breaks it is listed as
+off contract.  Exit status: 0 when nothing differs and no case is off
+contract, 1 otherwise (version-only differences included).  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -100,7 +105,8 @@ INPUTS = {
                                "added": {"label": "c", "vector": wave(13)}}},
     "lattice.json": {"vectors": LATTICE, "k": 3, "init": 5, "max_iterations": 30},
     "fig2_3d.json": {"vectors": [[1, 0, 0]]},
-    "fig2_bad_noise.json": {"vectors": [[1.0, 0.5], [1e-200, 0]],
+    # a fidelity the 2-qubit channel of fig2's vectors rejects
+    "fig2_bad_noise.json": {"vectors": [[1.0, 0.5], [0.2, 2.0]],
                             "noise": {"state_fidelity": 0.2}},
     # np.linalg.norm(axis=1) and the norm of each row alone differ in the last bit here
     "fig2_row_norms.json": {"vectors": [[1.66, 0.11], [0.15, 0.26]]},
@@ -132,7 +138,9 @@ INPUTS = {
     "broken_vectors.json": {"vectors": "broken.json"},
     # the byte-order mark of a spreadsheet's "CSV UTF-8" export
     "bom.csv": "\ufeff1,0\n0,1\n2,2\n",
-    # an & in a config string lands in every SVG's <desc>
+    # an & in a config string lands in every SVG's <desc>, and so does a "]]>"
+    "classify_cdata.json": {"vectors": [[2, 0], [0, 2]],
+                            "references": [{"label": "x]]>y", "vector": [1.5, 0.55]}, REFS[1]]},
     "nn_ampersand.json": {"vectors": [[0.6, 0.6], [2.4, 2.4]],
                           "training": {"initial": [{"label": "a&b", "vector": [0.5, 0.5]},
                                                    {"label": "red", "vector": [2.5, 2.5]}]}},
@@ -184,6 +192,8 @@ INPUTS = {
     "dark_counts_all.json": {"dark_count_fraction": 1},
     "split_above_one.json": {"background_split": 2},
 }
+
+INPUT_DIRS = {str(Path(name).parent) for name in INPUTS} - {"."}
 
 SHOTS = ("--shots", "400", "--seed", "7")
 CLASSIFY = ("classify", "--vector", "2,0", "--vector", "0,2", "--vector", "1.2,1.2",
@@ -270,6 +280,8 @@ CASES = [
     ("classify-bisector-through-grid-points-plot", "exact", ("classify", "--config",
                                                              "classify_grid_points.json",
                                                              "--out", "out", "--plot")),
+    ("classify-cdata-end-label-plot", "exact", ("classify", "--config", "classify_cdata.json",
+                                                "--out", "out", "--plot")),
     ("help", "exact", ("--help",)),
     ("version", "exact", ("--version",)),
     ("err-usage", "error", ("frobnicate",)),
@@ -308,19 +320,25 @@ CASES = [
     ("err-noise-field", "error", ("estimate", "--config", "bad_noise.json")),
     ("err-noise-file-loop", "error", ("estimate", "--u", "1,0", "--v", "0,1",
                                       "--noise", "self_noise.json")),
-    ("err-tiny-norm", "error", ("estimate", "--u", "1e-200,0", "--v", "1,0")),
-    ("err-huge-norm", "error", ("estimate", "--u", "1e200,0", "--v", "1,0")),
-    ("err-tiny-norms", "error", ("estimate", "--u", "1e-200,0", "--v", "0,1e-200")),
+    # squares that leave float64's range: each pair is evaluated scaled by a power of two
+    ("tiny-norm", "exact", ("estimate", "--u", "1e-200,0", "--v", "1,0")),
+    ("huge-norm", "exact", ("estimate", "--u", "1e200,0", "--v", "1,0")),
+    ("tiny-norms", "exact", ("estimate", "--u", "1e-200,0", "--v", "0,1e-200")),
+    ("estimate-subnormal", "exact", ("estimate", "--u", "5e-324,0", "--v", "0,5e-324")),
+    # |u| / |v| is beyond float64's range: p is 1/2 and the overlap 0
+    ("estimate-norm-ratio", "exact", ("estimate", "--u", "1e-300,0", "--v", "0,1e300")),
+    # a norm above half of float64's largest value would let |u - v| overflow
+    ("err-norm-above-half-max", "error", ("estimate", "--u", "1e308,1e308", "--v", "1,0")),
     ("err-cluster-3d", "error", ("cluster", "--vector", "1,0,0", "--vector", "0,1,0",
                                  "--vector", "5,5,0", "--out", "out")),
     ("err-classify-dims", "error", ("classify", "--vector", "1,0", "--ref-a", "1,0,0,0",
                                     "--ref-b", "0,0,1,1", "--out", "out")),
     ("err-nn-dims", "error", ("nn", "--config", "nn4.json", "--vector", "1,0", "--out", "out")),
     ("err-fig2-3d", "error", ("repro", "fig2", "--config", "fig2_3d.json", "--out", "out")),
-    ("err-cluster-tiny-norm", "error", ("cluster", "--vector", "1e-200,0", "--vector", "0,1",
-                                        "--vector", "1,1", "--out", "out")),
-    ("err-fig2-noise-before-row", "error", ("repro", "fig2", "--config", "fig2_bad_noise.json",
-                                            "--out", "out")),
+    ("cluster-tiny-norm", "exact", ("cluster", "--vector", "1e-200,0", "--vector", "0,1",
+                                    "--vector", "1,1", "--out", "out")),
+    ("err-fig2-noise-fidelity", "error", ("repro", "fig2", "--config", "fig2_bad_noise.json",
+                                          "--out", "out")),
     ("err-nn-16d-noise", "error", ("nn", "--config", "nn16.json", "--out", "out",
                                    "--noise", "paper-2012-optics")),
     ("err-classify-ragged", "error", ("classify", "--vector", "1,0", "--vector", "1,0,0,0",
@@ -346,7 +364,7 @@ CASES = [
     ("err-fig2-count-memory", "error", ("repro", "fig2", "--count", "1000000000000000",
                                         "--out", "out")),
     # both squared norms are finite, their sum is not
-    ("err-norm-sum-overflow", "error", ("estimate", "--u", "1e154,0", "--v", "0,1e154")),
+    ("norm-sum-overflow", "exact", ("estimate", "--u", "1e154,0", "--v", "0,1e154")),
     ("err-big-int-config", "error", ("estimate", "--config", "big_int_u.json")),
     ("err-big-int-vectors-file", "error", ("cluster", "--vectors", "big_int_vectors.json",
                                            "--k", "2", "--out", "out")),
@@ -382,6 +400,8 @@ CASES = [
     ("err-csv-header-only", "error", ("cluster", "--vectors", "header_only.csv", "--out", "out")),
     ("err-csv-late-text", "error", ("cluster", "--vectors", "late_text.csv", "--out", "out")),
     ("err-empty-vector-flag", "error", ("estimate", "--u", ",", "--v", "1,0")),
+    ("err-empty-cell-flag", "error", ("estimate", "--u", "1,,0", "--v", "0,1")),
+    ("err-bad-flag-value", "error", ("estimate", "--u", "1,0", "--v", "0,1", "--shots", "abc")),
     ("err-same-reference-labels", "error", ("classify", "--config", "same_labels.json",
                                             "--out", "out")),
     ("err-fidelity-above-one", "error", ("estimate", "--u", "1,0", "--v", "0,1",
@@ -431,6 +451,21 @@ def renamed(run: dict, old: str, new: str) -> dict:
             "files": {name: swap(data) for name, data in run["files"].items()}}
 
 
+def kind_violations(mode: str, run: dict) -> list[str]:
+    """How a run breaks the contract of its kind: an error case exits 1 or 2,
+    writes one stderr line starting ``error: `` and no file; any other case
+    exits 0 with nothing but ``note: `` lines on stderr."""
+    lines = run["stderr"].decode(errors="replace").splitlines()
+    if mode != "error":
+        found = [] if run["exit"] == 0 else [f"exit status {run['exit']}, not 0"]
+        return found + [f"stderr line {line!r}" for line in lines if not line.startswith("note: ")]
+    found = [] if run["exit"] in (1, 2) else [f"exit status {run['exit']}, not 1 or 2"]
+    if len(lines) != 1 or not lines[0].startswith("error: "):
+        found.append(f"stderr is not one error: line: {run['stderr'].decode(errors='replace')!r}")
+    made = [*run["files"], *(d for d in run["dirs"] if d not in INPUT_DIRS)]
+    return found + [f"wrote {name}" for name in made]
+
+
 def differences(old: dict, new: dict) -> list[str]:
     found = []
     if old["exit"] != new["exit"]:
@@ -464,7 +499,7 @@ def main(argv=None) -> int:
 
     cases = [c for c in CASES if args.mode in (None, c[1])]
     versions = version(args.old), version(args.new)
-    tally: dict[str, list[int]] = {}  # mode -> cases, differ, version only
+    tally: dict[str, list[int]] = {}  # mode -> cases, differ, version only, off contract
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
         for i, (name, mode, case_argv) in enumerate(cases):
             runs = []
@@ -477,19 +512,26 @@ def main(argv=None) -> int:
             if found and versions[0] != versions[1]:
                 found = differences(renamed(runs[0], *versions), runs[1])
                 version_only = not found
-            counts = tally.setdefault(mode, [0, 0, 0])
+            broken = kind_violations(mode, runs[1])
+            counts = tally.setdefault(mode, [0, 0, 0, 0])
             counts[0] += 1
             counts[1] += bool(found)
             counts[2] += version_only
+            counts[3] += bool(broken)
             if version_only:
                 print(f"{name} [{mode}]: version only")
             elif found:
                 print(f"{name} [{mode}]: entdist {' '.join(case_argv)}")
                 for line in found:
                     print(f"    {line}")
-    for mode, (total, differ, version_only) in tally.items():
-        print(f"{mode}: {total} cases, {differ} differ, {version_only} version only")
-    return 1 if any(differ or version_only for _, differ, version_only in tally.values()) else 0
+            if broken:
+                print(f"{name} [{mode}]: off the {mode} contract on the new tree")
+                for line in broken:
+                    print(f"    {line}")
+    for mode, (total, differ, version_only, broken) in tally.items():
+        print(f"{mode}: {total} cases, {differ} differ, {version_only} version only, "
+              f"{broken} off contract")
+    return 1 if any(sum(counts[1:]) for counts in tally.values()) else 0
 
 
 if __name__ == "__main__":
