@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import NoiseModel, apply_noise
-from .vectors import DimensionError, RealVector, VectorSet, _is_power_of_two, as_vector
+from .vectors import DimensionError, RealVector, VectorSet, _is_power_of_two, _sum_squares, as_vector
 
 __all__ = [
     "GENERATOR_NAME",
@@ -216,18 +216,17 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
     _check_dimensions(dim, vs.dimension)
     if cfg.noise is not None:  # a fidelity the channel rejects raises before any pair
         cfg.noise.mixing_weight(dim.bit_length())
-    u_rows, v_rows = us.components, vs.components
+    # component-major, so the sum of squares runs over contiguous rows
+    u_cols, v_cols = np.ascontiguousarray(us.components.T), np.ascontiguousarray(vs.components.T)
     p = np.zeros((n, m))
     step = max(1, _BLOCK_ELEMENTS // (m * dim))
     for r in range(0, n, step):
         c = r + 1 if upper else 0  # an upper row block needs no column j <= r
         e, z = _pair_scale(us.norms[r:r + step, None], vs.norms[None, c:])
         # finite, as VectorSet caps each norm at half of float64's largest value
-        diff = u_rows[r:r + step, None, :] - v_rows[None, c:, :]
-        np.ldexp(diff, -e[..., None], out=diff)
-        # |u - v|^2 as a sum of squares (p >= 0, and 0 when u == v) by a stacked
-        # matmul, which sums in the order np.dot does for one pair
-        p[r:r + step, c:] = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] / (2.0 * z)
+        diff = u_cols[:, r:r + step, None] - v_cols[:, None, c:]
+        np.ldexp(diff, -e, out=diff)
+        p[r:r + step, c:] = _sum_squares(diff) / (2.0 * z)  # >= 0, and 0 when u == v
     np.clip(p, 0.0, 1.0, out=p)
     if cfg.noise is not None:
         p = apply_noise(p, cfg.noise, dim.bit_length())

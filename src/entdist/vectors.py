@@ -33,6 +33,20 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """Sum x * x over axis 0 by a fixed pairwise tree; x is overwritten.
+
+    The top half of the rows is added onto the bottom half until one row is
+    left, the middle row of an odd length passing through: correctly rounded
+    IEEE multiplies and adds alone, so the sum is the same on any CPU."""
+    np.multiply(x, x, out=x)  # x * x, like every square: no C pow
+    while len(x) > 1:
+        h = len(x) // 2
+        x[:h] += x[-h:]
+        x = x[:-h]
+    return x[0]
+
+
 @dataclass(frozen=True, eq=False)
 class RealVector:
     """An N-dimensional real vector, immutable after construction: a one-row VectorSet."""
@@ -98,13 +112,10 @@ class VectorSet:
                 except ValueError as exc:
                     raise type(exc)(f"[{i}]: {exc}") from None
             raise DimensionError(f"vectors differ in dimension: {sorted(dims)}")
-        # sqrt(x . x) per row by a stacked matmul (the float steps of np.linalg.norm on
-        # one row, which a row-wise norm does not keep), with x the row scaled by 2^-e,
-        # e the frexp exponent of its largest |component|: x . x stays in float64's range
+        # each row x scaled by 2^-e, e the frexp exponent of its largest |component|: x . x is finite
         with np.errstate(over="ignore"):  # a norm past float64's largest value reads inf
-            e = np.frexp(np.abs(arr).max(axis=1))[1][:, None]
-            scaled = np.ldexp(arr, -e)
-            norms = np.ldexp(np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0], e)[:, 0]
+            e = np.frexp(np.abs(arr).max(axis=1))[1]
+            norms = np.ldexp(np.sqrt(_sum_squares(np.ldexp(arr.T, -e, order="C"))), e)
         # a norm above half of float64's largest value could make |u - v| overflow
         ok = (norms > 0) & (norms <= np.finfo(float).max / 2)  # inf or nan if not finite
         if not ok.all():

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,7 +137,51 @@ class TestAncillaProjectionState:
         assert (a, b) == pytest.approx((2 / math.sqrt(5), -1 / math.sqrt(5)))
 
 
+def tree_sum_squares(values) -> float:
+    """The sum of squares in Python floats, paired as the library pairs them: the
+    top half is added onto the bottom half, the middle of an odd length passing
+    through, until one value is left."""
+    a = [x * x for x in values]
+    while len(a) > 1:
+        h = len(a) // 2
+        a = [x + y for x, y in zip(a[:h], a[-h:])] + a[h:len(a) - h]
+    return a[0]
+
+
+def fused_sum_squares(values) -> float:
+    """x0 * x0 + x1 * x1 with one rounding for the add, as a fused multiply-add gives it."""
+    x0, x1 = values
+    return float(Fraction(x0 * x0) + Fraction(x1) ** 2)
+
+
+def reference_p(u, v, sum_squares=tree_sum_squares) -> float:
+    """|u - v|^2 / (2 (|u|^2 + |v|^2)) in Python floats: each norm from its row scaled
+    by 2^-e (e the frexp exponent of its largest |component|), the pair scaled by
+    2^-e (e the frexp exponent of its larger norm), every sum of squares by
+    ``sum_squares``."""
+    def norm(x):
+        e = math.frexp(max(abs(c) for c in x))[1]
+        return math.ldexp(math.sqrt(sum_squares([math.ldexp(c, -e) for c in x])), e)
+
+    e = max(math.frexp(norm(u))[1], math.frexp(norm(v))[1])
+    su, sv = math.ldexp(norm(u), -e), math.ldexp(norm(v), -e)
+    diff = [math.ldexp(a - b, -e) for a, b in zip(u, v)]
+    return min(sum_squares(diff) / (2.0 * (su * su + sv * sv)), 1.0)
+
+
 class TestExactP:
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 64])
+    def test_entries_follow_the_pairwise_tree(self, dim):
+        us, vs = np.random.default_rng(dim).normal(size=(2, 6, dim)).tolist()
+        assert p_matrix(us, vs).tolist() == [[reference_p(u, v) for v in vs] for u in us]
+
+    def test_two_roundings_not_a_fused_multiply_add(self):
+        # fma(x1, x1, x0 * x0) rounds the sum of each norm and of |u - v|^2 once
+        u, v = [0.25, 2.2], [1.1, 1.55]
+        p = exact_p(query(u, v))
+        assert p == reference_p(u, v)
+        assert p != reference_p(u, v, fused_sum_squares)
+
     def test_identical_vectors(self):
         assert exact_p(query([0.3, 0.4], [0.3, 0.4])) == 0.0
 

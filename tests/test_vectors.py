@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -61,11 +64,28 @@ def _scaled_rows(dim: int):
     return st.lists(row, min_size=1, max_size=6)
 
 
-def scaled_norm(row) -> float:
-    """np.linalg.norm of the row scaled by 2^-e, e the frexp exponent of its
-    largest |component|, scaled back: the norm without overflow or underflow."""
-    e = int(np.frexp(np.max(np.abs(row)))[1])
-    return float(np.ldexp(np.linalg.norm(np.ldexp(np.array(row), -e)), e))
+def tree_sum_squares(values) -> float:
+    """The sum of squares in Python floats, paired as the library pairs them: the
+    top half is added onto the bottom half, the middle of an odd length passing
+    through, until one value is left."""
+    a = [x * x for x in values]
+    while len(a) > 1:
+        h = len(a) // 2
+        a = [x + y for x, y in zip(a[:h], a[-h:])] + a[h:len(a) - h]
+    return a[0]
+
+
+def fused_sum_squares(values) -> float:
+    """x0 * x0 + x1 * x1 with one rounding for the add, as a fused multiply-add gives it."""
+    x0, x1 = values
+    return float(Fraction(x0 * x0) + Fraction(x1) ** 2)
+
+
+def scaled_norm(row, sum_squares=tree_sum_squares) -> float:
+    """The norm of the row scaled by 2^-e, e the frexp exponent of its largest
+    |component|, scaled back: the norm without overflow or underflow."""
+    e = math.frexp(max(abs(c) for c in row))[1]
+    return math.ldexp(math.sqrt(sum_squares([math.ldexp(c, -e) for c in row])), e)
 
 
 def _raised(build, row):
@@ -117,6 +137,19 @@ class TestVectorSet:
         else:
             assert _raised(VectorSet, rows) == (
                 DimensionError, f"vectors differ in dimension: {dims}")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300], ids=["unit", "1e300", "1e-300"])
+    @pytest.mark.parametrize("dim", range(1, 18))
+    def test_norms_follow_the_pairwise_tree(self, dim, scale):
+        rows = (np.random.default_rng(dim).normal(size=(40, dim)) * scale).tolist()
+        assert VectorSet(rows).norms.tolist() == [scaled_norm(row) for row in rows]
+
+    def test_two_roundings_not_a_fused_multiply_add(self):
+        # fma(x1, x1, x0 * x0) rounds the sum once and gives a norm one ulp lower
+        row = [1.1, 1.55]
+        norm = VectorSet([row]).norms[0]
+        assert norm == scaled_norm(row) == 1.9006577808748215
+        assert norm != scaled_norm(row, fused_sum_squares)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="at least one vector"):

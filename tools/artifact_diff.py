@@ -23,9 +23,11 @@ Each case is also checked against its kind on the new tree, the error
 contract of the README: an ``error`` case exits 1 or 2, writes one stderr
 line starting ``error: `` and no file; an ``exact`` or ``sampled`` case exits
 0 with only ``note: `` lines on stderr.  A case that breaks it is listed as
-off contract.  Exit status: 0 when nothing differs and no case is off
-contract, 1 otherwise (version-only differences included).  Standard
-library only.
+off contract.  When both trees have one ``__version__``, the exact and
+sampled cases that exit 0 on the old tree and differ on the new one are
+named on a last line, ``bytes moved without a version bump: <cases>``.
+Exit status: 0 when nothing differs and no case is off contract, 1
+otherwise (version-only differences included).  Standard library only.
 """
 
 from __future__ import annotations
@@ -103,6 +105,11 @@ INPUTS = {
                                            {"label": "b", "vector": wave(11)},
                                            {"label": "a", "vector": wave(12)}],
                                "added": {"label": "c", "vector": wave(13)}}},
+    # |u - v|^2 of wave(0), wave(7) and of wave(5), wave(11) sums to other bits left to
+    # right or in adjacent pairs
+    "nn16_sum_order.json": {"vectors": [wave(0), wave(5)],
+                            "training": {"initial": [{"label": "a", "vector": wave(7)},
+                                                     {"label": "b", "vector": wave(11)}]}},
     "lattice.json": {"vectors": LATTICE, "k": 3, "init": 5, "max_iterations": 30},
     "fig2_3d.json": {"vectors": [[1, 0, 0]]},
     # a fidelity the 2-qubit channel of fig2's vectors rejects
@@ -255,6 +262,12 @@ CASES = [
                                                  "--vector", "2,0", "--ref-a", "1.5,0.55",
                                                  "--ref-b", "0.86,2.35", "--out", "out",
                                                  *SHOTS)),
+    # pin the sum of squares: a fused multiply-add sums the norm of (1.1, 1.55) and
+    # |u - v|^2 of this pair to other bits than x0 * x0 + x1 * x1; the 16-D pairs pin
+    # the order of the tree
+    ("estimate-sum-order-trap", "exact", ("estimate", "--u", "0.25,2.2", "--v", "1.1,1.55")),
+    ("nn-16d-sum-order-trap", "exact", ("nn", "--config", "nn16_sum_order.json",
+                                        "--out", "out")),
     ("nn-16d-two-phase", "exact", ("nn", "--config", "nn16.json", "--out", "out")),
     ("nn-16d-two-phase-sampled", "sampled", ("nn", "--config", "nn16.json", "--out", "out",
                                              *SHOTS)),
@@ -500,6 +513,7 @@ def main(argv=None) -> int:
     cases = [c for c in CASES if args.mode in (None, c[1])]
     versions = version(args.old), version(args.new)
     tally: dict[str, list[int]] = {}  # mode -> cases, differ, version only, off contract
+    moved = []  # exact and sampled cases whose bytes moved under one version
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
         for i, (name, mode, case_argv) in enumerate(cases):
             runs = []
@@ -512,6 +526,8 @@ def main(argv=None) -> int:
             if found and versions[0] != versions[1]:
                 found = differences(renamed(runs[0], *versions), runs[1])
                 version_only = not found
+            if found and versions[0] == versions[1] and mode != "error" and not runs[0]["exit"]:
+                moved.append(name)
             broken = kind_violations(mode, runs[1])
             counts = tally.setdefault(mode, [0, 0, 0, 0])
             counts[0] += 1
@@ -531,6 +547,8 @@ def main(argv=None) -> int:
     for mode, (total, differ, version_only, broken) in tally.items():
         print(f"{mode}: {total} cases, {differ} differ, {version_only} version only, "
               f"{broken} off contract")
+    if moved:
+        print(f"bytes moved without a version bump: {', '.join(moved)}")
     return 1 if any(sum(counts[1:]) for counts in tally.values()) else 0
 
 
