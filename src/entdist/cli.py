@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import re
 import sys
 from collections import Counter
@@ -41,7 +40,7 @@ from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .noise import NOISE_PRESETS, PAPER_PRESET, NoiseModel, noise_preset
 from .protocol import GENERATOR_NAME, EstimatorConfig, distance_matrix
 from .svgplot import cartesian_scatter_svg, contour_segments, polar_scatter_svg
-from .vectors import RealVector, VectorSet
+from .vectors import RealVector, VectorSet, _lengths
 
 REPRO_TARGETS = ("fig2", "table1", "table2", "fig3", "figS1")
 
@@ -61,6 +60,11 @@ def main(argv=None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # argparse takes only -1 and -1.5 for negative numbers, so it would read the vector
+        # -1,0 as an option; no option starts with - or -. and a digit, so such a token is a value
+        return None if re.match(r"-\.?\d", arg_string) else super()._parse_optional(arg_string)
+
     def error(self, message):  # a usage error is one error line and status 1, like any bad input
         raise ValueError(message)
 
@@ -569,9 +573,9 @@ def _classify(config: dict, cfg: EstimatorConfig) -> Run:
                        ref_b.label: ref_b.vector.components.tolist()},
         "n_vectors": len(vectors),
     }
-    a, b = ref_a.vector.components.tolist(), ref_b.vector.components.tolist()
-    plots = {"plot.svg": partial(_scatter_svg, vectors, labels, [ref_a, ref_b],
-                                 _distance_gap([a], [b]), (), "two-cluster assignment")}
+    sets = [ref_a.vector.components.tolist()], [ref_b.vector.components.tolist()]
+    plots = {"plot.svg": partial(_scatter_svg, vectors, labels, [ref_a, ref_b], sets, (),
+                                 "two-cluster assignment")}
     return Run(extra, {"rows": rows, "assigned_counts": Counter(labels)}, list(rows), rows, plots,
                vectors)
 
@@ -607,7 +611,7 @@ def _nn(config: dict, cfg: EstimatorConfig) -> Run:
         "margin": result.margin.tolist(),
         "boundary_flag": result.boundary.tolist(),
     })
-    plot = partial(_scatter_svg, vectors, rows["assigned"], training, _nn_gap(training), (),
+    plot = partial(_scatter_svg, vectors, rows["assigned"], training, _nn_sets(training), (),
                    "nearest neighbor")
     return Run(extra, {"rows": rows}, list(rows), rows, {"plot.svg": plot}, vectors)
 
@@ -734,51 +738,42 @@ def _square_limits(points):
 
 def _distance_gap(first, second):
     """D_first - D_second at (x, y), where D_s is the distance to the nearest
-    point of s: its zero contour is the boundary between the two sets.
-
-    Two floats give the math.hypot value.  Arrays give np.hypot values, and
-    the math.hypot value wherever their sign could differ from its sign.
-    """
-    def at(x, y):
-        return (min(math.hypot(x - q0, y - q1) for q0, q1 in first)
-                - min(math.hypot(x - q0, y - q1) for q0, q1 in second))
-
+    point of s: its zero contour is the boundary between the two sets."""
     def gap(x, y):
-        if not isinstance(x, np.ndarray):
-            return at(x, y)
-        d1, d2 = (reduce(np.minimum, (np.hypot(x - q0, y - q1) for q0, q1 in s))
+        d1, d2 = (reduce(np.minimum, (_lengths(np.stack([x - q0, y - q1])) for q0, q1 in s))
                   for s in (first, second))
-        values = d1 - d2
-        # np.hypot (C hypot) and math.hypot each lie within 2 ulps of the true
-        # distance (glibc documents 1, CPython's is correctly rounded in most
-        # cases), so the two gaps differ by less than 4 eps (d1 + d2) + 2**-1071;
-        # where values is not twice that far from 0, or is NaN, at decides
-        unsure = ~(np.abs(values) > 8 * sys.float_info.epsilon * (d1 + d2) + 2.0 ** -1070)
-        values[unsure] = list(map(at, x[unsure].tolist(), y[unsure].tolist()))
-        return values
+        return d1 - d2
 
     return gap
 
 
-def _nn_gap(training):
-    """Distance to the nearest vector of the first label minus that to the
-    nearest of the second, labels sorted; None unless there are exactly two."""
+def _nn_sets(training):
+    """The vectors of the first label and those of the second, labels sorted;
+    None unless there are exactly two labels."""
     labels = sorted({t.label for t in training})
     if len(labels) != 2:
         return None
-    return _distance_gap(*([tuple(t.vector.components.tolist()) for t in training
-                            if t.label == label] for label in labels))
+    return tuple([t.vector.components.tolist() for t in training if t.label == label]
+                 for label in labels)
+
+
+def _boundary(sets, lim) -> np.ndarray:
+    """The (n, 2, 2) segments of the zero contour of _distance_gap(*sets) in the
+    window lim x lim, traced in the window scaled by 2^-e, e the frexp exponent
+    of its larger |limit|: that keeps the grid and the distances finite however
+    wide the window, and a power-of-two scale is exact."""
+    e = np.frexp(np.abs(lim).max())[1]
+    lim = np.ldexp(lim, -e)
+    segments = contour_segments(_distance_gap(*(np.ldexp(s, -e) for s in sets)), lim, lim)
+    return np.ldexp(np.reshape(segments, (-1, 2, 2)), e)
 
 
 def _fig2_svg(result: dict, metadata: dict) -> str:
-    a = tuple(result["reference_a"])
-    b = tuple(result["reference_b"])
+    a, b = result["reference_a"], result["reference_b"]
     r_max = FIG2_NORM_RANGE[1]
-    segments = contour_segments(_distance_gap([a], [b]), (0.0, r_max), (0.0, r_max))
-    boundary = [  # clipped to the plotted quarter disk
-        seg for seg in segments
-        if math.hypot(*seg[0]) <= r_max and math.hypot(*seg[1]) <= r_max
-    ]
+    segments = _boundary(([a], [b]), (0.0, r_max))
+    # clipped to the plotted quarter disk
+    boundary = segments[(_lengths(np.moveaxis(segments, -1, 0)) <= r_max).all(axis=1)].tolist()
     rows = result["rows"]
     xs, ys, *diffs = np.array([rows["x"], rows["y"], rows["exact_diff"], rows["sampled_diff"]])
     scale = float(np.abs(diffs).max()) or 1.0
@@ -788,13 +783,13 @@ def _fig2_svg(result: dict, metadata: dict) -> str:
     return polar_scatter_svg(xs, ys, panels, refs, boundary, scale, r_max, metadata)
 
 
-def _scatter_svg(vectors, labels, references, gap, names, title, metadata) -> str:
-    """Labelled 2-D points, a cross at each labelled reference, and the zero
-    contour of ``gap`` unless it is None, in a square window around them."""
+def _scatter_svg(vectors, labels, references, sets, names, title, metadata) -> str:
+    """Labelled 2-D points, a cross at each labelled reference, and the boundary
+    between the two point sets unless ``sets`` is None, in a square window around them."""
     points = [tuple(v) for v in vectors.components.tolist()]
     crosses = [(*r.vector.components.tolist(), r.label) for r in references]
     xlim, ylim = _square_limits(points + [(x, y) for x, y, _ in crosses])
-    boundary = contour_segments(gap, xlim, ylim) if gap is not None else ()
+    boundary = _boundary(sets, xlim).tolist() if sets is not None else ()
     return cartesian_scatter_svg(points, list(labels), xlim, ylim, crosses, boundary, names,
                                  title, metadata)
 
@@ -804,9 +799,9 @@ def _nn_phase_plots(vectors, rows, training, added, names=()) -> dict:
     extended = list(training) + [added]
     return {
         "phase_1.svg": partial(_scatter_svg, vectors, rows["label_before"], training,
-                               _nn_gap(training), names, "initial training set"),
+                               _nn_sets(training), names, "initial training set"),
         "phase_2.svg": partial(_scatter_svg, vectors, rows["label_after"], extended,
-                               _nn_gap(extended), names, "after the new training vector"),
+                               _nn_sets(extended), names, "after the new training vector"),
     }
 
 

@@ -60,28 +60,24 @@ def _label_colors(labels) -> dict:
 def contour_segments(f, xlim, ylim):
     """Zero-contour line segments of f(x, y) via marching squares.
 
-    f is called once with the whole grid as two arrays, to find the cells
-    whose corners differ in sign, then once with two floats at each corner
-    of those cells, whose values the crossings interpolate.  So f's values
-    on arrays must have the signs of its values at single points.
+    f is called once, with the whole grid as two arrays; the crossings
+    interpolate the corner values of the cells whose corners differ in sign.
     """
     xs, ys = (lo + (hi - lo) * np.arange(_GRID + 1) / _GRID for lo, hi in (xlim, ylim))
-    below = np.asarray(f(*np.meshgrid(xs, ys))) < 0.0
-    xs, ys = xs.tolist(), ys.tolist()
+    grid = np.asarray(f(*np.meshgrid(xs, ys)), dtype=float)
+    below = grid < 0.0
     # only a cell whose corners differ in sign holds a crossing; visit those row by row
     mixed = ((below[:-1, :-1] != below[:-1, 1:]) | (below[:-1, :-1] != below[1:, 1:])
              | (below[:-1, :-1] != below[1:, :-1]))
-    cells = list(zip(*(axis.tolist() for axis in np.nonzero(mixed))))
-    grid = {(j, i): f(xs[i], ys[j]) for j, i in dict.fromkeys(
-        (j + dj, i + di) for j, i in cells for dj in (0, 1) for di in (0, 1))}
+    cells = np.nonzero(mixed)
+    # each crossing cell's corner values, counterclockwise from its lower left
+    values = [grid[cells[0] + dj, cells[1] + di].tolist()
+              for dj, di in ((0, 0), (0, 1), (1, 1), (1, 0))]
+    xs, ys = xs.tolist(), ys.tolist()
     segments = []
-    for j, i in cells:
-        corners = [
-            (xs[i], ys[j], grid[j, i]),
-            (xs[i + 1], ys[j], grid[j, i + 1]),
-            (xs[i + 1], ys[j + 1], grid[j + 1, i + 1]),
-            (xs[i], ys[j + 1], grid[j + 1, i]),
-        ]
+    for j, i, *f in zip(*(axis.tolist() for axis in cells), *values):
+        corners = [(xs[i], ys[j], f[0]), (xs[i + 1], ys[j], f[1]),
+                   (xs[i + 1], ys[j + 1], f[2]), (xs[i], ys[j + 1], f[3])]
         crossings = []
         for k in range(4):
             xa, ya, fa = corners[k]

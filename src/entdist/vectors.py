@@ -47,6 +47,14 @@ def _sum_squares(x: np.ndarray) -> np.ndarray:
     return x[0]
 
 
+def _lengths(x: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each vector of x, components along axis 0: each scaled
+    by 2^-e, e the frexp exponent of its largest |component|, so that its sum of
+    squares (the pairwise tree) is finite; IEEE arithmetic alone, on any CPU."""
+    e = np.frexp(np.abs(x).max(axis=0))[1]
+    return np.ldexp(np.sqrt(_sum_squares(np.ldexp(x, -e, order="C"))), e)
+
+
 @dataclass(frozen=True, eq=False)
 class RealVector:
     """An N-dimensional real vector, immutable after construction: a one-row VectorSet."""
@@ -112,10 +120,8 @@ class VectorSet:
                 except ValueError as exc:
                     raise type(exc)(f"[{i}]: {exc}") from None
             raise DimensionError(f"vectors differ in dimension: {sorted(dims)}")
-        # each row x scaled by 2^-e, e the frexp exponent of its largest |component|: x . x is finite
         with np.errstate(over="ignore"):  # a norm past float64's largest value reads inf
-            e = np.frexp(np.abs(arr).max(axis=1))[1]
-            norms = np.ldexp(np.sqrt(_sum_squares(np.ldexp(arr.T, -e, order="C"))), e)
+            norms = _lengths(arr.T)
         # a norm above half of float64's largest value could make |u - v| overflow
         ok = (norms > 0) & (norms <= np.finfo(float).max / 2)  # inf or nan if not finite
         if not ok.all():

@@ -786,6 +786,31 @@ class TestParser:
         assert code == 0, err
         assert json.loads(out)["u"] == [1.0, 0.0]
 
+    @pytest.mark.parametrize("text, want", [("-1,0", [-1.0, 0.0]), ("-1.5,2", [-1.5, 2.0]),
+                                            ("-1e3,0", [-1000.0, 0.0]), ("-.5,1", [-0.5, 1.0])])
+    def test_vector_flag_may_start_with_a_minus_sign(self, capsys, text, want):
+        code, out, err = run(capsys, "estimate", "--u", text, "--v", "1,0")
+        assert code == 0, err
+        assert json.loads(out)["u"] == want
+
+    def test_negative_first_components_estimate_and_classify(self, capsys, tmp_path):
+        code, out, err = run(capsys, "estimate", "--u", "-1,0", "--v", "1,0")
+        assert code == 0, err
+        assert json.loads(out)["distance"] == 2.0
+        code, _, err = run(capsys, "classify", "--vector", "-1,-1", "--ref-a", "-1,0",
+                           "--ref-b", "1,0", "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        assert (tmp_path / "out" / "results.csv").read_text().splitlines()[-1].split(",")[-2] == "A"
+
+    def test_negative_seed_is_still_read_as_a_value(self, capsys):
+        code, _, err = run(capsys, "estimate", "--u", "1,0", "--v", "0,1", "--seed", "-1")
+        assert (code, err) == (1, "error: seed must be an unsigned 64-bit integer\n")
+
+    def test_a_minus_sign_before_a_letter_is_still_an_option(self, capsys):
+        code, _, err = run(capsys, "estimate", "--u", "-x", "--v", "1,0")
+        assert code == 1
+        assert err == "error: argument --u: expected one argument\n"
+
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
 

@@ -2,12 +2,13 @@
 
 import json
 import math
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from entdist.cli import _distance_gap, _nn_gap, _square_limits, main
+from entdist.cli import _distance_gap, _nn_sets, _square_limits, main
 from entdist.ml import LabeledReference
 from entdist.svgplot import contour_segments
 
@@ -52,13 +53,13 @@ def test_saddle_cell_cuts_off_the_corners_of_the_other_sign(center_sign):
 @pytest.mark.parametrize("labels", [["a"], ["a", "a"], ["a", "b", "c"]])
 def test_nn_gap_needs_exactly_two_labels(labels):
     training = [LabeledReference([float(i), 1.0], label) for i, label in enumerate(labels)]
-    assert _nn_gap(training) is None
+    assert _nn_sets(training) is None
 
 
 def test_nn_gap_is_the_first_sorted_label_minus_the_second():
     training = [LabeledReference([1.0, 0.0], "red"), LabeledReference([0.0, 1.0], "blue"),
                 LabeledReference([3.0, 3.0], "red")]
-    gap = _nn_gap(training)
+    gap = _distance_gap(*_nn_sets(training))
     assert gap(0.0, 1.0) < 0.0 < gap(1.0, 0.0)  # "blue" sorts first
     assert gap(0.0, 2.0) == pytest.approx(1.0 - math.sqrt(5.0))
     assert gap(3.0, 2.5) == pytest.approx(math.hypot(3.0, 1.5) - 0.5)
@@ -76,3 +77,30 @@ def test_desc_holds_the_metadata_whatever_the_labels(capsys, tmp_path, label):
     metadata = json.loads(svg.find("{http://www.w3.org/2000/svg}desc").text)
     assert metadata == json.loads((out / "summary.json").read_text())["metadata"]
     assert metadata["config"]["references"] == {label: [1.0, 0.0], "B": [0.0, 1.0]}
+
+
+def _boundary_lines(capsys, tmp_path, k):
+    """The <line> elements of the classify plot of the fig2 pair and (2, 0), all times 2^k."""
+    def scaled(v):
+        return [math.ldexp(x, k) for x in v]
+
+    config = {"vectors": [scaled([2.0, 0.0])],
+              "references": [{"label": "A", "vector": scaled([1.5, 0.55])},
+                             {"label": "B", "vector": scaled([0.86, 2.35])}]}
+    (tmp_path / f"{k}.json").write_text(json.dumps(config))
+    out = tmp_path / f"out{k}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow would raise
+        code = main(["classify", "--config", str(tmp_path / f"{k}.json"), "--out", str(out),
+                     "--plot"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    return [line for line in (out / "plot.svg").read_text().splitlines()
+            if line.startswith("<line")]
+
+
+def test_a_window_near_float64s_largest_value_draws_the_same_boundary(capsys, tmp_path):
+    # (hi - lo) * 160 overflows at 2^1020: each boundary is traced in its window scaled
+    # by a power of two
+    lines = _boundary_lines(capsys, tmp_path, 60)
+    assert len(lines) > 100
+    assert _boundary_lines(capsys, tmp_path, 1020) == lines

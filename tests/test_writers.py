@@ -3,7 +3,7 @@
 ``summary.json`` must be ``json.dumps(indent=2, sort_keys=True)`` text (a
 results table as the list of its rows as dicts), ``results.csv`` the
 per-cell loop, the plotted boundary the marching-squares loop over every
-grid cell of a gap evaluated point by point with math.hypot, and the fig2
+grid cell of a gap evaluated point by point in Python floats, and the fig2
 fills the scalar diverging colour map; each reference below is that code,
 kept here.
 """
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entdist import __version__
-from entdist.cli import (Table, _cell, _csv_text, _distance_gap, _json_text, _nn_gap,
+from entdist.cli import (Table, _cell, _csv_text, _distance_gap, _json_text, _nn_sets,
                          _square_limits)
 from entdist.ml import LabeledReference
 from entdist.svgplot import _GRID, _diverging_fills, _lerp, contour_segments
@@ -197,11 +197,19 @@ def _contour_reference(f, xlim, ylim):
     return segments
 
 
+def _length(x, y):
+    """|(x, y)| with (x, y) scaled by 2^-e, e the frexp exponent of the larger
+    |component|, and its squares summed x * x + y * y."""
+    e = math.frexp(max(abs(x), abs(y)))[1]
+    x, y = math.ldexp(x, -e), math.ldexp(y, -e)
+    return math.ldexp(math.sqrt(x * x + y * y), e)
+
+
 def _nearest_gap(first, second):
     """The distance from (x, y) to the nearest point of first minus that to
-    the nearest of second, point by point with math.hypot."""
-    return lambda x, y: (min(math.hypot(x - q0, y - q1) for q0, q1 in first)
-                         - min(math.hypot(x - q0, y - q1) for q0, q1 in second))
+    the nearest of second, point by point."""
+    return lambda x, y: (min(_length(x - q0, y - q1) for q0, q1 in first)
+                         - min(_length(x - q0, y - q1) for q0, q1 in second))
 
 
 def _saddles(x, y):  # sign changes in most cells, with saddles of both orientations
@@ -210,8 +218,7 @@ def _saddles(x, y):  # sign changes in most cells, with saddles of both orientat
 
 FIG2_REFS = [(1.5, 0.55), (0.86, 2.35)]
 DIAGONAL = [(1.0, 0.0), (0.0, 1.0)]  # exact zeros on the grid
-# the bisector runs through grid points, where np.hypot and math.hypot give
-# gaps of opposite sign
+# the bisector runs through grid points, where the sign of the gap rests on its last bits
 THROUGH_GRID_POINTS = [(-0.77, -1.41), (-0.76, -1.40)]
 NN_FIRST, NN_SECOND = [(0.5, 0.25), (0.3, 1.1)], [(1.0, 0.25), (1.2, 0.9)]
 
@@ -225,14 +232,36 @@ NN_FIRST, NN_SECOND = [(0.5, 0.25), (0.3, 1.1)], [(1.0, 0.25), (1.2, 0.9)]
     (_distance_gap(*([r] for r in THROUGH_GRID_POINTS)),
      _nearest_gap(*([r] for r in THROUGH_GRID_POINTS)),
      *_square_limits(THROUGH_GRID_POINTS)),
-    (_nn_gap([LabeledReference(q, label) for label, points in (("a", NN_FIRST), ("b", NN_SECOND))
-              for q in points]),
+    (_distance_gap(*_nn_sets([LabeledReference(q, label) for label, points
+                              in (("a", NN_FIRST), ("b", NN_SECOND)) for q in points])),
      _nearest_gap(NN_FIRST, NN_SECOND), *_square_limits(NN_FIRST + NN_SECOND)),
 ], ids=["fig2-bisector", "diagonal-bisector", "saddle-grid", "bisector-through-grid-points",
         "nearest-neighbor"])
 def test_contour_segments_is_the_full_grid_loop(f, at_point, xlim, ylim):
     got = contour_segments(f, xlim, ylim)
     assert got and got == _contour_reference(at_point, xlim, ylim)
+
+
+def _scaled(values, k):
+    """values, nested lists and tuples of floats, each times 2^k."""
+    if isinstance(values, float):
+        return math.ldexp(values, k)
+    return type(values)(_scaled(v, k) for v in values)
+
+
+@pytest.mark.parametrize("k", [-1000, -1, 1, 1000])
+@pytest.mark.parametrize("first, second, window", [
+    (FIG2_REFS[:1], FIG2_REFS[1:], (0.0, 3.0)),
+    (THROUGH_GRID_POINTS[:1], THROUGH_GRID_POINTS[1:], _square_limits(THROUGH_GRID_POINTS)[0]),
+    (NN_FIRST, NN_SECOND, _square_limits(NN_FIRST + NN_SECOND)[0]),
+], ids=["fig2-bisector", "bisector-through-grid-points", "nearest-neighbor"])
+def test_plotted_boundaries_are_power_of_two_covariant(first, second, window, k):
+    def segments(k):
+        return contour_segments(_distance_gap(_scaled(first, k), _scaled(second, k)),
+                                _scaled(window, k), _scaled(window, k))
+
+    want = segments(0)
+    assert want and segments(k) == _scaled(want, k)
 
 
 def _diverging_color(t: float) -> str:

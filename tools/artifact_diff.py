@@ -176,11 +176,17 @@ INPUTS = {
     "zero_row.csv": "1,0\n0,1\n0,0\n",
     # a trailing comma is no cell; an empty cell before the last value is an error
     "empty_cell.csv": "1,0,\n1,,0\n",
-    # the bisector runs through contour grid points, where np.hypot and
-    # math.hypot give gaps of opposite sign (argparse reads -0.77,... as a flag)
+    # the bisector runs through contour grid points, where the sign of the gap
+    # rests on its last bits
     "classify_grid_points.json": {"vectors": [[-1, -1]],
                                   "references": [{"label": "A", "vector": [-0.77, -1.41]},
                                                  {"label": "B", "vector": [-0.76, -1.40]}]},
+    # the fig2 pair and (2, 0) times 2^1020: (hi - lo) * 160 of the plot window
+    # overflows unless the boundary is traced in a scaled window
+    "classify_huge.json": {"vectors": [[math.ldexp(2.0, 1020), 0.0]],
+                           "references": [{"label": label, "vector": [math.ldexp(x, 1020)
+                                                                      for x in r["vector"]]}
+                                          for label, r in zip("AB", REFS)]},
     # a bad single vector is named by its config key
     "nn_zero_training.json": {"vectors": [[0.6, 0.6]],
                               "training": {"initial": [TRAINING[0], {"label": "red",
@@ -293,6 +299,10 @@ CASES = [
     ("classify-bisector-through-grid-points-plot", "exact", ("classify", "--config",
                                                              "classify_grid_points.json",
                                                              "--out", "out", "--plot")),
+    ("classify-huge-window-plot", "exact", ("classify", "--config", "classify_huge.json",
+                                            "--out", "out", "--plot")),
+    # argparse alone would read -1,0 as an option
+    ("estimate-negative-first-component", "exact", ("estimate", "--u", "-1,0", "--v", "1,0")),
     ("classify-cdata-end-label-plot", "exact", ("classify", "--config", "classify_cdata.json",
                                                 "--out", "out", "--plot")),
     ("help", "exact", ("--help",)),
