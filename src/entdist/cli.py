@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +169,9 @@ def _check(value, spec, where: str) -> None:
     """Raise ValueError unless value has one of the JSON types spec allows."""
     for alt in spec if isinstance(spec, tuple) else (spec,):
         if isinstance(alt, list) and isinstance(value, list):
-            for i, item in enumerate(value):
-                _check(item, alt[0], f"{where}[{i}]")
+            if alt[0] is not float or not set(map(type, value)) <= {float}:
+                for i, item in enumerate(value):  # an item to check, or to name
+                    _check(item, alt[0], f"{where}[{i}]")
             return
         if isinstance(alt, _Object) and isinstance(value, dict):
             for key, item in value.items():
@@ -333,21 +335,25 @@ def load_vectors_csv(path) -> VectorSet:
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
-            cells = [c.strip() for c in row]
-            while cells and not cells[-1]:
-                cells.pop()
-            if not cells or cells[0].startswith("#"):
-                continue
-            try:
-                vector = [float(c) for c in cells if c]
-            except ValueError:
-                if rows:
-                    raise ValueError(f"{path}[{len(rows)}]: non-numeric row "
-                                     f"{_clipped(cells)}") from None
-                continue  # every non-numeric row before the first vector is a header
-            if len(vector) < len(cells):
-                raise ValueError(f"{path}[{len(rows)}]: empty cell before the row's last value")
-            rows.append(vector)
+            try:  # float() strips no whitespace that str.strip() keeps
+                vector = list(map(float, row))
+            except ValueError:  # a comment, a header, an empty cell or an error
+                cells = [c.strip() for c in row]
+                while cells and not cells[-1]:
+                    cells.pop()
+                if not cells or cells[0].startswith("#"):
+                    continue
+                try:
+                    vector = [float(c) for c in cells if c]
+                except ValueError:
+                    if rows:
+                        raise ValueError(f"{path}[{len(rows)}]: non-numeric row "
+                                         f"{_clipped(cells)}") from None
+                    continue  # every non-numeric row before the first vector is a header
+                if len(vector) < len(cells):
+                    raise ValueError(f"{path}[{len(rows)}]: empty cell before the row's last value")
+            if vector:  # an empty line is no row
+                rows.append(vector)
     if not rows:
         raise ValueError(f"{path}: no vector rows found")
     return _vector_set(rows, str(path))
@@ -389,7 +395,7 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return float.__repr__(value)
     if isinstance(value, (list, tuple)):
-        return " ".join(f"{x:g}" for x in value)
+        return " ".join(map(format, value, repeat("g")))
     return str(value)
 
 
@@ -402,20 +408,26 @@ class Table(dict):
 
     summary.json writes it as json.dumps writes the list of its rows as
     dicts, and results.csv writes the columns a command names.  Each column
-    is formatted once: its _cell texts serve both files where the JSON text
-    is the same, as for a column of floats, ints or bools.
+    is formatted a column at a time: the _cell texts of a column of floats,
+    ints or bools serve both files, and a column of float lists or float
+    dicts is one flat list of float texts in summary.json.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._cells = {}
 
+    def kind(self, name: str) -> type | None:
+        """The column's one exact value type, None if it has several."""
+        if name in self._cells:
+            return self._cells[name][0]
+        kinds = set(map(type, self[name]))
+        return kinds.pop() if len(kinds) == 1 else None
+
     def cells(self, name: str) -> tuple[type | None, list]:
-        """The column's one exact value type (None if it has several) and its _cell texts."""
+        """The column's kind and its _cell texts."""
         if name not in self._cells:
-            column = self[name]
-            kinds = set(map(type, column))
-            kind = kinds.pop() if len(kinds) == 1 else None
+            column, kind = self[name], self.kind(name)
             self._cells[name] = kind, (column if kind is str
                                        else list(map(_FORMAT.get(kind, _cell), column)))
         return self._cells[name]
@@ -502,22 +514,49 @@ def _table_json(table: Table, depth: int) -> str:
     if not names or not table[names[0]]:
         return "[]"
     outer, inner = "  " * (depth + 1), "  " * (depth + 2)  # a row, its keys
-    keys = [f",\n{inner}{encode_basestring_ascii(name)}: " for name in names]
-    keys[0] = f",\n{outer}{{\n{keys[0][2:]}"  # a row opens with its comma and brace
-    fields = []
-    for key, name in zip(keys, names):
-        kind, cells = table.cells(name)
-        if kind is float:
-            cells = list(map(_JSON_FLOAT.get, cells, cells))
+    parts = []  # a row's texts in order: a str is the same in every row, a list has one per row
+    for name in names:
+        kind, column = table.kind(name), table[name]
+        if kind in _FORMAT:
+            cells = table.cells(name)[1]
+            texts = [list(map(_JSON_FLOAT.get, cells, cells)) if kind is float else cells]
         elif kind is str:
-            cells = list(map(encode_basestring_ascii, cells))
-        elif kind is not int and kind is not bool:
-            cells = [_json_value(value, depth + 2) for value in table[name]]
-        fields += (repeat(key), cells)
+            texts = [list(map(encode_basestring_ascii, column))]
+        else:
+            texts = (_nested_json(column, kind, depth + 2)
+                     or [[_json_value(value, depth + 2) for value in column]])
+        parts += (f",\n{inner}{encode_basestring_ascii(name)}: ", *texts)
+    parts[0] = f",\n{outer}{{\n{parts[0][2:]}"  # a row opens with its comma and brace
+    parts.append(f"\n{outer}}}")
     table._cells.clear()
-    fields[0] = chain([f"[{keys[0][1:]}"], fields[0])  # the list's bracket for the first comma
-    rows = zip(*fields, repeat(f"\n{outer}}}"))
-    return "".join(chain(chain.from_iterable(rows), [f"\n{outer[2:]}]"]))
+    fields = [repeat(part) if type(part) is str else part for part in parts]
+    fields[0] = chain([f"[{parts[0][1:]}"], fields[0])  # the list's bracket for the first comma
+    return "".join(chain(chain.from_iterable(zip(*fields)), [f"\n{outer[2:]}]"]))
+
+
+def _nested_json(column: list, kind: type | None, depth: int) -> list | None:
+    """The JSON texts of a column of float lists of one length, or float dicts of one key
+    order, from one map over its floats: the lead of item 0, item 0's text in every row,
+    the lead of item 1, ..., the closing bracket.  None for any other column or empty rows."""
+    first = column[0]
+    if kind is list and len(set(map(len, column))) == 1:
+        keys, rows = (), column
+    elif kind is dict and len(set(map(tuple, column))) == 1 and set(map(type, first)) <= {str}:
+        keys = sorted(first)  # json.dumps' sort_keys
+        rows = map(dict.values if keys == list(first) else itemgetter(*keys), column)
+    else:
+        return None
+    values, m = list(chain.from_iterable(rows)), len(first)
+    if not m or not set(map(type, values)) <= {float}:
+        return None
+    opening, closing = "{}" if kind is dict else "[]"
+    inner, names = "  " * (depth + 1), [f"{encode_basestring_ascii(key)}: " for key in keys]
+    marks = [opening, *repeat(",", m - 1)]  # before each item: the bracket, then commas
+    leads = [f"{mark}\n{inner}{name}" for mark, name in zip(marks, names or repeat(""))]
+    texts = list(map(float.__repr__, values))
+    texts = list(map(_JSON_FLOAT.get, texts, texts))
+    return [*chain.from_iterable(zip(leads, (texts[j::m] for j in range(m)))),
+            f"\n{inner[2:]}{closing}"]
 
 
 def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default: bool) -> None:

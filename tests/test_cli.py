@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entdist.cli import main
+from entdist.cli import (CONFIG_SCHEMA, _check, _clipped, _vector_set, load_vectors_csv,
+                         main)
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -821,3 +823,94 @@ class TestParser:
         code, _, err = run(capsys, "repro", "table1", "--out", str(tmp_path / "x"),
                            "--noise", "bogus")
         assert code == 1 and "noise" in err
+
+
+def _csv_reference(path):
+    """The per-cell CSV loop: every cell stripped, trailing empty cells and
+    comment rows dropped, each cell read by float()."""
+    rows = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for row in csv.reader(fh):
+            cells = [c.strip() for c in row]
+            while cells and not cells[-1]:
+                cells.pop()
+            if not cells or cells[0].startswith("#"):
+                continue
+            try:
+                vector = [float(c) for c in cells if c]
+            except ValueError:
+                if rows:
+                    raise ValueError(f"{path}[{len(rows)}]: non-numeric row "
+                                     f"{_clipped(cells)}") from None
+                continue
+            if len(vector) < len(cells):
+                raise ValueError(f"{path}[{len(rows)}]: empty cell before the row's last value")
+            rows.append(vector)
+    if not rows:
+        raise ValueError(f"{path}: no vector rows found")
+    return _vector_set(rows, str(path))
+
+
+def _outcome(load, path):
+    """The rows a loader read, or its error message."""
+    try:
+        return load(path).components.tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+CSV_TEXTS = {
+    "padded cells": " 1.5 , 2 \n3 ,  4\n",
+    "tab-padded cells": "\t1\t,\t2\n3,\t4\t\n",
+    "a tab between numbers": "1\t2\n3,4\n",
+    "a quoted number": '"1.5",2\n3,"4"\n',
+    "trailing empty cells": "1,2,,\n3,4,\n",
+    "comments before and after": "# a\n#b,c\n1,2\n# between\n3,4\n# end\n",
+    "a header": "x,y\n1,2\n3,4\n",
+    "an empty cell": "1,0\n1,,0\n",
+    "a whitespace-only cell": "1,0\n1, ,0\n",
+    "a trailing whitespace-only cell": "1,0, \n1,0,\t\n",
+    "blank lines": "\n1,2\n\n3,4\n\n",
+    "a separator str.strip strips": "\x1c1,2\n3,4\x1f\n",
+    "late text": "1,0\n2,zz\n",
+    "no rows": "x,y\n# nothing\n",
+    "rows of two lengths": "1,2\n3,4,5\n",
+}
+
+
+class TestReaders:
+    @pytest.mark.parametrize("text", CSV_TEXTS.values(), ids=CSV_TEXTS)
+    def test_load_vectors_csv_is_the_per_cell_loop(self, tmp_path, text):
+        path = tmp_path / "v.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_vectors_csv, path) == _outcome(_csv_reference, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["1", " 2.5", "\t-3\t", '"4"', "1e3", "", " ",
+                                              "#x", "x", "nan", "0"]),
+                             max_size=4), max_size=5))
+    def test_generated_csv_files_read_as_the_per_cell_loop(self, rows):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "v.csv"
+            path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+            assert _outcome(load_vectors_csv, path) == _outcome(_csv_reference, path)
+
+    @pytest.mark.parametrize("config, message", [
+        ({"u": [0.5, True]}, "config.u[1] has the wrong type: True"),
+        ({"u": [0.5, 1.5, 10**400]}, "config.u[2] is an integer beyond float64's range"),
+        ({"u": [0.5, -10**400, 1.0]}, "config.u[1] is an integer beyond float64's range"),
+        ({"u": [0.5, [1.0]]}, "config.u[1] has the wrong type: [1.0]"),
+        ({"vectors": [[1.0, 2.0], [3.0, None]]}, "config.vectors[1][1] has the wrong type: None"),
+        ({"training": {"initial": [{"label": "a", "vector": [1.0, "2"]}]}},
+         "config.training.initial[0].vector[1] has the wrong type: '2'"),
+    ])
+    def test_check_names_the_bad_item_of_a_float_list(self, config, message):
+        with pytest.raises(ValueError) as info:
+            _check(config, CONFIG_SCHEMA, "config")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("config", [
+        {"u": [0.5, -0.0, 1e308], "v": [1, 2]}, {"u": [], "vectors": [[1.0], [2, 3.5], []]},
+    ])
+    def test_check_accepts_floats_and_integers(self, config):
+        _check(config, CONFIG_SCHEMA, "config")

@@ -20,8 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entdist import __version__
-from entdist.cli import (Table, _cell, _csv_text, _distance_gap, _json_text, _nn_sets,
-                         _square_limits)
+from entdist.cli import (Table, _cell, _csv_text, _distance_gap, _json_text, _nested_json,
+                         _nn_sets, _square_limits)
 from entdist.ml import LabeledReference
 from entdist.svgplot import _GRID, _diverging_fills, _lerp, contour_segments
 
@@ -51,6 +51,26 @@ PAYLOADS = st.dictionaries(TEXT, st.recursive(SCALARS, _containers, max_leaves=3
 NAMES = st.text(st.sampled_from(['"', "\\", "{", "}", "\u00e9", ",", "\r", "a", "_"]),
                 max_size=5)
 FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+# dict keys: every character JSON escapes, and labels whose text order is not
+# their numeric order
+LABELS = TEXT | st.sampled_from(["10", "9", "2"])
+
+
+def _rows(items):
+    """The values of a column of lists of one length, drawn once per column."""
+    return st.integers(0, 4).map(lambda m: st.lists(items, min_size=m, max_size=m))
+
+
+def _keyed(items, reordered=False):
+    """The values of a column of dicts over one drawn key list, in the drawn
+    order, or in an order drawn per row."""
+    def values(keys):
+        order = st.permutations(keys) if reordered else st.just(keys)
+        return st.tuples(order, st.lists(items, min_size=len(keys), max_size=len(keys)))\
+            .map(lambda pair: dict(zip(*pair)))
+    return st.lists(LABELS, unique=True, max_size=4).map(values)
+
+
 # the values of one column: of one type, as a command builds them, or mixed
 COLUMN_CELLS = st.sampled_from([
     FLOATS,
@@ -61,7 +81,12 @@ COLUMN_CELLS = st.sampled_from([
     SCALARS,
     st.lists(st.floats(allow_nan=False), max_size=3),
     st.dictionaries(TEXT, FLOATS, max_size=3),
-])
+]) | st.one_of(
+    # nested columns summary.json formats a column at a time
+    _rows(FLOATS), _keyed(FLOATS),
+    # and nested columns it formats cell by cell
+    _rows(FLOATS | st.integers(-3, 3)), _rows(FLOATS.map(np.float64)), _keyed(FLOATS, True),
+)
 
 
 @st.composite
@@ -151,6 +176,7 @@ def test_csv_text_is_the_per_cell_loop(table, data):
        tables())
 @example({}, Table())
 @example({}, Table({"a": [], "b": []}))
+@example({}, Table({"v": [[], []], "d": [{}, {}]}))  # no column holds a text per row
 @example({"more": [Table({"x": [1.0]})]},
          Table({"{0}": [0.5, -0.0], '"}': [math.nan, 5e-324], "\u00e9\\": [2**64, -1],
                 "v": [[1.0, 2.0], []], "d": [{"b": 1.0, "a": math.inf}, {}],
@@ -159,6 +185,35 @@ def test_json_text_of_a_table_is_json_dumps_of_its_rows(payload, rows):
     payload = {**payload, "rows": rows}
     want = json.dumps({"metadata": METADATA, **_as_rows(payload)}, indent=2, sort_keys=True)
     assert _json_text(payload, METADATA) == want + "\n"
+
+
+ODD = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+NESTED = {  # name -> (column, formatted a column at a time)
+    "float rows": ([ODD, [1.5, 0.1, -2.0, 1e300, 2.5]], True),
+    "one float row": ([[math.inf], [0.0]], True),
+    "empty rows": ([[], []], False),
+    "dicts of one key order": ([{"9": 0.5, "10": math.nan, '"\\\u00e9': -0.0},
+                                {"9": 5e-324, "10": -math.inf, '"\\\u00e9': 2.0}], True),
+    "one key": ([{"b": 1.0}, {"b": math.inf}], True),
+    "empty dicts": ([{}, {}], False),
+    "ragged rows": ([[1.0, 2.0], [3.0]], False),
+    "an int among floats": ([[1.0, 2.0], [3.0, 4]], False),
+    "np.float64 items": ([[np.float64(1.0)], [np.float64(math.nan)]], False),
+    "a list in a row": ([[1.0, [2.0]], [3.0, 4.0]], False),
+    "dicts of two key orders": ([{"a": 1.0, "b": 2.0}, {"b": 1.0, "a": 2.0}], False),
+    "dicts of two key sets": ([{"a": 1.0}, {"b": 1.0}], False),
+    "tuples": ([(1.0, 2.0), (3.0, 4.0)], False),
+}
+
+
+@pytest.mark.parametrize("column, at_once", NESTED.values(), ids=NESTED)
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_nested_columns_are_json_dumps_of_their_rows(column, at_once, rows):
+    table = Table({"name": ["x", "y"][:rows], "nested": column[:rows]})
+    want = json.dumps({"metadata": METADATA, "rows": _as_rows(table)}, indent=2, sort_keys=True)
+    assert _json_text({"rows": table}, METADATA) == want + "\n"
+    if rows == len(column):  # one row of any of these shapes is a column of one shape
+        assert (_nested_json(column, table.kind("nested"), 2) is not None) == at_once
 
 
 def _contour_reference(f, xlim, ylim):

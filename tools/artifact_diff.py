@@ -199,6 +199,14 @@ INPUTS = {
     "same_labels.json": {"vectors": [[1, 0]],
                          "references": [{"label": "A", "vector": [1, 0]},
                                         {"label": "A", "vector": [0, 1]}]},
+    # integer labels 10, 9 and 2 sort otherwise as text; the added vector brings a fourth
+    "nn_int_labels.json": {"vectors": [[0.6, 0.6], [2.4, 2.4], [1.4, 1.6], [3.1, 0.2]],
+                           "training": {"initial": [{"label": 10, "vector": [0.5, 0.5]},
+                                                    {"label": 9, "vector": [2.5, 2.5]},
+                                                    {"label": 2, "vector": [3.0, 0.1]}],
+                                        "added": {"label": 7, "vector": [1.5, 1.5]}}},
+    # padded and tab cells, a quoted number, a trailing comma and a comment after the data
+    "padded.csv": ' 1 ,\t1.0\n"1.1",1,\n5 , 5\t\n\t5.1,5\n# end\n',
     "header_only.csv": "x,y\n",
     "late_text.csv": "1,0\n2,zz\n",
     "fidelity_above_one.json": {"state_fidelity": 1.5},
@@ -289,6 +297,9 @@ CASES = [
     ("classify-reversed-labels-plot", "exact", ("classify", "--config", "classify_reversed.json",
                                                 "--out", "out", "--plot")),
     ("cluster-bom-csv", "exact", ("cluster", "--vectors", "bom.csv", "--out", "out")),
+    ("cluster-padded-csv", "exact", ("cluster", "--vectors", "padded.csv", "--out", "out")),
+    ("nn-integer-labels", "exact", ("nn", "--config", "nn_int_labels.json", "--out", "out",
+                                    "--plot")),
     ("nn-ampersand-label-plot", "exact", ("nn", "--config", "nn_ampersand.json", "--out", "out",
                                           "--plot")),
     ("nn-escaped-labels-plot", "exact", ("nn", "--config", "nn_escaped_labels.json",
