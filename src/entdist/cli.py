@@ -41,7 +41,7 @@ from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .noise import NOISE_PRESETS, PAPER_PRESET, NoiseModel, noise_preset
 from .protocol import GENERATOR_NAME, EstimatorConfig, distance_matrix
 from .svgplot import cartesian_scatter_svg, contour_segments, polar_scatter_svg
-from .vectors import RealVector, VectorSet, _lengths
+from .vectors import VectorSet, _lengths
 
 REPRO_TARGETS = ("fig2", "table1", "table2", "fig3", "figS1")
 
@@ -322,14 +322,6 @@ def _vector_set(rows, where: str) -> VectorSet:
         raise type(exc)(f"{where}{exc}") from None
 
 
-def _vector(row, where: str) -> RealVector:
-    """RealVector(row), where an error reads ``{where}: ...``."""
-    try:
-        return RealVector(row)
-    except ValueError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
-
-
 def load_vectors_csv(path) -> VectorSet:
     """One vector per CSV row; skips '#' comments, leading headers and trailing empty cells."""
     rows: list[list[float]] = []
@@ -359,8 +351,21 @@ def load_vectors_csv(path) -> VectorSet:
     return _vector_set(rows, str(path))
 
 
-def _labeled(entry: dict, where: str) -> LabeledReference:
-    return LabeledReference(_vector(entry["vector"], f"{where}.vector"), str(entry["label"]))
+def _checked(rows: list, wheres: list[str]) -> list:
+    """The rows as RealVectors of one VectorSet; an error in row i reads ``{wheres[i]}: ...``.
+    Rows of several dimensions stay lists: the distance block names them, after other errors."""
+    try:
+        return VectorSet(rows).vectors()
+    except ValueError as exc:
+        index, _, message = str(exc).partition("]: ")
+        if index[:1] != "[":  # no row is bad: they differ in dimension
+            return rows
+        raise type(exc)(f"{wheres[int(index[1:])]}: {message}") from None
+
+
+def _labeled(entries: list[dict], wheres: list[str]) -> list[LabeledReference]:
+    vectors = _checked([entry["vector"] for entry in entries], [f"{w}.vector" for w in wheres])
+    return [LabeledReference(v, str(entry["label"])) for v, entry in zip(vectors, entries)]
 
 
 # ---------------------------------------------------------------- output
@@ -395,7 +400,7 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return float.__repr__(value)
     if isinstance(value, (list, tuple)):
-        return " ".join(map(format, value, repeat("g")))
+        return " ".join(["%g"] * len(value)) % tuple(value)
     return str(value)
 
 
@@ -587,14 +592,14 @@ def _estimate(config: dict, cfg: EstimatorConfig) -> Run:
     u, v = config.get("u"), config.get("v")
     if u is None or v is None:
         raise ValueError("estimate needs both vectors: --u/--v or config keys 'u'/'v'")
-    return Run({}, estimate_run(_vector(u, "config.u"), _vector(v, "config.v"), cfg))
+    return Run({}, estimate_run(*_checked([u, v], ["config.u", "config.v"]), cfg))
 
 
 def _classify(config: dict, cfg: EstimatorConfig) -> Run:
     refs = config.get("references")
     if refs is None or len(refs) != 2:
         raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
-    ref_a, ref_b = (_labeled(r, f"config.references[{i}]") for i, r in enumerate(refs))
+    ref_a, ref_b = _labeled(refs, ["config.references[0]", "config.references[1]"])
     vectors = _vectors(config)
     result = two_cluster_assignment(vectors, ref_a, ref_b, cfg)
     labels = result.labels
@@ -626,8 +631,9 @@ def _nn(config: dict, cfg: EstimatorConfig) -> Run:
     initial, added = spec.get("initial", []), spec.get("added")
     if not initial:
         raise ValueError("training set must be non-empty")
-    training = [_labeled(t, f"config.training.initial[{i}]") for i, t in enumerate(initial)]
-    added = _labeled(added, "config.training.added") if added is not None else None
+    wheres = [f"config.training.initial[{i}]" for i in range(len(initial))]
+    training = _labeled([*initial, added] if added else initial, [*wheres, "config.training.added"])
+    added = training.pop() if added else None
     vectors = _vectors(config)
     extra = {
         "training": [{"label": t.label, "vector": t.vector.components.tolist()} for t in training],

@@ -1,11 +1,11 @@
 """Classification and clustering built on the distance estimator.
 
 Each procedure reads its distances as one block from protocol.distance_matrix.
-One labelling rule, nearest reference wins and a tie within BOUNDARY_TOL goes
-to the smallest label, serves two-cluster assignment (over the two references)
-and nearest-neighbor (over a training set).  The unsupervised loop moves every
-vector to the group of smallest mean distance, one (n, k) array of means over
-integer group codes per round, until nothing moves.
+One labelling rule, nearest reference wins and a tie (a factor 1 + BOUNDARY_TOL)
+goes to the smallest label, serves two-cluster assignment (over the two
+references) and nearest-neighbor (over a training set).  The unsupervised
+loop moves every vector to the group of smallest mean distance, one (n, k)
+array of means over integer group codes per round, until nothing moves.
 """
 
 from __future__ import annotations
@@ -30,8 +30,14 @@ __all__ = [
     "unsupervised_cluster",
 ]
 
-# |margin| below this counts as an exact tie and flags the boundary
+# a label at most 1 + BOUNDARY_TOL times as far as the nearest ties and flags the boundary
 BOUNDARY_TOL = 1e-12
+
+
+def _tied(minima: np.ndarray) -> np.ndarray:
+    """(n, L): the labels that tie with each row's nearest, itself included, at any 2^k scale."""
+    with np.errstate(over="ignore"):  # a nearest distance within 1e-12 of float64's largest
+        return minima <= minima.min(axis=1, keepdims=True) * (1 + BOUNDARY_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +67,8 @@ class Assignment:
 
     @property
     def boundary(self) -> np.ndarray:
-        """True where the runner-up label is within BOUNDARY_TOL: a tie."""
-        return self.gap < BOUNDARY_TOL
+        """True where the runner-up label ties with the nearest (see _tied)."""
+        return _tied(self.distances).sum(axis=1) > 1
 
     def per_label(self) -> list[dict]:
         """Each row's nearest distance per label, in label order."""
@@ -101,19 +107,17 @@ def nearest_neighbor_assignment(dist: np.ndarray, training) -> Assignment:
     """The one labelling rule: row i of a distance block takes the label of its
     nearest column j, training[j].label.
 
-    Labels within BOUNDARY_TOL of the best tie, and the smallest wins; the
-    margin is the gap to the runner-up label.
+    Labels within a factor 1 + BOUNDARY_TOL of the nearest tie, and the
+    smallest wins; the margin is the gap to the runner-up label.
     """
     labels = [t.label for t in training]
     names = list(dict.fromkeys(labels))
     codes = np.array([names.index(label) for label in labels])
     minima = np.column_stack([dist[:, codes == c].min(axis=1) for c in range(len(names))])
     ranked = np.sort(minima, axis=1)
-    best = ranked[:, 0]
-    gap = ranked[:, 1] - best if len(names) > 1 else np.full(len(best), np.inf)
+    gap = ranked[:, 1] - ranked[:, 0] if len(names) > 1 else np.full(len(ranked), np.inf)
     by_label = np.array(sorted(range(len(names)), key=names.__getitem__))
-    tied = minima[:, by_label] - best[:, None] < BOUNDARY_TOL
-    return Assignment(names, minima, by_label[tied.argmax(axis=1)], gap, gap)
+    return Assignment(names, minima, by_label[_tied(minima[:, by_label]).argmax(axis=1)], gap, gap)
 
 
 def nearest_neighbor_classify(

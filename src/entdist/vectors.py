@@ -66,11 +66,9 @@ class RealVector:
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionError("expected a non-empty 1-D sequence of reals")
         try:
-            row = VectorSet(arr[None])
+            self.__dict__.update(vars(VectorSet(arr[None]).vectors()[0]))
         except ValueError as exc:  # a lone vector is no row of a set: drop the "[0]: "
             raise type(exc)(str(exc).removeprefix("[0]: ")) from None
-        object.__setattr__(self, "components", row.components[0])
-        object.__setattr__(self, "_norm", float(row.norms[0]))
 
     @property
     def dimension(self) -> int:
@@ -143,6 +141,13 @@ class VectorSet:
     @property
     def dimension(self) -> int:
         return int(self.components.shape[1])
+
+    def vectors(self) -> list[RealVector]:
+        """The rows as RealVectors sharing the checked rows and norms, as RealVector(row) does."""
+        views = [object.__new__(RealVector) for _ in range(len(self))]
+        for view, row, norm in zip(views, self.components, self.norms.tolist()):
+            view.__dict__.update(components=row, _norm=norm)
+        return views
 
 
 def as_vector(v) -> RealVector:

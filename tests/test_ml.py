@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -491,24 +492,31 @@ def test_reassign_matches_the_per_cell_reference(case):
     assert [names[c] for c in got] == reference_reassign(dist, labels, names)
 
 
+def ties(distance: float, best: float) -> bool:
+    """A label ties with the nearest when its distance is at most (1 + BOUNDARY_TOL) times
+    the nearest, in exact rational arithmetic (1 + BOUNDARY_TOL as the float64 it rounds to)."""
+    return Fraction(distance) <= Fraction(1 + BOUNDARY_TOL) * Fraction(best)
+
+
 def reference_nearest(row, training):
     """The labelling rule one row at a time, as its oracle: the nearest
-    distance per label (first-seen order), the smallest label within
-    BOUNDARY_TOL of the best, and the gap to the runner-up label."""
+    distance per label (first-seen order), the smallest label that ties with
+    the best, whether the runner-up ties, and the gap to the runner-up label."""
     per_label = {}
     for d, t in zip(row, training, strict=True):
         per_label[t.label] = min(per_label.get(t.label, math.inf), d)
     best, *rest = sorted(per_label.values())
-    label = min(name for name, d in per_label.items() if d - best < BOUNDARY_TOL)
-    return per_label, label, rest[0] - best if rest else math.inf
+    label = min(name for name, d in per_label.items() if ties(d, best))
+    gap = rest[0] - best if rest else math.inf
+    return per_label, label, bool(rest) and ties(rest[0], best), gap
 
 
 def assert_row_follows_reference(got, i, row, training):
     """Row i of an Assignment is reference_nearest of its distance row; returns the gap."""
-    per_label, label, gap = reference_nearest(row, training)
+    per_label, label, boundary, gap = reference_nearest(row, training)
     assert list(got.per_label()[i].items()) == list(per_label.items())
     assert got.labels[i] == label
-    assert got.boundary[i] == (gap < BOUNDARY_TOL)
+    assert got.boundary[i] == boundary
     return gap
 
 
@@ -523,6 +531,55 @@ def test_classify_is_nearest_neighbors_over_the_two_references(vectors, a, b, la
         gap = assert_row_follows_reference(got, i, row, refs)
         assert abs(got.margin[i]) == gap
         assert got.margin[i] == row[0] - row[1]
+
+
+SCALES = (-1000, -60, 60, 1000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors=lattice_points(1, 6), training=lattice_points(2, 5),
+       labels=st.lists(st.sampled_from("abc"), min_size=5, max_size=5), cfg=sampled_or_exact())
+@example(vectors=[[2, 1], [1, 2]], training=[[2, 0], [0, 2]], labels=list("baabc"), cfg=EXACT)
+@example(vectors=[[1, 1], [0, 2]], training=[[0, 2], [2, 0], [0, 2]], labels=list("cabcc"),
+         cfg=EXACT)  # a distance 0, and a query equally far from "a" and "b"
+def test_labels_and_boundary_flags_are_power_of_two_covariant(vectors, training, labels, cfg):
+    """Scaled by 2^k, every distance scales exactly, and the labels and boundary flags of
+    both procedures stay those at unit scale."""
+    def assignments(k):
+        refs = [ref(np.ldexp(t, k), label) for t, label in zip(training, labels)]
+        us = np.ldexp(np.array(vectors, dtype=float), k)
+        dist = distance_matrix(us, [r.vector for r in refs], cfg)
+        two = two_cluster_assignment(us, *refs[:2], cfg) if labels[0] != labels[1] else None
+        return dist, nearest_neighbor_assignment(dist, refs), two
+
+    base = assignments(0)
+    for k in SCALES:
+        scaled = assignments(k)
+        assert np.array_equal(scaled[0], np.ldexp(base[0], k))
+        for got, want in zip(scaled[1:], base[1:]):
+            if want is not None:
+                assert got.labels == want.labels
+                assert got.boundary.tolist() == want.boundary.tolist()
+
+
+@pytest.mark.parametrize("k", [0, *SCALES, -200, 200])
+def test_ties_scale_with_the_data(k):
+    """(0.9, 0.1) is nearer to (1, 0) and (0.1, 0.9) to (0, 1) at every scale: with an
+    absolute tie window, both went to "a", flagged, at 2^-60 and below."""
+    refs = [ref(np.ldexp([1.0, 0.0], k), "b"), ref(np.ldexp([0.0, 1.0], k), "a")]
+    queries = np.ldexp([[0.9, 0.1], [0.1, 0.9]], k)
+    for got in (two_cluster_assignment(queries, *refs, EXACT),
+                nearest_neighbor_assignment(distance_matrix(queries, [r.vector for r in refs]),
+                                            refs)):
+        assert got.labels == ["b", "a"]
+        assert got.boundary.tolist() == [False, False]
+
+
+def test_a_label_at_distance_0_ties_only_with_distance_0():
+    got = nearest_neighbor_assignment(np.array([[0.0, 5e-324], [0.0, 0.0], [5e-324, 1e-300]]),
+                                      [ref([1, 0], "z"), ref([0, 1], "a")])
+    assert got.labels == ["z", "a", "z"]
+    assert got.boundary.tolist() == [False, True, False]
 
 
 @settings(max_examples=100, deadline=None)

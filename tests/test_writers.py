@@ -13,6 +13,7 @@ import io
 import json
 import math
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -137,6 +138,23 @@ def _cell_reference(value) -> str:
 ])
 def test_cell_writes_numpy_scalars_as_python_ones(value, text):
     assert _cell(value) == _cell_reference(value) == text
+
+
+# list-cell items: floats, ints, bools and np.float64, with the values whose %g text
+# is special (nan, ±inf, −0.0, the least subnormal) or switches notation (1e16, 1e-5)
+LIST_ITEMS = (st.floats() | st.integers(-2**70, 2**70) | st.booleans()
+              | st.floats().map(np.float64)
+              | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5,
+                                 9.999995e15, 1.5e-5, 2**53 + 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(LIST_ITEMS, max_size=6)
+                     | st.lists(LIST_ITEMS, max_size=6).map(tuple), max_size=4))
+@example(rows=[[1.0, 0.25], [], (3,), [True, False, np.float64(-0.0)]])  # ragged rows
+def test_list_cells_are_each_item_formatted_with_g(rows):
+    for row in rows:
+        assert _cell(row) == " ".join(map(format, row, repeat("g")))
 
 
 def _csv_reference(fieldnames, table, metadata):

@@ -56,6 +56,14 @@ def wave(i: int, dim: int = 16) -> list[float]:
     return [round(math.sin(3 * i + k), 3) for k in range(dim)]
 
 
+NN64 = [{"label": "ab"[i % 3 % 2], "vector": wave(20 + i)} for i in range(64)]
+MIXED = [{"label": "a", "vector": [1, 0]}, {"label": "b", "vector": [0, 0, 1, 0]}]
+TINY_REFS = [{"label": "b", "vector": [math.ldexp(1, -60), 0]},
+             {"label": "a", "vector": [0, math.ldexp(1, -60)]}]
+TINY_QUERIES = [[math.ldexp(0.9, -60), math.ldexp(0.1, -60)],
+                [math.ldexp(0.1, -60), math.ldexp(0.9, -60)]]
+
+
 # file name -> contents, written into every case directory (bytes as they are,
 # other .json contents as JSON)
 INPUTS = {
@@ -207,6 +215,26 @@ INPUTS = {
                                         "added": {"label": 7, "vector": [1.5, 1.5]}}},
     # padded and tab cells, a quoted number, a trailing comma and a comment after the data
     "padded.csv": ' 1 ,\t1.0\n"1.1",1,\n5 , 5\t\n\t5.1,5\n# end\n',
+    # the training set is checked as one block: 64 entries, and entry 37 of it not finite
+    "nn64.json": {"vectors": [wave(i) for i in range(6)],
+                  "training": {"initial": NN64, "added": {"label": "c", "vector": wave(99)}}},
+    "nn64_inf.json": {"vectors": [wave(0)],
+                      "training": {"initial": [*NN64[:37],
+                                               {"label": "a", "vector": [math.inf] * 16},
+                                               *NN64[38:]]}},
+    # training vectors of two dimensions, and an added vector of a third: the dimensions
+    # are named once the test vectors are read
+    "nn_mixed_dims.json": {"vectors": [[0.6, 0.6]], "training": {"initial": MIXED}},
+    "nn_mixed_dims_added.json": {"vectors": [[0.6, 0.6]],
+                                 "training": {"initial": MIXED,
+                                              "added": {"label": "c", "vector": [1] * 8}}},
+    "nn_mixed_dims_bad_entry.json": {"vectors": [[0.6, 0.6]],
+                                     "training": {"initial": [*MIXED, {"label": "c",
+                                                                       "vector": [0, 0, 0]}]}},
+    # references and a training set at 2^-60: the tie window is relative to the nearest
+    # distance, so the labels are those at unit scale
+    "classify_tiny.json": {"vectors": TINY_QUERIES, "references": TINY_REFS},
+    "nn_tiny.json": {"vectors": TINY_QUERIES, "training": {"initial": TINY_REFS}},
     "header_only.csv": "x,y\n",
     "late_text.csv": "1,0\n2,zz\n",
     "fidelity_above_one.json": {"state_fidelity": 1.5},
@@ -298,6 +326,10 @@ CASES = [
                                                 "--out", "out", "--plot")),
     ("cluster-bom-csv", "exact", ("cluster", "--vectors", "bom.csv", "--out", "out")),
     ("cluster-padded-csv", "exact", ("cluster", "--vectors", "padded.csv", "--out", "out")),
+    ("nn-64-entries", "exact", ("nn", "--config", "nn64.json", "--out", "out")),
+    ("classify-scale-2-60", "exact", ("classify", "--config", "classify_tiny.json",
+                                      "--out", "out")),
+    ("nn-scale-2-60", "exact", ("nn", "--config", "nn_tiny.json", "--out", "out")),
     ("nn-integer-labels", "exact", ("nn", "--config", "nn_int_labels.json", "--out", "out",
                                     "--plot")),
     ("nn-ampersand-label-plot", "exact", ("nn", "--config", "nn_ampersand.json", "--out", "out",
@@ -365,6 +397,7 @@ CASES = [
     ("err-norm-above-half-max", "error", ("estimate", "--u", "1e308,1e308", "--v", "1,0")),
     ("err-cluster-3d", "error", ("cluster", "--vector", "1,0,0", "--vector", "0,1,0",
                                  "--vector", "5,5,0", "--out", "out")),
+    ("err-estimate-dims", "error", ("estimate", "--u", "1,0", "--v", "1,0,0,0")),
     ("err-classify-dims", "error", ("classify", "--vector", "1,0", "--ref-a", "1,0,0,0",
                                     "--ref-b", "0,0,1,1", "--out", "out")),
     ("err-nn-dims", "error", ("nn", "--config", "nn4.json", "--vector", "1,0", "--out", "out")),
@@ -413,6 +446,20 @@ CASES = [
                                               "--out", "out")),
     ("err-zero-row-csv", "error", ("cluster", "--vectors", "zero_row.csv", "--out", "out")),
     ("err-csv-empty-cell", "error", ("cluster", "--vectors", "empty_cell.csv", "--out", "out")),
+    ("err-nn-64-entries-non-finite", "error", ("nn", "--config", "nn64_inf.json",
+                                               "--out", "out")),
+    ("err-nn-mixed-dims", "error", ("nn", "--config", "nn_mixed_dims.json", "--out", "out")),
+    ("err-nn-mixed-dims-added", "error", ("nn", "--config", "nn_mixed_dims_added.json",
+                                          "--out", "out")),
+    # a bad vectors file is named before training vectors of several dimensions
+    ("err-nn-mixed-dims-bad-vectors", "error", ("nn", "--config", "nn_mixed_dims.json",
+                                                "--vectors", "zero_row.csv", "--out", "out")),
+    ("err-nn-mixed-dims-added-bad-vectors", "error", ("nn", "--config",
+                                                      "nn_mixed_dims_added.json", "--vectors",
+                                                      "inf_vectors.json", "--out", "out")),
+    # a bad entry is named before the dimensions, and before a bad vectors file
+    ("err-nn-mixed-dims-bad-entry", "error", ("nn", "--config", "nn_mixed_dims_bad_entry.json",
+                                              "--vectors", "zero_row.csv", "--out", "out")),
     ("err-zero-training-entry", "error", ("nn", "--config", "nn_zero_training.json",
                                           "--out", "out")),
     ("err-non-finite-reference", "error", ("classify", "--vector", "1,0", "--ref-a", "1,0",
