@@ -564,8 +564,8 @@ def test_labels_and_boundary_flags_are_power_of_two_covariant(vectors, training,
 
 @pytest.mark.parametrize("k", [0, *SCALES, -200, 200])
 def test_ties_scale_with_the_data(k):
-    """(0.9, 0.1) is nearer to (1, 0) and (0.1, 0.9) to (0, 1) at every scale: with an
-    absolute tie window, both went to "a", flagged, at 2^-60 and below."""
+    """(0.9, 0.1) is nearer to (1, 0) and (0.1, 0.9) to (0, 1) at every scale; an absolute
+    tie window would send both to "a", flagged, at 2^-60 and below."""
     refs = [ref(np.ldexp([1.0, 0.0], k), "b"), ref(np.ldexp([0.0, 1.0], k), "a")]
     queries = np.ldexp([[0.9, 0.1], [0.1, 0.9]], k)
     for got in (two_cluster_assignment(queries, *refs, EXACT),
