@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .protocol import EstimatorConfig, distance_matrix
+from .protocol import EstimatorConfig, _distances, _draw, _pair_scale, distance_matrix, p_matrix
 from .protocol import estimate_distance  # noqa: F401  (bench/tracing.py patches it here)
 from .vectors import RealVector, VectorSet, as_vector
 
@@ -202,12 +202,14 @@ def unsupervised_cluster(
     ``init`` is either an explicit per-vector label assignment covering
     exactly k distinct labels, or an integer seed for a random assignment
     over groups 0..k-1 (surjective, so no group starts empty).  Labels
-    update synchronously each round; sampled, round r estimates its block
-    under cfg.derive(r), so pair (i, j), i < j, is draw i of the stream
-    (cfg.derive(r).seed, j).  A vector that is the sole member of its group
-    has no own-group mean to compare against and stays put.  Stops at a
-    fixed point (converged), on a repeated label configuration (cycle),
-    or at max_iterations.
+    update synchronously each round.  Sampled, the expected upper block (p
+    under cfg's noise) and its pair scales are evaluated once, and round r
+    draws that block on the cfg.derive(r) streams, so pair (i, j), i < j, is
+    draw i of the stream (cfg.derive(r).seed, j), as in
+    distance_matrix(vectors, vectors, cfg.derive(r), upper=True).  A vector
+    that is the sole member of its group has no own-group mean to compare
+    against and stays put.  Stops at a fixed point (converged), on a
+    repeated label configuration (cycle), or at max_iterations.
     """
     vectors = VectorSet(vectors)
     n = len(vectors)
@@ -240,13 +242,20 @@ def unsupervised_cluster(
     code_of = {g: c for c, g in enumerate(groups)}
     codes = np.array([code_of[label] for label in labels])
 
-    exact_dist = _pairwise_distances(vectors, cfg) if cfg.mode == "exact" else None
+    if cfg.mode == "exact":
+        exact_dist = _pairwise_distances(vectors, cfg)
+    else:
+        expected = p_matrix(vectors, vectors, replace(cfg, mode="exact"), upper=True)
+        scale = _pair_scale(vectors.norms[:, None], vectors.norms[None, :])
     history = [tuple(labels)]
     seen = {history[0]}
     converged = False
     for iteration in range(1, max_iterations + 1):
-        dist = (exact_dist if exact_dist is not None
-                else _pairwise_distances(vectors, cfg.derive(iteration)))
+        if cfg.mode == "exact":
+            dist = exact_dist
+        else:
+            dist = _distances(_draw(expected, cfg.derive(iteration), upper=True), *scale)
+            dist = dist + dist.T
         new = _reassign(dist, codes, k)
         history.append(tuple(groups[c] for c in new.tolist()))
         if np.array_equal(new, codes):

@@ -176,7 +176,8 @@ class EstimatorConfig:
         The seed is the first 64-bit word of numpy's
         SeedSequence([seed, *indices]), computed by the pass that seeds a
         block's columns.  Column j of a sampled block draws on the seed of
-        derive(j); a clustering round r runs its block under derive(r).
+        derive(j); a clustering round r draws its block on the streams of
+        derive(r).
         """
         key = [w for k in (self.seed, *indices) for w in _words(k)]
         return replace(self, seed=int(_seed_states(np.array(key, np.uint32)[:, None], 1)[0, 0]))
@@ -197,21 +198,8 @@ class DistanceEstimate:
     overlap_out_of_range: bool  # shot noise pushed <u|v> outside [-1, 1]
 
 
-def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
-             upper: bool = False) -> np.ndarray:
-    """Observed p for every pair (us[i], vs[j]) of two VectorSets (or their rows) under cfg.
-
-    The two dimensions are checked, then the noise model at that dimension.
-    Each pair is evaluated scaled by the power of two ``_pair_scale`` gives
-    it, which leaves p as it is.  With ``upper`` only the pairs j > i are
-    evaluated and every other entry is 0.  In sampled mode entry (i, j) is
-    draw i of the generator seeded with cfg.derive(j).seed, so the first k
-    rows of a block (the leading k x k of an ``upper`` one) are the k-row
-    block, and a column does not depend on the other columns.  The column
-    generators start from states computed for all columns at once, and each
-    is built only when its column is drawn.
-    """
-    us, vs = VectorSet(us), VectorSet(vs)
+def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool) -> np.ndarray:
+    """The closed-form p of every pair, clipped to [0, 1], under cfg's noise (no draws)."""
     n, m, dim = len(us), len(vs), us.dimension
     _check_dimensions(dim, vs.dimension)
     if cfg.noise is not None:  # a fidelity the channel rejects raises before any pair
@@ -230,16 +218,50 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
     np.clip(p, 0.0, 1.0, out=p)
     if cfg.noise is not None:
         p = apply_noise(p, cfg.noise, dim.bit_length())
-    if upper:
-        p = np.triu(p, 1)
+    return np.triu(p, 1) if upper else p
 
-    if cfg.mode == "sampled":
-        # one generator per column, built as it is reached, drawing down its
-        # rows in order as scalar calls would
-        for j, rng in enumerate(_column_generators(cfg.seed, m)):
-            rows = slice(j if upper else n)
-            p[rows, j] = rng.binomial(cfg.shots, p[rows, j]) / cfg.shots
-    return p
+
+def _draw(p: np.ndarray, cfg: EstimatorConfig, upper: bool = False, out=None) -> np.ndarray:
+    """A sampled block from the expected block p: column j is drawn on the
+    generator of cfg.derive(j).seed, down its rows in order as scalar calls
+    would (rows 0..j-1 only with ``upper``).
+
+    The columns are drawn as the rows of a C-ordered transposed copy, so
+    every draw reads and writes contiguous memory, and the counts are
+    divided by the shots once, into ``out`` or a new C-ordered block.
+    """
+    counts = p.T.copy()  # row j is column j of p
+    for j, rng in enumerate(_column_generators(cfg.seed, len(counts))):
+        row = counts[j, :j] if upper else counts[j]
+        row[:] = rng.binomial(cfg.shots, row)
+    return np.divide(counts.T, cfg.shots, out=out, order="C")
+
+
+def _distances(p: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """D = sqrt(2 p (|u|^2 + |v|^2)) of every pair, from its _pair_scale (e, z)."""
+    with np.errstate(over="ignore"):  # a D rounded past float64's largest value reads inf
+        return np.ldexp(np.sqrt(2.0 * p * z), e)
+
+
+def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
+             upper: bool = False) -> np.ndarray:
+    """Observed p for every pair (us[i], vs[j]) of two VectorSets (or their rows) under cfg.
+
+    Two steps: the expected block, then in sampled mode its draw.  The two
+    dimensions are checked, then the noise model at that dimension.  Each
+    pair is evaluated scaled by the power of two ``_pair_scale`` gives it,
+    which leaves p as it is.  With ``upper`` only the pairs j > i are
+    evaluated and every other entry is 0.  In sampled mode entry (i, j) is
+    draw i of the generator seeded with cfg.derive(j).seed, so the first k
+    rows of a block (the leading k x k of an ``upper`` one) are the k-row
+    block, and a column does not depend on the other columns.  The column
+    generators start from states computed for all columns at once, and each
+    is built only when its column is drawn.  The block returned is C-ordered
+    float64.  A sampled clustering evaluates its expected block once, and
+    round r draws it on the cfg.derive(r) streams.
+    """
+    p = _expected_p(VectorSet(us), VectorSet(vs), cfg, upper)
+    return _draw(p, cfg, upper, out=p) if cfg.mode == "sampled" else p
 
 
 def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
@@ -247,9 +269,7 @@ def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
     """D = sqrt(2 p (|u|^2 + |v|^2)) for every pair of the p_matrix block."""
     us, vs = VectorSet(us), VectorSet(vs)
     p = p_matrix(us, vs, cfg, upper)
-    e, z = _pair_scale(us.norms[:, None], vs.norms[None, :])
-    with np.errstate(over="ignore"):  # a D rounded past float64's largest value reads inf
-        return np.ldexp(np.sqrt(2.0 * p * z), e)
+    return _distances(p, *_pair_scale(us.norms[:, None], vs.norms[None, :]))
 
 
 def exact_p(query: DistanceQuery) -> float:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import entdist.experiments
 import entdist.ml
+import entdist.protocol
 from entdist.datasets import FIG3_DEMO, FIGS1_DEMO, fig2_references
 from entdist.experiments import fig2_run
+from entdist.noise import NoiseModel, apply_noise
 from entdist.ml import (
     BOUNDARY_TOL,
     LabeledReference,
@@ -398,6 +400,31 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
             assert dist[i, j] == dist[j, i] == want[i, j]
         assert (dist != entdist.ml._pairwise_distances(points, cfg)).any()
     assert (blocks[0] != blocks[1]).any()
+
+    # noisy: the expected block is evaluated once, and round r draws the noisy
+    # closed-form p of pair (i, j), i < j, as draw i of numpy's stream
+    # SeedSequence([SeedSequence([seed, r]) word, j]), one scalar draw per row
+    noise = NoiseModel(state_fidelity=0.9, dark_count_fraction=0.01)
+    noisy = EstimatorConfig(mode="sampled", shots=50, seed=5, noise=noise)
+    noise_calls = []
+    monkeypatch.setattr(entdist.protocol, "apply_noise",
+                        lambda *args: noise_calls.append(args) or apply_noise(*args))
+    points = [as_vector(p) for p in np.random.default_rng(0).normal(size=(12, 2)) + 2]
+    blocks.clear()
+    state = unsupervised_cluster(points, 3, 1, noisy, max_iterations=4)
+    assert len(blocks) == state.iteration == 4 and len(noise_calls) == 1
+    expected = {(i, j): apply_noise(exact_p(DistanceQuery(points[i], points[j])), noise, 2)
+                for i, j in itertools.combinations(range(12), 2)}
+    for r, dist in enumerate(blocks, start=1):
+        round_seed = np.random.SeedSequence([noisy.seed, r]).generate_state(1, np.uint64)[0]
+        for j in range(12):
+            column_seed = np.random.SeedSequence([int(round_seed), j]).generate_state(1, np.uint64)
+            rng = np.random.default_rng(int(column_seed[0]))
+            for i in range(j):
+                p_hat = rng.binomial(noisy.shots, expected[i, j]) / noisy.shots
+                want = distance_from_p(p_hat, points[i].norm, points[j].norm)
+                assert dist[i, j] == dist[j, i] == want
+    assert all((a != b).any() for a, b in itertools.pairwise(blocks))
 
     vectors = [as_vector(v) for v in ([1.0, 0.5], [0.3, 2.0], [2.0, 2.0])]
     sampled_diff = fig2_run(cfg, vectors=vectors)["rows"]["sampled_diff"]

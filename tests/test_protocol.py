@@ -106,7 +106,11 @@ class TestStreamSeeds:
         us = np.random.default_rng(2).normal(size=(40, 2))
         cfg = EstimatorConfig(mode="sampled", shots=100, seed=seed)
         ideal = p_matrix(us, us, replace(cfg, mode="exact"), upper)
-        assert p_matrix(us, us, cfg, upper).tolist() == _column_draws(ideal, cfg, upper).tolist()
+        drawn = p_matrix(us, us, cfg, upper)
+        assert drawn.tolist() == _column_draws(ideal, cfg, upper).tolist()
+        # columns are drawn as rows of a transposed copy; the blocks come back C-ordered
+        for block in (drawn, distance_matrix(us, us, cfg, upper)):
+            assert block.dtype == np.float64 and block.flags.c_contiguous
 
 
 class TestEntangledState:

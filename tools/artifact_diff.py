@@ -57,6 +57,10 @@ def wave(i: int, dim: int = 16) -> list[float]:
 
 
 NN64 = [{"label": "ab"[i % 3 % 2], "vector": wave(20 + i)} for i in range(64)]
+# 45 4-D vectors in three overlapping blobs: a noisy sampled clustering of 6 rounds
+BLOB_CENTRES = [[0, 0, 0, 0], [2, 2, 0, 0], [0, 2, 2, 1]]
+BLOBS = [[round(c + 0.8 * w, 3) for c, w in zip(BLOB_CENTRES[i % 3], wave(i, 4))]
+         for i in range(45)]
 MIXED = [{"label": "a", "vector": [1, 0]}, {"label": "b", "vector": [0, 0, 1, 0]}]
 TINY_REFS = [{"label": "b", "vector": [math.ldexp(1, -60), 0]},
              {"label": "a", "vector": [0, math.ldexp(1, -60)]}]
@@ -119,6 +123,8 @@ INPUTS = {
                             "training": {"initial": [{"label": "a", "vector": wave(7)},
                                                      {"label": "b", "vector": wave(11)}]}},
     "lattice.json": {"vectors": LATTICE, "k": 3, "init": 5, "max_iterations": 30},
+    "cluster_noise.json": {"vectors": BLOBS, "k": 3, "init": 0, "noise": "noise.json",
+                           "estimator": {"mode": "sampled", "shots": 300, "seed": 4}},
     "fig2_3d.json": {"vectors": [[1, 0, 0]]},
     # a fidelity the 2-qubit channel of fig2's vectors rejects
     "fig2_bad_noise.json": {"vectors": [[1.0, 0.5], [0.2, 2.0]],
@@ -316,6 +322,8 @@ CASES = [
     ("cluster-lattice", "exact", ("cluster", "--config", "lattice.json", "--out", "out")),
     ("cluster-lattice-sampled", "sampled", ("cluster", "--config", "lattice.json",
                                             "--out", "out", *SHOTS)),
+    ("cluster-sampled-noise", "sampled", ("cluster", "--config", "cluster_noise.json",
+                                          "--out", "out")),
     ("cluster-veto", "exact", ("cluster", "--config", "veto.json", "--out", "out")),
     ("nn-tie", "exact", ("nn", "--config", "nn_tie.json", "--out", "out")),
     ("fig2-row-norm-trap", "exact", ("repro", "fig2", "--config", "fig2_row_norms.json",
