@@ -199,7 +199,8 @@ class DistanceEstimate:
 
 
 def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool) -> np.ndarray:
-    """The closed-form p of every pair, clipped to [0, 1], under cfg's noise (no draws)."""
+    """The closed-form p of every pair, clipped to [0, 1], under cfg's noise (no draws);
+    with ``upper``, 0 on and below the diagonal."""
     n, m, dim = len(us), len(vs), us.dimension
     _check_dimensions(dim, vs.dimension)
     if cfg.noise is not None:  # a fidelity the channel rejects raises before any pair
@@ -221,7 +222,7 @@ def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool)
     return np.triu(p, 1) if upper else p
 
 
-def _draw(p: np.ndarray, cfg: EstimatorConfig, upper: bool = False, out=None) -> np.ndarray:
+def _draw(p: np.ndarray, cfg: EstimatorConfig, upper: bool, out=None) -> np.ndarray:
     """A sampled block from the expected block p: column j is drawn on the
     generator of cfg.derive(j).seed, down its rows in order as scalar calls
     would (rows 0..j-1 only with ``upper``).

@@ -12,7 +12,6 @@ import entdist.ml
 import entdist.protocol
 from entdist.datasets import FIG3_DEMO, FIGS1_DEMO, fig2_references
 from entdist.experiments import fig2_run
-from entdist.noise import NoiseModel, apply_noise
 from entdist.ml import (
     BOUNDARY_TOL,
     LabeledReference,
@@ -22,6 +21,7 @@ from entdist.ml import (
     two_cluster_assignment,
     unsupervised_cluster,
 )
+from entdist.noise import NoiseModel, apply_noise
 from entdist.protocol import (
     DistanceQuery,
     EstimatorConfig,
