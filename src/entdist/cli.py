@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import chain, repeat
@@ -379,7 +380,7 @@ class Run:
     summary: dict  # summary.json without its metadata
     fields: list | None = None  # results.csv columns; None: no CSV, summary to stdout
     rows: Table | None = None  # the results.csv table
-    plots: dict = field(default_factory=dict)  # file name -> render(metadata) -> SVG
+    plots: dict = field(default_factory=dict)  # file name -> render(metadata) -> SVG lines
     plot_vectors: VectorSet | None = None  # must be 2-D to plot
     line: str | None = None  # printed once the files are written
 
@@ -412,10 +413,11 @@ class Table(dict):
     """A results table as columns: name -> one value per row.
 
     summary.json writes it as json.dumps writes the list of its rows as
-    dicts, and results.csv writes the columns a command names.  Each column
-    is formatted a column at a time: the _cell texts of a column of floats,
-    ints or bools serve both files, and a column of float lists or float
-    dicts is one flat list of float texts in summary.json.
+    dicts, and results.csv writes the columns a command names.  The writers
+    take it a block of rows at a time (``sliced``), and format each block a
+    column at a time: the _cell texts of a column of floats, ints or bools
+    serve both files, and a column of float lists or float dicts is one flat
+    list of float texts in summary.json.
     """
 
     def __init__(self, *args, **kwargs):
@@ -437,26 +439,43 @@ class Table(dict):
                                        else list(map(_FORMAT.get(kind, _cell), column)))
         return self._cells[name]
 
+    def sliced(self, start: int, stop: int) -> Table:
+        """The table of rows start..stop-1."""
+        return Table({name: column[start:stop] for name, column in self.items()})
+
+
+# the writers format a results table this many cells at a time, so what they hold
+# beyond the run's own columns is one block's texts
+_BLOCK_CELLS = 1 << 11
 
 _QUOTABLE = re.compile('[,"\r\n]')  # csv.writer may quote for these, as the Python version has it
 
 
-def _csv_text(fieldnames: list[str], table: Table, metadata: dict) -> str:
-    """The metadata comment lines, then the header and rows joined with commas, or
-    written by csv.writer where a name or a text cell is empty or _QUOTABLE."""
-    head = (f"# artifact: entdist {__version__}\n"
+def _csv_lines(rows, texts: list[list[str]]) -> str:
+    """The rows joined with commas, or written by csv.writer where a cell of texts
+    (the rows' text cells, by column) is empty or _QUOTABLE: the same lines either way."""
+    if not any("" in text or _QUOTABLE.search("".join(text)) for text in texts):
+        return "\n".join(map(",".join, rows)) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_head(fieldnames: list[str], metadata: dict) -> str:
+    """The metadata comment lines and the header row of results.csv."""
+    return (f"# artifact: entdist {__version__}\n"
             f"# generator: {metadata['generator']}\n"
             f"# numpy: {metadata['numpy']}\n"
             f"# seed: {metadata['seed']}\n"
-            f"# config: {json.dumps(metadata['config'], sort_keys=True)}\n")
-    columns = [table.cells(name) for name in fieldnames]
-    rows = zip(*(cells for _, cells in columns))
-    texts = [fieldnames, *(cells for kind, cells in columns if kind not in _FORMAT)]
-    if not any("" in text or _QUOTABLE.search("".join(text)) for text in texts):
-        return head + "\n".join(map(",".join, chain([fieldnames], rows))) + "\n"
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(chain([fieldnames], rows))
-    return head + buf.getvalue()
+            f"# config: {json.dumps(metadata['config'], sort_keys=True)}\n"
+            + _csv_lines([fieldnames], [fieldnames]))
+
+
+def _csv_rows(fieldnames: list[str], block: Table) -> str:
+    """The results.csv lines of a block of rows."""
+    columns = [block.cells(name) for name in fieldnames]
+    return _csv_lines(zip(*(cells for _, cells in columns)),
+                      [cells for kind, cells in columns if kind not in _FORMAT])
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -471,9 +490,22 @@ def _encoder(depth: int):
                           ": ", ",\n" + "  " * (depth + 1), True, False, True)
 
 
-def _json_text(payload: dict, metadata: dict) -> str:
-    """json.dumps({"metadata": metadata, **payload}, indent=2, sort_keys=True), newline-ended."""
-    return _json_value({"metadata": metadata, **payload}, 0) + "\n"
+def _artifacts(run: Run, metadata: dict):
+    """summary.json, json.dumps({"metadata": metadata, **run.summary}, indent=2,
+    sort_keys=True) newline-ended, and results.csv unless run.fields is None, as
+    (file name, text) chunks of at most one row block: both files in one pass."""
+    summary = {"metadata": metadata, **run.summary}
+    if run.fields is not None:
+        yield "results.csv", _csv_head(run.fields, metadata)
+    lead = "{"
+    for key in sorted(summary):
+        yield "summary.json", f"{lead}\n  {encode_basestring_ascii(key)}: "
+        lead, value = ",", summary[key]
+        if isinstance(value, Table):  # results.csv is written with the results table
+            yield from _table_chunks(value, 1, *((run.fields, run.rows) if key == "rows" else ()))
+        else:
+            yield "summary.json", _json_value(value, 1)
+    yield "summary.json", "\n}\n"
 
 
 def _json_value(obj, depth: int) -> str:
@@ -485,7 +517,7 @@ def _json_value(obj, depth: int) -> str:
     list of its rows.
     """
     if isinstance(obj, Table):
-        return _table_json(obj, depth)
+        return "".join(text for _, text in _table_chunks(obj, depth))
     encode = _encoder(depth)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return "".join(encode(obj, 0))
@@ -506,24 +538,32 @@ def _json_value(obj, depth: int) -> str:
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # else float.__repr__
 
 
-def _table_json(table: Table, depth: int) -> str:
-    """The JSON text of a table's rows as dicts where the table sits at nesting depth.
+def _table_chunks(table: Table, depth: int, fieldnames=None, csv_table: Table | None = None):
+    """The JSON text of a table's rows as dicts where it sits at nesting depth, as
+    ("summary.json", text) chunks, one per block of about _BLOCK_CELLS cells.  With
+    fieldnames, each is led by the block's results.csv lines of csv_table, a table
+    of the same rows: when that is the table, a cell text the files share is made once."""
+    n = len(next(iter(table.values()), ()))
+    step = max(1, _BLOCK_CELLS // max(len(table), 1))
+    for start in range(0, n, step):
+        block = table.sliced(start, start + step)
+        if fieldnames is not None:
+            csv_block = block if csv_table is table else csv_table.sliced(start, start + step)
+            yield "results.csv", _csv_rows(fieldnames, csv_block)
+        yield "summary.json", _rows_json(block, depth, "," if start else "[")
+    yield "summary.json", f"\n{'  ' * depth}]" if n else "[]"
 
-    The text is one join of each row's sorted, escaped keys, each with its
-    line's lead, interleaved with the row's value texts.  This is the last
-    read of the table's cells (summary.json follows results.csv), so they
-    are released once the value texts are made: a large table is held as
-    few times as it can be.
-    """
-    names = sorted(table)
-    if not names or not table[names[0]]:
-        return "[]"
+
+def _rows_json(block: Table, depth: int, lead: str) -> str:
+    """The JSON texts of a block's rows where the table sits at nesting depth, the
+    first led by ``lead`` (the list's bracket or a comma): one join of each row's
+    sorted, escaped keys, each with its line's lead, interleaved with its value texts."""
     outer, inner = "  " * (depth + 1), "  " * (depth + 2)  # a row, its keys
     parts = []  # a row's texts in order: a str is the same in every row, a list has one per row
-    for name in names:
-        kind, column = table.kind(name), table[name]
+    for name in sorted(block):
+        kind, column = block.kind(name), block[name]
         if kind in _FORMAT:
-            cells = table.cells(name)[1]
+            cells = block.cells(name)[1]
             texts = [list(map(_JSON_FLOAT.get, cells, cells)) if kind is float else cells]
         elif kind is str:
             texts = [list(map(encode_basestring_ascii, column))]
@@ -533,10 +573,9 @@ def _table_json(table: Table, depth: int) -> str:
         parts += (f",\n{inner}{encode_basestring_ascii(name)}: ", *texts)
     parts[0] = f",\n{outer}{{\n{parts[0][2:]}"  # a row opens with its comma and brace
     parts.append(f"\n{outer}}}")
-    table._cells.clear()
     fields = [repeat(part) if type(part) is str else part for part in parts]
-    fields[0] = chain([f"[{parts[0][1:]}"], fields[0])  # the list's bracket for the first comma
-    return "".join(chain(chain.from_iterable(zip(*fields)), [f"\n{outer[2:]}]"]))
+    fields[0] = chain([f"{lead}{parts[0][1:]}"], fields[0])
+    return "".join(chain.from_iterable(zip(*fields)))
 
 
 def _nested_json(column: list, kind: type | None, depth: int) -> list | None:
@@ -564,6 +603,25 @@ def _nested_json(column: list, kind: type | None, depth: int) -> list | None:
             f"\n{inner[2:]}{closing}"]
 
 
+def _stream(directory: Path, chunks) -> None:
+    """Write (file name, text) chunks, each file created at its first chunk.  If the
+    stream or a write raises, the files it created are removed before the error goes on."""
+    made = []
+    try:
+        with ExitStack() as stack:
+            files = {}
+            for name, text in chunks:
+                if name not in files:
+                    files[name] = stack.enter_context(open(directory / name, "w",
+                                                           encoding="utf-8"))
+                    made.append(directory / name)
+                files[name].write(text)
+    except BaseException:
+        for path in made:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default: bool) -> None:
     """Check the run's plots, then write its files and print its result."""
     meta = _metadata(task, cfg, run.extra)
@@ -572,15 +630,15 @@ def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default
     if plots and run.plot_vectors is not None and run.plot_vectors.dimension != 2:
         raise ValueError(f"{task} plots need 2-D vectors")
     if out is not None:
-        files = {"results.csv": partial(_csv_text, run.fields, run.rows)} if run.fields else {}
-        files["summary.json"] = partial(_json_text, run.summary)
-        files.update(plots)
         path = Path(out)
         path.mkdir(parents=True, exist_ok=True)
-        for name, render in files.items():
-            (path / name).write_text(render(meta), encoding="utf-8")
+        _stream(path, _artifacts(run, meta))
+        for name, render in plots.items():
+            lines = render(meta)  # an SVG's lines, written a block of lines at a time
+            _stream(path, ((name, "\n".join(lines[r:r + _BLOCK_CELLS]) + "\n")
+                           for r in range(0, len(lines), _BLOCK_CELLS)))
     if run.fields is None:  # estimate: the summary is the result; files only on request
-        print(_json_text(run.summary, meta), end="")
+        sys.stdout.writelines(text for _, text in _artifacts(run, meta))
     if run.line is not None:
         print(run.line)
 
@@ -813,7 +871,7 @@ def _boundary(sets, lim) -> np.ndarray:
     return np.ldexp(np.reshape(segments, (-1, 2, 2)), e)
 
 
-def _fig2_svg(result: dict, metadata: dict) -> str:
+def _fig2_svg(result: dict, metadata: dict) -> list[str]:
     a, b = result["reference_a"], result["reference_b"]
     r_max = FIG2_NORM_RANGE[1]
     segments = _boundary(([a], [b]), (0.0, r_max))
@@ -828,7 +886,7 @@ def _fig2_svg(result: dict, metadata: dict) -> str:
     return polar_scatter_svg(xs, ys, panels, refs, boundary, scale, r_max, metadata)
 
 
-def _scatter_svg(vectors, labels, references, sets, names, title, metadata) -> str:
+def _scatter_svg(vectors, labels, references, sets, names, title, metadata) -> list[str]:
     """Labelled 2-D points, a cross at each labelled reference, and the boundary
     between the two point sets unless ``sets`` is None, in a square window around them."""
     points = [tuple(v) for v in vectors.components.tolist()]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .protocol import EstimatorConfig, _distances, _draw, _pair_scale, distance_matrix, p_matrix
+from .protocol import EstimatorConfig, _distances, _draw, _expected_p, distance_matrix
 from .protocol import estimate_distance  # noqa: F401  (bench/tracing.py patches it here)
 from .vectors import RealVector, VectorSet, as_vector
 
@@ -245,8 +245,7 @@ def unsupervised_cluster(
     if cfg.mode == "exact":
         exact_dist = _pairwise_distances(vectors, cfg)
     else:
-        expected = p_matrix(vectors, vectors, replace(cfg, mode="exact"), upper=True)
-        scale = _pair_scale(vectors.norms[:, None], vectors.norms[None, :])
+        expected, *scale = _expected_p(vectors, vectors, cfg, upper=True, scales=True)
     history = [tuple(labels)]
     seen = {history[0]}
     converged = False

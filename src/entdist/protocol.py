@@ -198,9 +198,12 @@ class DistanceEstimate:
     overlap_out_of_range: bool  # shot noise pushed <u|v> outside [-1, 1]
 
 
-def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool) -> np.ndarray:
+def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool,
+                scales: bool = False):
     """The closed-form p of every pair, clipped to [0, 1], under cfg's noise (no draws);
-    with ``upper``, 0 on and below the diagonal."""
+    with ``upper``, 0 on and below the diagonal.  With ``scales``, (p, e, z): e and z
+    hold each pair's _pair_scale as the row blocks computed it (0 where ``upper``
+    skips a pair, whose p is 0)."""
     n, m, dim = len(us), len(vs), us.dimension
     _check_dimensions(dim, vs.dimension)
     if cfg.noise is not None:  # a fidelity the channel rejects raises before any pair
@@ -208,10 +211,14 @@ def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool)
     # component-major, so the sum of squares runs over contiguous rows
     u_cols, v_cols = np.ascontiguousarray(us.components.T), np.ascontiguousarray(vs.components.T)
     p = np.zeros((n, m))
+    if scales:
+        es, zs = np.zeros((n, m), np.intc), np.zeros((n, m))
     step = max(1, _BLOCK_ELEMENTS // (m * dim))
     for r in range(0, n, step):
         c = r + 1 if upper else 0  # an upper row block needs no column j <= r
         e, z = _pair_scale(us.norms[r:r + step, None], vs.norms[None, c:])
+        if scales:
+            es[r:r + step, c:], zs[r:r + step, c:] = e, z
         # finite, as VectorSet caps each norm at half of float64's largest value
         diff = u_cols[:, r:r + step, None] - v_cols[:, None, c:]
         np.ldexp(diff, -e, out=diff)
@@ -219,7 +226,8 @@ def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool)
     np.clip(p, 0.0, 1.0, out=p)
     if cfg.noise is not None:
         p = apply_noise(p, cfg.noise, dim.bit_length())
-    return np.triu(p, 1) if upper else p
+    p = np.triu(p, 1) if upper else p
+    return (p, es, zs) if scales else p
 
 
 def _draw(p: np.ndarray, cfg: EstimatorConfig, upper: bool, out=None) -> np.ndarray:
@@ -268,9 +276,10 @@ def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
 def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
                     upper: bool = False) -> np.ndarray:
     """D = sqrt(2 p (|u|^2 + |v|^2)) for every pair of the p_matrix block."""
-    us, vs = VectorSet(us), VectorSet(vs)
-    p = p_matrix(us, vs, cfg, upper)
-    return _distances(p, *_pair_scale(us.norms[:, None], vs.norms[None, :]))
+    p, e, z = _expected_p(VectorSet(us), VectorSet(vs), cfg, upper, scales=True)
+    if cfg.mode == "sampled":
+        p = _draw(p, cfg, upper, out=p)
+    return _distances(p, e, z)
 
 
 def exact_p(query: DistanceQuery) -> float:

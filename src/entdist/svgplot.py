@@ -154,11 +154,12 @@ def _title(x: float, top: float, title: str) -> str:
             f'font-weight="bold">{title}</text>')
 
 
-def _document(width: float, height: float, body: list[str], metadata: dict) -> str:
+def _document(width: float, height: float, body: list[str], metadata: dict) -> list[str]:
+    """The document's lines, without their newlines: the writer joins them a block at a time."""
     # JSON escapes keep the desc well-formed XML (no markup, no "]]>") and still the same JSON
     desc = json.dumps(metadata, sort_keys=True)
     desc = desc.replace("<", "\\u003c").replace("&", "\\u0026").replace(">", "\\u003e")
-    parts = [
+    return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
         f'viewBox="0 0 {width:g} {height:g}">',
         f"<desc>{desc}</desc>",
@@ -166,7 +167,6 @@ def _document(width: float, height: float, body: list[str], metadata: dict) -> s
         *body,
         "</svg>",
     ]
-    return "\n".join(parts) + "\n"
 
 
 def _polar_grid(panel: _Panel, r_max: float) -> list[str]:
@@ -201,8 +201,9 @@ def _polar_grid(panel: _Panel, r_max: float) -> list[str]:
 
 
 def polar_scatter_svg(xs, ys, panels, references, boundary, fill_scale: float, r_max: float,
-                      metadata: dict) -> str:
-    """Quarter-disk panels side by side, one per (title, fill_values, edge_labels).
+                      metadata: dict) -> list[str]:
+    """The lines of an SVG of quarter-disk panels side by side, one per (title,
+    fill_values, edge_labels).
 
     Each panel draws point i at (xs[i], ys[i]) with fill fill_values[i] /
     fill_scale on the diverging map and the colour of edge_labels[i], one of
@@ -228,9 +229,9 @@ def polar_scatter_svg(xs, ys, panels, references, boundary, fill_scale: float, r
 
 
 def cartesian_scatter_svg(points, labels, xlim, ylim, references, boundary, names, title: str,
-                          metadata: dict) -> str:
-    """Scatter of labeled 2-D points with reference crosses, a dashed boundary
-    (segment list) and the first ``len(names)`` points named."""
+                          metadata: dict) -> list[str]:
+    """The lines of an SVG scatter of labeled 2-D points with reference crosses, a
+    dashed boundary (segment list) and the first ``len(names)`` points named."""
     panel_size, margin = 420.0, 50.0
     width = height = panel_size + 2 * margin
     panel = _Panel(margin, margin, panel_size, xlim, ylim)

@@ -578,6 +578,45 @@ class TestErrorContract:
         assert code == 1 and err.startswith("error:")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("error, code", [(OSError("No space left on device"), 2),
+                                             (MemoryError("out of memory"), 1)],
+                             ids=["os-error", "memory-error"])
+    def test_a_stream_that_raises_after_its_first_chunk_leaves_no_file(
+            self, capsys, tmp_path, monkeypatch, error, code):
+        import entdist.cli
+
+        def failing_after_first(write):
+            calls = []
+
+            def written(*args):
+                calls.append(None)
+                if len(calls) > 1:
+                    raise error
+                return write(*args)
+            return written
+
+        class Lines(list):  # an SVG whose second block of lines raises
+            def __getitem__(self, index):
+                if isinstance(index, slice) and index.start:
+                    raise error
+                return super().__getitem__(index)
+
+        monkeypatch.setattr(entdist.cli, "_BLOCK_CELLS", 10)  # fig2's 10 columns: a row a block
+        monkeypatch.setattr(entdist.cli, "_rows_json",
+                            failing_after_first(entdist.cli._rows_json))
+        out_dir = tmp_path / "out"
+        got = run(capsys, "repro", "fig2", "--count", "5", "--out", str(out_dir))
+        assert got == (code, "", f"error: {error}\n")
+        assert out_dir.is_dir() and not list(out_dir.iterdir())
+
+        monkeypatch.undo()
+        monkeypatch.setattr(entdist.cli, "_BLOCK_CELLS", 10)
+        render = entdist.cli.polar_scatter_svg
+        monkeypatch.setattr(entdist.cli, "polar_scatter_svg", lambda *a: Lines(render(*a)))
+        got = run(capsys, "repro", "fig2", "--count", "5", "--out", str(out_dir))
+        assert got == (code, "", f"error: {error}\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["results.csv", "summary.json"]
+
     @pytest.mark.parametrize("value, shown", [
         (True, "True"),
         # 40 entries: the first 60 characters are shown

@@ -5,25 +5,32 @@ results table as the list of its rows as dicts), ``results.csv`` the
 per-cell loop, the plotted boundary the marching-squares loop over every
 grid cell of a gap evaluated point by point in Python floats, and the fig2
 fills the scalar diverging colour map; each reference below is that code,
-kept here.
+kept here.  The two table files are written as one stream of row blocks, so
+the tables below cross block edges: a block of B rows, tables of B - 1, B,
+B + 1 and 3B + 1 rows.
 """
 
 import csv
 import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 from itertools import repeat
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entdist.cli
 from entdist import __version__
-from entdist.cli import (Table, _cell, _csv_text, _distance_gap, _json_text, _nested_json,
-                         _nn_sets, _square_limits)
+from entdist.cli import (Run, Table, _artifacts, _cell, _distance_gap, _nested_json, _nn_sets,
+                         _square_limits, _stream)
+from entdist.experiments import fig2_run
 from entdist.ml import LabeledReference
+from entdist.protocol import EstimatorConfig
 from entdist.svgplot import _GRID, _diverging_fills, _lerp, contour_segments
 
 METADATA = {"artifact": "entdist", "generator": "numpy-pcg64", "numpy": "x", "seed": 3,
@@ -91,11 +98,42 @@ COLUMN_CELLS = st.sampled_from([
 
 
 @st.composite
-def tables(draw, cells=COLUMN_CELLS):
-    """A Table of 0-5 rows whose every column draws its values from one strategy."""
-    n = draw(st.integers(0, 5))
+def tables(draw, cells=COLUMN_CELLS, rows=st.integers(0, 5)):
+    """A Table of 0-5 rows (or as many as ``rows`` draws) whose every column draws
+    its values from one strategy."""
+    n = draw(rows)
     names = draw(st.lists(NAMES, unique=True, max_size=5))
     return Table({name: draw(st.lists(draw(cells), min_size=n, max_size=n)) for name in names})
+
+
+# rows per block, and the table sizes around its edges
+BLOCK_ROWS = st.integers(1, 3)
+EDGES = BLOCK_ROWS.flatmap(lambda b: st.tuples(st.just(b), st.sampled_from([b - 1, b, b + 1,
+                                                                           3 * b + 1])))
+
+
+def _streams(run: Run, block_rows: int | None = None) -> dict:
+    """The run's table files, each the join of its chunks; with block_rows, the
+    table's blocks hold that many rows."""
+    cells = (block_rows * max(len(run.summary.get("rows", ())), 1) if block_rows
+             else entdist.cli._BLOCK_CELLS)
+    files = {}
+    with mock.patch.object(entdist.cli, "_BLOCK_CELLS", cells):
+        for name, text in _artifacts(run, METADATA):
+            files[name] = files.get(name, "") + text
+    return files
+
+
+def _json_text(payload: dict, block_rows: int | None = None) -> str:
+    return _streams(Run({}, payload), block_rows)["summary.json"]
+
+
+def _csv_text(fields: list, table: Table, block_rows: int | None = None) -> str:
+    """results.csv of the table, under a summary table of as many rows (the cells may
+    be numpy scalars, which summary.json would not take)."""
+    n = len(next(iter(table.values()), ()))
+    run = Run({}, {"rows": Table({"row": list(range(n))})}, fields, table)
+    return _streams(run, block_rows)["results.csv"]
 
 
 def _as_rows(obj):
@@ -116,7 +154,7 @@ def _as_rows(obj):
 @example({"big": [2**63, -2**64, 10**40], "odd": [math.nan, math.inf, -math.inf, -0.0]})
 def test_json_text_is_json_dumps(payload):
     want = json.dumps({"metadata": METADATA, **payload}, indent=2, sort_keys=True) + "\n"
-    assert _json_text(payload, METADATA) == want
+    assert _json_text(payload) == want
 
 
 def _cell_reference(value) -> str:
@@ -177,32 +215,46 @@ CELLS = (SCALARS | st.booleans().map(np.bool_) | st.lists(st.floats(allow_nan=Fa
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables(COLUMN_CELLS | st.just(CELLS)), st.data())
-@example(Table({'say "A", \u00e9': [1.5, math.nan], "{0}": [np.bool_(True), False]}), None)
-@example(Table({"a": [1.5, 2**70], "b": ["x", "y z"], "c": [[1.0], [2.0, 0.5]]}), None)  # joined
-@example(Table({"a": ["", "x"]}), None)  # a row of one empty cell: csv.writer writes ""
-@example(Table({"a": [{"b": 1.0, "c": "d"}], "e": [0.5]}), None)  # "{'b': 1.0, 'c': 'd'}"
-def test_csv_text_is_the_per_cell_loop(table, data):
+@given(st.data())
+def test_csv_text_is_the_per_cell_loop(data):
+    block_rows, n = data.draw(EDGES)
+    table = data.draw(tables(COLUMN_CELLS | st.just(CELLS), st.just(n)))
     # every column, or a subset in any order, as a command names them
-    fields = list(table) if data is None else data.draw(st.permutations(list(table)))[:4]
-    assert _csv_text(fields, table, METADATA) == _csv_reference(fields, table, METADATA)
+    fields = data.draw(st.just(list(table)) | st.permutations(list(table)).map(lambda f: f[:4]))
+    assert _csv_text(fields, table, block_rows) == _csv_reference(fields, table, METADATA)
+
+
+@pytest.mark.parametrize("table", [
+    Table({'say "A", \u00e9': [1.5, math.nan], "{0}": [np.bool_(True), False]}),
+    Table({"a": [1.5, 2**70], "b": ["x", "y z"], "c": [[1.0], [2.0, 0.5]]}),  # joined
+    Table({"a": ["", "x"]}),  # a row of one empty cell: csv.writer writes ""
+    Table({"a": [{"b": 1.0, "c": "d"}], "e": [0.5]}),  # "{'b': 1.0, 'c': 'd'}"
+], ids=["quoted-name", "joined", "one-empty-cell", "dict-cell"])
+@pytest.mark.parametrize("block_rows", [1, 2])
+def test_csv_text_of_a_table_is_the_per_cell_loop(table, block_rows):
+    assert _csv_text(list(table), table, block_rows) == _csv_reference(list(table), table,
+                                                                       METADATA)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.dictionaries(TEXT, st.recursive(SCALARS | tables(), _containers, max_leaves=8),
                        max_size=4),
-       tables())
-@example({}, Table())
-@example({}, Table({"a": [], "b": []}))
-@example({}, Table({"v": [[], []], "d": [{}, {}]}))  # no column holds a text per row
+       EDGES.flatmap(lambda edge: st.tuples(st.just(edge[0]), tables(rows=st.just(edge[1])))))
+@example({}, (1, Table()))
+@example({}, (2, Table({"a": [], "b": []})))
+@example({}, (1, Table({"v": [[], []], "d": [{}, {}]})))  # no column holds a text per row
 @example({"more": [Table({"x": [1.0]})]},
-         Table({"{0}": [0.5, -0.0], '"}': [math.nan, 5e-324], "\u00e9\\": [2**64, -1],
-                "v": [[1.0, 2.0], []], "d": [{"b": 1.0, "a": math.inf}, {}],
-                "f": [np.float64(0.1), np.float64(-math.inf)], "m": [None, True]}))
-def test_json_text_of_a_table_is_json_dumps_of_its_rows(payload, rows):
+         (1, Table({"{0}": [0.5, -0.0], '"}': [math.nan, 5e-324], "\u00e9\\": [2**64, -1],
+                    "v": [[1.0, 2.0], []], "d": [{"b": 1.0, "a": math.inf}, {}],
+                    "f": [np.float64(0.1), np.float64(-math.inf)], "m": [None, True]})))
+def test_json_text_of_a_table_is_json_dumps_of_its_rows(payload, sized):
+    block_rows, rows = sized
     payload = {**payload, "rows": rows}
     want = json.dumps({"metadata": METADATA, **_as_rows(payload)}, indent=2, sort_keys=True)
-    assert _json_text(payload, METADATA) == want + "\n"
+    files = _streams(Run({}, payload, list(rows), rows), block_rows)
+    assert files["summary.json"] == want + "\n"
+    # the files share each block of the table and the texts of its cells
+    assert files["results.csv"] == _csv_reference(list(rows), rows, METADATA)
 
 
 ODD = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
@@ -224,14 +276,70 @@ NESTED = {  # name -> (column, formatted a column at a time)
 }
 
 
+EDGES_AT_BLOCK = ["B-1", "B", "B+1", "3B+1"]
+
+
+def _edge(label: str, columns: int) -> int:
+    """The rows of a table of that many columns at the block edge the label names."""
+    b = max(1, entdist.cli._BLOCK_CELLS // columns)
+    return {"B-1": b - 1, "B": b, "B+1": b + 1, "3B+1": 3 * b + 1}[label]
+
+
 @pytest.mark.parametrize("column, at_once", NESTED.values(), ids=NESTED)
-@pytest.mark.parametrize("rows", [0, 1, 2])
+@pytest.mark.parametrize("rows", [0, 1, 2, *EDGES_AT_BLOCK])
 def test_nested_columns_are_json_dumps_of_their_rows(column, at_once, rows):
-    table = Table({"name": ["x", "y"][:rows], "nested": column[:rows]})
+    if rows in EDGES_AT_BLOCK:  # the first row of the shape, and a quotable name, last only
+        n = _edge(rows, 2)
+        table = Table({"name": ["x"] * (n - 1) + ['say "A", \u00e9'],
+                       "nested": [column[-1]] * (n - 1) + [column[0]]})
+    else:
+        table = Table({"name": ["x", "y"][:rows], "nested": column[:rows]})
     want = json.dumps({"metadata": METADATA, "rows": _as_rows(table)}, indent=2, sort_keys=True)
-    assert _json_text({"rows": table}, METADATA) == want + "\n"
+    assert _json_text({"rows": table}) == want + "\n"
     if rows == len(column):  # one row of any of these shapes is a column of one shape
         assert (_nested_json(column, table.kind("nested"), 2) is not None) == at_once
+
+
+@pytest.mark.parametrize("rows", EDGES_AT_BLOCK)
+def test_cells_only_the_last_block_holds_change_no_byte(rows):
+    """A quotable text, an empty text and non-finite floats in the last block only:
+    each block picks its own way to write, and both files are the whole table's."""
+    n = _edge(rows, 6)
+    table = Table({"index": list(range(n)), "x": [i / 7 for i in range(n)],
+                   "label": ["a", "b"] * (n // 2) + ["a"] * (n % 2),
+                   "flag": [i % 3 == 0 for i in range(n)],
+                   "vector": [[i / 3, 1.0] for i in range(n)],
+                   "note": ["ok"] * n})
+    table["label"][-1] = 'say "A", \u00e9'
+    table["note"][-1] = ""
+    table["x"][-3:] = [math.nan, math.inf, -math.inf]
+    table["vector"][-1] = [math.nan, -math.inf]
+    fields = ["index", "label", "x", "note", "vector", "flag"]
+    files = _streams(Run({}, {"rows": table, "count": n}, fields, table))
+    assert files["results.csv"] == _csv_reference(fields, table, METADATA)
+    want = json.dumps({"metadata": METADATA, "rows": _as_rows(table), "count": n}, indent=2,
+                      sort_keys=True)
+    assert files["summary.json"] == want + "\n"
+
+
+def _fig2_write_peak(directory, count: int) -> int:
+    """The bytes the writers allocate at their peak for exact fig2's table of count rows."""
+    result = fig2_run(EstimatorConfig(mode="exact"), count=count)
+    rows = Table(result["rows"])
+    run = Run({}, {**result, "rows": rows}, list(rows), rows)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _stream(directory, _artifacts(run, METADATA))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_holds_one_block_not_the_file(tmp_path):
+    # whole-file texts made the peak grow with the table: about 4x from 10,000 to 40,000 rows
+    assert _fig2_write_peak(tmp_path, 40_000) <= 1.25 * _fig2_write_peak(tmp_path, 10_000)
 
 
 def _contour_reference(f, xlim, ylim):

@@ -61,6 +61,9 @@ NN64 = [{"label": "ab"[i % 3 % 2], "vector": wave(20 + i)} for i in range(64)]
 BLOB_CENTRES = [[0, 0, 0, 0], [2, 2, 0, 0], [0, 2, 2, 1]]
 BLOBS = [[round(c + 0.8 * w, 3) for c, w in zip(BLOB_CENTRES[i % 3], wave(i, 4))]
          for i in range(45)]
+# 1,000 16-D vectors: the writers' row blocks end inside the nested columns of nn
+# (vector, distances_before, distances_after) and of cluster (vector)
+WAVES = "".join(",".join(map(repr, wave(300 + i))) + "\n" for i in range(1000))
 MIXED = [{"label": "a", "vector": [1, 0]}, {"label": "b", "vector": [0, 0, 1, 0]}]
 TINY_REFS = [{"label": "b", "vector": [math.ldexp(1, -60), 0]},
              {"label": "a", "vector": [0, math.ldexp(1, -60)]}]
@@ -224,6 +227,9 @@ INPUTS = {
     # the training set is checked as one block: 64 entries, and entry 37 of it not finite
     "nn64.json": {"vectors": [wave(i) for i in range(6)],
                   "training": {"initial": NN64, "added": {"label": "c", "vector": wave(99)}}},
+    "waves.csv": WAVES,
+    "nn_waves.json": {"vectors": "waves.csv",
+                      "training": {"initial": NN64, "added": {"label": "c", "vector": wave(99)}}},
     "nn64_inf.json": {"vectors": [wave(0)],
                       "training": {"initial": [*NN64[:37],
                                                {"label": "a", "vector": [math.inf] * 16},
@@ -335,6 +341,12 @@ CASES = [
     ("cluster-bom-csv", "exact", ("cluster", "--vectors", "bom.csv", "--out", "out")),
     ("cluster-padded-csv", "exact", ("cluster", "--vectors", "padded.csv", "--out", "out")),
     ("nn-64-entries", "exact", ("nn", "--config", "nn64.json", "--out", "out")),
+    # 1,000 rows: results.csv and summary.json are written in several row blocks
+    ("nn-1000-two-phase", "exact", ("nn", "--config", "nn_waves.json", "--out", "out")),
+    ("nn-1000-two-phase-sampled", "sampled", ("nn", "--config", "nn_waves.json", "--out", "out",
+                                              *SHOTS)),
+    ("cluster-1000", "exact", ("cluster", "--vectors", "waves.csv", "--k", "4", "--init", "3",
+                               "--out", "out")),
     ("classify-scale-2-60", "exact", ("classify", "--config", "classify_tiny.json",
                                       "--out", "out")),
     ("nn-scale-2-60", "exact", ("nn", "--config", "nn_tiny.json", "--out", "out")),
