@@ -8,7 +8,8 @@ identical runs are byte-identical.
 
 Each command turns the checked config into a ``Run``; ``_write`` alone
 creates the output directory, writes files and prints results, once every
-check has passed, so a failing run writes nothing.
+check has passed, so a failing run writes nothing.  Files are written as
+streams of row blocks, and a file whose stream fails is removed.
 
 Exit status: 0 success (including reported non-convergence), 1 validation
 error (or an input too large for memory), 2 I/O error.

@@ -106,10 +106,9 @@ def tables(draw, cells=COLUMN_CELLS, rows=st.integers(0, 5)):
     return Table({name: draw(st.lists(draw(cells), min_size=n, max_size=n)) for name in names})
 
 
-# rows per block, and the table sizes around its edges
-BLOCK_ROWS = st.integers(1, 3)
-EDGES = BLOCK_ROWS.flatmap(lambda b: st.tuples(st.just(b), st.sampled_from([b - 1, b, b + 1,
-                                                                           3 * b + 1])))
+# (rows per block B, rows of a table around B's edges)
+EDGES = st.integers(1, 3).flatmap(
+    lambda b: st.tuples(st.just(b), st.sampled_from([b - 1, b, b + 1, 3 * b + 1])))
 
 
 def _streams(run: Run, block_rows: int | None = None) -> dict:
