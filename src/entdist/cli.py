@@ -832,12 +832,10 @@ def _run(args) -> None:
 # ---------------------------------------------------------------- plots
 
 
-def _square_limits(points):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    lo = min(min(xs), min(ys)) - 0.25
-    hi = max(max(xs), max(ys)) + 0.25
-    return (lo, hi), (lo, hi)
+def _square_limits(points: np.ndarray) -> tuple[float, float]:
+    """The square window around an (n, 2) array of points: each axis from the least
+    coordinate less 0.25 to the greatest plus 0.25."""
+    return float(points.min()) - 0.25, float(points.max()) + 0.25
 
 
 def _distance_gap(first, second):
@@ -868,7 +866,7 @@ def _boundary(sets, lim) -> np.ndarray:
     wide the window, and a power-of-two scale is exact."""
     e = np.frexp(np.abs(lim).max())[1]
     lim = np.ldexp(lim, -e)
-    segments = contour_segments(_distance_gap(*(np.ldexp(s, -e) for s in sets)), lim, lim)
+    segments = contour_segments(_distance_gap(*(np.ldexp(s, -e) for s in sets)), lim)
     return np.ldexp(np.reshape(segments, (-1, 2, 2)), e)
 
 
@@ -890,12 +888,12 @@ def _fig2_svg(result: dict, metadata: dict) -> list[str]:
 def _scatter_svg(vectors, labels, references, sets, names, title, metadata) -> list[str]:
     """Labelled 2-D points, a cross at each labelled reference, and the boundary
     between the two point sets unless ``sets`` is None, in a square window around them."""
-    points = [tuple(v) for v in vectors.components.tolist()]
     crosses = [(*r.vector.components.tolist(), r.label) for r in references]
-    xlim, ylim = _square_limits(points + [(x, y) for x, y, _ in crosses])
-    boundary = _boundary(sets, xlim).tolist() if sets is not None else ()
-    return cartesian_scatter_svg(points, list(labels), xlim, ylim, crosses, boundary, names,
-                                 title, metadata)
+    lim = _square_limits(np.vstack([vectors.components,
+                                    *(r.vector.components for r in references)]))
+    boundary = _boundary(sets, lim).tolist() if sets is not None else ()
+    return cartesian_scatter_svg(vectors.components, list(labels), lim, crosses, boundary,
+                                 names, title, metadata)
 
 
 def _nn_phase_plots(vectors, rows, training, added, names=()) -> dict:

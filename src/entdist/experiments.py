@@ -165,13 +165,6 @@ def cluster_run(
     return unsupervised_cluster(vectors, k, init, cfg, max_iterations)
 
 
-def _by_sorted_label(assignment) -> list[dict]:
-    """Each row's nearest distance per label, labels sorted."""
-    labels = sorted(assignment.names)
-    distances = assignment.distances[:, list(map(assignment.names.index, labels))]
-    return [dict(zip(labels, row)) for row in distances.tolist()]
-
-
 def nn_run(
     test_vectors,
     initial_training,
@@ -199,8 +192,8 @@ def nn_run(
         "label_before": labels_before,
         "label_after": labels_after,
         "changed": changed,
-        "distances_before": _by_sorted_label(before),
-        "distances_after": _by_sorted_label(after),
+        "distances_before": before.per_label(),
+        "distances_after": after.per_label(),
     }
     return {
         "rows": rows,

@@ -58,8 +58,7 @@ class Assignment:
     names: list  # the distinct labels, first-seen order
     distances: np.ndarray  # (n, L): the nearest distance to each label
     codes: np.ndarray  # (n,): the assigned label, an index into names
-    margin: np.ndarray  # (n,)
-    gap: np.ndarray  # (n,): best to runner-up label (inf with a single label)
+    margin: np.ndarray  # (n,): runner-up minus best label (inf with one); two-cluster: D_A - D_B
 
     @property
     def labels(self) -> list:
@@ -71,7 +70,7 @@ class Assignment:
         return _tied(self.distances).sum(axis=1) > 1
 
     def per_label(self) -> list[dict]:
-        """Each row's nearest distance per label, in label order."""
+        """Each row's nearest distance per label, labels in first-seen order (``names``)."""
         return [dict(zip(self.names, row)) for row in self.distances.tolist()]
 
 
@@ -117,7 +116,7 @@ def nearest_neighbor_assignment(dist: np.ndarray, training) -> Assignment:
     ranked = np.sort(minima, axis=1)
     gap = ranked[:, 1] - ranked[:, 0] if len(names) > 1 else np.full(len(ranked), np.inf)
     by_label = np.array(sorted(range(len(names)), key=names.__getitem__))
-    return Assignment(names, minima, by_label[_tied(minima[:, by_label]).argmax(axis=1)], gap, gap)
+    return Assignment(names, minima, by_label[_tied(minima[:, by_label]).argmax(axis=1)], gap)
 
 
 def nearest_neighbor_classify(
@@ -144,12 +143,6 @@ class ClusteringState:
     iteration: int
     converged: bool
     history: tuple[tuple, ...]
-
-
-def _pairwise_distances(vectors, cfg: EstimatorConfig) -> np.ndarray:
-    """Symmetric estimated-distance matrix from the upper triangle of one block."""
-    dist = distance_matrix(vectors, vectors, cfg, upper=True)
-    return dist + dist.T
 
 
 def _group_means(dist: np.ndarray, codes: np.ndarray, k: int) -> np.ndarray:
@@ -202,10 +195,11 @@ def unsupervised_cluster(
     ``init`` is either an explicit per-vector label assignment covering
     exactly k distinct labels, or an integer seed for a random assignment
     over groups 0..k-1 (surjective, so no group starts empty).  Labels
-    update synchronously each round.  Sampled, the expected upper block (p
-    under cfg's noise) and its pair scales are evaluated once, and round r
-    draws that block on the cfg.derive(r) streams, so pair (i, j), i < j, is
-    draw i of the stream (cfg.derive(r).seed, j), as in
+    update synchronously each round.  The expected upper block (p under
+    cfg's noise) and its pair scales are evaluated once.  Exact, they give
+    the distances of every round.  Sampled, round r draws that block on the
+    cfg.derive(r) streams, so pair (i, j), i < j, is draw i of the stream
+    (cfg.derive(r).seed, j), as in
     distance_matrix(vectors, vectors, cfg.derive(r), upper=True).  A vector
     that is the sole member of its group has no own-group mean to compare
     against and stays put.  Stops at a fixed point (converged), on a
@@ -242,17 +236,15 @@ def unsupervised_cluster(
     code_of = {g: c for c, g in enumerate(groups)}
     codes = np.array([code_of[label] for label in labels])
 
+    expected, *scale = _expected_p(vectors, vectors, cfg, upper=True, scales=True)
     if cfg.mode == "exact":
-        exact_dist = _pairwise_distances(vectors, cfg)
-    else:
-        expected, *scale = _expected_p(vectors, vectors, cfg, upper=True, scales=True)
+        dist = _distances(expected, *scale)
+        dist = dist + dist.T
     history = [tuple(labels)]
     seen = {history[0]}
     converged = False
     for iteration in range(1, max_iterations + 1):
-        if cfg.mode == "exact":
-            dist = exact_dist
-        else:
+        if cfg.mode == "sampled":
             dist = _distances(_draw(expected, cfg.derive(iteration), upper=True), *scale)
             dist = dist + dist.T
         new = _reassign(dist, codes, k)

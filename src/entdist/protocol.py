@@ -189,7 +189,9 @@ class DistanceEstimate:
 
     p_hat: float
     distance: float
-    inner_product_unit: float  # unit-state overlap <u|v>, reported unclamped
+    # unit-state overlap <u|v>, reported unclamped; read from p, so p's rounding (or shot
+    # noise) is multiplied by about (|u|/|v| + |v|/|u|) / 2, which leaves distance alone
+    inner_product_unit: float
     inner_product_raw: float  # u . v = |u| |v| <u|v>
     norm_u: float
     norm_v: float
@@ -284,7 +286,7 @@ def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
 
 def exact_p(query: DistanceQuery) -> float:
     """Ideal success probability |u - v|^2 / (2 (|u|^2 + |v|^2))."""
-    return float(p_matrix([query.u], [query.v])[0, 0])
+    return estimate_distance(query).p_hat
 
 
 def sample_p(query: DistanceQuery, cfg: EstimatorConfig) -> tuple[float, float]:
@@ -297,35 +299,31 @@ def sample_p(query: DistanceQuery, cfg: EstimatorConfig) -> tuple[float, float]:
     """
     if cfg.mode != "sampled":
         raise ValueError("sample_p requires a sampled-mode config")
-    p_hat = float(p_matrix([query.u], [query.v], cfg)[0, 0])
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / cfg.shots)
+    estimate = estimate_distance(query, cfg)
+    return estimate.p_hat, estimate.std_error_p
 
 
 def estimate_distance(query: DistanceQuery, cfg: EstimatorConfig = EstimatorConfig()) -> DistanceEstimate:
-    """Run the full protocol for one query under the given estimator config."""
+    """Run the full protocol for one query: the 1x1 block of distance_matrix and its p."""
     nu, nv = query.u.norm, query.v.norm
-    if cfg.mode == "exact":
-        p_hat = float(p_matrix([query.u], [query.v], cfg)[0, 0])
-        shots_used, std_error = 0, 0.0
-    else:
-        p_hat, std_error = sample_p(query, cfg)
-        shots_used = cfg.shots
-    e, z = _pair_scale(nu, nv)
+    p, e, z = _expected_p(VectorSet([query.u]), VectorSet([query.v]), cfg, False, scales=True)
+    shots = cfg.shots if cfg.mode == "sampled" else 0
+    if shots:
+        p = _draw(p, cfg, False, out=p)
+    p_hat = float(p[0, 0])
     # <u|v> = (0.5 - p)(|u|^2 + |v|^2) / (|u| |v|) from the pair scaled by 2^-e.  |u| |v| 4^-e
     # is 0 only where |u| / |v| leaves float64's range, so p is 1/2 to rounding; read as
     # the least subnormal, it gives the overlap 0 at p = 1/2 and beyond 1e306 elsewhere
-    norms = float(np.ldexp(nu, -e) * np.ldexp(nv, -e)) or math.ulp(0.0)
-    overlap = (0.5 - p_hat) * float(z) / norms
-    with np.errstate(over="ignore"):  # a D rounded past float64's largest value reads inf
-        distance = float(np.ldexp(np.sqrt(2.0 * p_hat * z), e))
+    norms = float(np.ldexp(nu, -e[0, 0]) * np.ldexp(nv, -e[0, 0])) or math.ulp(0.0)
+    overlap = (0.5 - p_hat) * float(z[0, 0]) / norms
     return DistanceEstimate(
         p_hat=p_hat,
-        distance=distance,
+        distance=float(_distances(p, e, z)[0, 0]),
         inner_product_unit=overlap,
         inner_product_raw=overlap * nu * nv,
         norm_u=nu,
         norm_v=nv,
-        shots_used=shots_used,
-        std_error_p=std_error,
+        shots_used=shots,
+        std_error_p=math.sqrt(p_hat * (1.0 - p_hat) / shots) if shots else 0.0,
         overlap_out_of_range=not -1.0 <= overlap <= 1.0,
     )

@@ -57,14 +57,15 @@ def _label_colors(labels) -> dict:
             for i, text in enumerate(ordered)}
 
 
-def contour_segments(f, xlim, ylim):
-    """Zero-contour line segments of f(x, y) via marching squares.
+def contour_segments(f, lim):
+    """Zero-contour line segments of f(x, y) via marching squares on the square window lim x lim.
 
     f is called once, with the whole grid as two arrays; the crossings
     interpolate the corner values of the cells whose corners differ in sign.
     """
-    xs, ys = (lo + (hi - lo) * np.arange(_GRID + 1) / _GRID for lo, hi in (xlim, ylim))
-    grid = np.asarray(f(*np.meshgrid(xs, ys)), dtype=float)
+    lo, hi = lim
+    coords = lo + (hi - lo) * np.arange(_GRID + 1) / _GRID
+    grid = np.asarray(f(*np.meshgrid(coords, coords)), dtype=float)
     below = grid < 0.0
     # only a cell whose corners differ in sign holds a crossing; visit those row by row
     mixed = ((below[:-1, :-1] != below[:-1, 1:]) | (below[:-1, :-1] != below[1:, 1:])
@@ -73,7 +74,7 @@ def contour_segments(f, xlim, ylim):
     # each crossing cell's corner values, counterclockwise from its lower left
     values = [grid[cells[0] + dj, cells[1] + di].tolist()
               for dj, di in ((0, 0), (0, 1), (1, 1), (1, 0))]
-    xs, ys = xs.tolist(), ys.tolist()
+    xs = ys = coords.tolist()
     segments = []
     for j, i, *f in zip(*(axis.tolist() for axis in cells), *values):
         corners = [(xs[i], ys[j], f[0]), (xs[i + 1], ys[j], f[1]),
@@ -102,19 +103,18 @@ def contour_segments(f, xlim, ylim):
 
 
 class _Panel:
-    """Maps a data window to a pixel box (y axis flipped)."""
+    """Maps the square data window lim x lim to a pixel box (y axis flipped)."""
 
-    def __init__(self, px: float, py: float, size: float, xlim, ylim):
-        self.px, self.py, self.size = px, py, size
-        self.xlim, self.ylim = xlim, ylim
+    def __init__(self, px: float, py: float, size: float, lim):
+        self.px, self.py, self.size, self.lim = px, py, size, lim
 
     def x(self, x: float) -> float:
-        x0, x1 = self.xlim
-        return self.px + (x - x0) / (x1 - x0) * self.size
+        lo, hi = self.lim
+        return self.px + (x - lo) / (hi - lo) * self.size
 
     def y(self, y: float) -> float:
-        y0, y1 = self.ylim
-        return self.py + self.size - (y - y0) / (y1 - y0) * self.size
+        lo, hi = self.lim
+        return self.py + self.size - (y - lo) / (hi - lo) * self.size
 
     def segments(self, segs, dash=None) -> list[str]:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
@@ -217,7 +217,7 @@ def polar_scatter_svg(xs, ys, panels, references, boundary, fill_scale: float, r
     colors = _label_colors(label for _, _, label in references)
     body = []
     for idx, (title, values, edge_labels) in enumerate(panels):
-        panel = _Panel(margin + idx * (panel_size + margin), margin, panel_size, (0.0, r_max), (0.0, r_max))
+        panel = _Panel(margin + idx * (panel_size + margin), margin, panel_size, (0.0, r_max))
         body.extend(_polar_grid(panel, r_max))
         body.extend(panel.segments(boundary))
         body.extend(panel.points(xs, ys, _diverging_fills(values / fill_scale),
@@ -228,30 +228,25 @@ def polar_scatter_svg(xs, ys, panels, references, boundary, fill_scale: float, r
     return _document(width, height, body, metadata)
 
 
-def cartesian_scatter_svg(points, labels, xlim, ylim, references, boundary, names, title: str,
+def cartesian_scatter_svg(points, labels, lim, references, boundary, names, title: str,
                           metadata: dict) -> list[str]:
-    """The lines of an SVG scatter of labeled 2-D points with reference crosses, a
-    dashed boundary (segment list) and the first ``len(names)`` points named."""
+    """The lines of an SVG scatter of labeled 2-D points ((n, 2) array) in the square
+    window lim x lim, with reference crosses, a dashed boundary (segment list) and the
+    first ``len(names)`` points named."""
     panel_size, margin = 420.0, 50.0
     width = height = panel_size + 2 * margin
-    panel = _Panel(margin, margin, panel_size, xlim, ylim)
+    panel = _Panel(margin, margin, panel_size, lim)
     colors = _label_colors([*labels, *(label for _, _, label in references)])
     body = [
         f'<rect x="{margin:g}" y="{margin:g}" width="{panel_size:g}" height="{panel_size:g}" '
         f'fill="none" stroke="#bbbbbb"/>'
     ]
-    for lim, horizontal in ((xlim, True), (ylim, False)):
-        ticks = _ticks(*lim)
-        for t in ticks:
-            if horizontal:
-                body.append(panel.text(t, ylim[0], f"{t:g}", dy=16.0))
-            else:
-                body.append(
-                    f'<text x="{_fmt(margin - 8.0)}" y="{_fmt(panel.y(t) + 4.0)}" '
-                    f'text-anchor="end" {_FONT}>{t:g}</text>'
-                )
+    ticks = _ticks(*lim)
+    body.extend(panel.text(t, lim[0], f"{t:g}", dy=16.0) for t in ticks)
+    body.extend(f'<text x="{_fmt(margin - 8.0)}" y="{_fmt(panel.y(t) + 4.0)}" '
+                f'text-anchor="end" {_FONT}>{t:g}</text>' for t in ticks)
     body.extend(panel.segments(boundary, dash="6 4"))
-    xs, ys = np.array(points).T
+    xs, ys = points.T
     circles = panel.points(xs, ys, [colors[str(label)] for label in labels],
                            ["#333333"] * len(points))
     for i, circle in enumerate(circles):

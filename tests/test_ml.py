@@ -204,7 +204,8 @@ class TestMeanGroupDistance:
     VECTORS = [as_vector(v) for v in ([1.0, 0.0], [2.0, 0.0], [3.0, 0.0])]
 
     def group_mean(self, i, labels, group):
-        dist = entdist.ml._pairwise_distances(self.VECTORS, EXACT)
+        d = distance_matrix(self.VECTORS, self.VECTORS, EXACT, upper=True)
+        dist = d + d.T
         groups = sorted(set(labels))
         codes = np.array([groups.index(label) for label in labels])
         return entdist.ml._group_means(dist, codes, len(groups))[i, groups.index(group)]
@@ -398,7 +399,8 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
         want = distance_matrix(points, points, cfg.derive(r), upper=True)
         for i, j in itertools.combinations(range(8), 2):
             assert dist[i, j] == dist[j, i] == want[i, j]
-        assert (dist != entdist.ml._pairwise_distances(points, cfg)).any()
+        d = distance_matrix(points, points, cfg, upper=True)
+        assert (dist != d + d.T).any()
     assert (blocks[0] != blocks[1]).any()
 
     # noisy: the expected block is evaluated once, and round r draws the noisy
@@ -425,6 +427,16 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
                 want = distance_from_p(p_hat, points[i].norm, points[j].norm)
                 assert dist[i, j] == dist[j, i] == want
     assert all((a != b).any() for a, b in itertools.pairwise(blocks))
+
+    # exact and noisy: the one expected block, its distances read in every round
+    exact = EstimatorConfig(noise=noise)
+    blocks.clear()
+    noise_calls.clear()
+    state = unsupervised_cluster(points, 3, 1, exact)
+    assert len(blocks) == state.iteration == 7 and len(noise_calls) == 1
+    d = distance_matrix(points, points, exact, upper=True)
+    for dist in blocks:
+        assert dist.tobytes() == (d + d.T).tobytes()
 
     vectors = [as_vector(v) for v in ([1.0, 0.5], [0.3, 2.0], [2.0, 2.0])]
     sampled_diff = fig2_run(cfg, vectors=vectors)["rows"]["sampled_diff"]
@@ -513,7 +525,8 @@ SOLE_MEMBER_ROUND = (np.array([[0.5, 0.5], [10, 10], [10.1, 10], [9, 9]]),
                EstimatorConfig(mode="sampled", shots=20, seed=3), ["a", "b"]))
 def test_reassign_matches_the_per_cell_reference(case):
     points, codes, k, cfg, names = case
-    dist = entdist.ml._pairwise_distances(points, cfg)
+    d = distance_matrix(points, points, cfg, upper=True)
+    dist = d + d.T
     labels = [names[c] for c in codes]
     got = entdist.ml._reassign(dist, codes, k)
     assert [names[c] for c in got] == reference_reassign(dist, labels, names)

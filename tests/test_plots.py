@@ -19,14 +19,14 @@ def test_bisector_contour_lies_on_the_perpendicular_bisector():
         a, b = (tuple(rng.uniform(-3.0, 3.0, 2).tolist()) for _ in range(2))
         gap = _distance_gap([a], [b])
         assert gap(*a) < 0.0 < gap(*b)
-        xlim, ylim = _square_limits([a, b])
-        segments = contour_segments(gap, xlim, ylim)
+        lim = _square_limits(np.array([a, b]))
+        segments = contour_segments(gap, lim)
         assert segments
         mx, my = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
         nx, ny = b[0] - a[0], b[1] - a[1]
         worst = max(abs((x - mx) * nx + (y - my) * ny) / math.hypot(nx, ny)
                     for segment in segments for x, y in segment)
-        assert worst <= 1e-3 * (xlim[1] - xlim[0])
+        assert worst <= 1e-3 * (lim[1] - lim[0])
 
 
 @pytest.mark.parametrize("center_sign", [1.0, -1.0])
@@ -38,7 +38,7 @@ def test_saddle_cell_cuts_off_the_corners_of_the_other_sign(center_sign):
     def f(x, y):  # corners alternate in sign; the center takes center_sign
         return (x - c) * (y - c) + center_sign * 0.1 * h * h
 
-    in_cell = [segment for segment in contour_segments(f, (0.0, 1.0), (0.0, 1.0))
+    in_cell = [segment for segment in contour_segments(f, (0.0, 1.0))
                if all(lo - 1e-12 <= v <= hi + 1e-12 for point in segment for v in point)]
     assert len(in_cell) == 2
     cut_off = set()

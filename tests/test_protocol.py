@@ -333,6 +333,26 @@ class TestEstimateDistance:
             assert fwd.distance == rev.distance
             assert fwd.p_hat == rev.p_hat
 
+    def test_overlap_error_grows_with_the_norm_ratio_and_the_distance_error_does_not(self):
+        # <u|v> is read from p, so p's rounding is multiplied by about (r + 1/r) / 2,
+        # r = |u| / |v|: at most 4 eps times that, up to r = 1e17; D stays within 2 eps
+        def sqrt(x: Fraction) -> Fraction:  # to 2^-256
+            return Fraction(math.isqrt(x.numerator * 4**256 // x.denominator), 2**256)
+
+        eps = Fraction(np.finfo(float).eps)
+        rng = np.random.default_rng(18)
+        for k in range(18):
+            for _ in range(50):
+                u, v = rng.normal(size=(2, 4)) * [[1.0], [10.0**k]]
+                est = estimate_distance(query(u, v))
+                fu, fv = list(map(Fraction, u.tolist())), list(map(Fraction, v.tolist()))
+                overlap = sum(a * b for a, b in zip(fu, fv)) / sqrt(
+                    sum(a * a for a in fu) * sum(b * b for b in fv))
+                r = Fraction(est.norm_u) / Fraction(est.norm_v)
+                assert abs(Fraction(est.inner_product_unit) - overlap) <= 4 * eps * (r + 1 / r) / 2
+                distance = sqrt(sum((a - b) ** 2 for a, b in zip(fu, fv)))
+                assert abs(Fraction(est.distance) - distance) <= 2 * eps * distance
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1e-3, 1e3))
     def test_scale_covariance(self, c):
@@ -471,7 +491,13 @@ class TestBatch:
             assert distance_matrix(us, vs[:k], cfg).tolist() == dist[:, :k].tolist()
         assert not np.tril(upper).any()
         assert distance_matrix(us[:1], vs[:1], cfg)[0, 0] == dist[0, 0]
+        # the scalar API reads the 1x1 block: its p, its D, and sample_p its p and std error
+        q = query(us[0], vs[0])
+        estimate = estimate_distance(q, cfg)
+        assert estimate.p_hat == p_matrix(us, vs, cfg)[0, 0]
+        assert estimate.distance == dist[0, 0]
         if cfg.mode == "sampled":
+            assert sample_p(q, cfg) == (estimate.p_hat, estimate.std_error_p)
             ideal = replace(cfg, mode="exact")
             assert p_matrix(us, vs, cfg).tolist() == \
                 _column_draws(p_matrix(us, vs, ideal), cfg).tolist()
@@ -483,7 +509,6 @@ class TestBatch:
                     assert dist[i, j] == distance_matrix([u], [v], cfg)[0, 0]
             assert dist.tolist() == distance_matrix(vs, us, cfg).T.tolist()
             # the channel on a block matches the channel on one float
-            q = query(us[0], vs[0])
             want = exact_p(q) if cfg.noise is None else apply_noise(exact_p(q), cfg.noise,
                                                                     q.u.dimension.bit_length())
             assert p_matrix(us[:1], vs[:1], cfg)[0, 0] == want

@@ -392,7 +392,7 @@ def _nearest_gap(first, second):
                          - min(_length(x - q0, y - q1) for q0, q1 in second))
 
 
-def _saddles(x, y):  # sign changes in most cells, with saddles of both orientations
+def _saddles(x, y):  # sign changes in many cells, with saddles of both orientations
     return np.sin(37.0 * x) * np.sin(41.0 * y) + 0.05 * np.sin(3.0 * x)
 
 
@@ -403,23 +403,23 @@ THROUGH_GRID_POINTS = [(-0.77, -1.41), (-0.76, -1.40)]
 NN_FIRST, NN_SECOND = [(0.5, 0.25), (0.3, 1.1)], [(1.0, 0.25), (1.2, 0.9)]
 
 
-@pytest.mark.parametrize("f, at_point, xlim, ylim", [
+@pytest.mark.parametrize("f, at_point, lim", [
     (_distance_gap(*([r] for r in FIG2_REFS)), _nearest_gap(*([r] for r in FIG2_REFS)),
-     (0.0, 3.0), (0.0, 3.0)),
+     (0.0, 3.0)),
     (_distance_gap(*([r] for r in DIAGONAL)), _nearest_gap(*([r] for r in DIAGONAL)),
-     *_square_limits(DIAGONAL)),
-    (_saddles, _saddles, (0.0, 1.0), (-0.5, 0.5)),
+     _square_limits(np.array(DIAGONAL))),
+    (_saddles, _saddles, (-0.5, 0.5)),
     (_distance_gap(*([r] for r in THROUGH_GRID_POINTS)),
      _nearest_gap(*([r] for r in THROUGH_GRID_POINTS)),
-     *_square_limits(THROUGH_GRID_POINTS)),
+     _square_limits(np.array(THROUGH_GRID_POINTS))),
     (_distance_gap(*_nn_sets([LabeledReference(q, label) for label, points
                               in (("a", NN_FIRST), ("b", NN_SECOND)) for q in points])),
-     _nearest_gap(NN_FIRST, NN_SECOND), *_square_limits(NN_FIRST + NN_SECOND)),
+     _nearest_gap(NN_FIRST, NN_SECOND), _square_limits(np.array(NN_FIRST + NN_SECOND))),
 ], ids=["fig2-bisector", "diagonal-bisector", "saddle-grid", "bisector-through-grid-points",
         "nearest-neighbor"])
-def test_contour_segments_is_the_full_grid_loop(f, at_point, xlim, ylim):
-    got = contour_segments(f, xlim, ylim)
-    assert got and got == _contour_reference(at_point, xlim, ylim)
+def test_contour_segments_is_the_full_grid_loop(f, at_point, lim):
+    got = contour_segments(f, lim)
+    assert got and got == _contour_reference(at_point, lim, lim)
 
 
 def _scaled(values, k):
@@ -432,13 +432,14 @@ def _scaled(values, k):
 @pytest.mark.parametrize("k", [-1000, -1, 1, 1000])
 @pytest.mark.parametrize("first, second, window", [
     (FIG2_REFS[:1], FIG2_REFS[1:], (0.0, 3.0)),
-    (THROUGH_GRID_POINTS[:1], THROUGH_GRID_POINTS[1:], _square_limits(THROUGH_GRID_POINTS)[0]),
-    (NN_FIRST, NN_SECOND, _square_limits(NN_FIRST + NN_SECOND)[0]),
+    (THROUGH_GRID_POINTS[:1], THROUGH_GRID_POINTS[1:],
+     _square_limits(np.array(THROUGH_GRID_POINTS))),
+    (NN_FIRST, NN_SECOND, _square_limits(np.array(NN_FIRST + NN_SECOND))),
 ], ids=["fig2-bisector", "bisector-through-grid-points", "nearest-neighbor"])
 def test_plotted_boundaries_are_power_of_two_covariant(first, second, window, k):
     def segments(k):
         return contour_segments(_distance_gap(_scaled(first, k), _scaled(second, k)),
-                                _scaled(window, k), _scaled(window, k))
+                                _scaled(window, k))
 
     want = segments(0)
     assert want and segments(k) == _scaled(want, k)

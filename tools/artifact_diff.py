@@ -413,6 +413,11 @@ CASES = [
     ("estimate-subnormal", "exact", ("estimate", "--u", "5e-324,0", "--v", "0,5e-324")),
     # |u| / |v| is beyond float64's range: p is 1/2 and the overlap 0
     ("estimate-norm-ratio", "exact", ("estimate", "--u", "1e-300,0", "--v", "0,1e300")),
+    # the sampled scalar path at the same scale edges: the draw reads the scaled pair's p
+    ("estimate-norm-ratio-sampled", "sampled", ("estimate", "--u", "1e-300,0", "--v", "0,1e300",
+                                                *SHOTS)),
+    ("tiny-norms-sampled-noise", "sampled", ("estimate", "--u", "1e-200,0", "--v", "0,1e-200",
+                                             "--noise", "paper-2012-optics", *SHOTS)),
     # a norm above half of float64's largest value would let |u - v| overflow
     ("err-norm-above-half-max", "error", ("estimate", "--u", "1e308,1e308", "--v", "1,0")),
     ("err-cluster-3d", "error", ("cluster", "--vector", "1,0,0", "--vector", "0,1,0",
