@@ -19,10 +19,10 @@ print(f"  added later -> {demo.added_training.label}: "
 
 print(f"\n{'':>2} {'before':>7} {'after':>7}   nearest distances (after)")
 rows = result["rows"]  # the table as columns, name -> one value per test vector
-for name, before, after, distances, changed in zip(
-        demo.names, rows["label_before"], rows["label_after"], rows["distances_after"],
-        rows["changed"]):
-    dists = ", ".join(f"{k} {v:.3f}" for k, v in distances.items())
+nearest = rows["distances_after"]  # label -> each test vector's nearest distance to it
+for i, (name, before, after, changed) in enumerate(zip(
+        demo.names, rows["label_before"], rows["label_after"], rows["changed"])):
+    dists = ", ".join(f"{label} {distances[i]:.3f}" for label, distances in nearest.items())
     mark = "  <- reassigned" if changed else ""
     print(f"{name:>2} {before:>7} {after:>7}   {dists}{mark}")
 

@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +170,7 @@ def _check(value, spec, where: str) -> None:
     """Raise ValueError unless value has one of the JSON types spec allows."""
     for alt in spec if isinstance(spec, tuple) else (spec,):
         if isinstance(alt, list) and isinstance(value, list):
-            if alt[0] is not float or not set(map(type, value)) <= {float}:
+            if alt[0] is not float or list(map(type, value)).count(float) < len(value):
                 for i, item in enumerate(value):  # an item to check, or to name
                     _check(item, alt[0], f"{where}[{i}]")
             return
@@ -395,54 +394,24 @@ def _metadata(task: str, cfg: EstimatorConfig, extra: dict) -> dict:
             "numpy": np.__version__, "seed": cfg.seed, "config": config}
 
 
-def _cell(value) -> str:
-    """The text of one results.csv cell."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return float.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        return " ".join(["%g"] * len(value)) % tuple(value)
-    return str(value)
-
-
-# the C-level formatter that gives a column of one exact type its _cell texts
+# the C-level formatter of a flat column's items, by kind
 _FORMAT = {float: float.__repr__, int: int.__repr__, bool: {True: "true", False: "false"}.get}
+_KINDS = {"f": float, "i": int, "b": bool}  # a flat array's dtype kind -> its kind
 
 
 class Table(dict):
-    """A results table as columns: name -> one value per row.
+    """A results table as columns: name -> one value per row, in one of three shapes.
+
+    - flat: a 1-D float64, int64 or bool array, or a list whose items share
+      one type (str labels, or Python int labels, which keep their text)
+    - a 2-D float64 array: one float list per row, such as a vector
+    - a dict of flat columns: one object per row, such as nn's distances per label
 
     summary.json writes it as json.dumps writes the list of its rows as
-    dicts, and results.csv writes the columns a command names.  The writers
-    take it a block of rows at a time (``sliced``), and format each block a
-    column at a time: the _cell texts of a column of floats, ints or bools
-    serve both files, and a column of float lists or float dicts is one flat
-    list of float texts in summary.json.
+    dicts, and results.csv writes the flat and 2-D columns a command names.
+    The writers take it a block of rows at a time, and the texts of a flat
+    column's block serve both files.
     """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._cells = {}
-
-    def kind(self, name: str) -> type | None:
-        """The column's one exact value type, None if it has several."""
-        if name in self._cells:
-            return self._cells[name][0]
-        kinds = set(map(type, self[name]))
-        return kinds.pop() if len(kinds) == 1 else None
-
-    def cells(self, name: str) -> tuple[type | None, list]:
-        """The column's kind and its _cell texts."""
-        if name not in self._cells:
-            column, kind = self[name], self.kind(name)
-            self._cells[name] = kind, (column if kind is str
-                                       else list(map(_FORMAT.get(kind, _cell), column)))
-        return self._cells[name]
-
-    def sliced(self, start: int, stop: int) -> Table:
-        """The table of rows start..stop-1."""
-        return Table({name: column[start:stop] for name, column in self.items()})
 
 
 # the writers format a results table this many cells at a time, so what they hold
@@ -450,6 +419,19 @@ class Table(dict):
 _BLOCK_CELLS = 1 << 11
 
 _QUOTABLE = re.compile('[,"\r\n]')  # csv.writer may quote for these, as the Python version has it
+
+
+def _cells(column) -> tuple[type, list[str]]:
+    """A flat or 2-D column's kind and results.csv texts.  A flat column's kind is its
+    dtype's, or its first item's type; a 2-D column's is list, and a row's text its %g items."""
+    if isinstance(column, np.ndarray):
+        if column.ndim == 2:
+            row = " ".join(["%g"] * column.shape[1])
+            return list, [row % tuple(items) for items in column.tolist()]
+        kind, column = _KINDS[column.dtype.kind], column.tolist()
+    else:
+        kind = type(column[0]) if column else str
+    return kind, column if kind is str else list(map(_FORMAT[kind], column))
 
 
 def _csv_lines(rows, texts: list[list[str]]) -> str:
@@ -470,13 +452,6 @@ def _csv_head(fieldnames: list[str], metadata: dict) -> str:
             f"# seed: {metadata['seed']}\n"
             f"# config: {json.dumps(metadata['config'], sort_keys=True)}\n"
             + _csv_lines([fieldnames], [fieldnames]))
-
-
-def _csv_rows(fieldnames: list[str], block: Table) -> str:
-    """The results.csv lines of a block of rows."""
-    columns = [block.cells(name) for name in fieldnames]
-    return _csv_lines(zip(*(cells for _, cells in columns)),
-                      [cells for kind, cells in columns if kind not in _FORMAT])
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -503,7 +478,7 @@ def _artifacts(run: Run, metadata: dict):
         yield "summary.json", f"{lead}\n  {encode_basestring_ascii(key)}: "
         lead, value = ",", summary[key]
         if isinstance(value, Table):  # results.csv is written with the results table
-            yield from _table_chunks(value, 1, *((run.fields, run.rows) if key == "rows" else ()))
+            yield from _table_chunks(value, *((run.fields, run.rows) if key == "rows" else ()))
         else:
             yield "summary.json", _json_value(value, 1)
     yield "summary.json", "\n}\n"
@@ -514,11 +489,8 @@ def _json_value(obj, depth: int) -> str:
 
     A scalar, an empty container or one of scalars only (most of a payload)
     is one C encoder call, whose item separator already lays out the items;
-    only the bracket lines are added here.  Keys are strings; a Table is the
-    list of its rows.
+    only the bracket lines are added here.  Keys are strings.
     """
-    if isinstance(obj, Table):
-        return "".join(text for _, text in _table_chunks(obj, depth))
     encode = _encoder(depth)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return "".join(encode(obj, 0))
@@ -539,69 +511,55 @@ def _json_value(obj, depth: int) -> str:
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # else float.__repr__
 
 
-def _table_chunks(table: Table, depth: int, fieldnames=None, csv_table: Table | None = None):
-    """The JSON text of a table's rows as dicts where it sits at nesting depth, as
+def _length(columns: dict) -> int:
+    """The rows of a table or a dict column."""
+    return max((_length(c) if isinstance(c, dict) else len(c) for c in columns.values()),
+               default=0)
+
+
+def _table_chunks(table: Table, fieldnames=None, csv_table: Table | None = None):
+    """The JSON text of a table's rows as dicts where it sits at depth 1, as
     ("summary.json", text) chunks, one per block of about _BLOCK_CELLS cells.  With
     fieldnames, each is led by the block's results.csv lines of csv_table, a table
-    of the same rows: when that is the table, a cell text the files share is made once."""
-    n = len(next(iter(table.values()), ()))
+    of the same rows: when that is the table, a flat column's texts are made once."""
+    n, outer = _length(table), "    "  # a row's indent
     step = max(1, _BLOCK_CELLS // max(len(table), 1))
     for start in range(0, n, step):
-        block = table.sliced(start, start + step)
+        rows, cells = slice(start, start + step), {}
         if fieldnames is not None:
-            csv_block = block if csv_table is table else csv_table.sliced(start, start + step)
-            yield "results.csv", _csv_rows(fieldnames, csv_block)
-        yield "summary.json", _rows_json(block, depth, "," if start else "[")
-    yield "summary.json", f"\n{'  ' * depth}]" if n else "[]"
+            cells = {name: _cells(csv_table[name][rows]) for name in fieldnames}
+            yield "results.csv", _csv_lines(zip(*(t for _, t in cells.values())),
+                                            [t for k, t in cells.values() if k not in _FORMAT])
+        count = min(step, n - start)
+        leads = [f"{',' if start else '['}\n{outer}", *repeat(f",\n{outer}", count - 1)]
+        parts = _json_parts(table, rows, 2, cells if csv_table is table else {})
+        fields = [leads, *(repeat(part) if type(part) is str else part for part in parts)]
+        yield "summary.json", "".join(chain.from_iterable(zip(*fields)))
+    yield "summary.json", "\n  ]" if n else "[]"
 
 
-def _rows_json(block: Table, depth: int, lead: str) -> str:
-    """The JSON texts of a block's rows where the table sits at nesting depth, the
-    first led by ``lead`` (the list's bracket or a comma): one join of each row's
-    sorted, escaped keys, each with its line's lead, interleaved with its value texts."""
-    outer, inner = "  " * (depth + 1), "  " * (depth + 2)  # a row, its keys
-    parts = []  # a row's texts in order: a str is the same in every row, a list has one per row
-    for name in sorted(block):
-        kind, column = block.kind(name), block[name]
-        if kind in _FORMAT:
-            cells = block.cells(name)[1]
-            texts = [list(map(_JSON_FLOAT.get, cells, cells)) if kind is float else cells]
-        elif kind is str:
-            texts = [list(map(encode_basestring_ascii, column))]
-        else:
-            texts = (_nested_json(column, kind, depth + 2)
-                     or [[_json_value(value, depth + 2) for value in column]])
-        parts += (f",\n{inner}{encode_basestring_ascii(name)}: ", *texts)
-    parts[0] = f",\n{outer}{{\n{parts[0][2:]}"  # a row opens with its comma and brace
-    parts.append(f"\n{outer}}}")
-    fields = [repeat(part) if type(part) is str else part for part in parts]
-    fields[0] = chain([f"{lead}{parts[0][1:]}"], fields[0])
-    return "".join(chain.from_iterable(zip(*fields)))
-
-
-def _nested_json(column: list, kind: type | None, depth: int) -> list | None:
-    """The JSON texts of a column of float lists of one length, or float dicts of one key
-    order, from one map over its floats: the lead of item 0, item 0's text in every row,
-    the lead of item 1, ..., the closing bracket.  None for any other column or empty rows."""
-    first = column[0]
-    if kind is list and len(set(map(len, column))) == 1:
-        keys, rows = (), column
-    elif kind is dict and len(set(map(tuple, column))) == 1 and set(map(type, first)) <= {str}:
-        keys = sorted(first)  # json.dumps' sort_keys
-        rows = map(dict.values if keys == list(first) else itemgetter(*keys), column)
-    else:
-        return None
-    values, m = list(chain.from_iterable(rows)), len(first)
-    if not m or not set(map(type, values)) <= {float}:
-        return None
-    opening, closing = "{}" if kind is dict else "[]"
-    inner, names = "  " * (depth + 1), [f"{encode_basestring_ascii(key)}: " for key in keys]
-    marks = [opening, *repeat(",", m - 1)]  # before each item: the bracket, then commas
-    leads = [f"{mark}\n{inner}{name}" for mark, name in zip(marks, names or repeat(""))]
-    texts = list(map(float.__repr__, values))
-    texts = list(map(_JSON_FLOAT.get, texts, texts))
-    return [*chain.from_iterable(zip(leads, (texts[j::m] for j in range(m)))),
-            f"\n{inner[2:]}{closing}"]
+def _json_parts(columns, rows: slice, depth: int, cells: dict) -> list:
+    """The JSON texts of a block of rows of a table or a dict column (an object per row,
+    keys sorted) or a 2-D column (a list per row), where each sits at nesting depth, as
+    parts: a str is the same in every row, a list holds one text per row.  A flat
+    column's texts are its results.csv texts (those in ``cells``, by name, if there)."""
+    keyed = isinstance(columns, dict)
+    inner = "  " * (depth + 1)
+    parts = []
+    for name in sorted(columns) if keyed else range(columns.shape[1]):
+        column = columns[name] if keyed else columns[:, name]
+        parts.append(f",\n{inner}{encode_basestring_ascii(name)}: " if keyed else f",\n{inner}")
+        if isinstance(column, dict) or getattr(column, "ndim", 1) == 2:
+            parts += _json_parts(column, rows, depth + 1, {})
+            continue
+        kind, texts = cells.get(name) or _cells(column[rows])
+        parts.append(list(map(_JSON_FLOAT.get, texts, texts)) if kind is float
+                     else list(map(encode_basestring_ascii, texts)) if kind is str else texts)
+    opening, closing = "{}" if keyed else "[]"
+    if not parts:
+        return [opening + closing]
+    parts[0] = opening + parts[0][1:]
+    return [*parts, f"\n{inner[2:]}{closing}"]
 
 
 def _stream(directory: Path, chunks) -> None:
@@ -663,13 +621,13 @@ def _classify(config: dict, cfg: EstimatorConfig) -> Run:
     result = two_cluster_assignment(vectors, ref_a, ref_b, cfg)
     labels = result.labels
     rows = Table({
-        "index": list(range(len(vectors))),
-        "vector": vectors.components.tolist(),
-        f"distance_{ref_a.label}": result.distances[:, 0].tolist(),
-        f"distance_{ref_b.label}": result.distances[:, 1].tolist(),
-        "margin": result.margin.tolist(),
+        "index": np.arange(len(vectors)),
+        "vector": vectors.components,
+        f"distance_{ref_a.label}": result.distances[:, 0],
+        f"distance_{ref_b.label}": result.distances[:, 1],
+        "margin": result.margin,
         "assigned": labels,
-        "boundary_flag": result.boundary.tolist(),
+        "boundary_flag": result.boundary,
     })
     extra = {
         "references": {ref_a.label: ref_a.vector.components.tolist(),
@@ -709,11 +667,11 @@ def _nn(config: dict, cfg: EstimatorConfig) -> Run:
     dist = distance_matrix(vectors, [t.vector for t in training], cfg)
     result = nearest_neighbor_assignment(dist, training)
     rows = Table({
-        "index": list(range(len(vectors))),
-        "vector": vectors.components.tolist(),
+        "index": np.arange(len(vectors)),
+        "vector": vectors.components,
         "assigned": result.labels,
-        "margin": result.margin.tolist(),
-        "boundary_flag": result.boundary.tolist(),
+        "margin": result.margin,
+        "boundary_flag": result.boundary,
     })
     plot = partial(_scatter_svg, vectors, rows["assigned"], training, _nn_sets(training), (),
                    "nearest neighbor")
@@ -742,9 +700,9 @@ def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
         print(f"note: not converged after {state.iteration} rounds", file=sys.stderr)
     n = len(vectors)
     rows = Table({
-        "index": list(range(n)),
+        "index": np.arange(n),
         "name": [*names[:n], *map(str, range(len(names), n))],
-        "vector": vectors.components.tolist(),
+        "vector": vectors.components,
         "initial_label": list(state.history[0]),
         "final_label": list(state.labels),
     })
@@ -768,7 +726,7 @@ def _table(config: dict, cfg: EstimatorConfig) -> Run:
     if sampled_cfg is not None:
         fields += ["sampled_diff", "sampled_group"]
     table = Table(result["rows"])
-    rows = Table(table, theory_diff=[f"{t:.2f}" for t in table["theory_diff"]])
+    rows = Table(table, theory_diff=list(map("{:.2f}".format, table["theory_diff"].tolist())))
     status = ("all rows match" if result["all_match_paper_theory"]
               else f"rows off the printed two decimals: {result['mismatched_rows']}")
     return Run({"dataset": name, "sampled_column": sampled_cfg is not None},

@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 
-def rounds_to_printed(value: float, printed: float, decimals: int = 2) -> bool:
-    """True when value rounds to the two-decimal printed figure (half inclusive)."""
+def rounds_to_printed(value, printed, decimals: int = 2):
+    """True when value rounds to the two-decimal printed figure (half inclusive);
+    elementwise for arrays."""
     return abs(value - printed) <= 0.5 * 10.0 ** -decimals + 1e-12
 
 
@@ -70,30 +71,30 @@ def table_run(
     ref_b = LabeledReference(dataset.reference_b, "B")
     vectors = VectorSet([row.vector for row in dataset.rows])
     exact = two_cluster_assignment(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
-    theory = [row.theory_diff for row in dataset.rows]
-    computed = exact.margin.tolist()
-    matches = list(map(rounds_to_printed, computed, theory))
+    theory = np.array([row.theory_diff for row in dataset.rows])
+    matches = rounds_to_printed(exact.margin, theory)
+    index = np.array([row.index for row in dataset.rows])
     rows = {
-        "index": [row.index for row in dataset.rows],
-        "vector": [list(row.vector) for row in dataset.rows],
+        "index": index,
+        "vector": vectors.components,
         "theory_diff": theory,
-        "computed_diff": computed,
+        "computed_diff": exact.margin,
         "group": exact.labels,
         "matches_paper_theory": matches,
-        "paper_experiment_diff": [row.experiment_diff for row in dataset.rows],
+        "paper_experiment_diff": np.array([row.experiment_diff for row in dataset.rows]),
         "paper_group": [row.group for row in dataset.rows],
     }
     if sampled_cfg is not None:
         sampled = two_cluster_assignment(vectors, ref_a, ref_b, sampled_cfg)
-        rows["sampled_diff"] = sampled.margin.tolist()
+        rows["sampled_diff"] = sampled.margin
         rows["sampled_group"] = sampled.labels
     return {
         "name": dataset.name,
         "reference_a": list(dataset.reference_a),
         "reference_b": list(dataset.reference_b),
         "rows": rows,
-        "all_match_paper_theory": all(matches),
-        "mismatched_rows": [i for i, match in zip(rows["index"], matches) if not match],
+        "all_match_paper_theory": bool(matches.all()),
+        "mismatched_rows": index[~matches].tolist(),
     }
 
 
@@ -128,21 +129,22 @@ def fig2_run(
     vectors = VectorSet(fig2_test_vectors(count, sampled_cfg.seed) if vectors is None else vectors)
     sampled = two_cluster_assignment(vectors, ref_a, ref_b, sampled_cfg)
     exact = two_cluster_assignment(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
-    xs, ys = vectors.components.T.tolist()
+    xs, ys = vectors.components.T
     misclassified = sampled.codes != exact.codes  # both passes name the labels A, B
     errors = np.abs(sampled.margin - exact.margin)
     error_p90 = _percentile_90(errors)
     rows = {
-        "index": list(range(len(vectors))),
+        "index": np.arange(len(vectors)),
         "x": xs,
         "y": ys,
-        "norm": vectors.norms.tolist(),
-        "angle": list(map(math.atan2, ys, xs)),  # np.arctan2 differs in the last bit
-        "exact_diff": exact.margin.tolist(),
+        "norm": vectors.norms,
+        # np.arctan2 differs in the last bit
+        "angle": np.fromiter(map(math.atan2, ys.tolist(), xs.tolist()), float, len(vectors)),
+        "exact_diff": exact.margin,
         "exact_label": exact.labels,
-        "sampled_diff": sampled.margin.tolist(),
+        "sampled_diff": sampled.margin,
         "sampled_label": sampled.labels,
-        "misclassified": misclassified.tolist(),
+        "misclassified": misclassified,
     }
     return {
         "reference_a": ref_a.vector.components.tolist(),
@@ -185,17 +187,17 @@ def nn_run(
     before = nearest_neighbor_assignment(dist[:, :len(initial)], initial)
     after = nearest_neighbor_assignment(dist, full)
     labels_before, labels_after = before.labels, after.labels
-    changed = [b != a for b, a in zip(labels_before, labels_after)]
+    changed = np.array(labels_before) != np.array(labels_after)
     rows = {
-        "index": list(range(len(test_vectors))),
-        "vector": test_vectors.components.tolist(),
+        "index": np.arange(len(test_vectors)),
+        "vector": test_vectors.components,
         "label_before": labels_before,
         "label_after": labels_after,
         "changed": changed,
-        "distances_before": before.per_label(),
-        "distances_after": after.per_label(),
+        "distances_before": dict(zip(before.names, before.distances.T)),
+        "distances_after": dict(zip(after.names, after.distances.T)),
     }
     return {
         "rows": rows,
-        "changed_indices": [i for i, c in enumerate(changed) if c],
+        "changed_indices": np.flatnonzero(changed).tolist(),
     }

@@ -53,7 +53,12 @@ class LabeledReference:
 
 @dataclass(frozen=True, eq=False)
 class Assignment:
-    """A labelled distance block as columns, one entry per row."""
+    """A labelled distance block as columns, one entry per row.
+
+    Column c of ``distances`` holds each row's nearest distance to label
+    ``names[c]``, so ``dict(zip(names, distances.T))`` is the per-label table
+    nn_run writes.
+    """
 
     names: list  # the distinct labels, first-seen order
     distances: np.ndarray  # (n, L): the nearest distance to each label
@@ -68,10 +73,6 @@ class Assignment:
     def boundary(self) -> np.ndarray:
         """True where the runner-up label ties with the nearest (see _tied)."""
         return _tied(self.distances).sum(axis=1) > 1
-
-    def per_label(self) -> list[dict]:
-        """Each row's nearest distance per label, labels in first-seen order (``names``)."""
-        return [dict(zip(self.names, row)) for row in self.distances.tolist()]
 
 
 def two_cluster_assignment(
@@ -237,6 +238,9 @@ def unsupervised_cluster(
     codes = np.array([code_of[label] for label in labels])
 
     expected, *scale = _expected_p(vectors, vectors, cfg, upper=True, scales=True)
+    # a group's distance sum is below 2^E 2n, E the largest norm's frexp exponent; where
+    # that could overflow, every D is formed scaled down by a power of two, moving no comparison
+    scale[0] -= max(0, np.frexp(vectors.norms.max())[1] + (2 * n).bit_length() - 1023)
     if cfg.mode == "exact":
         dist = _distances(expected, *scale)
         dist = dist + dist.T

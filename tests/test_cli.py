@@ -602,8 +602,8 @@ class TestErrorContract:
                 return super().__getitem__(index)
 
         monkeypatch.setattr(entdist.cli, "_BLOCK_CELLS", 10)  # fig2's 10 columns: a row a block
-        monkeypatch.setattr(entdist.cli, "_rows_json",
-                            failing_after_first(entdist.cli._rows_json))
+        monkeypatch.setattr(entdist.cli, "_json_parts",
+                            failing_after_first(entdist.cli._json_parts))
         out_dir = tmp_path / "out"
         got = run(capsys, "repro", "fig2", "--count", "5", "--out", str(out_dir))
         assert got == (code, "", f"error: {error}\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -125,7 +126,8 @@ class TestTwoCluster:
         second = classify_two_cluster(u, ref(a, "left"), ref(b, "right"), EXACT)
         mapping = {"A": "left", "B": "right"}
         assert second.labels[0] == mapping[first.labels[0]]
-        assert second.per_label()[0]["left"] == first.per_label()[0]["A"]
+        assert second.names == ["left", "right"] and first.names == ["A", "B"]
+        assert np.array_equal(second.distances, first.distances)
 
 
 class TestNearestNeighbor:
@@ -143,7 +145,7 @@ class TestNearestNeighbor:
         res = nearest_neighbor_classify([1, 1], training, EXACT)
         assert res.labels[0] == "blue"
         assert res.boundary[0] and res.margin[0] == 0.0
-        assert list(res.per_label()[0]) == ["red", "blue"]
+        assert res.names == ["red", "blue"]
 
     def test_caption_style_distances(self):
         # distances 0.24 to the blue trainer and 0.62 to the red one
@@ -151,8 +153,9 @@ class TestNearestNeighbor:
         training = [ref(b + [0.24, 0.0], "blue"), ref(b - [0.62, 0.0], "red")]
         res = nearest_neighbor_classify(b, training, EXACT)
         assert res.labels[0] == "blue"
-        assert res.per_label()[0]["blue"] == pytest.approx(0.24, abs=1e-12)
-        assert res.per_label()[0]["red"] == pytest.approx(0.62, abs=1e-12)
+        nearest = dict(zip(res.names, res.distances[0].tolist()))
+        assert nearest["blue"] == pytest.approx(0.24, abs=1e-12)
+        assert nearest["red"] == pytest.approx(0.62, abs=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(33)
@@ -188,7 +191,7 @@ class TestNearestNeighbor:
             before = nearest_neighbor_classify(u, training, EXACT)
             after = nearest_neighbor_classify(u, training + [extra], EXACT)
             d_extra = np.linalg.norm(u - extra.vector.components)
-            d_nearest_before = min(before.per_label()[0].values())
+            d_nearest_before = before.distances[0].min()
             if after.labels[0] != before.labels[0]:
                 assert d_extra < d_nearest_before
                 assert after.labels[0] == extra.label
@@ -324,6 +327,22 @@ class TestUnsupervisedCluster:
         assert not state.converged
         assert state.iteration <= 3  # cycle detection, not the iteration cap
         assert state.history[2] == state.history[0]
+
+    @pytest.mark.parametrize("cfg", [EXACT, EstimatorConfig(mode="sampled", shots=500, seed=3)],
+                             ids=["exact", "sampled"])
+    def test_a_power_of_two_scale_up_to_float64s_largest_changes_no_round(self, cfg):
+        # at 2^1020 a group's distance sum passes float64's largest value: its overflow warned
+        # and stopped the loop as converged after one round
+        rng = np.random.default_rng(1)
+        points = np.vstack([rng.normal(size=(6, 2)) + [3, 0], rng.normal(size=(6, 2)) - [3, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = [unsupervised_cluster(np.ldexp(points, k), 2, [0, 1] * 6, cfg)
+                      for k in (0, 1000, 1020, 1021)]
+        assert states[0].iteration == 2 and not states[0].converged  # a cycle
+        for state in states[1:]:
+            assert (state.labels, state.iteration, state.converged, state.history) == \
+                (states[0].labels, states[0].iteration, states[0].converged, states[0].history)
 
     def test_singleton_group_stays_put(self):
         points = [[0.5, 0.5], [10.0, 10.0], [10.1, 10.0]]
@@ -554,7 +573,7 @@ def reference_nearest(row, training):
 def assert_row_follows_reference(got, i, row, training):
     """Row i of an Assignment is reference_nearest of its distance row; returns the gap."""
     per_label, label, boundary, gap = reference_nearest(row, training)
-    assert list(got.per_label()[i].items()) == list(per_label.items())
+    assert list(zip(got.names, got.distances[i].tolist())) == list(per_label.items())
     assert got.labels[i] == label
     assert got.boundary[i] == boundary
     return gap
@@ -663,7 +682,7 @@ def test_fig2_columns_are_the_scalar_results_row_by_row(vectors, cfg):
     by reference_nearest."""
     rows = fig2_run(cfg, vectors=vectors)["rows"]
     refs = fig2_references()
-    assert rows["index"] == list(range(len(vectors)))
+    assert rows["index"].tolist() == list(range(len(vectors)))
     assert {len(column) for column in rows.values()} == {len(vectors)}
     streams = [np.random.default_rng(int(np.random.SeedSequence([cfg.seed, j])
                                          .generate_state(1, np.uint64)[0]))

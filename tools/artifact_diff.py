@@ -70,6 +70,10 @@ TINY_REFS = [{"label": "b", "vector": [math.ldexp(1, -60), 0]},
 TINY_QUERIES = [[math.ldexp(0.9, -60), math.ldexp(0.1, -60)],
                 [math.ldexp(0.1, -60), math.ldexp(0.9, -60)]]
 
+# two blobs at x = +-3 scaled by 2^1020: a group's distance sum passes float64's largest value
+NEAR_MAX = [[math.ldexp(round(3 * (-1) ** (i // 6) + 0.8 * math.sin(5 * i), 3), 1020),
+             math.ldexp(round(0.8 * math.cos(7 * i), 3), 1020)] for i in range(12)]
+
 
 # file name -> contents, written into every case directory (bytes as they are,
 # other .json contents as JSON)
@@ -126,6 +130,10 @@ INPUTS = {
                             "training": {"initial": [{"label": "a", "vector": wave(7)},
                                                      {"label": "b", "vector": wave(11)}]}},
     "lattice.json": {"vectors": LATTICE, "k": 3, "init": 5, "max_iterations": 30},
+    "near_max.json": {"vectors": NEAR_MAX, "k": 2, "init": [0, 1] * 6},
+    # integer labels beyond int64: their text must survive in both files
+    "big_int_labels.json": {"vectors": CLUSTER_VECTORS, "k": 2,
+                            "init": [2**70, 2**70, 0, 0, 2**70]},
     "cluster_noise.json": {"vectors": BLOBS, "k": 3, "init": 0, "noise": "noise.json",
                            "estimator": {"mode": "sampled", "shots": 300, "seed": 4}},
     "fig2_3d.json": {"vectors": [[1, 0, 0]]},
@@ -331,6 +339,9 @@ CASES = [
     ("cluster-sampled-noise", "sampled", ("cluster", "--config", "cluster_noise.json",
                                           "--out", "out")),
     ("cluster-veto", "exact", ("cluster", "--config", "veto.json", "--out", "out")),
+    ("cluster-near-max", "exact", ("cluster", "--config", "near_max.json", "--out", "out")),
+    ("cluster-big-int-labels", "exact", ("cluster", "--config", "big_int_labels.json",
+                                         "--out", "out")),
     ("nn-tie", "exact", ("nn", "--config", "nn_tie.json", "--out", "out")),
     ("fig2-row-norm-trap", "exact", ("repro", "fig2", "--config", "fig2_row_norms.json",
                                      "--out", "out", "--exact")),
