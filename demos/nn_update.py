@@ -8,8 +8,10 @@ from entdist.experiments import nn_run
 from entdist.protocol import EstimatorConfig
 
 demo = FIGS1_DEMO
-result = nn_run(demo.vectors(), list(demo.initial_training),
-                demo.added_training, EstimatorConfig(mode="exact"))
+# one training set, the late vector as its last row, and one label per row
+training = [*demo.initial_training, demo.added_training]
+result = nn_run(demo.vectors(), [t.vector for t in training], [t.label for t in training],
+                EstimatorConfig(mode="exact"))
 
 print("training vectors:")
 for t in demo.initial_training:

@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -352,21 +353,16 @@ def load_vectors_csv(path) -> VectorSet:
     return _vector_set(rows, str(path))
 
 
-def _checked(rows: list, wheres: list[str]) -> list:
-    """The rows as RealVectors of one VectorSet; an error in row i reads ``{wheres[i]}: ...``.
-    Rows of several dimensions stay lists: the distance block names them, after other errors."""
+def _checked(rows: list, wheres: list[str]) -> VectorSet | list:
+    """The rows as one VectorSet; an error in row i reads ``{wheres[i]}: ...``.  Rows of
+    several dimensions stay a list: the distance block names them, after other errors."""
     try:
-        return VectorSet(rows).vectors()
+        return VectorSet(rows)
     except ValueError as exc:
         index, _, message = str(exc).partition("]: ")
         if index[:1] != "[":  # no row is bad: they differ in dimension
             return rows
         raise type(exc)(f"{wheres[int(index[1:])]}: {message}") from None
-
-
-def _labeled(entries: list[dict], wheres: list[str]) -> list[LabeledReference]:
-    vectors = _checked([entry["vector"] for entry in entries], [f"{w}.vector" for w in wheres])
-    return [LabeledReference(v, str(entry["label"])) for v, entry in zip(vectors, entries)]
 
 
 # ---------------------------------------------------------------- output
@@ -609,14 +605,17 @@ def _estimate(config: dict, cfg: EstimatorConfig) -> Run:
     u, v = config.get("u"), config.get("v")
     if u is None or v is None:
         raise ValueError("estimate needs both vectors: --u/--v or config keys 'u'/'v'")
-    return Run({}, estimate_run(*_checked([u, v], ["config.u", "config.v"]), cfg))
+    _checked([u, v], ["config.u", "config.v"])
+    return Run({}, estimate_run(u, v, cfg))
 
 
 def _classify(config: dict, cfg: EstimatorConfig) -> Run:
     refs = config.get("references")
     if refs is None or len(refs) != 2:
         raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
-    ref_a, ref_b = _labeled(refs, ["config.references[0]", "config.references[1]"])
+    _checked([ref["vector"] for ref in refs],
+             ["config.references[0].vector", "config.references[1].vector"])
+    ref_a, ref_b = (LabeledReference(ref["vector"], str(ref["label"])) for ref in refs)
     vectors = _vectors(config)
     result = two_cluster_assignment(vectors, ref_a, ref_b, cfg)
     labels = result.labels
@@ -629,13 +628,10 @@ def _classify(config: dict, cfg: EstimatorConfig) -> Run:
         "assigned": labels,
         "boundary_flag": result.boundary,
     })
-    extra = {
-        "references": {ref_a.label: ref_a.vector.components.tolist(),
-                       ref_b.label: ref_b.vector.components.tolist()},
-        "n_vectors": len(vectors),
-    }
-    sets = [ref_a.vector.components.tolist()], [ref_b.vector.components.tolist()]
-    plots = {"plot.svg": partial(_scatter_svg, vectors, labels, [ref_a, ref_b], sets, (),
+    a, b = ref_a.vector.components.tolist(), ref_b.vector.components.tolist()
+    extra = {"references": {ref_a.label: a, ref_b.label: b}, "n_vectors": len(vectors)}
+    refs = [a, b], [ref_a.label, ref_b.label]
+    plots = {"plot.svg": partial(_scatter_svg, vectors, labels, refs, ([a], [b]), (),
                                  "two-cluster assignment")}
     return Run(extra, {"rows": rows, "assigned_counts": Counter(labels)}, list(rows), rows, plots,
                vectors)
@@ -648,34 +644,37 @@ def _nn(config: dict, cfg: EstimatorConfig) -> Run:
     initial, added = spec.get("initial", []), spec.get("added")
     if not initial:
         raise ValueError("training set must be non-empty")
-    wheres = [f"config.training.initial[{i}]" for i in range(len(initial))]
-    training = _labeled([*initial, added] if added else initial, [*wheres, "config.training.added"])
-    added = training.pop() if added else None
+    entries = [*initial, added] if added else initial
+    wheres = [f"config.training.initial[{i}].vector" for i in range(len(initial))]
+    training = _checked([e["vector"] for e in entries], [*wheres, "config.training.added.vector"])
+    labels = [str(e["label"]) for e in entries]
     vectors = _vectors(config)
+    if added:
+        result = nn_run(vectors, training, labels, cfg)
+        rows = Table(result["rows"])
+        summary, fields = {**result, "rows": rows}, ["index", "vector", "label_before",
+                                                     "label_after", "changed"]
+    else:
+        result = nearest_neighbor_assignment(distance_matrix(vectors, training, cfg), labels)
+        rows = Table({
+            "index": np.arange(len(vectors)),
+            "vector": vectors.components,
+            "assigned": result.labels,
+            "margin": result.margin,
+            "boundary_flag": result.boundary,
+        })
+        summary, fields = {"rows": rows}, list(rows)
+    points = training.components.tolist()  # a VectorSet: the distance block took it
     extra = {
-        "training": [{"label": t.label, "vector": t.vector.components.tolist()} for t in training],
-        "added": ({"label": added.label, "vector": added.vector.components.tolist()}
-                  if added else None),
+        "training": [{"label": label, "vector": point}
+                     for label, point in zip(labels, points[:len(initial)])],
+        "added": {"label": labels[-1], "vector": points[-1]} if added else None,
         "n_vectors": len(vectors),
     }
-    if added is not None:
-        result = nn_run(vectors, training, added, cfg)
-        rows = Table(result["rows"])
-        return Run(extra, {**result, "rows": rows},
-                   ["index", "vector", "label_before", "label_after", "changed"], rows,
-                   _nn_phase_plots(vectors, rows, training, added), vectors)
-    dist = distance_matrix(vectors, [t.vector for t in training], cfg)
-    result = nearest_neighbor_assignment(dist, training)
-    rows = Table({
-        "index": np.arange(len(vectors)),
-        "vector": vectors.components,
-        "assigned": result.labels,
-        "margin": result.margin,
-        "boundary_flag": result.boundary,
-    })
-    plot = partial(_scatter_svg, vectors, rows["assigned"], training, _nn_sets(training), (),
-                   "nearest neighbor")
-    return Run(extra, {"rows": rows}, list(rows), rows, {"plot.svg": plot}, vectors)
+    plots = (_nn_phase_plots(vectors, rows, points, labels) if added else
+             {"plot.svg": partial(_scatter_svg, vectors, rows["assigned"], (points, labels),
+                                  _nn_sets(points, labels), (), "nearest neighbor")})
+    return Run(extra, summary, fields, rows, plots, vectors)
 
 
 def _cluster(config: dict, cfg: EstimatorConfig) -> Run:
@@ -712,7 +711,7 @@ def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
         "history": [list(h) for h in state.history],
         "rows": rows,
     }
-    plots = {f"round_{r}.svg": partial(_scatter_svg, vectors, labels, (), None, names,
+    plots = {f"round_{r}.svg": partial(_scatter_svg, vectors, labels, ((), ()), None, names,
                                        f"round {r}")
              for r, labels in enumerate(state.history)}
     return Run(extra, summary, list(rows), rows, plots, vectors)
@@ -749,13 +748,14 @@ def _fig2(config: dict, cfg: EstimatorConfig) -> Run:
 
 def _figs1(config: dict, cfg: EstimatorConfig) -> Run:
     demo = FIGS1_DEMO
-    vectors, training = demo.vectors(), list(demo.initial_training)
-    result = nn_run(vectors, training, demo.added_training, cfg)
+    vectors, refs = demo.vectors(), [*demo.initial_training, demo.added_training]
+    training, labels = VectorSet([ref.vector for ref in refs]), [ref.label for ref in refs]
+    result = nn_run(vectors, training, labels, cfg)
     rows = Table(result["rows"], name=list(demo.names))
     changed = [demo.names[i] for i in result["changed_indices"]]
     return Run({"dataset": "builtin-figS1-demo"}, {**result, "rows": rows},
                ["index", "name", "vector", "label_before", "label_after", "changed"], rows,
-               _nn_phase_plots(vectors, rows, training, demo.added_training, demo.names),
+               _nn_phase_plots(vectors, rows, training.components.tolist(), labels, demo.names),
                line=f"figS1: labels changed after the new training vector: {changed or 'none'}")
 
 
@@ -792,8 +792,10 @@ def _run(args) -> None:
 
 def _square_limits(points: np.ndarray) -> tuple[float, float]:
     """The square window around an (n, 2) array of points: each axis from the least
-    coordinate less 0.25 to the greatest plus 0.25."""
-    return float(points.min()) - 0.25, float(points.max()) + 0.25
+    coordinate less 0.25 to the greatest plus 0.25, or to the neighbouring floats where
+    the two ends round to one value."""
+    lo, hi = float(points.min()) - 0.25, float(points.max()) + 0.25
+    return (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)) if lo == hi else (lo, hi)
 
 
 def _distance_gap(first, second):
@@ -807,14 +809,13 @@ def _distance_gap(first, second):
     return gap
 
 
-def _nn_sets(training):
-    """The vectors of the first label and those of the second, labels sorted;
+def _nn_sets(points, labels):
+    """The points of the first label and those of the second, labels sorted;
     None unless there are exactly two labels."""
-    labels = sorted({t.label for t in training})
-    if len(labels) != 2:
+    names = sorted(set(labels))
+    if len(names) != 2:
         return None
-    return tuple([t.vector.components.tolist() for t in training if t.label == label]
-                 for label in labels)
+    return tuple([p for p, label in zip(points, labels) if label == name] for name in names)
 
 
 def _boundary(sets, lim) -> np.ndarray:
@@ -844,24 +845,24 @@ def _fig2_svg(result: dict, metadata: dict) -> list[str]:
 
 
 def _scatter_svg(vectors, labels, references, sets, names, title, metadata) -> list[str]:
-    """Labelled 2-D points, a cross at each labelled reference, and the boundary
-    between the two point sets unless ``sets`` is None, in a square window around them."""
-    crosses = [(*r.vector.components.tolist(), r.label) for r in references]
-    lim = _square_limits(np.vstack([vectors.components,
-                                    *(r.vector.components for r in references)]))
+    """Labelled 2-D points, a cross at each of the references (points, labels), and the
+    boundary between the two point sets unless ``sets`` is None, in a square window."""
+    crosses = [(*point, label) for point, label in zip(*references)]
+    lim = _square_limits(np.vstack([vectors.components, *references[0]]))
     boundary = _boundary(sets, lim).tolist() if sets is not None else ()
     return cartesian_scatter_svg(vectors.components, list(labels), lim, crosses, boundary,
                                  names, title, metadata)
 
 
-def _nn_phase_plots(vectors, rows, training, added, names=()) -> dict:
-    """Renderers for the nearest-neighbor labels before and after the added vector."""
-    extended = list(training) + [added]
+def _nn_phase_plots(vectors, rows, points, labels, names=()) -> dict:
+    """Renderers for the nearest-neighbor labels before and after the added vector,
+    the last of the training points."""
+    initial = points[:-1], labels[:-1]
     return {
-        "phase_1.svg": partial(_scatter_svg, vectors, rows["label_before"], training,
-                               _nn_sets(training), names, "initial training set"),
-        "phase_2.svg": partial(_scatter_svg, vectors, rows["label_after"], extended,
-                               _nn_sets(extended), names, "after the new training vector"),
+        "phase_1.svg": partial(_scatter_svg, vectors, rows["label_before"], initial,
+                               _nn_sets(*initial), names, "initial training set"),
+        "phase_2.svg": partial(_scatter_svg, vectors, rows["label_after"], (points, labels),
+                               _nn_sets(points, labels), names, "after the new training vector"),
     }
 
 

@@ -167,25 +167,20 @@ def cluster_run(
     return unsupervised_cluster(vectors, k, init, cfg, max_iterations)
 
 
-def nn_run(
-    test_vectors,
-    initial_training,
-    added_training: LabeledReference,
-    cfg: EstimatorConfig,
-) -> dict:
+def nn_run(test_vectors, training, labels: list, cfg: EstimatorConfig) -> dict:
     """Nearest-neighbor labels before and after one extra training vector.
 
-    ``rows`` is the table as columns, name -> one value per test vector.
-    Both phases read one block whose column j draws on the stream (seed, j):
-    the added vector is a new column, so the distances to the original
-    training vectors are reused unchanged.
+    ``training`` is a VectorSet (or its rows) whose last row is the added
+    vector; labels[j] is row j's label.  ``rows`` is the table as columns,
+    name -> one value per test vector.  Both phases read one block whose
+    column j draws on the stream (seed, j): phase 1 reads its columns
+    [:-1], so the distances to the original training vectors are reused
+    unchanged.
     """
-    initial = list(initial_training)
-    full = initial + [added_training]
     test_vectors = VectorSet(test_vectors)
-    dist = distance_matrix(test_vectors, [t.vector for t in full], cfg)
-    before = nearest_neighbor_assignment(dist[:, :len(initial)], initial)
-    after = nearest_neighbor_assignment(dist, full)
+    dist = distance_matrix(test_vectors, training, cfg)
+    before = nearest_neighbor_assignment(dist[:, :-1], labels[:-1])
+    after = nearest_neighbor_assignment(dist, labels)
     labels_before, labels_after = before.labels, after.labels
     changed = np.array(labels_before) != np.array(labels_after)
     rows = {

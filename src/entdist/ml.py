@@ -89,7 +89,7 @@ def two_cluster_assignment(
     if ref_a.label == ref_b.label:
         raise ValueError("the two reference labels must differ")
     dist = distance_matrix(vectors, [ref_a.vector, ref_b.vector], cfg)
-    assignment = nearest_neighbor_assignment(dist, [ref_a, ref_b])
+    assignment = nearest_neighbor_assignment(dist, [ref_a.label, ref_b.label])
     return replace(assignment, margin=assignment.distances[:, 0] - assignment.distances[:, 1])
 
 
@@ -103,14 +103,13 @@ def classify_two_cluster(
     return two_cluster_assignment([u], ref_a, ref_b, cfg)
 
 
-def nearest_neighbor_assignment(dist: np.ndarray, training) -> Assignment:
+def nearest_neighbor_assignment(dist: np.ndarray, labels: list) -> Assignment:
     """The one labelling rule: row i of a distance block takes the label of its
-    nearest column j, training[j].label.
+    nearest column j, labels[j].
 
     Labels within a factor 1 + BOUNDARY_TOL of the nearest tie, and the
     smallest wins; the margin is the gap to the runner-up label.
     """
-    labels = [t.label for t in training]
     names = list(dict.fromkeys(labels))
     codes = np.array([names.index(label) for label in labels])
     minima = np.column_stack([dist[:, codes == c].min(axis=1) for c in range(len(names))])
@@ -133,7 +132,7 @@ def nearest_neighbor_classify(
     if not training:
         raise ValueError("training set must be non-empty")
     return nearest_neighbor_assignment(distance_matrix([u], [t.vector for t in training], cfg),
-                                       training)
+                                       [t.label for t in training])
 
 
 @dataclass(frozen=True, eq=False)

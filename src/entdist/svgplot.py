@@ -268,10 +268,6 @@ def _ticks(lo: float, hi: float) -> list[float]:
         if span / (step * mult) <= n:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-9:
-        out.append(round(t, 10))
-        t += step
-    return out
+    # tick k is k * step: adding step to a tick would stop moving once step is below half its ulp
+    return [round(k * step, 10)
+            for k in range(math.ceil(lo / step), math.floor((hi + 1e-9) / step) + 1)]

@@ -66,9 +66,10 @@ class RealVector:
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionError("expected a non-empty 1-D sequence of reals")
         try:
-            self.__dict__.update(vars(VectorSet(arr[None]).vectors()[0]))
+            row = VectorSet(arr[None])
         except ValueError as exc:  # a lone vector is no row of a set: drop the "[0]: "
             raise type(exc)(str(exc).removeprefix("[0]: ")) from None
+        self.__dict__.update(components=row.components[0], _norm=row.norms.item())
 
     @property
     def dimension(self) -> int:
@@ -141,13 +142,6 @@ class VectorSet:
     @property
     def dimension(self) -> int:
         return int(self.components.shape[1])
-
-    def vectors(self) -> list[RealVector]:
-        """The rows as RealVectors sharing the checked rows and norms, as RealVector(row) does."""
-        views = [object.__new__(RealVector) for _ in range(len(self))]
-        for view, row, norm in zip(views, self.components, self.norms.tolist()):
-            view.__dict__.update(components=row, _norm=norm)
-        return views
 
 
 def as_vector(v) -> RealVector:

@@ -248,8 +248,8 @@ class TestAcceptance:
 
     def test_09_nearest_neighbor_update(self):
         demo = FIGS1_DEMO
-        result = nn_run(demo.vectors(), list(demo.initial_training),
-                        demo.added_training, EXACT)
+        full = list(demo.initial_training) + [demo.added_training]
+        result = nn_run(demo.vectors(), [t.vector for t in full], [t.label for t in full], EXACT)
         single_flip = result["changed_indices"] == [4]  # exactly vector E
 
         def oracle(u, training):
@@ -258,7 +258,6 @@ class TestAcceptance:
                 key=lambda t: np.linalg.norm(u - t.vector.components),
             ).label
 
-        full = list(demo.initial_training) + [demo.added_training]
         rows = result["rows"]
         oracle_ok = all(
             before == oracle(v, list(demo.initial_training)) and after == oracle(v, full)

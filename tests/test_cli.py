@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entdist.vectors
 from entdist.cli import (CONFIG_SCHEMA, _check, _clipped, _vector_set, load_vectors_csv,
                          main)
 
@@ -268,6 +269,23 @@ class TestClusterAndNN:
         assert summary["rows"][0]["label_before"] == "blue"
         assert summary["rows"][1]["label_before"] == "red"
         assert summary["rows"][1]["label_after"] == "blue"
+
+    @pytest.mark.parametrize("added", [None, {"label": "blue", "vector": [2.35, 2.35]}],
+                             ids=["one-phase", "two-phase"])
+    def test_nn_checks_its_training_rows_once(self, capsys, tmp_path, monkeypatch, added):
+        # one norm pass over the training rows, (d, n) as VectorSet passes them, then one
+        # over the test vectors; the distance block shares the checked training set
+        calls, lengths = [], entdist.vectors._lengths
+        monkeypatch.setattr(entdist.vectors, "_lengths",
+                            lambda x: calls.append(x.shape) or lengths(x))
+        training = {"initial": [{"label": "blue", "vector": [0.5, 0.5]},
+                                {"label": "red", "vector": [2.5, 2.5]}], "added": added}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"vectors": [[0.6, 0.6], [2.4, 2.4], [1.4, 1.6], [3, 1]],
+                                   "training": training}))
+        code, _, err = run(capsys, "nn", "--config", str(cfg), "--out", str(tmp_path / "nn"))
+        assert code == 0, err
+        assert calls == [(2, 3 if added else 2), (2, 4)]
 
     def test_an_exact_run_never_imports_numpy_random(self, tmp_path):
         # exact mode seeds no stream, and the import would add to every exact run's start-up

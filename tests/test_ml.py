@@ -609,7 +609,7 @@ def test_labels_and_boundary_flags_are_power_of_two_covariant(vectors, training,
         us = np.ldexp(np.array(vectors, dtype=float), k)
         dist = distance_matrix(us, [r.vector for r in refs], cfg)
         two = two_cluster_assignment(us, *refs[:2], cfg) if labels[0] != labels[1] else None
-        return dist, nearest_neighbor_assignment(dist, refs), two
+        return dist, nearest_neighbor_assignment(dist, [r.label for r in refs]), two
 
     base = assignments(0)
     for k in SCALES:
@@ -629,14 +629,14 @@ def test_ties_scale_with_the_data(k):
     queries = np.ldexp([[0.9, 0.1], [0.1, 0.9]], k)
     for got in (two_cluster_assignment(queries, *refs, EXACT),
                 nearest_neighbor_assignment(distance_matrix(queries, [r.vector for r in refs]),
-                                            refs)):
+                                            ["b", "a"])):
         assert got.labels == ["b", "a"]
         assert got.boundary.tolist() == [False, False]
 
 
 def test_a_label_at_distance_0_ties_only_with_distance_0():
     got = nearest_neighbor_assignment(np.array([[0.0, 5e-324], [0.0, 0.0], [5e-324, 1e-300]]),
-                                      [ref([1, 0], "z"), ref([0, 1], "a")])
+                                      ["z", "a"])
     assert got.labels == ["z", "a", "z"]
     assert got.boundary.tolist() == [False, True, False]
 
@@ -657,7 +657,7 @@ def test_single_vector_calls_are_row_0_of_a_block(vectors, cfg):
     single = nearest_neighbor_classify(u, training, cfg)
     assert len(single.codes) == 1
     assert single.margin[0] == assert_row_follows_reference(single, 0, block[0].tolist(), training)
-    everyone = nearest_neighbor_assignment(block, training)
+    everyone = nearest_neighbor_assignment(block, [t.label for t in training])
     for i, row in enumerate(block.tolist()):
         assert everyone.margin[i] == assert_row_follows_reference(everyone, i, row, training)
 

@@ -2,15 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 from entdist.cli import _distance_gap, _nn_sets, _square_limits, main
-from entdist.ml import LabeledReference
-from entdist.svgplot import contour_segments
+from entdist.svgplot import _ticks, contour_segments
 
 
 def test_bisector_contour_lies_on_the_perpendicular_bisector():
@@ -52,14 +55,12 @@ def test_saddle_cell_cuts_off_the_corners_of_the_other_sign(center_sign):
 
 @pytest.mark.parametrize("labels", [["a"], ["a", "a"], ["a", "b", "c"]])
 def test_nn_gap_needs_exactly_two_labels(labels):
-    training = [LabeledReference([float(i), 1.0], label) for i, label in enumerate(labels)]
-    assert _nn_sets(training) is None
+    points = [[float(i), 1.0] for i in range(len(labels))]
+    assert _nn_sets(points, labels) is None
 
 
 def test_nn_gap_is_the_first_sorted_label_minus_the_second():
-    training = [LabeledReference([1.0, 0.0], "red"), LabeledReference([0.0, 1.0], "blue"),
-                LabeledReference([3.0, 3.0], "red")]
-    gap = _distance_gap(*_nn_sets(training))
+    gap = _distance_gap(*_nn_sets([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]], ["red", "blue", "red"]))
     assert gap(0.0, 1.0) < 0.0 < gap(1.0, 0.0)  # "blue" sorts first
     assert gap(0.0, 2.0) == pytest.approx(1.0 - math.sqrt(5.0))
     assert gap(3.0, 2.5) == pytest.approx(math.hypot(3.0, 1.5) - 0.5)
@@ -104,3 +105,36 @@ def test_a_window_near_float64s_largest_value_draws_the_same_boundary(capsys, tm
     lines = _boundary_lines(capsys, tmp_path, 60)
     assert len(lines) > 100
     assert _boundary_lines(capsys, tmp_path, 1020) == lines
+
+
+def test_ticks_of_a_window_below_a_step_at_its_magnitude_are_bounded():
+    # at 2e15 the step 0.1 is below half an ulp, so a tick stepped by addition would never
+    # pass hi; a child process, capped in memory and time, since such a loop never ends
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from entdist.svgplot import _ticks; print(_ticks(2e15 - 0.25, 2e15 + 0.25))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=10)
+    ticks = json.loads(result.stdout)
+    assert 1 <= len(ticks) <= 6
+    assert all(2e15 - 0.25 <= t <= 2e15 + 0.25 for t in ticks)
+
+
+def test_a_tick_at_zero_reads_0():
+    # -0.6 + 0.2 + 0.2 + 0.2 is -5.6e-17, which rounds to -0.0; 0 * 0.2 is 0.0
+    ticks = _ticks(-0.7079599890205065, 0.015379207945795809)
+    assert [f"{t:g}" for t in ticks] == ["-0.6", "-0.4", "-0.2", "0"]
+
+
+@pytest.mark.parametrize("x", [2e15, 1e17])
+def test_coincident_points_plot_in_the_neighbouring_floats(capsys, tmp_path, x):
+    # three copies of one point: at 2e15 the window is narrower than a tick step's ulp, and
+    # from 4e15 on the point less 0.25 and plus 0.25 round to the point itself
+    point = f"{x!r},{x!r}"
+    code = main(["cluster", "--vector", point, "--vector", point, "--vector", point, "--k", "2",
+                 "--init", "0", "--plot", "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    svgs = sorted(p.name for p in tmp_path.glob("*.svg"))
+    assert svgs == ["round_0.svg", "round_1.svg"]
+    for name in svgs:
+        ElementTree.parse(tmp_path / name)

@@ -31,7 +31,6 @@ from entdist import __version__
 from entdist.cli import (TASKS, Run, Table, _artifacts, _cells, _distance_gap, _noise_from,
                          _nn_sets, _square_limits, _stream)
 from entdist.experiments import fig2_run
-from entdist.ml import LabeledReference
 from entdist.protocol import EstimatorConfig
 from entdist.svgplot import _GRID, _diverging_fills, _lerp, contour_segments
 
@@ -511,8 +510,7 @@ NN_FIRST, NN_SECOND = [(0.5, 0.25), (0.3, 1.1)], [(1.0, 0.25), (1.2, 0.9)]
     (_distance_gap(*([r] for r in THROUGH_GRID_POINTS)),
      _nearest_gap(*([r] for r in THROUGH_GRID_POINTS)),
      _square_limits(np.array(THROUGH_GRID_POINTS))),
-    (_distance_gap(*_nn_sets([LabeledReference(q, label) for label, points
-                              in (("a", NN_FIRST), ("b", NN_SECOND)) for q in points])),
+    (_distance_gap(*_nn_sets(NN_FIRST + NN_SECOND, ["a"] * len(NN_FIRST) + ["b"] * len(NN_SECOND))),
      _nearest_gap(NN_FIRST, NN_SECOND), _square_limits(np.array(NN_FIRST + NN_SECOND))),
 ], ids=["fig2-bisector", "diagonal-bisector", "saddle-grid", "bisector-through-grid-points",
         "nearest-neighbor"])

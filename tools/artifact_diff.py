@@ -23,7 +23,8 @@ Each case is also checked against its kind on the new tree, the error
 contract of the README: an ``error`` case exits 1 or 2, writes one stderr
 line starting ``error: `` and no file; an ``exact`` or ``sampled`` case exits
 0 with only ``note: `` lines on stderr.  A case that breaks it is listed as
-off contract.  When both trees have one ``__version__``, the exact and
+off contract; so is a run stopped after ``TIMEOUT_S`` seconds, whose exit
+status reads ``timed out``.  When both trees have one ``__version__``, the exact and
 sampled cases that exit 0 on the old tree and differ on the new one are
 named on a last line, ``bytes moved without a version bump: <cases>``.
 Exit status: 0 when nothing differs and no case is off contract, 1
@@ -43,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 RUNNER = "import sys; from entdist.cli import main; sys.exit(main(sys.argv[1:]))"
+TIMEOUT_S = 300  # seconds one CLI run may take
 
 REFS = [{"label": "A", "vector": [1.5, 0.55]}, {"label": "B", "vector": [0.86, 2.35]}]
 CLUSTER_VECTORS = [[1.0, 1.0], [1.1, 1.0], [1.2, 1.0], [5.0, 5.0], [5.1, 5.0]]
@@ -379,6 +381,14 @@ CASES = [
     ("estimate-negative-first-component", "exact", ("estimate", "--u", "-1,0", "--v", "1,0")),
     ("classify-cdata-end-label-plot", "exact", ("classify", "--config", "classify_cdata.json",
                                                 "--out", "out", "--plot")),
+    # three copies of one point: at 2e15 a tick step is below half an ulp of the ticks, and
+    # from 4e15 on the window's ends, the point less and plus 0.25, round to the point itself
+    ("cluster-plot-coincident-2e15", "exact", ("cluster", *["--vector", "2e15,2e15"] * 3,
+                                               "--k", "2", "--init", "0", "--out", "out",
+                                               "--plot")),
+    ("cluster-plot-coincident-1e17", "exact", ("cluster", *["--vector", "1e17,1e17"] * 3,
+                                               "--k", "2", "--init", "0", "--out", "out",
+                                               "--plot")),
     ("help", "exact", ("--help",)),
     ("version", "exact", ("--version",)),
     ("err-usage", "error", ("frobnicate",)),
@@ -531,7 +541,8 @@ CASES = [
 
 
 def run_case(src: Path, argv, workdir: Path) -> dict:
-    """One CLI run in a fresh directory; returns exit status, streams and new files."""
+    """One CLI run in a fresh directory; returns exit status, streams and new files.
+    A run still going after TIMEOUT_S seconds is stopped, its exit status "timed out"."""
     for name, content in INPUTS.items():
         if not isinstance(content, bytes):
             text = json.dumps(content) if name.endswith(".json") else content
@@ -539,8 +550,12 @@ def run_case(src: Path, argv, workdir: Path) -> dict:
         (workdir / name).parent.mkdir(exist_ok=True)
         (workdir / name).write_bytes(content)
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    proc = subprocess.run([sys.executable, "-c", RUNNER, *argv], cwd=workdir, env=env,
-                          capture_output=True, timeout=300)
+    try:
+        proc = subprocess.run([sys.executable, "-c", RUNNER, *argv], cwd=workdir, env=env,
+                              capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:  # one hung case must not end the whole diff
+        proc = subprocess.CompletedProcess(exc.cmd, "timed out", exc.stdout or b"",
+                                           exc.stderr or b"")
     files = {
         str(path.relative_to(workdir)): path.read_bytes()
         for path in sorted(workdir.rglob("*"))
