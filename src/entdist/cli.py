@@ -26,11 +26,11 @@ import re
 import sys
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------- config
 
 
-@dataclass(frozen=True)
-class _Object:
+class _Object(NamedTuple):
     """A JSON object with no keys but these; the ``required`` ones must be present."""
 
     fields: dict
@@ -169,7 +168,7 @@ def _clipped(value) -> str:
 
 def _check(value, spec, where: str) -> None:
     """Raise ValueError unless value has one of the JSON types spec allows."""
-    for alt in spec if isinstance(spec, tuple) else (spec,):
+    for alt in spec if type(spec) is tuple else (spec,):  # an _Object is a tuple too
         if isinstance(alt, list) and isinstance(value, list):
             if alt[0] is not float or list(map(type, value)).count(float) < len(value):
                 for i, item in enumerate(value):  # an item to check, or to name
@@ -368,22 +367,21 @@ def _checked(rows: list, wheres: list[str]) -> VectorSet | list:
 # ---------------------------------------------------------------- output
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """What one command computed; ``_write`` turns it into files and stdout."""
 
     extra: dict  # embedded config entries besides task, estimator and noise
     summary: dict  # summary.json without its metadata
     fields: list | None = None  # results.csv columns; None: no CSV, summary to stdout
     rows: Table | None = None  # the results.csv table
-    plots: dict = field(default_factory=dict)  # file name -> render(metadata) -> SVG lines
+    plots: dict = {}  # file name -> render(metadata) -> SVG lines; never written to
     plot_vectors: VectorSet | None = None  # must be 2-D to plot
     line: str | None = None  # printed once the files are written
 
 
 def _metadata(task: str, cfg: EstimatorConfig, extra: dict) -> dict:
     estimator = {"mode": cfg.mode, "shots": cfg.shots, "seed": cfg.seed}
-    noise = asdict(cfg.noise) if cfg.noise is not None else None
+    noise = dict(vars(cfg.noise)) if cfg.noise is not None else None
     config = {"task": task, "estimator": estimator, "noise": noise, **extra}
     # sampled bytes hold for one numpy binomial implementation only
     return {"artifact": "entdist", "version": __version__, "generator": GENERATOR_NAME,

@@ -11,7 +11,7 @@ brute force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class TableRow:
+class TableRow(NamedTuple):
     index: int
     vector: tuple[float, ...]
     theory_diff: float  # printed two-decimal D_A - D_B
@@ -48,8 +47,7 @@ class TableRow:
     experiment_correct: bool
 
 
-@dataclass(frozen=True, eq=False)
-class TableDataset:
+class TableDataset(NamedTuple):
     name: str
     reference_a: tuple[float, ...]
     reference_b: tuple[float, ...]
@@ -133,8 +131,7 @@ def fig2_test_vectors(count: int = FIG2_DEFAULT_COUNT, seed: int = 0) -> VectorS
     return VectorSet(norms[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
-@dataclass(frozen=True, eq=False)
-class ClusteringDemo:
+class ClusteringDemo(NamedTuple):
     """A named 2-D point set with a deliberately imperfect starting labeling."""
 
     names: tuple[str, ...]
@@ -164,8 +161,7 @@ FIG3_DEMO = ClusteringDemo(
 )
 
 
-@dataclass(frozen=True, eq=False)
-class NearestNeighborDemo:
+class NearestNeighborDemo(NamedTuple):
     """Test points plus a two-phase training set (one vector arrives late)."""
 
     names: tuple[str, ...]

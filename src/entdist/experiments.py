@@ -6,7 +6,6 @@ responsible for files and plots.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
 
 import numpy as np
 
@@ -49,7 +48,7 @@ def estimate_run(u, v, cfg: EstimatorConfig) -> dict:
     """One distance estimate, flattened for serialization."""
     query = DistanceQuery(u, v)
     return {"u": query.u.components.tolist(), "v": query.v.components.tolist(),
-            **asdict(estimate_distance(query, cfg))}
+            **estimate_distance(query, cfg)._asdict()}
 
 
 def table_run(

@@ -10,13 +10,13 @@ array of means over integer group codes per round, until nothing moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .protocol import EstimatorConfig, _distances, _draw, _expected_p, distance_matrix
 from .protocol import estimate_distance  # noqa: F401  (bench/tracing.py patches it here)
-from .vectors import RealVector, VectorSet, as_vector
+from .vectors import RealVector, VectorSet, _Frozen, as_vector
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -40,19 +40,14 @@ def _tied(minima: np.ndarray) -> np.ndarray:
         return minima <= minima.min(axis=1, keepdims=True) * (1 + BOUNDARY_TOL)
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledReference:
+class LabeledReference(_Frozen):
     """A reference (or training) vector tagged with its cluster label."""
 
-    vector: RealVector
-    label: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", as_vector(self.vector))
+    def __init__(self, vector: RealVector, label: str):
+        vars(self).update(vector=as_vector(vector), label=label)
 
 
-@dataclass(frozen=True, eq=False)
-class Assignment:
+class Assignment(_Frozen):
     """A labelled distance block as columns, one entry per row.
 
     Column c of ``distances`` holds each row's nearest distance to label
@@ -64,6 +59,9 @@ class Assignment:
     distances: np.ndarray  # (n, L): the nearest distance to each label
     codes: np.ndarray  # (n,): the assigned label, an index into names
     margin: np.ndarray  # (n,): runner-up minus best label (inf with one); two-cluster: D_A - D_B
+
+    def __init__(self, names, distances, codes, margin):
+        vars(self).update(names=names, distances=distances, codes=codes, margin=margin)
 
     @property
     def labels(self) -> list:
@@ -89,8 +87,9 @@ def two_cluster_assignment(
     if ref_a.label == ref_b.label:
         raise ValueError("the two reference labels must differ")
     dist = distance_matrix(vectors, [ref_a.vector, ref_b.vector], cfg)
-    assignment = nearest_neighbor_assignment(dist, [ref_a.label, ref_b.label])
-    return replace(assignment, margin=assignment.distances[:, 0] - assignment.distances[:, 1])
+    result = nearest_neighbor_assignment(dist, [ref_a.label, ref_b.label])
+    d = result.distances
+    return Assignment(result.names, d, result.codes, d[:, 0] - d[:, 1])
 
 
 def classify_two_cluster(
@@ -135,8 +134,7 @@ def nearest_neighbor_classify(
                                        [t.label for t in training])
 
 
-@dataclass(frozen=True, eq=False)
-class ClusteringState:
+class ClusteringState(NamedTuple):
     """Labels after the loop, with the per-round trail that produced them."""
 
     labels: tuple

@@ -5,9 +5,9 @@ fidelity) and then mixed with a detector-background term for dark counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .vectors import _Value
 
 __all__ = [
     "DEFAULT_STATE_FIDELITY",
@@ -42,8 +42,7 @@ def fidelity_to_mixing_weight(fidelity: float, m_qubits: int) -> float:
     return (fidelity - floor) / (1.0 - floor)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_Value):
     """Success-probability channel parameters.
 
     state_fidelity None means "use the measured default for the state size"
@@ -52,11 +51,10 @@ class NoiseModel:
     background, split between the outcomes by background_split.
     """
 
-    state_fidelity: float | None = None
-    dark_count_fraction: float = 0.0
-    background_split: float = 0.5
-
-    def __post_init__(self):
+    def __init__(self, state_fidelity: float | None = None, dark_count_fraction: float = 0.0,
+                 background_split: float = 0.5):
+        vars(self).update(state_fidelity=state_fidelity, dark_count_fraction=dark_count_fraction,
+                          background_split=background_split)
         if self.state_fidelity is not None and not 0.0 < self.state_fidelity <= 1.0:
             raise ValueError("state_fidelity must lie in (0, 1]")
         if not 0.0 <= self.dark_count_fraction < 1.0:

@@ -23,12 +23,13 @@ first 64-bit word of SeedSequence([seed, j]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .noise import NoiseModel, apply_noise
-from .vectors import DimensionError, RealVector, VectorSet, _is_power_of_two, _sum_squares, as_vector
+from .vectors import (DimensionError, RealVector, VectorSet, _Frozen, _is_power_of_two,
+                      _sum_squares, _Value, as_vector)
 
 __all__ = [
     "GENERATOR_NAME",
@@ -72,16 +73,17 @@ def _check_dimensions(du: int, dv: int) -> None:
         raise DimensionError(f"dimension {du} is not a power of two")
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceQuery:
+class DistanceQuery(_Frozen):
     """A pair (new vector u, reference vector v) of equal power-of-two dimension."""
 
     u: RealVector
     v: RealVector
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", as_vector(self.u))
-        object.__setattr__(self, "v", as_vector(self.v))
+    def __init__(self, u, v):
+        self.__post_init__(u, v)  # bench/tracing.py times construction here
+
+    def __post_init__(self, u, v):
+        vars(self).update(u=as_vector(u), v=as_vector(v))
         _check_dimensions(self.u.dimension, self.v.dimension)
 
 
@@ -147,16 +149,12 @@ def _column_generators(seed: int, m: int):
         yield Generator(PCG64(State(words)))
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
+class EstimatorConfig(_Value):
     """How p is obtained: exactly, or from seeded Bernoulli sampling."""
 
-    mode: str = "exact"
-    shots: int = 10_000
-    seed: int = 0
-    noise: NoiseModel | None = None
-
-    def __post_init__(self):
+    def __init__(self, mode: str = "exact", shots: int = 10_000, seed: int = 0,
+                 noise: NoiseModel | None = None):
+        vars(self).update(mode=mode, shots=shots, seed=seed, noise=noise)
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         for name in ("shots", "seed"):  # a boolean is never a number
@@ -180,11 +178,11 @@ class EstimatorConfig:
         derive(r).
         """
         key = [w for k in (self.seed, *indices) for w in _words(k)]
-        return replace(self, seed=int(_seed_states(np.array(key, np.uint32)[:, None], 1)[0, 0]))
+        seed = int(_seed_states(np.array(key, np.uint32)[:, None], 1)[0, 0])
+        return EstimatorConfig(self.mode, self.shots, seed, self.noise)
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
+class DistanceEstimate(NamedTuple):
     """Everything recovered from one run of the protocol."""
 
     p_hat: float

@@ -8,8 +8,6 @@ same messages; the estimator and the procedures read sets as arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
@@ -55,21 +53,46 @@ def _lengths(x: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(_sum_squares(np.ldexp(x, -e, order="C"))), e)
 
 
-@dataclass(frozen=True, eq=False)
-class RealVector:
+class _Frozen:
+    """A value whose fields its __init__ sets once, through __dict__; its repr names them."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class _Value(_Frozen):
+    """A _Frozen value that compares and hashes by its fields."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
+class RealVector(_Frozen):
     """An N-dimensional real vector, immutable after construction: a one-row VectorSet."""
 
     components: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.components, dtype=float)
+    def __init__(self, components):
+        self.__post_init__(components)  # bench/tracing.py times construction here
+
+    def __post_init__(self, components):
+        arr = np.array(components, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionError("expected a non-empty 1-D sequence of reals")
         try:
             row = VectorSet(arr[None])
         except ValueError as exc:  # a lone vector is no row of a set: drop the "[0]: "
             raise type(exc)(str(exc).removeprefix("[0]: ")) from None
-        self.__dict__.update(components=row.components[0], _norm=row.norms.item())
+        vars(self).update(components=row.components[0], _norm=row.norms.item())
 
     @property
     def dimension(self) -> int:
@@ -83,8 +106,7 @@ class RealVector:
         return f"RealVector({self.components.tolist()!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class VectorSet:
+class VectorSet(_Frozen):
     """Vectors of one dimension: a read-only (n, d) array and the n norms.
 
     Built from an (n, d) array or from rows (sequences of reals, arrays or
@@ -95,13 +117,12 @@ class VectorSet:
     """
 
     components: np.ndarray
-    norms: np.ndarray = field(init=False)
+    norms: np.ndarray
 
-    def __post_init__(self):
-        rows = self.components
+    def __init__(self, components):
+        rows = components
         if isinstance(rows, VectorSet):
-            object.__setattr__(self, "components", rows.components)
-            object.__setattr__(self, "norms", rows.norms)
+            vars(self).update(components=rows.components, norms=rows.norms)
             return
         if not isinstance(rows, np.ndarray):
             rows = [r.components if isinstance(r, RealVector) else r for r in rows]
@@ -133,8 +154,7 @@ class VectorSet:
                              "largest value")
         arr.flags.writeable = False
         norms.flags.writeable = False
-        object.__setattr__(self, "components", arr)
-        object.__setattr__(self, "norms", norms)
+        vars(self).update(components=arr, norms=norms)
 
     def __len__(self) -> int:
         return len(self.norms)

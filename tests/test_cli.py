@@ -297,6 +297,17 @@ class TestClusterAndNN:
                                 capture_output=True, text=True, timeout=60)
         assert result.stdout.split()[-2:] == ["0", "False"], result.stderr
 
+    def test_start_up_never_imports_dataclasses(self, tmp_path):
+        # the value types generate no code at import: dataclasses cost every process milliseconds
+        (tmp_path / "c.json").write_text(json.dumps(VALID_RUNS["nn"][0]))
+        code = ("import sys; import entdist; import entdist.cli; "
+                "print(entdist.cli.main(['nn', '--config', 'c.json', '--out', 'o']), "
+                "'dataclasses' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.stdout.split()[-2:] == ["0", "False"], result.stderr
+
     def test_classify_with_flags(self, capsys, tmp_path):
         out_dir = tmp_path / "cls"
         code, _, _ = run(capsys, "classify", "--vector", "2,0", "--vector", "0,2",

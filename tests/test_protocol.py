@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -105,7 +104,7 @@ class TestStreamSeeds:
     def test_column_j_draws_on_default_rng_of_its_seed(self, seed, upper):
         us = np.random.default_rng(2).normal(size=(40, 2))
         cfg = EstimatorConfig(mode="sampled", shots=100, seed=seed)
-        ideal = p_matrix(us, us, replace(cfg, mode="exact"), upper)
+        ideal = p_matrix(us, us, EstimatorConfig("exact", cfg.shots, cfg.seed, cfg.noise), upper)
         drawn = p_matrix(us, us, cfg, upper)
         assert drawn.tolist() == _column_draws(ideal, cfg, upper).tolist()
         # columns are drawn as rows of a transposed copy; the blocks come back C-ordered
@@ -498,7 +497,7 @@ class TestBatch:
         assert estimate.distance == dist[0, 0]
         if cfg.mode == "sampled":
             assert sample_p(q, cfg) == (estimate.p_hat, estimate.std_error_p)
-            ideal = replace(cfg, mode="exact")
+            ideal = EstimatorConfig("exact", cfg.shots, cfg.seed, cfg.noise)
             assert p_matrix(us, vs, cfg).tolist() == \
                 _column_draws(p_matrix(us, vs, ideal), cfg).tolist()
             assert p_matrix(us, us, cfg, upper=True).tolist() == \

@@ -5,7 +5,9 @@ Runs a fixed matrix of CLI invocations (every command and repro target,
 exact and sampled, plots on and off, and failing inputs) once against each
 tree.  Each run gets a fresh directory holding the same input files and
 uses relative paths, so the trees see identical arguments.  Every output
-file, stdout, stderr and exit status is compared byte for byte.
+file, stdout, stderr and exit status is compared byte for byte.  Up to two
+cases run at once (no more than the CPUs this process may use); the
+results are printed in case order, so the output is a serial run's.
 
 Usage, e.g. against the parent commit:
 
@@ -41,6 +43,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 RUNNER = "import sys; from entdist.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -618,6 +621,24 @@ def differences(old: dict, new: dict) -> list[str]:
     return found
 
 
+def compare(i: int, case, old: Path, new: Path, versions, tmp: str):
+    """Run case i on both trees; returns its differences, whether they are the
+    version's alone, and how the new tree's run breaks the contract of its kind."""
+    name, mode, case_argv = case
+    runs = []
+    for side, src in (("old", old), ("new", new)):
+        workdir = Path(tmp) / f"{i}-{side}"
+        workdir.mkdir()
+        runs.append(run_case(src, case_argv, workdir))
+    found = differences(*runs)
+    version_only = False
+    if found and versions[0] != versions[1]:
+        found = differences(renamed(runs[0], *versions), runs[1])
+        version_only = not found
+    moved = bool(found) and versions[0] == versions[1] and mode != "error" and not runs[0]["exit"]
+    return found, version_only, moved, kind_violations(mode, runs[1])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="src directory of the reference tree")
@@ -633,21 +654,17 @@ def main(argv=None) -> int:
     versions = version(args.old), version(args.new)
     tally: dict[str, list[int]] = {}  # mode -> cases, differ, version only, off contract
     moved = []  # exact and sampled cases whose bytes moved under one version
-    with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
-        for i, (name, mode, case_argv) in enumerate(cases):
-            runs = []
-            for side, src in (("old", args.old), ("new", args.new)):
-                workdir = Path(tmp) / f"{i}-{side}"
-                workdir.mkdir()
-                runs.append(run_case(src, case_argv, workdir))
-            found = differences(*runs)
-            version_only = False
-            if found and versions[0] != versions[1]:
-                found = differences(renamed(runs[0], *versions), runs[1])
-                version_only = not found
-            if found and versions[0] == versions[1] and mode != "error" and not runs[0]["exit"]:
+    # each case runs in its own processes and directories, two cases at a time at most;
+    # the results are read in case order, so the output is a serial run's
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp, \
+            ThreadPoolExecutor(workers) as pool:
+        results = pool.map(lambda i: compare(i, cases[i], args.old, args.new, versions, tmp),
+                           range(len(cases)))
+        for (name, mode, case_argv), (found, version_only, bytes_moved, broken) in \
+                zip(cases, results):
+            if bytes_moved:
                 moved.append(name)
-            broken = kind_violations(mode, runs[1])
             counts = tally.setdefault(mode, [0, 0, 0, 0])
             counts[0] += 1
             counts[1] += bool(found)
