@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -32,7 +33,17 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
+# OpenBLAS sizes its thread pool from the first of these that is set, and reads it only while
+# numpy loads; entdist makes no BLAS call, and an idle worker spins through the process's
+# start-up, so unless the user chose a count, numpy loads with one thread
+_PINNED = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
+if _PINNED:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _PINNED:  # child processes and later readers see the user's environment
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
 from .datasets import FIG2_DEFAULT_COUNT, FIG2_NORM_RANGE, FIG3_DEMO, FIGS1_DEMO

@@ -37,6 +37,19 @@ def read_metadata_lines(path) -> dict:
     return header
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the variables OpenBLAS reads its thread count from, in its order
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+PRINT_THREADS = "print(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
+
+
+def fresh_python(code: str, cwd, **env) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on src/, with none of BLAS_THREADS set but those given."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+                          env={**base, "PYTHONPATH": str(SRC), **env}, timeout=60)
+
+
 class TestEstimate:
     def test_orthogonal_pair(self, capsys):
         code, out, _ = run(capsys, "estimate", "--u", "1,0", "--v", "0,1")
@@ -292,9 +305,7 @@ class TestClusterAndNN:
         (tmp_path / "c.json").write_text(json.dumps(VALID_RUNS["nn"][0]))
         code = ("import sys; from entdist.cli import main; "
                 "print(main(['nn', '--config', 'c.json', '--out', 'o']), 'numpy.random' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                                capture_output=True, text=True, timeout=60)
+        result = fresh_python(code, tmp_path)
         assert result.stdout.split()[-2:] == ["0", "False"], result.stderr
 
     def test_start_up_never_imports_dataclasses(self, tmp_path):
@@ -303,10 +314,62 @@ class TestClusterAndNN:
         code = ("import sys; import entdist; import entdist.cli; "
                 "print(entdist.cli.main(['nn', '--config', 'c.json', '--out', 'o']), "
                 "'dataclasses' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                                capture_output=True, text=True, timeout=60)
+        result = fresh_python(code, tmp_path)
         assert result.stdout.split()[-2:] == ["0", "False"], result.stderr
+
+    @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+                             ids=["unset", "OPENBLAS_NUM_THREADS=2", "OMP_NUM_THREADS=2"])
+    def test_start_up_runs_one_blas_thread_unless_the_user_sets_one(self, tmp_path, env):
+        # entdist makes no BLAS call, and OpenBLAS's idle worker spins through the start-up of
+        # every process; the count is read only while numpy loads, so the CLI sets it just then
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/self/status to read the thread count from")
+        bare = fresh_python(f"import numpy; {PRINT_THREADS}", tmp_path, **env)
+        if bare.stdout.split() == ["1"]:
+            pytest.skip("numpy starts one thread here anyway")
+        code = (f"import os; env = dict(os.environ); import entdist.cli; {PRINT_THREADS}; "
+                "print(dict(os.environ) == env)")
+        result = fresh_python(code, tmp_path, **env)
+        assert result.stdout.split() == [bare.stdout.strip() if env else "1", "True"], result.stderr
+
+    def test_the_package_root_loads_no_numpy(self, tmp_path):
+        # so `import entdist.cli` can start numpy itself, and a library caller's process keeps
+        # its thread count
+        code = ("import os, sys; env = dict(os.environ); import entdist; "
+                "print('numpy' in sys.modules, dict(os.environ) == env)")
+        result = fresh_python(code, tmp_path)
+        assert result.stdout.split() == ["False", "True"], result.stderr
+
+    def test_package_surface(self, tmp_path):
+        # the names of `from entdist import *`, bound to their own modules' objects; the modules
+        # resolve as attributes right after a bare import, and nothing else does
+        code = """if True:
+            import sys
+            import entdist
+            assert entdist.ml is sys.modules["entdist.ml"]
+            assert entdist.vectors is sys.modules["entdist.vectors"]
+            for name in ("svgplot", "no_such_name"):
+                try:
+                    getattr(entdist, name)
+                    raise SystemExit(f"entdist.{name} resolved")
+                except AttributeError:
+                    pass
+            from entdist import ml, noise, protocol, vectors
+            modules = (vectors, noise, protocol, ml)
+            public = ["__version__", *vectors.__all__, *noise.__all__, *protocol.__all__,
+                      *ml.__all__]
+            assert entdist.__all__ == public, entdist.__all__
+            star = {}
+            exec("from entdist import *", star)
+            del star["__builtins__"]
+            home = {name: module for module in modules for name in module.__all__}
+            assert sorted(star) == sorted(public), sorted(star)
+            assert all(star[name] is getattr(home.get(name, entdist), name) for name in public)
+            assert set(public) <= set(dir(entdist)), set(public) - set(dir(entdist))
+            print("ok")
+        """
+        result = fresh_python(code, tmp_path)
+        assert result.stdout.split() == ["ok"], result.stderr
 
     def test_classify_with_flags(self, capsys, tmp_path):
         out_dir = tmp_path / "cls"
@@ -867,6 +930,25 @@ class TestDeterminism:
             files = {p.name: p.read_bytes() for p in sorted((tmp_path / out_dir).iterdir())}
             outputs.append((out, files))
         assert "summary.json" in outputs[0][1]
+        assert outputs[0] == outputs[1]
+
+    def test_bytes_do_not_follow_the_blas_thread_count(self, tmp_path):
+        # no BLAS routine is on any path, so a user's thread count moves no byte
+        runs = {"nn": (VALID_RUNS["nn"][0], ["nn", "--config", "c.json", "--exact"]),
+                "cluster": DETERMINISM_RUNS["cluster"]}
+        outputs = []
+        for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            files = {}
+            for name, (config, argv) in runs.items():
+                (tmp_path / "c.json").write_text(json.dumps(config))
+                out = f"{name}{len(env)}"
+                code = f"from entdist.cli import main; print(main({[*argv, '--out', out]}))"
+                result = fresh_python(code, tmp_path, **env)
+                assert result.stdout.split()[-1:] == ["0"], result.stderr
+                files.update({f"{name}/{p.name}": p.read_bytes()
+                              for p in sorted((tmp_path / out).iterdir())})
+            outputs.append(files)
+        assert {"nn/summary.json", "cluster/summary.json"} <= set(outputs[0])
         assert outputs[0] == outputs[1]
 
     def test_fig2_byte_identical(self, capsys, tmp_path):
