@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -33,10 +34,14 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
+# an import that loads numpy is a process's start-up, as in the entdist command: a caller that
+# loaded numpy first keeps its own thread count and collector
+_STARTS_NUMPY = "numpy" not in sys.modules
 # OpenBLAS sizes its thread pool from the first of these that is set, and reads it only while
 # numpy loads; entdist makes no BLAS call, and an idle worker spins through the process's
 # start-up, so unless the user chose a count, numpy loads with one thread
-_PINNED = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
+_PINNED = _STARTS_NUMPY and not ({"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+                                 & set(os.environ))
 if _PINNED:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 try:
@@ -843,7 +848,7 @@ def _fig2_svg(result: dict, metadata: dict) -> list[str]:
     r_max = FIG2_NORM_RANGE[1]
     segments = _boundary(([a], [b]), (0.0, r_max))
     # clipped to the plotted quarter disk
-    boundary = segments[(_lengths(np.moveaxis(segments, -1, 0)) <= r_max).all(axis=1)].tolist()
+    boundary = segments[(_lengths(np.moveaxis(segments, -1, 0)) <= r_max).all(axis=1)]
     rows = result["rows"]
     xs, ys, *diffs = np.array([rows["x"], rows["y"], rows["exact_diff"], rows["sampled_diff"]])
     scale = float(np.abs(diffs).max()) or 1.0
@@ -858,7 +863,7 @@ def _scatter_svg(vectors, labels, references, sets, names, title, metadata) -> l
     boundary between the two point sets unless ``sets`` is None, in a square window."""
     crosses = [(*point, label) for point, label in zip(*references)]
     lim = _square_limits(np.vstack([vectors.components, *references[0]]))
-    boundary = _boundary(sets, lim).tolist() if sets is not None else ()
+    boundary = _boundary(sets, lim) if sets is not None else ()
     return cartesian_scatter_svg(vectors.components, list(labels), lim, crosses, boundary,
                                  names, title, metadata)
 
@@ -874,6 +879,11 @@ def _nn_phase_plots(vectors, rows, points, labels, names=()) -> dict:
                                _nn_sets(points, labels), names, "after the new training vector"),
     }
 
+
+# the start-up heap (about 22,000 objects, numpy's mostly) lives until the exit; frozen, it is
+# traversed by no later collection, the exit's full ones included
+if _STARTS_NUMPY:
+    gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -117,21 +117,20 @@ class _Panel:
         return self.py + self.size - (y - lo) / (hi - lo) * self.size
 
     def segments(self, segs, dash=None) -> list[str]:
+        """One line per segment ((a, b) end points), its end pixels computed for all at once."""
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        return [
-            f'<line x1="{_fmt(self.x(ax))}" y1="{_fmt(self.y(ay))}" '
-            f'x2="{_fmt(self.x(bx))}" y2="{_fmt(self.y(by))}" '
-            f'stroke="#888888" stroke-width="1.8"{dash_attr}/>'
-            for (ax, ay), (bx, by) in segs
-        ]
+        line = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                f'stroke="#888888" stroke-width="1.8"{dash_attr}/>')
+        pixels = np.array(segs, dtype=float).reshape(-1, 4)  # x1 y1 x2 y2 of each segment
+        pixels[:, 0::2], pixels[:, 1::2] = self.x(pixels[:, 0::2]), self.y(pixels[:, 1::2])
+        return list(map(line.__mod__, zip(*pixels.T.tolist())))
 
     def points(self, xs: np.ndarray, ys: np.ndarray, fills, edges) -> list[str]:
         """One circle per point, its pixel coordinates computed for all points at once."""
-        return [
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{_POINT_RADIUS}" '
-            f'fill="{fill}" stroke="{edge}" stroke-width="1.6"/>'
-            for cx, cy, fill, edge in zip(self.x(xs).tolist(), self.y(ys).tolist(), fills, edges)
-        ]
+        circle = (f'<circle cx="%.2f" cy="%.2f" r="{_POINT_RADIUS}" '
+                  'fill="%s" stroke="%s" stroke-width="1.6"/>')
+        return list(map(circle.__mod__,
+                        zip(self.x(xs).tolist(), self.y(ys).tolist(), fills, edges)))
 
     def cross(self, x: float, y: float, color: str) -> str:
         cx, cy, arm = self.x(x), self.y(y), _CROSS_ARM
@@ -209,7 +208,7 @@ def polar_scatter_svg(xs, ys, panels, references, boundary, fill_scale: float, r
     fill_scale on the diverging map and the colour of edge_labels[i], one of
     the references' labels (arrays for xs, ys and the fill values).  Every
     panel shows the references [(x, y, label)] as crosses and the boundary
-    (segment list).
+    ((n, 2, 2) segments).
     """
     panel_size, margin = 360.0, 55.0
     width = margin + len(panels) * (panel_size + margin)
@@ -231,7 +230,7 @@ def polar_scatter_svg(xs, ys, panels, references, boundary, fill_scale: float, r
 def cartesian_scatter_svg(points, labels, lim, references, boundary, names, title: str,
                           metadata: dict) -> list[str]:
     """The lines of an SVG scatter of labeled 2-D points ((n, 2) array) in the square
-    window lim x lim, with reference crosses, a dashed boundary (segment list) and the
+    window lim x lim, with reference crosses, a dashed boundary ((n, 2, 2) segments) and the
     first ``len(names)`` points named."""
     panel_size, margin = 420.0, 50.0
     width = height = panel_size + 2 * margin

@@ -332,6 +332,21 @@ class TestClusterAndNN:
         result = fresh_python(code, tmp_path, **env)
         assert result.stdout.split() == [bare.stdout.strip() if env else "1", "True"], result.stderr
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    def test_a_start_up_that_loads_numpy_freezes_its_heap(self, tmp_path, enabled):
+        # the start-up heap, numpy's mostly, lives until the exit, whose full collections would
+        # traverse it again; freezing leaves the collector on or off as it was
+        code = (f"import gc; {'' if enabled else 'gc.disable(); '}import entdist.cli; "
+                "print(gc.get_freeze_count() > 0, gc.isenabled())")
+        result = fresh_python(code, tmp_path)
+        assert result.stdout.split() == ["True", str(enabled)], result.stderr
+
+    def test_a_caller_that_loaded_numpy_first_keeps_its_freeze_count(self, tmp_path):
+        code = ("import gc, numpy; before = gc.get_freeze_count(); import entdist.cli; "
+                "print(gc.get_freeze_count() == before)")
+        result = fresh_python(code, tmp_path)
+        assert result.stdout.split() == ["True"], result.stderr
+
     def test_the_package_root_loads_no_numpy(self, tmp_path):
         # so `import entdist.cli` can start numpy itself, and a library caller's process keeps
         # its thread count
@@ -932,24 +947,32 @@ class TestDeterminism:
         assert "summary.json" in outputs[0][1]
         assert outputs[0] == outputs[1]
 
-    def test_bytes_do_not_follow_the_blas_thread_count(self, tmp_path):
-        # no BLAS routine is on any path, so a user's thread count moves no byte
+    @staticmethod
+    def nn_and_cluster_files(tmp_path, start: str, **env) -> dict:
+        """The files of an exact nn and a sampled cluster, each run in a fresh interpreter
+        that runs start before it imports the CLI."""
         runs = {"nn": (VALID_RUNS["nn"][0], ["nn", "--config", "c.json", "--exact"]),
                 "cluster": DETERMINISM_RUNS["cluster"]}
-        outputs = []
-        for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
-            files = {}
-            for name, (config, argv) in runs.items():
-                (tmp_path / "c.json").write_text(json.dumps(config))
-                out = f"{name}{len(env)}"
-                code = f"from entdist.cli import main; print(main({[*argv, '--out', out]}))"
-                result = fresh_python(code, tmp_path, **env)
-                assert result.stdout.split()[-1:] == ["0"], result.stderr
-                files.update({f"{name}/{p.name}": p.read_bytes()
-                              for p in sorted((tmp_path / out).iterdir())})
-            outputs.append(files)
-        assert {"nn/summary.json", "cluster/summary.json"} <= set(outputs[0])
-        assert outputs[0] == outputs[1]
+        work, files = Path(tempfile.mkdtemp(dir=tmp_path)), {}
+        for name, (config, argv) in runs.items():
+            (work / "c.json").write_text(json.dumps(config))
+            code = f"{start}; from entdist.cli import main; print(main({[*argv, '--out', name]}))"
+            result = fresh_python(code, work, **env)
+            assert result.stdout.split()[-1:] == ["0"], result.stderr
+            files.update({f"{name}/{p.name}": p.read_bytes()
+                          for p in sorted((work / name).iterdir())})
+        assert {"nn/summary.json", "cluster/summary.json"} <= set(files)
+        return files
+
+    def test_bytes_do_not_follow_the_blas_thread_count(self, tmp_path):
+        # no BLAS routine is on any path, so a user's thread count moves no byte
+        assert (self.nn_and_cluster_files(tmp_path, "pass")
+                == self.nn_and_cluster_files(tmp_path, "pass", OPENBLAS_NUM_THREADS="2"))
+
+    def test_bytes_do_not_follow_the_start_up_order(self, tmp_path):
+        # the CLI freezes its start-up heap and pins one BLAS thread only where it loads numpy
+        assert (self.nn_and_cluster_files(tmp_path, "pass")
+                == self.nn_and_cluster_files(tmp_path, "import numpy"))
 
     def test_fig2_byte_identical(self, capsys, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

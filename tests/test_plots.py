@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from entdist.cli import _distance_gap, _nn_sets, _square_limits, main
-from entdist.svgplot import _ticks, contour_segments
+from entdist.svgplot import _Panel, _ticks, contour_segments
 
 
 def test_bisector_contour_lies_on_the_perpendicular_bisector():
@@ -105,6 +105,43 @@ def test_a_window_near_float64s_largest_value_draws_the_same_boundary(capsys, tm
     lines = _boundary_lines(capsys, tmp_path, 60)
     assert len(lines) > 100
     assert _boundary_lines(capsys, tmp_path, 1020) == lines
+
+
+def _f_string_lines(panel, segs, dash, xs, ys, fills, edges):
+    """A panel's segment and circle lines built one f-string per element: the reference."""
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    lines = [f'<line x1="{panel.x(ax):.2f}" y1="{panel.y(ay):.2f}" '
+             f'x2="{panel.x(bx):.2f}" y2="{panel.y(by):.2f}" '
+             f'stroke="#888888" stroke-width="1.8"{dash_attr}/>'
+             for (ax, ay), (bx, by) in segs]
+    circles = [f'<circle cx="{panel.x(x):.2f}" cy="{panel.y(y):.2f}" r="5.0" '
+               f'fill="{fill}" stroke="{edge}" stroke-width="1.6"/>'
+               for x, y, fill, edge in zip(xs.tolist(), ys.tolist(), fills, edges)]
+    return lines, circles
+
+
+@pytest.mark.parametrize("lim, dash", [((0.0, 2.5), None), ((-3.0, 1.5), "6 4"),
+                                       ((1e300, 1.5e300), "6 4")],
+                         ids=["polar", "cartesian-dashed", "near-the-largest-float"])
+@pytest.mark.parametrize("n_segments", [0, 1, 40])
+def test_panel_lines_are_the_per_element_f_strings(lim, dash, n_segments):
+    rng = np.random.default_rng(n_segments)
+    lo, hi = lim
+    # a few points on and past the window's edges, and -0.0
+    xs, ys = lo + (hi - lo) * rng.uniform(-0.1, 1.1, (2, 50))
+    xs[:3], ys[:3] = [lo, hi, -0.0], [hi, lo, -0.0]
+    ends = lo + (hi - lo) * rng.uniform(0.0, 1.0, (n_segments, 2, 2))
+    segs = [tuple(map(tuple, segment)) for segment in ends.tolist()]
+    fills = [f"#{i:06x}" for i in range(50)]
+    edges = ["#333333", "%s 50%"] * 25  # an argument is never read as a template
+    panel = _Panel(50.0, 55.0, 420.0, lim)
+    lines, circles = _f_string_lines(panel, segs, dash, xs, ys, fills, edges)
+    assert len(lines) == n_segments
+    # segments arrive as tuples from contour_segments and as cli._boundary's array, which
+    # fig2 draws on each of its panels: a call leaves it as it was
+    assert panel.segments(segs, dash) == lines
+    assert panel.segments(ends, dash) == panel.segments(ends, dash) == lines
+    assert panel.points(xs, ys, fills, iter(edges)) == circles
 
 
 def test_ticks_of_a_window_below_a_step_at_its_magnitude_are_bounded():
