@@ -326,17 +326,7 @@ def _vectors(config: dict) -> VectorSet:
         source, where = _read(source, [_VECTOR], source), source
     if not source:  # a vector set is never empty
         raise ValueError(f"{where}: expected at least one vector")
-    return _vector_set(source, where)
-
-
-def _vector_set(rows, where: str) -> VectorSet:
-    """VectorSet(rows), where an error in row i reads ``{where}[i]: ...``."""
-    try:
-        return VectorSet(rows)
-    except ValueError as exc:
-        if not str(exc).startswith("["):  # an error of the whole set, not of one row
-            raise
-        raise type(exc)(f"{where}{exc}") from None
+    return VectorSet(_checked(source, lambda i: f"{where}[{i}]"))
 
 
 def load_vectors_csv(path) -> VectorSet:
@@ -365,11 +355,11 @@ def load_vectors_csv(path) -> VectorSet:
                 rows.append(vector)
     if not rows:
         raise ValueError(f"{path}: no vector rows found")
-    return _vector_set(rows, str(path))
+    return VectorSet(_checked(rows, lambda i: f"{path}[{i}]"))
 
 
-def _checked(rows: list, wheres: list[str]) -> VectorSet | list:
-    """The rows as one VectorSet; an error in row i reads ``{wheres[i]}: ...``.  Rows of
+def _checked(rows: list, where) -> VectorSet | list:
+    """The rows as one VectorSet; an error in row i reads ``{where(i)}: ...``.  Rows of
     several dimensions stay a list: the distance block names them, after other errors."""
     try:
         return VectorSet(rows)
@@ -377,7 +367,7 @@ def _checked(rows: list, wheres: list[str]) -> VectorSet | list:
         index, _, message = str(exc).partition("]: ")
         if index[:1] != "[":  # no row is bad: they differ in dimension
             return rows
-        raise type(exc)(f"{wheres[int(index[1:])]}: {message}") from None
+        raise type(exc)(f"{where(int(index[1:]))}: {message}") from None
 
 
 # ---------------------------------------------------------------- output
@@ -387,11 +377,9 @@ class Run(NamedTuple):
     """What one command computed; ``_write`` turns it into files and stdout."""
 
     extra: dict  # embedded config entries besides task, estimator and noise
-    summary: dict  # summary.json without its metadata
-    fields: list | None = None  # results.csv columns; None: no CSV, summary to stdout
-    rows: Table | None = None  # the results.csv table
+    summary: dict  # summary.json without its metadata; "rows", if there, the results table
     plots: dict = {}  # file name -> render(metadata) -> SVG lines; never written to
-    plot_vectors: VectorSet | None = None  # must be 2-D to plot
+    csv_columns: dict | None = None  # results.csv if not the table's flat and 2-D columns
     line: str | None = None  # printed once the files are written
 
 
@@ -407,21 +395,6 @@ def _metadata(task: str, cfg: EstimatorConfig, extra: dict) -> dict:
 # the C-level formatter of a flat column's items, by kind
 _FORMAT = {float: float.__repr__, int: int.__repr__, bool: {True: "true", False: "false"}.get}
 _KINDS = {"f": float, "i": int, "b": bool}  # a flat array's dtype kind -> its kind
-
-
-class Table(dict):
-    """A results table as columns: name -> one value per row, in one of three shapes.
-
-    - flat: a 1-D float64, int64 or bool array, or a list whose items share
-      one type (str labels, or Python int labels, which keep their text)
-    - a 2-D float64 array: one float list per row, such as a vector
-    - a dict of flat columns: one object per row, such as nn's distances per label
-
-    summary.json writes it as json.dumps writes the list of its rows as
-    dicts, and results.csv writes the flat and 2-D columns a command names.
-    The writers take it a block of rows at a time, and the texts of a flat
-    column's block serve both files.
-    """
 
 
 # the writers format a results table this many cells at a time, so what they hold
@@ -477,18 +450,20 @@ def _encoder(depth: int):
 
 
 def _artifacts(run: Run, metadata: dict):
-    """summary.json, json.dumps({"metadata": metadata, **run.summary}, indent=2,
-    sort_keys=True) newline-ended, and results.csv unless run.fields is None, as
-    (file name, text) chunks of at most one row block: both files in one pass."""
-    summary = {"metadata": metadata, **run.summary}
-    if run.fields is not None:
-        yield "results.csv", _csv_head(run.fields, metadata)
+    """summary.json, json.dumps({"metadata": metadata, **run.summary}, indent=2, sort_keys=True)
+    newline-ended, and if it holds a results table "rows", results.csv (the table's flat and 2-D
+    columns in order, or run.csv_columns), as (file name, text) chunks of one row block at most."""
+    summary, columns = {"metadata": metadata, **run.summary}, run.csv_columns
+    if "rows" in summary:
+        if columns is None:
+            columns = {name: c for name, c in summary["rows"].items() if not isinstance(c, dict)}
+        yield "results.csv", _csv_head(list(columns), metadata)
     lead = "{"
     for key in sorted(summary):
         yield "summary.json", f"{lead}\n  {encode_basestring_ascii(key)}: "
         lead, value = ",", summary[key]
-        if isinstance(value, Table):  # results.csv is written with the results table
-            yield from _table_chunks(value, *((run.fields, run.rows) if key == "rows" else ()))
+        if key == "rows":  # results.csv is written with the results table
+            yield from _table_chunks(value, columns)
         else:
             yield "summary.json", _json_value(value, 1)
     yield "summary.json", "\n}\n"
@@ -527,22 +502,29 @@ def _length(columns: dict) -> int:
                default=0)
 
 
-def _table_chunks(table: Table, fieldnames=None, csv_table: Table | None = None):
-    """The JSON text of a table's rows as dicts where it sits at depth 1, as
-    ("summary.json", text) chunks, one per block of about _BLOCK_CELLS cells.  With
-    fieldnames, each is led by the block's results.csv lines of csv_table, a table
-    of the same rows: when that is the table, a flat column's texts are made once."""
+def _table_chunks(table: dict, csv_columns: dict):
+    """The JSON text of a results table's rows as dicts where it sits at depth 1, as
+    ("summary.json", text) chunks, one per block of about _BLOCK_CELLS cells, each led by
+    the block's results.csv lines of csv_columns, columns of the same rows; a flat column
+    they share with the table has its block's texts made once, for both files.
+
+    A results table is columns, name -> one value per row, in one of three shapes:
+    - flat: a 1-D float64, int64 or bool array, or a list whose items share
+      one type (str labels, or Python int labels, which keep their text)
+    - a 2-D float64 array: one float list per row, such as a vector
+    - a dict of flat columns: one object per row, such as nn's distances per label
+    """
     n, outer = _length(table), "    "  # a row's indent
     step = max(1, _BLOCK_CELLS // max(len(table), 1))
     for start in range(0, n, step):
-        rows, cells = slice(start, start + step), {}
-        if fieldnames is not None:
-            cells = {name: _cells(csv_table[name][rows]) for name in fieldnames}
-            yield "results.csv", _csv_lines(zip(*(t for _, t in cells.values())),
-                                            [t for k, t in cells.values() if k not in _FORMAT])
+        rows = slice(start, start + step)
+        cells = {name: _cells(column[rows]) for name, column in csv_columns.items()}
+        yield "results.csv", _csv_lines(zip(*(t for _, t in cells.values())),
+                                        [t for k, t in cells.values() if k not in _FORMAT])
         count = min(step, n - start)
         leads = [f"{',' if start else '['}\n{outer}", *repeat(f",\n{outer}", count - 1)]
-        parts = _json_parts(table, rows, 2, cells if csv_table is table else {})
+        shared = {name: cells[name] for name in cells if csv_columns[name] is table.get(name)}
+        parts = _json_parts(table, rows, 2, shared)
         fields = [leads, *(repeat(part) if type(part) is str else part for part in parts)]
         yield "summary.json", "".join(chain.from_iterable(zip(*fields)))
     yield "summary.json", "\n  ]" if n else "[]"
@@ -596,7 +578,8 @@ def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default
     meta = _metadata(task, cfg, run.extra)
     out = config.get("output")
     plots = run.plots if config.get("emit_plot", plot_default) else {}
-    if plots and run.plot_vectors is not None and run.plot_vectors.dimension != 2:
+    table = run.summary.get("rows", {})
+    if plots and "vector" in table and table["vector"].shape[1] != 2:
         raise ValueError(f"{task} plots need 2-D vectors")
     if out is not None:
         path = Path(out)
@@ -606,7 +589,7 @@ def _write(run: Run, task: str, cfg: EstimatorConfig, config: dict, plot_default
             lines = render(meta)  # an SVG's lines, written a block of lines at a time
             _stream(path, ((name, "\n".join(lines[r:r + _BLOCK_CELLS]) + "\n")
                            for r in range(0, len(lines), _BLOCK_CELLS)))
-    if run.fields is None:  # estimate: the summary is the result; files only on request
+    if "rows" not in run.summary:  # estimate: the summary is the result; files only on request
         sys.stdout.writelines(text for _, text in _artifacts(run, meta))
     if run.line is not None:
         print(run.line)
@@ -619,7 +602,7 @@ def _estimate(config: dict, cfg: EstimatorConfig) -> Run:
     u, v = config.get("u"), config.get("v")
     if u is None or v is None:
         raise ValueError("estimate needs both vectors: --u/--v or config keys 'u'/'v'")
-    _checked([u, v], ["config.u", "config.v"])
+    _checked([u, v], ("config.u", "config.v").__getitem__)
     return Run({}, estimate_run(u, v, cfg))
 
 
@@ -627,13 +610,12 @@ def _classify(config: dict, cfg: EstimatorConfig) -> Run:
     refs = config.get("references")
     if refs is None or len(refs) != 2:
         raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
-    _checked([ref["vector"] for ref in refs],
-             ["config.references[0].vector", "config.references[1].vector"])
+    _checked([ref["vector"] for ref in refs], "config.references[{}].vector".format)
     ref_a, ref_b = (LabeledReference(ref["vector"], str(ref["label"])) for ref in refs)
     vectors = _vectors(config)
     result = two_cluster_assignment(vectors, ref_a, ref_b, cfg)
     labels = result.labels
-    rows = Table({
+    rows = {
         "index": np.arange(len(vectors)),
         "vector": vectors.components,
         f"distance_{ref_a.label}": result.distances[:, 0],
@@ -641,14 +623,13 @@ def _classify(config: dict, cfg: EstimatorConfig) -> Run:
         "margin": result.margin,
         "assigned": labels,
         "boundary_flag": result.boundary,
-    })
+    }
     a, b = ref_a.vector.components.tolist(), ref_b.vector.components.tolist()
     extra = {"references": {ref_a.label: a, ref_b.label: b}, "n_vectors": len(vectors)}
     refs = [a, b], [ref_a.label, ref_b.label]
     plots = {"plot.svg": partial(_scatter_svg, vectors, labels, refs, ([a], [b]), (),
                                  "two-cluster assignment")}
-    return Run(extra, {"rows": rows, "assigned_counts": Counter(labels)}, list(rows), rows, plots,
-               vectors)
+    return Run(extra, {"rows": rows, "assigned_counts": Counter(labels)}, plots)
 
 
 def _nn(config: dict, cfg: EstimatorConfig) -> Run:
@@ -659,25 +640,22 @@ def _nn(config: dict, cfg: EstimatorConfig) -> Run:
     if not initial:
         raise ValueError("training set must be non-empty")
     entries = [*initial, added] if added else initial
-    wheres = [f"config.training.initial[{i}].vector" for i in range(len(initial))]
-    training = _checked([e["vector"] for e in entries], [*wheres, "config.training.added.vector"])
+    training = _checked([e["vector"] for e in entries], lambda i: "config.training." + (
+        f"initial[{i}].vector" if i < len(initial) else "added.vector"))
     labels = [str(e["label"]) for e in entries]
     vectors = _vectors(config)
     if added:
-        result = nn_run(vectors, training, labels, cfg)
-        rows = Table(result["rows"])
-        summary, fields = {**result, "rows": rows}, ["index", "vector", "label_before",
-                                                     "label_after", "changed"]
+        summary = nn_run(vectors, training, labels, cfg)
     else:
         result = nearest_neighbor_assignment(distance_matrix(vectors, training, cfg), labels)
-        rows = Table({
+        summary = {"rows": {
             "index": np.arange(len(vectors)),
             "vector": vectors.components,
             "assigned": result.labels,
             "margin": result.margin,
             "boundary_flag": result.boundary,
-        })
-        summary, fields = {"rows": rows}, list(rows)
+        }}
+    rows = summary["rows"]
     points = training.components.tolist()  # a VectorSet: the distance block took it
     extra = {
         "training": [{"label": label, "vector": point}
@@ -688,7 +666,7 @@ def _nn(config: dict, cfg: EstimatorConfig) -> Run:
     plots = (_nn_phase_plots(vectors, rows, points, labels) if added else
              {"plot.svg": partial(_scatter_svg, vectors, rows["assigned"], (points, labels),
                                   _nn_sets(points, labels), (), "nearest neighbor")})
-    return Run(extra, summary, fields, rows, plots, vectors)
+    return Run(extra, summary, plots)
 
 
 def _cluster(config: dict, cfg: EstimatorConfig) -> Run:
@@ -712,13 +690,13 @@ def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
     if not state.converged:
         print(f"note: not converged after {state.iteration} rounds", file=sys.stderr)
     n = len(vectors)
-    rows = Table({
+    rows = {
         "index": np.arange(n),
         "name": [*names[:n], *map(str, range(len(names), n))],
         "vector": vectors.components,
         "initial_label": list(state.history[0]),
         "final_label": list(state.labels),
-    })
+    }
     summary = {
         "converged": state.converged,
         "iterations": state.iteration,
@@ -728,23 +706,20 @@ def _clustering(vectors, k, init, cfg, max_iterations, extra, names=()) -> Run:
     plots = {f"round_{r}.svg": partial(_scatter_svg, vectors, labels, ((), ()), None, names,
                                        f"round {r}")
              for r, labels in enumerate(state.history)}
-    return Run(extra, summary, list(rows), rows, plots, vectors)
+    return Run(extra, summary, plots)
 
 
 def _table(config: dict, cfg: EstimatorConfig) -> Run:
     name = config["task"]
     sampled_cfg = cfg if cfg.mode == "sampled" else None
     result = table_run(name, sampled_cfg)
-    fields = ["index", "vector", "theory_diff", "computed_diff", "group", "matches_paper_theory"]
-    if sampled_cfg is not None:
-        fields += ["sampled_diff", "sampled_group"]
-    table = Table(result["rows"])
-    rows = Table(table, theory_diff=list(map("{:.2f}".format, table["theory_diff"].tolist())))
+    table = result["rows"]  # results.csv: all but the paper's columns, theory as printed
+    columns = {key: c for key, c in table.items() if not key.startswith("paper_")}
+    columns["theory_diff"] = list(map("{:.2f}".format, table["theory_diff"].tolist()))
     status = ("all rows match" if result["all_match_paper_theory"]
               else f"rows off the printed two decimals: {result['mismatched_rows']}")
-    return Run({"dataset": name, "sampled_column": sampled_cfg is not None},
-               {**result, "rows": table}, fields, rows,
-               line=f"{name}: {len(table['index'])} rows; {status}")
+    return Run({"dataset": name, "sampled_column": sampled_cfg is not None}, result,
+               csv_columns=columns, line=f"{name}: {len(table['index'])} rows; {status}")
 
 
 def _fig2(config: dict, cfg: EstimatorConfig) -> Run:
@@ -752,12 +727,10 @@ def _fig2(config: dict, cfg: EstimatorConfig) -> Run:
         raise ValueError("choose one of 'count' (--count) and 'vectors'")
     vectors = _vectors(config) if "vectors" in config else None
     result = fig2_run(cfg, count=config.get("count", FIG2_DEFAULT_COUNT), vectors=vectors)
-    rows = Table(result["rows"])
-    count = len(rows["index"])
+    count = len(result["rows"]["index"])
     line = (f"fig2: {count} vectors, {result['misclassified_count']} misclassified "
             f"under noise (mean |error| {result['mean_abs_error']:.3f})")
-    return Run({"count": count}, {**result, "rows": rows}, list(rows), rows,
-               {"plot.svg": partial(_fig2_svg, result)}, line=line)
+    return Run({"count": count}, result, {"plot.svg": partial(_fig2_svg, result)}, line=line)
 
 
 def _figs1(config: dict, cfg: EstimatorConfig) -> Run:
@@ -765,10 +738,10 @@ def _figs1(config: dict, cfg: EstimatorConfig) -> Run:
     vectors, refs = demo.vectors(), [*demo.initial_training, demo.added_training]
     training, labels = VectorSet([ref.vector for ref in refs]), [ref.label for ref in refs]
     result = nn_run(vectors, training, labels, cfg)
-    rows = Table(result["rows"], name=list(demo.names))
+    rows = result["rows"]  # the demo's names after the index
+    result["rows"] = rows = {"index": rows.pop("index"), "name": list(demo.names), **rows}
     changed = [demo.names[i] for i in result["changed_indices"]]
-    return Run({"dataset": "builtin-figS1-demo"}, {**result, "rows": rows},
-               ["index", "name", "vector", "label_before", "label_after", "changed"], rows,
+    return Run({"dataset": "builtin-figS1-demo"}, result,
                _nn_phase_plots(vectors, rows, training.components.tolist(), labels, demo.names),
                line=f"figS1: labels changed after the new training vector: {changed or 'none'}")
 

@@ -17,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entdist.vectors
-from entdist.cli import (CONFIG_SCHEMA, _check, _clipped, _vector_set, load_vectors_csv,
-                         main)
+from entdist.cli import CONFIG_SCHEMA, _check, _clipped, load_vectors_csv, main
+from entdist.vectors import RealVector, VectorSet
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -208,6 +208,9 @@ class TestFig2Repro:
         for row in summary["rows"]:
             want = math.dist([row["x"], row["y"]], a) - math.dist([row["x"], row["y"]], b)
             assert row["exact_diff"] == pytest.approx(want, abs=1e-9)
+
+
+_4D_TRAINING = [{"label": "x", "vector": [1, 0, 0, 0]}, {"label": "y", "vector": [0, 1, 0, 0]}]
 
 
 class TestClusterAndNN:
@@ -405,12 +408,24 @@ class TestClusterAndNN:
                          "--out", str(out_dir))
         assert code == 0
 
-    def test_plot_rejected_for_high_dimensional_data(self, capsys, tmp_path):
-        out_dir = tmp_path / "cls"
-        code, _, err = run(capsys, "classify", "--vector", "2,0,0,0",
-                           "--ref-a", "1,0,0,0", "--ref-b", "0,0,1,1",
-                           "--out", str(out_dir), "--plot")
-        assert code == 1 and "2-D" in err
+    @pytest.mark.parametrize("argv, config", [
+        (["classify", "--vector", "2,0,0,0", "--ref-a", "1,0,0,0", "--ref-b", "0,0,1,1"], None),
+        (["nn"], {"vectors": [[2, 0, 0, 1], [0, 2, 1, 0]],
+                  "training": {"initial": _4D_TRAINING}}),
+        (["nn"], {"vectors": [[2, 0, 0, 1], [0, 2, 1, 0]],
+                  "training": {"initial": _4D_TRAINING,
+                               "added": {"label": "x", "vector": [0, 0, 1, 1]}}}),
+        (["cluster", "--vector", "2,0,0,1", "--vector", "0,2,1,0"], None),
+    ], ids=["classify", "nn-one-phase", "nn-two-phase", "cluster"])
+    def test_plot_rejected_for_high_dimensional_data(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "c.json")]
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir), "--plot")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "2-D" in err
+        assert not out_dir.exists()
 
 
 # config (written to c.json) and arguments of one run per command; each run
@@ -1042,7 +1057,8 @@ class TestParser:
 
 def _csv_reference(path):
     """The per-cell CSV loop: every cell stripped, trailing empty cells and
-    comment rows dropped, each cell read by float()."""
+    comment rows dropped, each cell read by float(); then each row checked as
+    a vector, a bad one named by its place in the file, and the rows as a set."""
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
@@ -1063,7 +1079,12 @@ def _csv_reference(path):
             rows.append(vector)
     if not rows:
         raise ValueError(f"{path}: no vector rows found")
-    return _vector_set(rows, str(path))
+    for i, row in enumerate(rows):
+        try:
+            RealVector(row)
+        except ValueError as exc:
+            raise ValueError(f"{path}[{i}]: {exc}") from None
+    return VectorSet(rows)
 
 
 def _outcome(load, path):

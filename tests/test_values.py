@@ -18,7 +18,7 @@ REF = LabeledReference((0.5, 0.5), "blue")
 VALUE_TYPES = [
     (_Object, ("fields",), ({"a": int},), {"required": ()}),
     (Run, ("extra", "summary"), ({"k": 2}, {"converged": True}),
-     {"fields": None, "rows": None, "plots": {}, "plot_vectors": None, "line": None}),
+     {"plots": {}, "csv_columns": None, "line": None}),
     (TableRow,
      ("index", "vector", "theory_diff", "experiment_diff", "group", "experiment_correct"),
      (3, (1.0, 0.0, 0.5, 0.5), 0.25, 0.3, "A", True), {}),

@@ -5,11 +5,12 @@ results table as the list of its rows as dicts), ``results.csv`` the
 per-cell loop, the plotted boundary the marching-squares loop over every
 grid cell of a gap evaluated point by point in Python floats, and the fig2
 fills the scalar diverging colour map; each reference below is that code,
-kept here.  A results table's columns come in the three shapes ``Table``
-names (flat, 2-D, a dict of flat columns), and every command's columns are
-checked to be of them.  The two table files are written as one stream of
-row blocks, so the tables below cross block edges: a block of B rows,
-tables of B - 1, B, B + 1 and 3B + 1 rows.
+kept here.  A results table's columns come in the three shapes the writers
+name (flat, 2-D, a dict of flat columns), and every command's columns are
+checked to be of them, and its results.csv to hold the flat and 2-D ones.
+The two table files are written as one stream of row blocks, so the tables
+below cross block edges: a block of B rows, tables of B - 1, B, B + 1 and
+3B + 1 rows.
 """
 
 import csv
@@ -28,8 +29,8 @@ from hypothesis import strategies as st
 
 import entdist.cli
 from entdist import __version__
-from entdist.cli import (TASKS, Run, Table, _artifacts, _cells, _distance_gap, _noise_from,
-                         _nn_sets, _square_limits, _stream)
+from entdist.cli import (TASKS, Run, _artifacts, _cells, _distance_gap, _noise_from, _nn_sets,
+                         _square_limits, _stream)
 from entdist.experiments import fig2_run
 from entdist.protocol import EstimatorConfig
 from entdist.svgplot import _GRID, _diverging_fills, _lerp, contour_segments
@@ -104,14 +105,14 @@ def _columns(n: int):
 
 @st.composite
 def tables(draw, rows=st.integers(0, 5)):
-    """A Table of 0-5 rows (or as many as ``rows`` draws) of any columns."""
+    """A results table of 0-5 rows (or as many as ``rows`` draws) of any columns."""
     n = draw(rows)
     names = draw(st.lists(NAMES, unique=True, max_size=5))
-    return Table({name: draw(_columns(n)) for name in names})
+    return {name: draw(_columns(n)) for name in names}
 
 
-def _csv_fields(table: Table) -> list:
-    """The columns results.csv can name: all but the dict columns."""
+def _csv_fields(table: dict) -> list:
+    """The columns results.csv can name, in table order: all but the dict columns."""
     return [name for name, column in table.items() if not isinstance(column, dict)]
 
 
@@ -136,9 +137,10 @@ def _json_text(payload: dict, block_rows: int | None = None) -> str:
     return _streams(Run({}, payload), block_rows)["summary.json"]
 
 
-def _csv_text(fields: list, table: Table, block_rows: int | None = None) -> str:
-    """results.csv of the table, under a summary table of as many rows."""
-    run = Run({}, {"rows": Table({"row": list(range(_row_count(table)))})}, fields, table)
+def _csv_text(fields: list, table: dict, block_rows: int | None = None) -> str:
+    """results.csv of the table's fields, under a summary table of as many rows."""
+    run = Run({}, {"rows": {"row": list(range(_row_count(table)))}},
+              csv_columns={name: table[name] for name in fields})
     return _streams(run, block_rows)["results.csv"]
 
 
@@ -156,7 +158,7 @@ def _item(column, i: int):
     return column[i].tolist() if isinstance(column, np.ndarray) else column[i]
 
 
-def _as_rows(table: Table) -> list:
+def _as_rows(table: dict) -> list:
     """The table as the list of its rows as dicts."""
     return [{name: _item(column, i) for name, column in table.items()}
             for i in range(_row_count(table))]
@@ -165,7 +167,7 @@ def _as_rows(table: Table) -> list:
 @settings(max_examples=600, deadline=None)
 @given(PAYLOADS)
 @example({})
-@example({"rows": [], "counts": Counter(), "nested": [[], {}, ()], "deep": [[[[{"a": [1]}]]]]})
+@example({"list": [], "counts": Counter(), "nested": [[], {}, ()], "deep": [[[[{"a": [1]}]]]]})
 @example({"big": [2**63, -2**64, 10**40], "odd": [math.nan, math.inf, -math.inf, -0.0]})
 def test_json_text_is_json_dumps(payload):
     want = json.dumps({"metadata": METADATA, **payload}, indent=2, sort_keys=True) + "\n"
@@ -243,12 +245,11 @@ def test_csv_text_is_the_per_cell_loop(data):
 
 
 @pytest.mark.parametrize("table", [
-    Table({'say "A", é': np.array([1.5, math.nan]), "{0}": np.array([True, False])}),
-    Table({"a": [1, 2**70], "b": ["x", "y z"], "c": np.array([[1.0, 0.0], [2.0, 0.5]])}),
-    Table({"a": ["", "x"]}),  # a row of one empty cell: csv.writer writes ""
+    {'say "A", é': np.array([1.5, math.nan]), "{0}": np.array([True, False])},
+    {"a": [1, 2**70], "b": ["x", "y z"], "c": np.array([[1.0, 0.0], [2.0, 0.5]])},
+    {"a": ["", "x"]},  # a row of one empty cell: csv.writer writes ""
     # a dict column results.csv does not name, and a 2-D column of empty rows: ""
-    Table({"a": {"b": np.array([1.0]), "c": ["d"]}, "e": np.array([0.5]),
-           "v": np.empty((1, 0))}),
+    {"a": {"b": np.array([1.0]), "c": ["d"]}, "e": np.array([0.5]), "v": np.empty((1, 0))},
 ], ids=["quoted-name", "joined", "one-empty-cell", "dict-cell"])
 @pytest.mark.parametrize("block_rows", [1, 2])
 def test_csv_text_of_a_table_is_the_per_cell_loop(table, block_rows):
@@ -259,14 +260,14 @@ def test_csv_text_of_a_table_is_the_per_cell_loop(table, block_rows):
 @settings(max_examples=400, deadline=None)
 @given(PAYLOADS,
        EDGES.flatmap(lambda edge: st.tuples(st.just(edge[0]), tables(rows=st.just(edge[1])))))
-@example({}, (1, Table()))
-@example({}, (2, Table({"a": np.empty(0), "b": []})))
-@example({}, (1, Table({"v": np.empty((2, 0)), "d": {"x": np.empty((2, 0))[:, :0].sum(1)}})))
+@example({}, (1, {}))
+@example({}, (2, {"a": np.empty(0), "b": []}))
+@example({}, (1, {"v": np.empty((2, 0)), "d": {"x": np.empty((2, 0))[:, :0].sum(1)}}))
 @example({"more": [1.0]},
-         (1, Table({"{0}": np.array([0.5, -0.0]), '"}': np.array([math.nan, 5e-324]),
-                    "é\\": [2**64, -1], "v": np.array([[1.0, 2.0], [3.0, math.inf]]),
-                    "d": {"b": np.array([1.0, 2.0]), "a": np.array([3, 4])},
-                    "f": np.array([0.1, -math.inf]), "m": np.array([False, True])})))
+         (1, {"{0}": np.array([0.5, -0.0]), '"}': np.array([math.nan, 5e-324]),
+              "é\\": [2**64, -1], "v": np.array([[1.0, 2.0], [3.0, math.inf]]),
+              "d": {"b": np.array([1.0, 2.0]), "a": np.array([3, 4])},
+              "f": np.array([0.1, -math.inf]), "m": np.array([False, True])}))
 def test_json_text_of_a_table_is_json_dumps_of_its_rows(payload, sized):
     block_rows, rows = sized
     payload = {**payload, "rows": rows}
@@ -274,9 +275,10 @@ def test_json_text_of_a_table_is_json_dumps_of_its_rows(payload, sized):
                       sort_keys=True)
     fields = _csv_fields(rows)
     assume(fields or not _row_count(rows))  # every command's results.csv names a column
-    files = _streams(Run({}, payload, fields, rows), block_rows)
+    files = _streams(Run({}, payload), block_rows)
     assert files["summary.json"] == want + "\n"
-    # the files share each block of the table and the texts of its cells
+    # the files share each block of the table and the texts of its cells; results.csv
+    # holds its flat and 2-D columns in table order
     assert files["results.csv"] == _csv_reference(fields, rows, METADATA)
 
 
@@ -323,10 +325,10 @@ def _taken(column, rows: list):
 def test_nested_columns_are_json_dumps_of_their_rows(column, rows):
     if rows in EDGES_AT_BLOCK:  # the first row of the shape, and a quotable name, last only
         n = _edge(rows, 2)
-        table = Table({"name": ["x"] * (n - 1) + ['say "A", é'],
-                       "nested": _taken(column, [1] * (n - 1) + [0])})
+        table = {"name": ["x"] * (n - 1) + ['say "A", é'],
+                 "nested": _taken(column, [1] * (n - 1) + [0])}
     else:
-        table = Table({"name": ["x", "y"][:rows], "nested": _taken(column, list(range(rows)))})
+        table = {"name": ["x", "y"][:rows], "nested": _taken(column, list(range(rows)))}
     if isinstance(column, list) and rows:
         with pytest.raises(KeyError):  # a per-row container is no flat column's kind
             _json_text({"rows": table})
@@ -340,17 +342,18 @@ def test_cells_only_the_last_block_holds_change_no_byte(rows):
     """A quotable text, an empty text and non-finite floats in the last block only:
     each block picks its own way to write, and both files are the whole table's."""
     n = _edge(rows, 6)
-    table = Table({"index": np.arange(n), "x": np.arange(n) / 7,
-                   "label": ["a", "b"] * (n // 2) + ["a"] * (n % 2),
-                   "flag": np.arange(n) % 3 == 0,
-                   "vector": np.column_stack([np.arange(n) / 3, np.ones(n)]),
-                   "note": ["ok"] * n})
+    table = {"index": np.arange(n), "x": np.arange(n) / 7,
+             "label": ["a", "b"] * (n // 2) + ["a"] * (n % 2),
+             "flag": np.arange(n) % 3 == 0,
+             "vector": np.column_stack([np.arange(n) / 3, np.ones(n)]),
+             "note": ["ok"] * n}
     table["label"][-1] = 'say "A", é'
     table["note"][-1] = ""
     table["x"][-3:] = [math.nan, math.inf, -math.inf]
     table["vector"][-1] = [math.nan, -math.inf]
     fields = ["index", "label", "x", "note", "vector", "flag"]
-    files = _streams(Run({}, {"rows": table, "count": n}, fields, table))
+    files = _streams(Run({}, {"rows": table, "count": n},
+                         csv_columns={name: table[name] for name in fields}))
     assert files["results.csv"] == _csv_reference(fields, table, METADATA)
     want = json.dumps({"metadata": METADATA, "rows": _as_rows(table), "count": n}, indent=2,
                       sort_keys=True)
@@ -395,13 +398,26 @@ def test_every_command_makes_columns_of_the_three_shapes(task, mode):
     command, _, _, noise, _ = TASKS[name]
     run = command({"task": name, **TASK_CONFIGS[task]},
                   EstimatorConfig(mode=mode, shots=200, seed=1, noise=_noise_from(noise)))
-    tables = [t for t in (run.rows, run.summary.get("rows")) if t is not None]
-    assert all(isinstance(t, Table) for t in tables) and len(tables) == 2 * (name != "estimate")
-    for table in tables:
-        n = len(table["index"])
-        shapes = {key: _shape(column, n) for key, column in table.items()}
-        assert None not in shapes.values(), shapes
-        assert ("dict" in shapes.values()) == (task in ("nn-two-phase", "figS1"))
+    table, files = run.summary.get("rows"), _streams(run)
+    assert (table is None) == (name == "estimate") == ("results.csv" not in files)
+    if table is None:
+        return
+    n = len(table["index"])
+    shapes = {key: _shape(column, n) for key, column in table.items()}
+    assert None not in shapes.values(), shapes
+    assert None not in map(_shape, (run.csv_columns or {}).values(), repeat(n))
+    assert ("dict" in shapes.values()) == (task in ("nn-two-phase", "figS1"))
+    # results.csv: the table's flat and 2-D columns in order, but the paper's columns of
+    # table1/table2, whose theory column is written as printed, to two decimals
+    tabulated = name in ("table1", "table2")
+    header, *rows = csv.reader(line for line in io.StringIO(files["results.csv"])
+                               if not line.startswith("# "))
+    assert header == [key for key, shape in shapes.items()
+                      if shape != "dict" and not (tabulated and key.startswith("paper_"))]
+    assert len(rows) == n
+    if tabulated:
+        theory = [row[header.index("theory_diff")] for row in rows]
+        assert theory == ["%.2f" % value for value in table["theory_diff"].tolist()]
 
 
 def test_fig2_columns_hold_less_than_100_bytes_a_row():
@@ -421,9 +437,7 @@ def test_fig2_columns_hold_less_than_100_bytes_a_row():
 
 def _fig2_write_peak(directory, count: int) -> int:
     """The bytes the writers allocate at their peak for exact fig2's table of count rows."""
-    result = fig2_run(EstimatorConfig(mode="exact"), count=count)
-    rows = Table(result["rows"])
-    run = Run({}, {**result, "rows": rows}, list(rows), rows)
+    run = Run({}, fig2_run(EstimatorConfig(mode="exact"), count=count))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

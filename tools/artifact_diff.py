@@ -96,6 +96,9 @@ INPUTS = {
                     "training": {"initial": TRAINING, "added": ADDED}},
     "nn4.json": {"vectors": "vectors4.json",
                  "training": {"initial": [{"label": "x", "vector": [1, 0, 0, 0]}]}},
+    "nn4_two.json": {"vectors": "vectors4.json",
+                     "training": {"initial": [{"label": "x", "vector": [1, 0, 0, 0]}],
+                                  "added": {"label": "y", "vector": [0, 0, 1, 1]}}},
     "cluster.json": {"task": "cluster", "vectors": CLUSTER_VECTORS, "k": 2,
                      "init": [0, 0, 1, 1, 1]},
     "cluster_seeded.json": {"vectors": CLUSTER_VECTORS + [[3.0, 3.1]], "k": 3,
@@ -413,6 +416,8 @@ CASES = [
     ("err-cluster-plot-4d", "error", ("cluster", "--vectors", "vectors4.json", "--out", "out",
                                       "--plot")),
     ("err-nn-plot-4d", "error", ("nn", "--config", "nn4.json", "--out", "out", "--plot")),
+    ("err-nn-two-phase-plot-4d", "error", ("nn", "--config", "nn4_two.json", "--out", "out",
+                                           "--plot")),
     ("err-cluster-k", "error", ("cluster", "--vector", "1,0", "--vector", "0,1", "--k", "5",
                                 "--out", "out")),
     ("err-unknown-key", "error", ("estimate", "--config", "bad_unknown.json")),
