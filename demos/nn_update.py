@@ -9,15 +9,13 @@ from entdist.protocol import EstimatorConfig
 
 demo = FIGS1_DEMO
 # one training set, the late vector as its last row, and one label per row
-training = [*demo.initial_training, demo.added_training]
-result = nn_run(demo.vectors(), [t.vector for t in training], [t.label for t in training],
+result = nn_run(demo.vectors(), demo.training, demo.training_labels,
                 EstimatorConfig(mode="exact"))
 
 print("training vectors:")
-for t in demo.initial_training:
-    print(f"  {t.label}: {t.vector.components.tolist()}")
-print(f"  added later -> {demo.added_training.label}: "
-      f"{demo.added_training.vector.components.tolist()}")
+for point, label in zip(demo.training[:-1], demo.training_labels):
+    print(f"  {label}: {list(point)}")
+print(f"  added later -> {demo.training_labels[-1]}: {list(demo.training[-1])}")
 
 print(f"\n{'':>2} {'before':>7} {'after':>7}   nearest distances (after)")
 rows = result["rows"]  # the table as columns, name -> one value per test vector

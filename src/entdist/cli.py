@@ -53,7 +53,7 @@ finally:
 from . import __version__
 from .datasets import FIG2_DEFAULT_COUNT, FIG2_NORM_RANGE, FIG3_DEMO, FIGS1_DEMO
 from .experiments import cluster_run, estimate_run, fig2_run, nn_run, table_run
-from .ml import LabeledReference, nearest_neighbor_assignment, two_cluster_assignment
+from .ml import nearest_neighbor_assignment, two_cluster_assignment
 # bench/tracing.py patches these two names here
 from .ml import classify_two_cluster, nearest_neighbor_classify  # noqa: F401
 from .noise import NOISE_PRESETS, PAPER_PRESET, NoiseModel, noise_preset
@@ -610,26 +610,24 @@ def _classify(config: dict, cfg: EstimatorConfig) -> Run:
     refs = config.get("references")
     if refs is None or len(refs) != 2:
         raise ValueError("classify needs two references: --ref-a/--ref-b or config 'references'")
-    _checked([ref["vector"] for ref in refs], "config.references[{}].vector".format)
-    ref_a, ref_b = (LabeledReference(ref["vector"], str(ref["label"])) for ref in refs)
+    references = _checked([ref["vector"] for ref in refs], "config.references[{}].vector".format)
+    labels = [str(ref["label"]) for ref in refs]
     vectors = _vectors(config)
-    result = two_cluster_assignment(vectors, ref_a, ref_b, cfg)
-    labels = result.labels
+    result = two_cluster_assignment(vectors, references, labels, cfg)
+    assigned = result.labels
     rows = {
         "index": np.arange(len(vectors)),
         "vector": vectors.components,
-        f"distance_{ref_a.label}": result.distances[:, 0],
-        f"distance_{ref_b.label}": result.distances[:, 1],
+        **{f"distance_{label}": d for label, d in zip(labels, result.distances.T)},
         "margin": result.margin,
-        "assigned": labels,
+        "assigned": assigned,
         "boundary_flag": result.boundary,
     }
-    a, b = ref_a.vector.components.tolist(), ref_b.vector.components.tolist()
-    extra = {"references": {ref_a.label: a, ref_b.label: b}, "n_vectors": len(vectors)}
-    refs = [a, b], [ref_a.label, ref_b.label]
-    plots = {"plot.svg": partial(_scatter_svg, vectors, labels, refs, ([a], [b]), (),
-                                 "two-cluster assignment")}
-    return Run(extra, {"rows": rows, "assigned_counts": Counter(labels)}, plots)
+    points = references.components.tolist()  # a VectorSet: the distance block took it
+    extra = {"references": dict(zip(labels, points)), "n_vectors": len(vectors)}
+    plots = {"plot.svg": partial(_scatter_svg, vectors, assigned, (points, labels),
+                                 ([points[0]], [points[1]]), (), "two-cluster assignment")}
+    return Run(extra, {"rows": rows, "assigned_counts": Counter(assigned)}, plots)
 
 
 def _nn(config: dict, cfg: EstimatorConfig) -> Run:
@@ -735,14 +733,13 @@ def _fig2(config: dict, cfg: EstimatorConfig) -> Run:
 
 def _figs1(config: dict, cfg: EstimatorConfig) -> Run:
     demo = FIGS1_DEMO
-    vectors, refs = demo.vectors(), [*demo.initial_training, demo.added_training]
-    training, labels = VectorSet([ref.vector for ref in refs]), [ref.label for ref in refs]
+    vectors, training, labels = demo.vectors(), demo.training, demo.training_labels
     result = nn_run(vectors, training, labels, cfg)
     rows = result["rows"]  # the demo's names after the index
     result["rows"] = rows = {"index": rows.pop("index"), "name": list(demo.names), **rows}
     changed = [demo.names[i] for i in result["changed_indices"]]
     return Run({"dataset": "builtin-figS1-demo"}, result,
-               _nn_phase_plots(vectors, rows, training.components.tolist(), labels, demo.names),
+               _nn_phase_plots(vectors, rows, training, labels, demo.names),
                line=f"figS1: labels changed after the new training vector: {changed or 'none'}")
 
 

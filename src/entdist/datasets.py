@@ -5,7 +5,8 @@ from the published experiment.  The clustering walk-through and the
 nearest-neighbor update demo ship as synthetic point sets (the original
 coordinates were never published); both are constructed so the documented
 trajectory is their provable behavior, which the test suite checks by
-brute force.
+brute force.  A labelled set is plain rows plus a label per row, in row
+order; vector sets are built when asked for, never at import.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ml import LabeledReference
 from .vectors import VectorSet
 
 __all__ = [
@@ -117,8 +117,9 @@ FIG2_ANGLE_RANGE = (0.0, math.pi / 2)
 FIG2_DEFAULT_COUNT = 100
 
 
-def fig2_references() -> tuple[LabeledReference, LabeledReference]:
-    return LabeledReference(FIG2_REFERENCE_A, "A"), LabeledReference(FIG2_REFERENCE_B, "B")
+def fig2_references() -> VectorSet:
+    """The reference rows, A then B."""
+    return VectorSet([FIG2_REFERENCE_A, FIG2_REFERENCE_B])
 
 
 def fig2_test_vectors(count: int = FIG2_DEFAULT_COUNT, seed: int = 0) -> VectorSet:
@@ -162,12 +163,12 @@ FIG3_DEMO = ClusteringDemo(
 
 
 class NearestNeighborDemo(NamedTuple):
-    """Test points plus a two-phase training set (one vector arrives late)."""
+    """Test points plus a two-phase training set: the last training vector arrives late."""
 
     names: tuple[str, ...]
     points: tuple[tuple[float, float], ...]
-    initial_training: tuple[LabeledReference, ...]
-    added_training: LabeledReference
+    training: tuple[tuple[float, float], ...]
+    training_labels: tuple[str, ...]  # training[j]'s label
 
     def vectors(self) -> VectorSet:
         return VectorSet(self.points)
@@ -187,9 +188,6 @@ FIGS1_DEMO = NearestNeighborDemo(
         (1.37, 1.68),
         (1.71, 1.60),
     ),
-    initial_training=(
-        LabeledReference((0.50, 0.50), "blue"),
-        LabeledReference((1.50, 1.50), "red"),
-    ),
-    added_training=LabeledReference((1.20, 0.90), "blue"),
+    training=((0.50, 0.50), (1.50, 1.50), (1.20, 0.90)),
+    training_labels=("blue", "red", "blue"),
 )

@@ -18,7 +18,6 @@ from .datasets import (
 )
 from .ml import (
     ClusteringState,
-    LabeledReference,
     nearest_neighbor_assignment,
     two_cluster_assignment,
     unsupervised_cluster,
@@ -66,10 +65,9 @@ def table_run(
         dataset: TableDataset = TABLE_DATASETS[name]
     except KeyError:
         raise ValueError(f"unknown table dataset {name!r}") from None
-    ref_a = LabeledReference(dataset.reference_a, "A")
-    ref_b = LabeledReference(dataset.reference_b, "B")
+    references = VectorSet([dataset.reference_a, dataset.reference_b])
     vectors = VectorSet([row.vector for row in dataset.rows])
-    exact = two_cluster_assignment(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
+    exact = two_cluster_assignment(vectors, references, ["A", "B"], EstimatorConfig(mode="exact"))
     theory = np.array([row.theory_diff for row in dataset.rows])
     matches = rounds_to_printed(exact.margin, theory)
     index = np.array([row.index for row in dataset.rows])
@@ -84,7 +82,7 @@ def table_run(
         "paper_group": [row.group for row in dataset.rows],
     }
     if sampled_cfg is not None:
-        sampled = two_cluster_assignment(vectors, ref_a, ref_b, sampled_cfg)
+        sampled = two_cluster_assignment(vectors, references, ["A", "B"], sampled_cfg)
         rows["sampled_diff"] = sampled.margin
         rows["sampled_group"] = sampled.labels
     return {
@@ -124,10 +122,10 @@ def fig2_run(
     per reference.  Misclassification means the sampled label disagrees with
     the exact one.
     """
-    ref_a, ref_b = fig2_references()
+    references = fig2_references()
     vectors = VectorSet(fig2_test_vectors(count, sampled_cfg.seed) if vectors is None else vectors)
-    sampled = two_cluster_assignment(vectors, ref_a, ref_b, sampled_cfg)
-    exact = two_cluster_assignment(vectors, ref_a, ref_b, EstimatorConfig(mode="exact"))
+    sampled = two_cluster_assignment(vectors, references, ["A", "B"], sampled_cfg)
+    exact = two_cluster_assignment(vectors, references, ["A", "B"], EstimatorConfig(mode="exact"))
     xs, ys = vectors.components.T
     misclassified = sampled.codes != exact.codes  # both passes name the labels A, B
     errors = np.abs(sampled.margin - exact.margin)
@@ -146,8 +144,8 @@ def fig2_run(
         "misclassified": misclassified,
     }
     return {
-        "reference_a": ref_a.vector.components.tolist(),
-        "reference_b": ref_b.vector.components.tolist(),
+        "reference_a": references.components[0].tolist(),
+        "reference_b": references.components[1].tolist(),
         "rows": rows,
         "misclassified_count": int(misclassified.sum()),
         "mean_abs_error": float(errors.mean()),
@@ -178,8 +176,8 @@ def nn_run(test_vectors, training, labels: list, cfg: EstimatorConfig) -> dict:
     """
     test_vectors = VectorSet(test_vectors)
     dist = distance_matrix(test_vectors, training, cfg)
+    after = nearest_neighbor_assignment(dist, labels)  # first: names a bad label count whole
     before = nearest_neighbor_assignment(dist[:, :-1], labels[:-1])
-    after = nearest_neighbor_assignment(dist, labels)
     labels_before, labels_after = before.labels, after.labels
     changed = np.array(labels_before) != np.array(labels_after)
     rows = {

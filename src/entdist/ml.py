@@ -16,11 +16,10 @@ import numpy as np
 
 from .protocol import EstimatorConfig, _distances, _draw, _expected_p, distance_matrix
 from .protocol import estimate_distance  # noqa: F401  (bench/tracing.py patches it here)
-from .vectors import RealVector, VectorSet, _Frozen, as_vector
+from .vectors import VectorSet, _Frozen
 
 __all__ = [
     "BOUNDARY_TOL",
-    "LabeledReference",
     "Assignment",
     "ClusteringState",
     "two_cluster_assignment",
@@ -38,13 +37,6 @@ def _tied(minima: np.ndarray) -> np.ndarray:
     """(n, L): the labels that tie with each row's nearest, itself included, at any 2^k scale."""
     with np.errstate(over="ignore"):  # a nearest distance within 1e-12 of float64's largest
         return minima <= minima.min(axis=1, keepdims=True) * (1 + BOUNDARY_TOL)
-
-
-class LabeledReference(_Frozen):
-    """A reference (or training) vector tagged with its cluster label."""
-
-    def __init__(self, vector: RealVector, label: str):
-        vars(self).update(vector=as_vector(vector), label=label)
 
 
 class Assignment(_Frozen):
@@ -75,31 +67,34 @@ class Assignment(_Frozen):
 
 def two_cluster_assignment(
     vectors,
-    ref_a: LabeledReference,
-    ref_b: LabeledReference,
+    references,
+    labels: list,
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> Assignment:
-    """nearest_neighbor_assignment over the two references; margin is the signed D_A - D_B.
+    """nearest_neighbor_assignment over two references, rows A and B (a VectorSet or
+    its rows) labelled labels[0] and labels[1]; margin is the signed D_A - D_B.
 
     Sampled, vector i's estimates are draw i of the streams (seed, 0) and
     (seed, 1), one per reference.
     """
-    if ref_a.label == ref_b.label:
+    if len(references) != 2 or len(labels) != 2:
+        raise ValueError(f"two-cluster assignment needs two references and two labels, "
+                         f"got {len(references)} and {len(labels)}")
+    if labels[0] == labels[1]:
         raise ValueError("the two reference labels must differ")
-    dist = distance_matrix(vectors, [ref_a.vector, ref_b.vector], cfg)
-    result = nearest_neighbor_assignment(dist, [ref_a.label, ref_b.label])
+    result = nearest_neighbor_assignment(distance_matrix(vectors, references, cfg), labels)
     d = result.distances
     return Assignment(result.names, d, result.codes, d[:, 0] - d[:, 1])
 
 
 def classify_two_cluster(
     u,
-    ref_a: LabeledReference,
-    ref_b: LabeledReference,
+    references,
+    labels: list,
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> Assignment:
     """two_cluster_assignment of u alone: a one-row Assignment, row 0 of any larger batch."""
-    return two_cluster_assignment([u], ref_a, ref_b, cfg)
+    return two_cluster_assignment([u], references, labels, cfg)
 
 
 def nearest_neighbor_assignment(dist: np.ndarray, labels: list) -> Assignment:
@@ -109,6 +104,9 @@ def nearest_neighbor_assignment(dist: np.ndarray, labels: list) -> Assignment:
     Labels within a factor 1 + BOUNDARY_TOL of the nearest tie, and the
     smallest wins; the margin is the gap to the runner-up label.
     """
+    if len(labels) != dist.shape[1]:
+        raise ValueError(f"expected one label per labelled vector: {dist.shape[1]} vectors, "
+                         f"{len(labels)} labels")
     names = list(dict.fromkeys(labels))
     codes = np.array([names.index(label) for label in labels])
     minima = np.column_stack([dist[:, codes == c].min(axis=1) for c in range(len(names))])
@@ -120,18 +118,19 @@ def nearest_neighbor_assignment(dist: np.ndarray, labels: list) -> Assignment:
 
 def nearest_neighbor_classify(
     u,
-    training: list[LabeledReference],
+    training,
+    labels: list,
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> Assignment:
     """Assign u the label of its nearest training vector: a one-row Assignment.
 
+    ``training`` is a VectorSet (or its rows), labels[j] naming row j.
     Sampled, the estimate against training vector j is draw 0 of the stream
     (seed, j): row 0 of any larger block.
     """
-    if not training:
+    if not len(training):
         raise ValueError("training set must be non-empty")
-    return nearest_neighbor_assignment(distance_matrix([u], [t.vector for t in training], cfg),
-                                       [t.label for t in training])
+    return nearest_neighbor_assignment(distance_matrix([u], training, cfg), labels)
 
 
 class ClusteringState(NamedTuple):

@@ -20,7 +20,7 @@ import pytest
 
 from entdist.datasets import FIG3_DEMO, FIGS1_DEMO, TABLE1
 from entdist.experiments import fig2_run, nn_run, rounds_to_printed, table_run
-from entdist.ml import LabeledReference, two_cluster_assignment, unsupervised_cluster
+from entdist.ml import two_cluster_assignment, unsupervised_cluster
 from entdist.noise import NoiseModel, apply_noise, fidelity_to_mixing_weight, noise_preset
 from entdist.oracle import ancilla_projector, entangled_state
 from entdist.protocol import (
@@ -44,10 +44,10 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def consistent_with_printed(vector, theory: float, ref_a: LabeledReference,
-                            ref_b: LabeledReference, decimals: int = 2) -> bool:
+def consistent_with_printed(vector, theory: float, references, decimals: int = 2) -> bool:
     """True when some vector that rounds to the printed `vector` has an
-    exact-mode D_A - D_B that rounds to the printed `theory` value.
+    exact-mode D_A - D_B that rounds to the printed `theory` value, A and B
+    the two rows of `references`.
 
     The margin is evaluated at the centre and the 2^d corners of the box of
     vectors that round to `vector`.  It is continuous on that connected box,
@@ -61,7 +61,7 @@ def consistent_with_printed(vector, theory: float, ref_a: LabeledReference,
         for signs in itertools.product((-1.0, 1.0), repeat=centre.size)
     ]
     # exact entries are bitwise equal to 1x1 blocks, so one block serves every point
-    margins = two_cluster_assignment(points, ref_a, ref_b, EXACT).margin.tolist()
+    margins = two_cluster_assignment(points, references, ["A", "B"], EXACT).margin.tolist()
     return rounds_to_printed(min(max(theory, min(margins)), max(margins)), theory, decimals)
 
 
@@ -69,13 +69,12 @@ def table_criterion(name: str, budget_s: float) -> None:
     start = time.perf_counter()
     result = table_run(name)
     elapsed = time.perf_counter() - start
-    ref_a = LabeledReference(as_vector(result["reference_a"]), "A")
-    ref_b = LabeledReference(as_vector(result["reference_b"]), "B")
+    references = [result["reference_a"], result["reference_b"]]
     rows = result["rows"]
     table = list(zip(rows["index"], rows["vector"], rows["theory_diff"], rows["group"]))
     inconsistent = [
         index for index, vector, theory, _ in table
-        if not consistent_with_printed(vector, theory, ref_a, ref_b)
+        if not consistent_with_printed(vector, theory, references)
     ]
     wrong_sign = [index for index, _, theory, group in table
                   if group != ("A" if theory < 0 else "B")]
@@ -90,11 +89,10 @@ def table_criterion(name: str, budget_s: float) -> None:
 
 def test_printed_precision_check_rejects_shifted_theory():
     row = TABLE1.rows[0]
-    ref_a = LabeledReference(as_vector(TABLE1.reference_a), "A")
-    ref_b = LabeledReference(as_vector(TABLE1.reference_b), "B")
-    assert consistent_with_printed(row.vector, row.theory_diff, ref_a, ref_b)
+    references = [TABLE1.reference_a, TABLE1.reference_b]
+    assert consistent_with_printed(row.vector, row.theory_diff, references)
     for shift in (-0.02, 0.02):
-        assert not consistent_with_printed(row.vector, row.theory_diff + shift, ref_a, ref_b)
+        assert not consistent_with_printed(row.vector, row.theory_diff + shift, references)
 
 
 class TestAcceptance:
@@ -248,19 +246,18 @@ class TestAcceptance:
 
     def test_09_nearest_neighbor_update(self):
         demo = FIGS1_DEMO
-        full = list(demo.initial_training) + [demo.added_training]
-        result = nn_run(demo.vectors(), [t.vector for t in full], [t.label for t in full], EXACT)
+        training, labels = demo.training, demo.training_labels  # the added vector last
+        result = nn_run(demo.vectors(), training, labels, EXACT)
         single_flip = result["changed_indices"] == [4]  # exactly vector E
 
-        def oracle(u, training):
-            return min(
-                training,
-                key=lambda t: np.linalg.norm(u - t.vector.components),
-            ).label
+        def oracle(u, count):
+            """The label of u's nearest among the first `count` training vectors."""
+            nearest = min(range(count), key=lambda j: np.linalg.norm(u - np.array(training[j])))
+            return labels[nearest]
 
         rows = result["rows"]
         oracle_ok = all(
-            before == oracle(v, list(demo.initial_training)) and after == oracle(v, full)
+            before == oracle(v, len(training) - 1) and after == oracle(v, len(training))
             for before, after, v in zip(rows["label_before"], rows["label_after"],
                                         demo.vectors().components)
         )

@@ -286,22 +286,33 @@ class TestClusterAndNN:
         assert summary["rows"][1]["label_before"] == "red"
         assert summary["rows"][1]["label_after"] == "blue"
 
-    @pytest.mark.parametrize("added", [None, {"label": "blue", "vector": [2.35, 2.35]}],
-                             ids=["one-phase", "two-phase"])
-    def test_nn_checks_its_training_rows_once(self, capsys, tmp_path, monkeypatch, added):
-        # one norm pass over the training rows, (d, n) as VectorSet passes them, then one
-        # over the test vectors; the distance block shares the checked training set
+    @pytest.mark.parametrize("command, added", [("nn", None),
+                                                 ("nn", {"label": "blue", "vector": [2.35, 2.35]}),
+                                                 ("classify", None)],
+                             ids=["one-phase", "two-phase", "classify"])
+    def test_nn_checks_its_training_rows_once(self, capsys, tmp_path, monkeypatch, command, added):
+        # one norm pass over the training rows (classify: the references), (d, n) as VectorSet
+        # passes them, then one over the test vectors; the distance block shares the checked set
         calls, lengths = [], entdist.vectors._lengths
         monkeypatch.setattr(entdist.vectors, "_lengths",
                             lambda x: calls.append(x.shape) or lengths(x))
-        training = {"initial": [{"label": "blue", "vector": [0.5, 0.5]},
-                                {"label": "red", "vector": [2.5, 2.5]}], "added": added}
+        initial = [{"label": "blue", "vector": [0.5, 0.5]}, {"label": "red", "vector": [2.5, 2.5]}]
+        labelled = ({"references": initial} if command == "classify" else
+                    {"training": {"initial": initial, "added": added}})
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"vectors": [[0.6, 0.6], [2.4, 2.4], [1.4, 1.6], [3, 1]],
-                                   "training": training}))
-        code, _, err = run(capsys, "nn", "--config", str(cfg), "--out", str(tmp_path / "nn"))
+                                   **labelled}))
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 0, err
         assert calls == [(2, 3 if added else 2), (2, 4)]
+
+    def test_the_datasets_load_no_procedure(self, tmp_path):
+        # the built-in sets are rows and labels: importing them builds no vector, and loads
+        # neither the procedures nor the estimator
+        code = ("import sys; import entdist.datasets; "
+                "print('entdist.ml' in sys.modules, 'entdist.protocol' in sys.modules)")
+        result = fresh_python(code, tmp_path)
+        assert result.stdout.split() == ["False", "False"], result.stderr
 
     def test_an_exact_run_never_imports_numpy_random(self, tmp_path):
         # exact mode seeds no stream, and the import would add to every exact run's start-up

@@ -17,7 +17,8 @@ from entdist.datasets import (
     fig2_references,
     fig2_test_vectors,
 )
-from entdist.experiments import table_run
+from entdist.experiments import fig2_run, table_run
+from entdist.protocol import EstimatorConfig
 
 # one-time transcription checksum; any edit to the published numbers must
 # be deliberate enough to update this digest
@@ -79,8 +80,13 @@ class TestFig2:
         assert FIG2_REFERENCE_B == (0.86, 2.35)
 
     def test_reference_labels(self):
-        a, b = fig2_references()
-        assert (a.label, b.label) == ("A", "B")
+        refs = fig2_references()
+        assert refs.components.tolist() == [list(FIG2_REFERENCE_A), list(FIG2_REFERENCE_B)]
+        # the rows are A then B: each reference classifies as its own label
+        result = fig2_run(EstimatorConfig(mode="sampled"), vectors=[FIG2_REFERENCE_A,
+                                                                    FIG2_REFERENCE_B])
+        assert result["rows"]["exact_label"] == ["A", "B"]
+        assert [result["reference_a"], result["reference_b"]] == refs.components.tolist()
 
     def test_vectors_are_seeded_and_deterministic(self):
         first = fig2_test_vectors(100, seed=3)
@@ -152,14 +158,12 @@ class TestFig3Demo:
 class TestFigS1Demo:
     def test_shape(self):
         assert len(FIGS1_DEMO.points) == 8
-        labels = {t.label for t in FIGS1_DEMO.initial_training}
-        assert labels == {"blue", "red"}
-        assert FIGS1_DEMO.added_training.label == "blue"
+        assert len(FIGS1_DEMO.training) == len(FIGS1_DEMO.training_labels) == 3
+        assert set(FIGS1_DEMO.training_labels[:-1]) == {"blue", "red"}
+        assert FIGS1_DEMO.training_labels[-1] == "blue"  # the added vector, last
 
     def test_brute_force_single_flip(self):
-        initial = [(t.vector.components, t.label) for t in FIGS1_DEMO.initial_training]
-        extra = (FIGS1_DEMO.added_training.vector.components,
-                 FIGS1_DEMO.added_training.label)
+        *initial, extra = zip(FIGS1_DEMO.training, FIGS1_DEMO.training_labels)
 
         def nearest(u, training):
             return min(training, key=lambda t: euclid(u, t[0]))[1]

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 import entdist.experiments
 import entdist.ml
 import entdist.protocol
-from entdist.datasets import FIG3_DEMO, FIGS1_DEMO, fig2_references
-from entdist.experiments import fig2_run
+from entdist.datasets import FIG2_REFERENCE_A, FIG2_REFERENCE_B, FIG3_DEMO, FIGS1_DEMO
+from entdist.experiments import fig2_run, nn_run
 from entdist.ml import (
     BOUNDARY_TOL,
-    LabeledReference,
     classify_two_cluster,
     nearest_neighbor_assignment,
     nearest_neighbor_classify,
@@ -33,10 +32,7 @@ from entdist.protocol import (
 from entdist.vectors import DimensionError, as_vector
 
 EXACT = EstimatorConfig(mode="exact")
-
-
-def ref(vector, label) -> LabeledReference:
-    return LabeledReference(as_vector(vector), label)
+AB = ["A", "B"]
 
 
 def distance_from_p(p: float, norm_u: float, norm_v: float) -> float:
@@ -50,7 +46,7 @@ def euclid_mean(point, others) -> float:
 
 class TestTwoCluster:
     def test_table1_row1(self):
-        res = classify_two_cluster([2, 0, 0, 0], ref([1, 0, 0, 0], "A"), ref([0, 0, 1, 1], "B"), EXACT)
+        res = classify_two_cluster([2, 0, 0, 0], [[1, 0, 0, 0], [0, 0, 1, 1]], AB, EXACT)
         assert res.labels[0] == "A"
         assert res.margin[0] == pytest.approx(1 - math.sqrt(6), abs=1e-12)
 
@@ -58,24 +54,28 @@ class TestTwoCluster:
         u = [0, 0, 0, 0, 0, 0, 0, 0.60]
         a = [1, 0, 0, 0, 0, 0, 0, 0]
         b = [0, 0, 0, 0, 0, 0, 0, 1]
-        res = classify_two_cluster(u, ref(a, "A"), ref(b, "B"), EXACT)
+        res = classify_two_cluster(u, [a, b], AB, EXACT)
         assert res.labels[0] == "B"
         assert res.margin[0] == pytest.approx(math.sqrt(1.36) - 0.40, abs=1e-12)
 
     def test_midpoint_is_boundary(self):
         a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        res = classify_two_cluster((a + b) / 2, ref(a, "A"), ref(b, "B"), EXACT)
+        res = classify_two_cluster((a + b) / 2, [a, b], AB, EXACT)
         assert res.boundary[0]
         assert res.labels[0] == "A"  # lexicographic tie-break
 
     def test_tie_break_uses_smallest_label(self):
         a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        res = classify_two_cluster((a + b) / 2, ref(a, "z"), ref(b, "m"), EXACT)
+        res = classify_two_cluster((a + b) / 2, [a, b], ["z", "m"], EXACT)
         assert res.labels[0] == "m"
 
     def test_same_labels_rejected(self):
-        with pytest.raises(ValueError):
-            classify_two_cluster([1, 0], ref([1, 0], "A"), ref([0, 1], "A"), EXACT)
+        with pytest.raises(ValueError, match="the two reference labels must differ"):
+            classify_two_cluster([1, 0], [[1, 0], [0, 1]], ["A", "A"], EXACT)
+
+    def test_three_references_rejected(self):
+        with pytest.raises(ValueError, match="two references and two labels, got 3 and 3"):
+            two_cluster_assignment([[1, 0]], [[1, 0], [0, 1], [1, 1]], ["A", "B", "C"], EXACT)
 
     def test_agrees_with_euclidean_classifier(self):
         rng = np.random.default_rng(31)
@@ -87,7 +87,7 @@ class TestTwoCluster:
             gap = np.linalg.norm(u - a) - np.linalg.norm(u - b)
             if abs(gap) < 1e-9:
                 continue
-            res = classify_two_cluster(u, ref(a, "A"), ref(b, "B"), EXACT)
+            res = classify_two_cluster(u, [a, b], AB, EXACT)
             assert res.labels[0] == ("A" if gap < 0 else "B")
 
     def test_global_scaling_leaves_label_unchanged(self):
@@ -95,16 +95,16 @@ class TestTwoCluster:
         for c in (0.1, 3.0, 250.0):
             for _ in range(50):
                 u, a, b = rng.normal(size=(3, 4))
-                base = classify_two_cluster(u, ref(a, "A"), ref(b, "B"), EXACT)
-                scaled = classify_two_cluster(c * u, ref(c * a, "A"), ref(c * b, "B"), EXACT)
+                base = classify_two_cluster(u, [a, b], AB, EXACT)
+                scaled = classify_two_cluster(c * u, [c * a, c * b], AB, EXACT)
                 assert scaled.labels[0] == base.labels[0]
 
     def test_scaling_invariance_holds_under_sampling(self):
         cfg = EstimatorConfig(mode="sampled", shots=200, seed=77)
         u, a, b = [1.0, 0.3], [0.9, 0.1], [0.1, 1.2]
-        base = classify_two_cluster(u, ref(a, "A"), ref(b, "B"), cfg)
+        base = classify_two_cluster(u, [a, b], AB, cfg)
         scaled = classify_two_cluster(
-            [7 * x for x in u], ref([7 * x for x in a], "A"), ref([7 * x for x in b], "B"), cfg
+            [7 * x for x in u], [[7 * x for x in a], [7 * x for x in b]], AB, cfg
         )
         assert scaled.labels[0] == base.labels[0]
         assert scaled.margin[0] == pytest.approx(7 * base.margin[0], rel=1e-12)
@@ -112,8 +112,8 @@ class TestTwoCluster:
     def test_figure_references_classify_to_their_own_cluster(self):
         a, b = [1.50, 0.55], [0.86, 2.35]
         gap = float(np.linalg.norm(np.subtract(a, b)))
-        res_a = classify_two_cluster(a, ref(a, "A"), ref(b, "B"), EXACT)
-        res_b = classify_two_cluster(b, ref(a, "A"), ref(b, "B"), EXACT)
+        res_a = classify_two_cluster(a, [a, b], AB, EXACT)
+        res_b = classify_two_cluster(b, [a, b], AB, EXACT)
         assert res_a.labels[0] == "A"
         assert res_a.margin[0] == pytest.approx(-gap, abs=1e-12)
         assert res_b.labels[0] == "B"
@@ -122,8 +122,8 @@ class TestTwoCluster:
 
     def test_label_renaming_permutes_output(self):
         u, a, b = [1.0, 0.3], [0.9, 0.1], [0.1, 1.2]
-        first = classify_two_cluster(u, ref(a, "A"), ref(b, "B"), EXACT)
-        second = classify_two_cluster(u, ref(a, "left"), ref(b, "right"), EXACT)
+        first = classify_two_cluster(u, [a, b], AB, EXACT)
+        second = classify_two_cluster(u, [a, b], ["left", "right"], EXACT)
         mapping = {"A": "left", "B": "right"}
         assert second.labels[0] == mapping[first.labels[0]]
         assert second.names == ["left", "right"] and first.names == ["A", "B"]
@@ -131,18 +131,20 @@ class TestTwoCluster:
 
 
 class TestNearestNeighbor:
-    def test_single_training_vector(self):
-        res = nearest_neighbor_classify([5, 5], [ref([0, 1], "only")], EXACT)
+    @pytest.mark.parametrize("training", [[[0, 1]], np.array([[0.0, 1.0]])], ids=["list", "array"])
+    def test_single_training_vector(self, training):
+        res = nearest_neighbor_classify([5, 5], training, ["only"], EXACT)
         assert res.labels[0] == "only"
         assert res.margin[0] == math.inf
 
-    def test_empty_training_rejected(self):
-        with pytest.raises(ValueError):
-            nearest_neighbor_classify([1, 0], [], EXACT)
+    @pytest.mark.parametrize("training", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_empty_training_rejected(self, training):
+        with pytest.raises(ValueError, match="training set must be non-empty"):
+            nearest_neighbor_classify([1, 0], training, [], EXACT)
 
     def test_tie_goes_to_the_smallest_label_not_the_first_seen(self):
-        training = [ref([1, 0], "red"), ref([0, 1], "blue"), ref([5, 5], "red")]
-        res = nearest_neighbor_classify([1, 1], training, EXACT)
+        training = [[1, 0], [0, 1], [5, 5]]
+        res = nearest_neighbor_classify([1, 1], training, ["red", "blue", "red"], EXACT)
         assert res.labels[0] == "blue"
         assert res.boundary[0] and res.margin[0] == 0.0
         assert res.names == ["red", "blue"]
@@ -150,8 +152,8 @@ class TestNearestNeighbor:
     def test_caption_style_distances(self):
         # distances 0.24 to the blue trainer and 0.62 to the red one
         b = np.array([1.0, 1.0])
-        training = [ref(b + [0.24, 0.0], "blue"), ref(b - [0.62, 0.0], "red")]
-        res = nearest_neighbor_classify(b, training, EXACT)
+        training = [b + [0.24, 0.0], b - [0.62, 0.0]]
+        res = nearest_neighbor_classify(b, training, ["blue", "red"], EXACT)
         assert res.labels[0] == "blue"
         nearest = dict(zip(res.names, res.distances[0].tolist()))
         assert nearest["blue"] == pytest.approx(0.24, abs=1e-12)
@@ -159,47 +161,61 @@ class TestNearestNeighbor:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(33)
-        training = [ref(rng.normal(size=2), lbl) for lbl in "abcdefgh"]
+        training, labels = [rng.normal(size=2) for _ in "abcdefgh"], list("abcdefgh")
         for _ in range(200):
             u = rng.normal(size=2)
-            res = nearest_neighbor_classify(u, training, EXACT)
-            dists = [np.linalg.norm(u - t.vector.components) for t in training]
-            assert res.labels[0] == training[int(np.argmin(dists))].label
+            res = nearest_neighbor_classify(u, training, labels, EXACT)
+            dists = [np.linalg.norm(u - t) for t in training]
+            assert res.labels[0] == labels[int(np.argmin(dists))]
 
     def test_single_label_training_set_wins_everywhere(self):
-        training = [ref([0.5, 0.5], "red"), ref([4.0, 4.0], "red")]
+        training = [[0.5, 0.5], [4.0, 4.0]]
         rng = np.random.default_rng(36)
         for _ in range(20):
-            res = nearest_neighbor_classify(rng.uniform(0.5, 5, size=2), training, EXACT)
+            res = nearest_neighbor_classify(rng.uniform(0.5, 5, size=2), training, ["red", "red"],
+                                            EXACT)
             assert res.labels[0] == "red"
 
     def test_duplicate_training_vector_changes_nothing(self):
         demo = FIGS1_DEMO
-        training = list(demo.initial_training)
-        duplicated = training + [ref(training[0].vector.components, training[0].label)]
+        training, labels = list(demo.training[:-1]), list(demo.training_labels[:-1])
         for v in demo.vectors().components:
-            before = nearest_neighbor_classify(v, training, EXACT)
-            after = nearest_neighbor_classify(v, duplicated, EXACT)
+            before = nearest_neighbor_classify(v, training, labels, EXACT)
+            after = nearest_neighbor_classify(v, training + training[:1], labels + labels[:1],
+                                              EXACT)
             assert before.labels[0] == after.labels[0]
 
     def test_new_training_vector_flips_only_closer_points(self):
         rng = np.random.default_rng(34)
-        training = [ref([0.2, 0.1], "blue"), ref([4.0, 4.0], "red")]
-        extra = ref([2.8, 2.6], "blue")
+        training, labels = [[0.2, 0.1], [4.0, 4.0]], ["blue", "red"]
+        extra, extra_label = [2.8, 2.6], "blue"
         for _ in range(100):
             u = rng.uniform(0.5, 5, size=2)
-            before = nearest_neighbor_classify(u, training, EXACT)
-            after = nearest_neighbor_classify(u, training + [extra], EXACT)
-            d_extra = np.linalg.norm(u - extra.vector.components)
+            before = nearest_neighbor_classify(u, training, labels, EXACT)
+            after = nearest_neighbor_classify(u, training + [extra], labels + [extra_label], EXACT)
+            d_extra = np.linalg.norm(u - extra)
             d_nearest_before = before.distances[0].min()
             if after.labels[0] != before.labels[0]:
                 assert d_extra < d_nearest_before
-                assert after.labels[0] == extra.label
+                assert after.labels[0] == extra_label
             # oracle agreement either way
-            all_training = training + [extra]
-            dists = [np.linalg.norm(u - t.vector.components) for t in all_training]
-            assert after.labels[0] == all_training[int(np.argmin(dists))].label
+            dists = [np.linalg.norm(u - np.array(t)) for t in training + [extra]]
+            assert after.labels[0] == (labels + [extra_label])[int(np.argmin(dists))]
 
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
+def test_a_label_count_unlike_the_columns_is_a_value_error(labels):
+    """Labels travel apart from their rows: every procedure names both counts."""
+    counts = f"2 vectors, {len(labels)} labels"
+    with pytest.raises(ValueError, match=counts):
+        nearest_neighbor_assignment(np.ones((3, 2)), labels)
+    with pytest.raises(ValueError, match=counts):
+        nearest_neighbor_classify([1, 0], [[1, 0], [0, 1]], labels, EXACT)
+    with pytest.raises(ValueError, match=counts):
+        nn_run([[1, 0]], [[1, 0], [0, 1]], labels, EXACT)
+    with pytest.raises(ValueError, match=f"two references and two labels, got 2 and {len(labels)}"):
+        two_cluster_assignment([[1, 0]], [[1, 0], [0, 1]], labels, EXACT)
 
 class TestMeanGroupDistance:
     """The clustering's per-vector group means, with the vector itself excluded."""
@@ -459,14 +475,14 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
 
     vectors = [as_vector(v) for v in ([1.0, 0.5], [0.3, 2.0], [2.0, 2.0])]
     sampled_diff = fig2_run(cfg, vectors=vectors)["rows"]["sampled_diff"]
-    refs = fig2_references()
+    refs = [as_vector(FIG2_REFERENCE_A), as_vector(FIG2_REFERENCE_B)]
     seeds = [np.random.SeedSequence([cfg.seed, j]).generate_state(1, np.uint64)[0]
              for j in range(len(refs))]
     streams = [np.random.default_rng(int(seed)) for seed in seeds]
     for u, diff in zip(vectors, sampled_diff):  # one scalar draw per row, down each stream
-        p_hat = [rng.binomial(cfg.shots, exact_p(DistanceQuery(u, r.vector))) / cfg.shots
+        p_hat = [rng.binomial(cfg.shots, exact_p(DistanceQuery(u, r))) / cfg.shots
                  for rng, r in zip(streams, refs)]
-        d_a, d_b = (distance_from_p(p, u.norm, r.vector.norm) for p, r in zip(p_hat, refs))
+        d_a, d_b = (distance_from_p(p, u.norm, r.norm) for p, r in zip(p_hat, refs))
         assert diff == d_a - d_b
 
 
@@ -557,22 +573,22 @@ def ties(distance: float, best: float) -> bool:
     return Fraction(distance) <= Fraction(1 + BOUNDARY_TOL) * Fraction(best)
 
 
-def reference_nearest(row, training):
+def reference_nearest(row, labels):
     """The labelling rule one row at a time, as its oracle: the nearest
     distance per label (first-seen order), the smallest label that ties with
     the best, whether the runner-up ties, and the gap to the runner-up label."""
     per_label = {}
-    for d, t in zip(row, training, strict=True):
-        per_label[t.label] = min(per_label.get(t.label, math.inf), d)
+    for d, label in zip(row, labels, strict=True):
+        per_label[label] = min(per_label.get(label, math.inf), d)
     best, *rest = sorted(per_label.values())
     label = min(name for name, d in per_label.items() if ties(d, best))
     gap = rest[0] - best if rest else math.inf
     return per_label, label, bool(rest) and ties(rest[0], best), gap
 
 
-def assert_row_follows_reference(got, i, row, training):
+def assert_row_follows_reference(got, i, row, labels):
     """Row i of an Assignment is reference_nearest of its distance row; returns the gap."""
-    per_label, label, boundary, gap = reference_nearest(row, training)
+    per_label, label, boundary, gap = reference_nearest(row, labels)
     assert list(zip(got.names, got.distances[i].tolist())) == list(per_label.items())
     assert got.labels[i] == label
     assert got.boundary[i] == boundary
@@ -583,11 +599,11 @@ def assert_row_follows_reference(got, i, row, training):
 @given(vectors=lattice_points(1, 8), a=lattice_points(1, 1), b=lattice_points(1, 1),
        labels=st.sampled_from([("A", "B"), ("B", "A"), ("z", "m")]), cfg=sampled_or_exact())
 def test_classify_is_nearest_neighbors_over_the_two_references(vectors, a, b, labels, cfg):
-    refs = [ref(np.array(a[0]) / 2, labels[0]), ref(np.array(b[0]) / 2, labels[1])]
-    dist = distance_matrix(vectors, [r.vector for r in refs], cfg)
-    got = two_cluster_assignment(vectors, *refs, cfg)
+    refs = [np.array(a[0]) / 2, np.array(b[0]) / 2]
+    dist = distance_matrix(vectors, refs, cfg)
+    got = two_cluster_assignment(vectors, refs, list(labels), cfg)
     for i, row in enumerate(dist.tolist()):
-        gap = assert_row_follows_reference(got, i, row, refs)
+        gap = assert_row_follows_reference(got, i, row, labels)
         assert abs(got.margin[i]) == gap
         assert got.margin[i] == row[0] - row[1]
 
@@ -604,12 +620,15 @@ SCALES = (-1000, -60, 60, 1000)
 def test_labels_and_boundary_flags_are_power_of_two_covariant(vectors, training, labels, cfg):
     """Scaled by 2^k, every distance scales exactly, and the labels and boundary flags of
     both procedures stay those at unit scale."""
+    labels = labels[:len(training)]
+
     def assignments(k):
-        refs = [ref(np.ldexp(t, k), label) for t, label in zip(training, labels)]
+        refs = [np.ldexp(t, k) for t in training]
         us = np.ldexp(np.array(vectors, dtype=float), k)
-        dist = distance_matrix(us, [r.vector for r in refs], cfg)
-        two = two_cluster_assignment(us, *refs[:2], cfg) if labels[0] != labels[1] else None
-        return dist, nearest_neighbor_assignment(dist, [r.label for r in refs]), two
+        dist = distance_matrix(us, refs, cfg)
+        two = (two_cluster_assignment(us, refs[:2], labels[:2], cfg)
+               if labels[0] != labels[1] else None)
+        return dist, nearest_neighbor_assignment(dist, labels), two
 
     base = assignments(0)
     for k in SCALES:
@@ -625,11 +644,10 @@ def test_labels_and_boundary_flags_are_power_of_two_covariant(vectors, training,
 def test_ties_scale_with_the_data(k):
     """(0.9, 0.1) is nearer to (1, 0) and (0.1, 0.9) to (0, 1) at every scale; an absolute
     tie window would send both to "a", flagged, at 2^-60 and below."""
-    refs = [ref(np.ldexp([1.0, 0.0], k), "b"), ref(np.ldexp([0.0, 1.0], k), "a")]
+    refs = np.ldexp([[1.0, 0.0], [0.0, 1.0]], k)
     queries = np.ldexp([[0.9, 0.1], [0.1, 0.9]], k)
-    for got in (two_cluster_assignment(queries, *refs, EXACT),
-                nearest_neighbor_assignment(distance_matrix(queries, [r.vector for r in refs]),
-                                            ["b", "a"])):
+    for got in (two_cluster_assignment(queries, refs, ["b", "a"], EXACT),
+                nearest_neighbor_assignment(distance_matrix(queries, refs), ["b", "a"])):
         assert got.labels == ["b", "a"]
         assert got.boundary.tolist() == [False, False]
 
@@ -644,22 +662,22 @@ def test_a_label_at_distance_0_ties_only_with_distance_0():
 @settings(max_examples=100, deadline=None)
 @given(vectors=lattice_points(1, 6), cfg=sampled_or_exact())
 def test_single_vector_calls_are_row_0_of_a_block(vectors, cfg):
-    refs = [ref([1.5, 0.55], "A"), ref([0.86, 2.35], "B")]
-    training = refs + [ref([-1, 0.5], "A")]
+    refs = [[1.5, 0.55], [0.86, 2.35]]
+    training, labels = refs + [[-1, 0.5]], AB + ["A"]
     u = as_vector(vectors[0])
-    block = distance_matrix(vectors, [t.vector for t in training], cfg)
-    single = classify_two_cluster(u, *refs, cfg)
+    block = distance_matrix(vectors, training, cfg)
+    single = classify_two_cluster(u, refs, AB, cfg)
     assert len(single.codes) == 1
     row = block[0, :2].tolist()  # the references' columns draw on the streams (seed, 0), (seed, 1)
-    assert_row_follows_reference(single, 0, row, refs)
+    assert_row_follows_reference(single, 0, row, AB)
     assert single.margin[0] == row[0] - row[1]
-    assert estimate_distance(DistanceQuery(u, refs[0].vector), cfg).distance == block[0, 0]
-    single = nearest_neighbor_classify(u, training, cfg)
+    assert estimate_distance(DistanceQuery(u, refs[0]), cfg).distance == block[0, 0]
+    single = nearest_neighbor_classify(u, training, labels, cfg)
     assert len(single.codes) == 1
-    assert single.margin[0] == assert_row_follows_reference(single, 0, block[0].tolist(), training)
-    everyone = nearest_neighbor_assignment(block, [t.label for t in training])
+    assert single.margin[0] == assert_row_follows_reference(single, 0, block[0].tolist(), labels)
+    everyone = nearest_neighbor_assignment(block, labels)
     for i, row in enumerate(block.tolist()):
-        assert everyone.margin[i] == assert_row_follows_reference(everyone, i, row, training)
+        assert everyone.margin[i] == assert_row_follows_reference(everyone, i, row, labels)
 
 
 # points on the bisector of the fig2 references A = (1.5, 0.55) and B = (0.86, 2.35):
@@ -681,22 +699,22 @@ def test_fig2_columns_are_the_scalar_results_row_by_row(vectors, cfg):
     stream, numpy's default_rng of SeedSequence([seed, j]); then the labels
     by reference_nearest."""
     rows = fig2_run(cfg, vectors=vectors)["rows"]
-    refs = fig2_references()
+    refs = [as_vector(FIG2_REFERENCE_A), as_vector(FIG2_REFERENCE_B)]
     assert rows["index"].tolist() == list(range(len(vectors)))
     assert {len(column) for column in rows.values()} == {len(vectors)}
     streams = [np.random.default_rng(int(np.random.SeedSequence([cfg.seed, j])
                                          .generate_state(1, np.uint64)[0]))
                for j in range(len(refs))]
     for i, u in enumerate(map(as_vector, vectors)):
-        p = [exact_p(DistanceQuery(u, r.vector)) for r in refs]
+        p = [exact_p(DistanceQuery(u, r)) for r in refs]
         if cfg.mode == "sampled":  # one scalar draw per row, down each stream
             p_hat = [rng.binomial(cfg.shots, x) / cfg.shots for rng, x in zip(streams, p)]
         else:
             p_hat = p
         for kind, ps in (("exact", p), ("sampled", p_hat)):
-            d_a, d_b = (distance_from_p(x, u.norm, r.vector.norm) for x, r in zip(ps, refs))
+            d_a, d_b = (distance_from_p(x, u.norm, r.norm) for x, r in zip(ps, refs))
             assert rows[f"{kind}_diff"][i] == d_a - d_b
-            assert rows[f"{kind}_label"][i] == reference_nearest([d_a, d_b], refs)[1]
+            assert rows[f"{kind}_label"][i] == reference_nearest([d_a, d_b], AB)[1]
         x, y = u.components.tolist()
         assert (rows["x"][i], rows["y"][i], rows["norm"][i]) == (x, y, u.norm)
         assert rows["angle"][i] == math.atan2(y, x)

@@ -1,4 +1,4 @@
-"""The contract of entdist's 15 value types: how they are built, that their
+"""The contract of entdist's 14 value types: how they are built, that their
 fields cannot be assigned or deleted, which compare by value, and the reprs
 users read."""
 
@@ -7,12 +7,10 @@ import pytest
 
 from entdist.cli import Run, _Object
 from entdist.datasets import ClusteringDemo, NearestNeighborDemo, TableDataset, TableRow
-from entdist.ml import Assignment, ClusteringState, LabeledReference
+from entdist.ml import Assignment, ClusteringState
 from entdist.noise import NoiseModel
 from entdist.protocol import DistanceEstimate, DistanceQuery, EstimatorConfig
 from entdist.vectors import RealVector, VectorSet
-
-REF = LabeledReference((0.5, 0.5), "blue")
 
 # type, the fields given, their values, the defaults of the fields left out
 VALUE_TYPES = [
@@ -26,9 +24,8 @@ VALUE_TYPES = [
      ("t", (1.0, 0.0), (0.0, 1.0), ()), {}),
     (ClusteringDemo, ("names", "points", "initial_labels"),
      (("A", "B"), ((0.4, 0.4), (1.5, 1.5)), ("red", "blue")), {"k": 2}),
-    (NearestNeighborDemo, ("names", "points", "initial_training", "added_training"),
-     (("A",), ((0.4, 0.6),), (REF,), REF), {}),
-    (LabeledReference, ("vector", "label"), ((3.0, 4.0), "a"), {}),
+    (NearestNeighborDemo, ("names", "points", "training", "training_labels"),
+     (("A",), ((0.4, 0.6),), ((0.5, 0.5),), ("blue",)), {}),
     (Assignment, ("names", "distances", "codes", "margin"),
      (["a", "b"], np.array([[1.0, 2.0]]), np.array([0]), np.array([1.0])), {}),
     (ClusteringState, ("labels", "iteration", "converged", "history"),
@@ -89,7 +86,6 @@ class TestValueTypes:
 
 def test_vector_fields_are_checked_vectors():
     assert DistanceQuery((3.0, 4.0), (1.0, 0.0)).u.norm == 5.0
-    assert LabeledReference((3.0, 4.0), "a").vector.norm == 5.0
     assert VectorSet([[3.0, 4.0], [1.0, 0.0]]).norms.tolist() == [5.0, 1.0]
     assert RealVector((3, 4)).components.tolist() == [3.0, 4.0]
 

@@ -232,6 +232,15 @@ INPUTS = {
     "same_labels.json": {"vectors": [[1, 0]],
                          "references": [{"label": "A", "vector": [1, 0]},
                                         {"label": "A", "vector": [0, 1]}]},
+    # labels equal once read as text: the command compares str(label)
+    "labels_equal_as_text.json": {"vectors": [[1, 0]],
+                                  "references": [{"label": 1, "vector": [1, 0]},
+                                                 {"label": "1", "vector": [0, 1]}]},
+    # integer reference labels name the columns distance_10 and distance_9, and the
+    # plot colours go by the labels sorted as text
+    "classify_int_labels.json": {"vectors": [[2, 0], [0, 2], [1.18, 1.45], [0.4, 1.3]],
+                                 "references": [{"label": 10, "vector": [1.5, 0.55]},
+                                                {"label": 9, "vector": [0.86, 2.35]}]},
     # integer labels 10, 9 and 2 sort otherwise as text; the added vector brings a fourth
     "nn_int_labels.json": {"vectors": [[0.6, 0.6], [2.4, 2.4], [1.4, 1.6], [3.1, 0.2]],
                            "training": {"initial": [{"label": 10, "vector": [0.5, 0.5]},
@@ -371,6 +380,8 @@ CASES = [
     ("nn-scale-2-60", "exact", ("nn", "--config", "nn_tiny.json", "--out", "out")),
     ("nn-integer-labels", "exact", ("nn", "--config", "nn_int_labels.json", "--out", "out",
                                     "--plot")),
+    ("classify-integer-labels-plot", "exact", ("classify", "--config", "classify_int_labels.json",
+                                               "--out", "out", "--plot")),
     ("nn-ampersand-label-plot", "exact", ("nn", "--config", "nn_ampersand.json", "--out", "out",
                                           "--plot")),
     ("nn-escaped-labels-plot", "exact", ("nn", "--config", "nn_escaped_labels.json",
@@ -539,6 +550,8 @@ CASES = [
     ("err-bad-flag-value", "error", ("estimate", "--u", "1,0", "--v", "0,1", "--shots", "abc")),
     ("err-same-reference-labels", "error", ("classify", "--config", "same_labels.json",
                                             "--out", "out")),
+    ("err-classify-labels-equal-as-text", "error", ("classify", "--config",
+                                                    "labels_equal_as_text.json", "--out", "out")),
     ("err-fidelity-above-one", "error", ("estimate", "--u", "1,0", "--v", "0,1",
                                          "--noise", "fidelity_above_one.json")),
     ("err-dark-counts-all", "error", ("estimate", "--u", "1,0", "--v", "0,1",
