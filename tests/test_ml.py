@@ -131,16 +131,23 @@ class TestTwoCluster:
 
 
 class TestNearestNeighbor:
-    @pytest.mark.parametrize("training", [[[0, 1]], np.array([[0.0, 1.0]])], ids=["list", "array"])
-    def test_single_training_vector(self, training):
-        res = nearest_neighbor_classify([5, 5], training, ["only"], EXACT)
+    def test_single_training_vector(self):
+        res = nearest_neighbor_classify([5, 5], [[0, 1]], ["only"], EXACT)
         assert res.labels[0] == "only"
         assert res.margin[0] == math.inf
 
-    @pytest.mark.parametrize("training", [[], np.empty((0, 2))], ids=["list", "array"])
-    def test_empty_training_rejected(self, training):
+    def test_single_training_vector_as_array(self):
+        res = nearest_neighbor_classify([5, 5], np.array([[0.0, 1.0]]), ["only"], EXACT)
+        assert res.labels[0] == "only"
+        assert res.margin[0] == math.inf
+
+    def test_empty_training_rejected(self):
         with pytest.raises(ValueError, match="training set must be non-empty"):
-            nearest_neighbor_classify([1, 0], training, [], EXACT)
+            nearest_neighbor_classify([1, 0], [], [], EXACT)
+
+    def test_empty_training_array_rejected(self):
+        with pytest.raises(ValueError, match="training set must be non-empty"):
+            nearest_neighbor_classify([1, 0], np.empty((0, 2)), [], EXACT)
 
     def test_tie_goes_to_the_smallest_label_not_the_first_seen(self):
         training = [[1, 0], [0, 1], [5, 5]]
