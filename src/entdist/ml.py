@@ -192,12 +192,12 @@ def unsupervised_cluster(
     ``init`` is either an explicit per-vector label assignment covering
     exactly k distinct labels, or an integer seed for a random assignment
     over groups 0..k-1 (surjective, so no group starts empty).  Labels
-    update synchronously each round.  The expected upper block (p under
-    cfg's noise) and its pair scales are evaluated once.  Exact, they give
-    the distances of every round.  Sampled, round r draws that block on the
-    cfg.derive(r) streams, so pair (i, j), i < j, is draw i of the stream
-    (cfg.derive(r).seed, j), as in
-    distance_matrix(vectors, vectors, cfg.derive(r), upper=True).  A vector
+    update synchronously each round.  Round r reads the upper triangle of
+    distance_matrix(vectors, vectors, cfg.derive(r)): the expected upper
+    block (p under cfg's noise) and its pair scales are evaluated once.
+    Exact, they give the distances of every round.  Sampled, round r draws
+    that block on the cfg.derive(r) streams, so pair (i, j), i < j, is draw
+    i of the stream (cfg.derive(r).seed, j).  A vector
     that is the sole member of its group has no own-group mean to compare
     against and stays put.  Stops at a fixed point (converged), on a
     repeated label configuration (cycle), or at max_iterations.
@@ -233,7 +233,7 @@ def unsupervised_cluster(
     code_of = {g: c for c, g in enumerate(groups)}
     codes = np.array([code_of[label] for label in labels])
 
-    expected, *scale = _expected_p(vectors, vectors, cfg, upper=True, scales=True)
+    expected, *scale = _expected_p(vectors, vectors, cfg, upper=True)
     # a group's distance sum is below 2^E 2n, E the largest norm's frexp exponent; where
     # that could overflow, every D is formed scaled down by a power of two, moving no comparison
     scale[0] -= max(0, np.frexp(vectors.norms.max())[1] + (2 * n).bit_length() - 1023)

@@ -11,8 +11,8 @@ The success probability p of that projection carries everything:
     D     = sqrt(2 p (|u|^2 + |v|^2))  =  |u - v|   (ideal case)
 
 p is evaluated in closed form, or estimated from seeded Bernoulli shots,
-optionally after the noise channel.  ``p_matrix`` does this for a whole
-block of pairs at once; the single-pair functions are 1x1 blocks of it.
+optionally after the noise channel.  ``distance_matrix`` does this for a
+whole block of pairs at once; the single-pair functions are 1x1 blocks of it.
 In sampled mode entry (i, j) of a block is draw i of the generator seeded
 from (seed, j): one stream per column, drawn down the rows.  The seeds and
 generator states of all of a block's columns come out of one vectorised pass
@@ -38,7 +38,6 @@ __all__ = [
     "DistanceEstimate",
     "exact_p",
     "sample_p",
-    "p_matrix",
     "distance_matrix",
     "estimate_distance",
 ]
@@ -53,7 +52,7 @@ _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-# p_matrix evaluates this many pair components at a time, bounding its memory
+# _expected_p evaluates this many pair components at a time, bounding its memory
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -198,27 +197,24 @@ class DistanceEstimate(NamedTuple):
     overlap_out_of_range: bool  # shot noise pushed <u|v> outside [-1, 1]
 
 
-def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool,
-                scales: bool = False):
-    """The closed-form p of every pair, clipped to [0, 1], under cfg's noise (no draws);
-    with ``upper``, 0 on and below the diagonal.  With ``scales``, (p, e, z): e and z
-    hold each pair's _pair_scale as the row blocks computed it (0 where ``upper``
-    skips a pair, whose p is 0)."""
+def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool = False):
+    """(p, e, z): the closed-form p of every pair, clipped to [0, 1], under cfg's noise
+    (no draws), and e and z, each pair's _pair_scale as the row blocks computed it.
+    With ``upper``, a clustering's own block, p is the upper triangle of the full
+    block: 0 on and below the diagonal, and e and z are 0 where a row block skips
+    a pair."""
     n, m, dim = len(us), len(vs), us.dimension
     _check_dimensions(dim, vs.dimension)
     if cfg.noise is not None:  # a fidelity the channel rejects raises before any pair
         cfg.noise.mixing_weight(dim.bit_length())
     # component-major, so the sum of squares runs over contiguous rows
     u_cols, v_cols = np.ascontiguousarray(us.components.T), np.ascontiguousarray(vs.components.T)
-    p = np.zeros((n, m))
-    if scales:
-        es, zs = np.zeros((n, m), np.intc), np.zeros((n, m))
+    p, es, zs = np.zeros((n, m)), np.zeros((n, m), np.intc), np.zeros((n, m))
     step = max(1, _BLOCK_ELEMENTS // (m * dim))
     for r in range(0, n, step):
         c = r + 1 if upper else 0  # an upper row block needs no column j <= r
         e, z = _pair_scale(us.norms[r:r + step, None], vs.norms[None, c:])
-        if scales:
-            es[r:r + step, c:], zs[r:r + step, c:] = e, z
+        es[r:r + step, c:], zs[r:r + step, c:] = e, z
         # finite, as VectorSet caps each norm at half of float64's largest value
         diff = u_cols[:, r:r + step, None] - v_cols[:, None, c:]
         np.ldexp(diff, -e, out=diff)
@@ -226,11 +222,10 @@ def _expected_p(us: VectorSet, vs: VectorSet, cfg: EstimatorConfig, upper: bool,
     np.clip(p, 0.0, 1.0, out=p)
     if cfg.noise is not None:
         p = apply_noise(p, cfg.noise, dim.bit_length())
-    p = np.triu(p, 1) if upper else p
-    return (p, es, zs) if scales else p
+    return np.triu(p, 1) if upper else p, es, zs
 
 
-def _draw(p: np.ndarray, cfg: EstimatorConfig, upper: bool, out=None) -> np.ndarray:
+def _draw(p: np.ndarray, cfg: EstimatorConfig, upper: bool = False, out=None) -> np.ndarray:
     """A sampled block from the expected block p: column j is drawn on the
     generator of cfg.derive(j).seed, down its rows in order as scalar calls
     would (rows 0..j-1 only with ``upper``).
@@ -252,33 +247,24 @@ def _distances(p: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.ldexp(np.sqrt(2.0 * p * z), e)
 
 
-def p_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
-             upper: bool = False) -> np.ndarray:
-    """Observed p for every pair (us[i], vs[j]) of two VectorSets (or their rows) under cfg.
+def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
+    """D = sqrt(2 p (|u|^2 + |v|^2)) for every pair (us[i], vs[j]) of two VectorSets
+    (or their rows) under cfg.
 
-    Two steps: the expected block, then in sampled mode its draw.  The two
-    dimensions are checked, then the noise model at that dimension.  Each
-    pair is evaluated scaled by the power of two ``_pair_scale`` gives it,
-    which leaves p as it is.  With ``upper`` only the pairs j > i are
-    evaluated and every other entry is 0.  In sampled mode entry (i, j) is
-    draw i of the generator seeded with cfg.derive(j).seed, so the first k
-    rows of a block (the leading k x k of an ``upper`` one) are the k-row
-    block, and a column does not depend on the other columns.  The column
-    generators start from states computed for all columns at once, and each
-    is built only when its column is drawn.  The block returned is C-ordered
-    float64.  A sampled clustering evaluates its expected block once, and
-    round r draws it on the cfg.derive(r) streams.
+    Two steps: the expected block of p, then in sampled mode its draw.  The
+    two dimensions are checked, then the noise model at that dimension.
+    Each pair is evaluated scaled by the power of two ``_pair_scale`` gives
+    it, which leaves p as it is and scales D back exactly.  In sampled mode
+    entry (i, j) is draw i of the generator seeded with cfg.derive(j).seed,
+    so the first k rows of a block are the k-row block, and a column does
+    not depend on the other columns.  The column generators start from
+    states computed for all columns at once, and each is built only when
+    its column is drawn.  The block returned is C-ordered float64.  Round r
+    of a clustering reads the upper triangle of this block under cfg.derive(r).
     """
-    p = _expected_p(VectorSet(us), VectorSet(vs), cfg, upper)
-    return _draw(p, cfg, upper, out=p) if cfg.mode == "sampled" else p
-
-
-def distance_matrix(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
-                    upper: bool = False) -> np.ndarray:
-    """D = sqrt(2 p (|u|^2 + |v|^2)) for every pair of the p_matrix block."""
-    p, e, z = _expected_p(VectorSet(us), VectorSet(vs), cfg, upper, scales=True)
+    p, e, z = _expected_p(VectorSet(us), VectorSet(vs), cfg)
     if cfg.mode == "sampled":
-        p = _draw(p, cfg, upper, out=p)
+        p = _draw(p, cfg, out=p)
     return _distances(p, e, z)
 
 
@@ -304,10 +290,10 @@ def sample_p(query: DistanceQuery, cfg: EstimatorConfig) -> tuple[float, float]:
 def estimate_distance(query: DistanceQuery, cfg: EstimatorConfig = EstimatorConfig()) -> DistanceEstimate:
     """Run the full protocol for one query: the 1x1 block of distance_matrix and its p."""
     nu, nv = query.u.norm, query.v.norm
-    p, e, z = _expected_p(VectorSet([query.u]), VectorSet([query.v]), cfg, False, scales=True)
+    p, e, z = _expected_p(VectorSet([query.u]), VectorSet([query.v]), cfg)
     shots = cfg.shots if cfg.mode == "sampled" else 0
     if shots:
-        p = _draw(p, cfg, False, out=p)
+        p = _draw(p, cfg, out=p)
     p_hat = float(p[0, 0])
     # <u|v> = (0.5 - p)(|u|^2 + |v|^2) / (|u| |v|) from the pair scaled by 2^-e.  |u| |v| 4^-e
     # is 0 only where |u| / |v| leaves float64's range, so p is 1/2 to rounding; read as

@@ -957,7 +957,46 @@ class TestConfigPaths:
         assert config["n_vectors"] == 3 and config["noise"]["state_fidelity"] == 0.9
 
 
+# five 2-D vectors and the labelled sets of the row-prefix runs: (command, labelled set)
+_PREFIX_VECTORS = [[0.6, 0.6], [2.4, 2.4], [1.4, 1.6], [3.0, 1.0], [0.2, 2.1]]
+_PREFIX_TRAINING = [{"label": "blue", "vector": [0.5, 0.5]}, {"label": "red", "vector": [2.5, 2.5]}]
+_PREFIX_COMMANDS = {
+    "classify": (["classify"], {"references": [{"label": "A", "vector": [1.5, 0.55]},
+                                               {"label": "B", "vector": [0.86, 2.35]}]}),
+    "nn-one-phase": (["nn"], {"training": {"initial": _PREFIX_TRAINING}}),
+    "nn-two-phase": (["nn"], {"training": {"initial": _PREFIX_TRAINING,
+                                           "added": {"label": "blue", "vector": [2.35, 2.35]}}}),
+    "fig2": (["repro", "fig2"], {}),
+}
+_PREFIX_RUNS = {f"{name}-{mode}": (argv, labelled, flags)
+                for name, (argv, labelled) in _PREFIX_COMMANDS.items()
+                for mode, flags in (("exact", ["--exact"]),
+                                    ("sampled", ["--shots", "400", "--seed", "7"]),
+                                    ("default", []))
+                if mode != "default" or name == "fig2"}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("argv, labelled, flags", _PREFIX_RUNS.values(),
+                             ids=_PREFIX_RUNS.keys())
+    def test_the_first_k_vectors_write_the_first_k_rows(self, capsys, tmp_path, argv, labelled,
+                                                         flags):
+        # a row of a block does not depend on the rows after it, through every writer
+        def written(n):
+            config, out_dir = tmp_path / f"c{n}.json", tmp_path / f"out{n}"
+            config.write_text(json.dumps({"vectors": _PREFIX_VECTORS[:n], **labelled}))
+            code, _, err = run(capsys, *argv, "--config", str(config), *flags,
+                               "--out", str(out_dir))
+            assert code == 0, err
+            table = [line for line in (out_dir / "results.csv").read_text().splitlines()
+                     if not line.startswith("# ")]
+            return table, json.loads((out_dir / "summary.json").read_text())["rows"]
+
+        (header, *rows), summary_rows = written(5)
+        assert len(rows) == len(summary_rows) == 5
+        for k in (1, 3):
+            assert written(k) == ([header, *rows[:k]], summary_rows[:k])
+
     @pytest.mark.parametrize("config, argv", DETERMINISM_RUNS.values(),
                              ids=DETERMINISM_RUNS.keys())
     def test_every_command_byte_identical(self, capsys, tmp_path, monkeypatch, config, argv):

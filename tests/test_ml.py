@@ -230,7 +230,7 @@ class TestMeanGroupDistance:
     VECTORS = [as_vector(v) for v in ([1.0, 0.0], [2.0, 0.0], [3.0, 0.0])]
 
     def group_mean(self, i, labels, group):
-        d = distance_matrix(self.VECTORS, self.VECTORS, EXACT, upper=True)
+        d = np.triu(distance_matrix(self.VECTORS, self.VECTORS, EXACT), 1)
         dist = d + d.T
         groups = sorted(set(labels))
         codes = np.array([groups.index(label) for label in labels])
@@ -422,8 +422,8 @@ class TestUnsupervisedCluster:
 
 
 def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
-    # cluster round r is the block under cfg.derive(r), so pair (i, j), i < j,
-    # is draw i of the stream cfg.derive(r).derive(j); fig2 row i against
+    # cluster round r is the upper triangle of the block under cfg.derive(r), so pair
+    # (i, j), i < j, is draw i of the stream cfg.derive(r).derive(j); fig2 row i against
     # reference j is draw i of numpy's stream SeedSequence([seed, j])
     blocks = []
     reassign = entdist.ml._reassign
@@ -438,10 +438,9 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
     unsupervised_cluster(points, 2, [0, 1] * 4, cfg, max_iterations=2)
     assert len(blocks) == 2
     for r, dist in enumerate(blocks, start=1):
-        want = distance_matrix(points, points, cfg.derive(r), upper=True)
-        for i, j in itertools.combinations(range(8), 2):
-            assert dist[i, j] == dist[j, i] == want[i, j]
-        d = distance_matrix(points, points, cfg, upper=True)
+        want = np.triu(distance_matrix(points, points, cfg.derive(r)), 1)
+        assert dist.tobytes() == (want + want.T).tobytes()
+        d = np.triu(distance_matrix(points, points, cfg), 1)
         assert (dist != d + d.T).any()
     assert (blocks[0] != blocks[1]).any()
 
@@ -460,6 +459,8 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
     expected = {(i, j): apply_noise(exact_p(DistanceQuery(points[i], points[j])), noise, 2)
                 for i, j in itertools.combinations(range(12), 2)}
     for r, dist in enumerate(blocks, start=1):
+        want = np.triu(distance_matrix(points, points, noisy.derive(r)), 1)
+        assert dist.tobytes() == (want + want.T).tobytes()
         round_seed = np.random.SeedSequence([noisy.seed, r]).generate_state(1, np.uint64)[0]
         for j in range(12):
             column_seed = np.random.SeedSequence([int(round_seed), j]).generate_state(1, np.uint64)
@@ -476,7 +477,7 @@ def test_sampled_substreams_follow_the_nested_derive_chain(monkeypatch):
     noise_calls.clear()
     state = unsupervised_cluster(points, 3, 1, exact)
     assert len(blocks) == state.iteration == 7 and len(noise_calls) == 1
-    d = distance_matrix(points, points, exact, upper=True)
+    d = np.triu(distance_matrix(points, points, exact), 1)
     for dist in blocks:
         assert dist.tobytes() == (d + d.T).tobytes()
 
@@ -567,7 +568,7 @@ SOLE_MEMBER_ROUND = (np.array([[0.5, 0.5], [10, 10], [10.1, 10], [9, 9]]),
                EstimatorConfig(mode="sampled", shots=20, seed=3), ["a", "b"]))
 def test_reassign_matches_the_per_cell_reference(case):
     points, codes, k, cfg, names = case
-    d = distance_matrix(points, points, cfg, upper=True)
+    d = np.triu(distance_matrix(points, points, cfg), 1)
     dist = d + d.T
     labels = [names[c] for c in codes]
     got = entdist.ml._reassign(dist, codes, k)

@@ -16,10 +16,9 @@ from entdist.protocol import (
     distance_matrix,
     estimate_distance,
     exact_p,
-    p_matrix,
     sample_p,
 )
-from entdist.vectors import DimensionError, ZeroVectorError, as_vector
+from entdist.vectors import DimensionError, VectorSet, ZeroVectorError, as_vector
 
 # the 2-D reference pair of the published figure
 REF_A = (1.50, 0.55)
@@ -28,6 +27,14 @@ REF_B = (0.86, 2.35)
 
 def query(u, v) -> DistanceQuery:
     return DistanceQuery(as_vector(u), as_vector(v))
+
+
+def observed_p(us, vs, cfg: EstimatorConfig = EstimatorConfig(),
+               upper: bool = False) -> np.ndarray:
+    """The kernel's block of p for every pair (us[i], vs[j]): the expected block, then
+    in sampled mode its draw; with ``upper``, a clustering's own block."""
+    p, _, _ = entdist.protocol._expected_p(VectorSet(us), VectorSet(vs), cfg, upper)
+    return entdist.protocol._draw(p, cfg, upper) if cfg.mode == "sampled" else p
 
 
 class TestDistanceQuery:
@@ -76,7 +83,7 @@ class TestEstimatorConfig:
         us = np.random.default_rng(1).normal(size=(5, 4))
         cfg = EstimatorConfig(mode="sampled", shots=300, seed=7)
         numpy_cfg = EstimatorConfig(mode="sampled", shots=np.int64(300), seed=np.uint64(7))
-        assert p_matrix(us, us, numpy_cfg).tobytes() == p_matrix(us, us, cfg).tobytes()
+        assert observed_p(us, us, numpy_cfg).tobytes() == observed_p(us, us, cfg).tobytes()
         assert numpy_cfg.derive(3, 1).seed == cfg.derive(3, 1).seed
 
 
@@ -104,11 +111,13 @@ class TestStreamSeeds:
     def test_column_j_draws_on_default_rng_of_its_seed(self, seed, upper):
         us = np.random.default_rng(2).normal(size=(40, 2))
         cfg = EstimatorConfig(mode="sampled", shots=100, seed=seed)
-        ideal = p_matrix(us, us, EstimatorConfig("exact", cfg.shots, cfg.seed, cfg.noise), upper)
-        drawn = p_matrix(us, us, cfg, upper)
+        ideal = observed_p(us, us, EstimatorConfig("exact", cfg.shots, cfg.seed, cfg.noise), upper)
+        drawn = observed_p(us, us, cfg, upper)
         assert drawn.tolist() == _column_draws(ideal, cfg, upper).tolist()
+        if upper:  # a clustering's upper block is the upper triangle of the full block
+            assert drawn.tobytes() == np.triu(observed_p(us, us, cfg), 1).tobytes()
         # columns are drawn as rows of a transposed copy; the blocks come back C-ordered
-        for block in (drawn, distance_matrix(us, us, cfg, upper)):
+        for block in (drawn, distance_matrix(us, us, cfg)):
             assert block.dtype == np.float64 and block.flags.c_contiguous
 
 
@@ -176,7 +185,7 @@ class TestExactP:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 64])
     def test_entries_follow_the_pairwise_tree(self, dim):
         us, vs = np.random.default_rng(dim).normal(size=(2, 6, dim)).tolist()
-        assert p_matrix(us, vs).tolist() == [[reference_p(u, v) for v in vs] for u in us]
+        assert observed_p(us, vs).tolist() == [[reference_p(u, v) for v in vs] for u in us]
 
     def test_two_roundings_not_a_fused_multiply_add(self):
         # fma(x1, x1, x0 * x0) rounds the sum of each norm and of |u - v|^2 once
@@ -467,12 +476,12 @@ class TestBatch:
         cfg = EstimatorConfig(mode="sampled", shots=200, seed=5)
         us = [as_vector(u) for u in ([1, 0], [0, 1], [2, 1])]
         vs = [as_vector(v) for v in ([0.6, 0.8], [1, 2])]
-        all_at_once = p_matrix(us, vs, cfg)
+        all_at_once = observed_p(us, vs, cfg)
         for k in range(1, len(us)):
-            assert p_matrix(us[:k], vs, cfg).tolist() == all_at_once[:k].tolist()
+            assert observed_p(us[:k], vs, cfg).tolist() == all_at_once[:k].tolist()
         assert estimate_distance(query(us[0], vs[0]), cfg).p_hat == all_at_once[0, 0]
         monkeypatch.setattr(entdist.protocol, "_BLOCK_ELEMENTS", 1)  # one row block per row
-        assert p_matrix(us, vs, cfg).tolist() == all_at_once.tolist()
+        assert observed_p(us, vs, cfg).tolist() == all_at_once.tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(_blocks())
@@ -480,12 +489,14 @@ class TestBatch:
         # batch composition: the first k rows of a block are the k-row block,
         # and sampled column j is draw 0, 1, ... of the stream cfg.derive(j)
         us, vs, cfg = block
-        dist = distance_matrix(us, vs, cfg)
-        upper = distance_matrix(us, us, cfg, upper=True)
+        dist, square = distance_matrix(us, vs, cfg), distance_matrix(us, us, cfg)
+        full, upper = observed_p(us, us, cfg), observed_p(us, us, cfg, upper=True)
         for k in range(1, len(us) + 1):
             assert distance_matrix(us[:k], vs, cfg).tolist() == dist[:k].tolist()
-            assert distance_matrix(us[:k], us[:k], cfg, upper=True).tolist() == \
-                upper[:k, :k].tolist()
+            assert distance_matrix(us[:k], us[:k], cfg).tolist() == square[:k, :k].tolist()
+            # a clustering's upper block is the upper triangle of the full block
+            assert observed_p(us[:k], us[:k], cfg, upper=True).tobytes() == \
+                np.triu(full[:k, :k], 1).tobytes()
         for k in range(1, len(vs) + 1):
             assert distance_matrix(us, vs[:k], cfg).tolist() == dist[:, :k].tolist()
         assert not np.tril(upper).any()
@@ -493,15 +504,15 @@ class TestBatch:
         # the scalar API reads the 1x1 block: its p, its D, and sample_p its p and std error
         q = query(us[0], vs[0])
         estimate = estimate_distance(q, cfg)
-        assert estimate.p_hat == p_matrix(us, vs, cfg)[0, 0]
+        assert estimate.p_hat == observed_p(us, vs, cfg)[0, 0]
         assert estimate.distance == dist[0, 0]
         if cfg.mode == "sampled":
             assert sample_p(q, cfg) == (estimate.p_hat, estimate.std_error_p)
             ideal = EstimatorConfig("exact", cfg.shots, cfg.seed, cfg.noise)
-            assert p_matrix(us, vs, cfg).tolist() == \
-                _column_draws(p_matrix(us, vs, ideal), cfg).tolist()
-            assert p_matrix(us, us, cfg, upper=True).tolist() == \
-                _column_draws(p_matrix(us, us, ideal, upper=True), cfg, upper=True).tolist()
+            assert observed_p(us, vs, cfg).tolist() == \
+                _column_draws(observed_p(us, vs, ideal), cfg).tolist()
+            assert upper.tolist() == \
+                _column_draws(observed_p(us, us, ideal, upper=True), cfg, upper=True).tolist()
         else:
             for i, u in enumerate(us):
                 for j, v in enumerate(vs):
@@ -510,7 +521,7 @@ class TestBatch:
             # the channel on a block matches the channel on one float
             want = exact_p(q) if cfg.noise is None else apply_noise(exact_p(q), cfg.noise,
                                                                     q.u.dimension.bit_length())
-            assert p_matrix(us[:1], vs[:1], cfg)[0, 0] == want
+            assert observed_p(us[:1], vs[:1], cfg)[0, 0] == want
 
     @pytest.mark.parametrize("cfg", [
         EstimatorConfig(),
@@ -527,9 +538,9 @@ class TestBatch:
         huge[5] *= 8e153 / np.linalg.norm(huge[5])
         monkeypatch.setattr(entdist.protocol, "_BLOCK_ELEMENTS", 3 * 9 * 4)  # rows 0-2, 3-5, 6-8
         for vectors in (us, huge):
-            full = p_matrix(vectors, vectors, cfg)
+            full = observed_p(vectors, vectors, cfg)
             assert np.isfinite(full).all()
-            assert p_matrix(vectors, vectors, cfg, upper=True).tobytes() == \
+            assert observed_p(vectors, vectors, cfg, upper=True).tobytes() == \
                 np.triu(full, 1).tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -560,7 +571,7 @@ class TestBatch:
         # short of the subnormals: sums, differences, x * x, quotients and sqrt
         u, v = np.array(pair)
         su, sv = np.ldexp(u, e), np.ldexp(v, e)
-        assert p_matrix([su], [sv])[0, 0] == p_matrix([u], [v])[0, 0]
+        assert observed_p([su], [sv])[0, 0] == observed_p([u], [v])[0, 0]
         assert distance_matrix([su], [sv])[0, 0] == np.ldexp(distance_matrix([u], [v])[0, 0], e)
         plain, scaled = estimate_distance(query(u, v)), estimate_distance(query(su, sv))
         assert scaled.p_hat == plain.p_hat

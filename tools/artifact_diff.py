@@ -375,6 +375,10 @@ CASES = [
                                               *SHOTS)),
     ("cluster-1000", "exact", ("cluster", "--vectors", "waves.csv", "--k", "4", "--init", "3",
                                "--out", "out")),
+    # 1,000 16-D rows: the upper block of every sampled round spans 16 row blocks
+    ("cluster-1000-sampled", "sampled", ("cluster", "--vectors", "waves.csv", "--k", "4",
+                                         "--init", "3", *SHOTS, "--max-iterations", "3",
+                                         "--out", "out")),
     ("classify-scale-2-60", "exact", ("classify", "--config", "classify_tiny.json",
                                       "--out", "out")),
     ("nn-scale-2-60", "exact", ("nn", "--config", "nn_tiny.json", "--out", "out")),
